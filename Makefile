@@ -4,9 +4,9 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests corruption-drill hedge-drill lifecycle-drill tenant-drill autopilot-drill drill-all perf bench-smoke coverage
+.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests lifecycle-drill drill-all coverage
 
-## tier-1: the full default suite (perf benchmarks excluded via addopts)
+## tier-1: the full default suite
 test:
 	$(PY) -m pytest -x -q
 
@@ -26,16 +26,6 @@ scrub-tests:
 hedge-tests:
 	$(PY) -m pytest -q -m hedge
 
-## end-to-end data-integrity drill: corruption storm -> detect/quarantine
-## -> deep scrub -> converge checker-clean (machine-readable)
-corruption-drill:
-	$(PY) -m repro.cli corruption-drill --seed 0 --json
-
-## hedged straggler-cloning drill: chaotic busy hour with cloning on ->
-## every hedge resolved, trace oracle + audit clean (machine-readable)
-hedge-drill:
-	$(PY) -m repro.cli hedge-drill --seed 0 --json
-
 ## just the planned-operations (evacuation / rolling restart / switchover)
 ## suites
 lifecycle-tests:
@@ -53,40 +43,19 @@ lifecycle-drill:
 tenant-tests:
 	$(PY) -m pytest -q -m tenant
 
-## multi-tenant control-plane drill: 1000 tenants across sharded engine
-## workers, Zipf workload -> per-tenant convergence, budget admission,
-## fair share, and cross-tenant isolation all verified (machine-readable)
-tenant-drill:
-	$(PY) -m repro.cli tenant-drill --seed 0 --json
-
 ## just the closed-loop SLO controller (autopilot) suites
 autopilot-tests:
 	$(PY) -m pytest -q -m autopilot
-
-## SLO autopilot drill: busy hour with a mid-run load surge and a
-## regional WAN brownout -> the controller engages on both, p99
-## recovers within the settle bound, budgets hold, and audit + deep
-## scrub + trace oracle (incl. autopilot discipline) stay clean
-autopilot-drill:
-	$(PY) -m repro.cli autopilot-drill --seed 0 --json
 
 ## every drill the CLI ships, one seed, one shared report schema;
 ## exits non-zero if any drill reports pass=false
 drill-all:
 	$(PY) -m repro.cli drill-all --seed 0
 
-## wall-clock benchmarks (compare against BENCH_PR1.json with bench-perf)
-perf:
-	$(PY) -m pytest -q -m perf
-
-## seconds-long perf smoke: tiny-scale bench-perf checked against the
-## committed scale-0.05 reference.  Rates are not scale-invariant, so
-## the full-scale BENCH_PR*.json files cannot be the bar here — the
-## scale guard in bench-perf --check would (correctly) refuse them.
-## Wider tolerance: tiny work sizes amplify machine noise.
-bench-smoke:
-	$(PY) -m repro.cli bench-perf --scale 0.05 --repeat 2 --check \
-		--baseline tests/baselines/BENCH_SMOKE.json --tolerance 0.5
+## any single drill of the roster (repro.drills.DRILLS), machine-readable:
+## make corruption-drill | hedge-drill | tenant-drill | autopilot-drill ...
+%-drill:
+	$(PY) -m repro.cli $@ --seed 0 --json
 
 ## line coverage over src/repro; requires the dev extras (pytest-cov).
 ## Gated so environments without pytest-cov fail with a message instead

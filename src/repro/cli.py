@@ -7,15 +7,12 @@ Mirrors the published LambdaReplica CLI against the simulated clouds:
     areplica profile   --src aws:us-east-1 --dst azure:eastus
     areplica trace     --requests 5000 --slo 10
     areplica compare   --src aws:us-east-1 --dst aws:us-east-2 --size 1MB
-    areplica outage-drill --outage-start 600 --outage-duration 600
-    areplica corruption-drill --seed 0 --json
-    areplica hedge-drill --seed 0 --json
+    areplica chaos-soak --seed 0
     areplica lifecycle-drill --scenario evacuate --chaos --hedging --json
-    areplica tenant-drill --tenants 1000 --shards 4 --json
-    areplica autopilot-drill --seed 0 --json
     areplica drill-all --seed 0
 
-All commands accept ``--seed`` for reproducibility.
+The drill subcommands are generated from the ``repro.drills.DRILLS``
+roster.  All commands accept ``--seed`` for reproducibility.
 """
 
 from __future__ import annotations
@@ -25,6 +22,11 @@ import sys
 from typing import Optional
 
 import numpy as np
+
+from repro.core.config import ReplicaConfig
+from repro.core.service import AReplicaService
+from repro.drills import DRILLS, machine_report, run_drill
+from repro.simcloud.cloud import build_default_cloud
 
 __all__ = ["main", "parse_size"]
 
@@ -48,26 +50,10 @@ def parse_size(text: str) -> int:
 
 
 def _build_service(args, slo: float = 0.0, tracing: bool = False):
-    from repro.core.config import ReplicaConfig
-    from repro.core.service import AReplicaService
-    from repro.simcloud.cloud import build_default_cloud
-
     cloud = build_default_cloud(seed=args.seed)
-    # Hedging rides along on any command that grew the --hedging flag;
-    # the knob getattrs fall back to the drills that predate it.
-    hedging = {}
-    if getattr(args, "hedging", False):
-        hedging = dict(
-            hedging_enabled=True,
-            hedge_deadline_quantile=getattr(args, "hedge_quantile", 0.95),
-            hedge_min_samples=getattr(args, "hedge_min_samples", 8),
-            hedge_min_part_bytes=getattr(args, "hedge_min_part_bytes",
-                                         1024 ** 2),
-            max_clones_per_part=getattr(args, "max_clones", 1),
-        )
     config = ReplicaConfig(slo_seconds=slo, percentile=args.percentile,
                            profile_samples=args.profile_samples,
-                           tracing_enabled=tracing, **hedging)
+                           tracing_enabled=tracing)
     service = AReplicaService(cloud, config)
     src = cloud.bucket(args.src, "src")
     dst = cloud.bucket(args.dst, "dst")
@@ -142,40 +128,6 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _machine_report(cloud, service, rule, extra=None, scenario=None,
-                    seed=None, passed=None) -> dict:
-    """The machine-checkable drill report shared by --json commands.
-
-    Drills pass ``scenario``/``seed``/``passed`` so every report shares
-    one aggregatable schema — the top-level ``scenario``, ``seed``,
-    ``pass``, and ``stats`` keys ``drill-all`` consumes.  Multi-rule
-    drills (tenant-drill) pass ``rule=None`` and get engine stats
-    summed across every rule in the service.
-    """
-    if rule is not None:
-        engine_stats = dict(rule.engine.stats)
-    else:
-        engine_stats = {}
-        for r in service.rules.values():
-            for k, v in r.engine.stats.items():
-                engine_stats[k] = engine_stats.get(k, 0) + v
-    report = {
-        "summary": service.summary(),
-        "chaos_stats": cloud.chaos_stats(),
-        "health": service.health_snapshot(),
-        "engine_stats": engine_stats,
-        "parked_backlog": service.backlog_count(),
-    }
-    if scenario is not None:
-        report["scenario"] = scenario
-        report["seed"] = seed
-        report["pass"] = bool(passed)
-        report["stats"] = dict(engine_stats)
-    if extra:
-        report.update(extra)
-    return report
-
-
 def _print_json(report: dict) -> None:
     import json
 
@@ -204,11 +156,9 @@ def cmd_trace(args) -> int:
             "delay_breakdown": service.tracer.delay_breakdown(),
         }
     if args.json:
-        _print_json(_machine_report(cloud, service, rule, {
-            "requests": stats.requests,
-            "bytes_written": stats.bytes_written,
-            **extra,
-        }))
+        _print_json({**machine_report(service),
+                     "requests": stats.requests,
+                     "bytes_written": stats.bytes_written, **extra})
         return 0
     delays = np.asarray(service.delays())
     print(f"  puts={stats.puts} deletes={stats.deletes} "
@@ -245,994 +195,55 @@ def cmd_audit(args) -> int:
     return 0 if report.clean else 1
 
 
-def cmd_chaos_soak(args) -> int:
-    """Replay a trace segment under a seeded fault schedule, then let the
-    storm pass, drain retries/DLQs and assert full convergence."""
-    from repro.core.audit import ReplicationAuditor
-    from repro.core.invariants import TraceChecker
-    from repro.simcloud.chaos import ChaosConfig
-    from repro.traces.ibm_cos import IbmCosTraceGenerator
-    from repro.traces.replay import TraceReplayer
-
-    chaos = ChaosConfig(
-        crash_prob=args.crash_prob,
-        notif_drop_prob=args.notif_drop,
-        notif_dup_prob=args.notif_dup,
-        notif_reorder_prob=args.notif_reorder,
-        kv_reject_prob=args.kv_reject,
-        kv_delay_prob=args.kv_delay,
-        wan_stall_prob=args.wan_stall,
-    )
-    cloud, service, src, dst, rule = _build_service(args, slo=args.slo,
-                                                    tracing=True)
-    # Chaos goes live only after onboarding: faults are injected into
-    # the running service, not into the offline profiling step.
-    cloud.apply_chaos(chaos)
-    trace = IbmCosTraceGenerator(seed=args.seed).busy_hour(
-        total_requests=args.requests)
-    if not args.json:
-        print(f"soaking {len(trace)} requests under chaos "
-              f"(crash={chaos.crash_prob}, drop={chaos.notif_drop_prob}, "
-              f"dup={chaos.notif_dup_prob}, "
-              f"reorder={chaos.notif_reorder_prob}, "
-              f"kv-reject={chaos.kv_reject_prob}, "
-              f"kv-delay={chaos.kv_delay_prob}, "
-              f"wan-stall={chaos.wan_stall_prob}) ...")
-    stats = TraceReplayer(cloud, src).replay_all(trace)
-    injected = cloud.chaos_stats()
-    # The storm passes; whatever it broke must now self-heal.
-    cloud.apply_chaos(None)
-    convergence = service.run_to_convergence()
-    report = ReplicationAuditor(service).audit(quiescent=True)
-    trace_report = TraceChecker(service).check()
-    pending = service.pending_count()
-    clean = (report.clean and trace_report.clean and pending == 0
-             and convergence.converged)
-
-    if args.json:
-        _print_json(_machine_report(cloud, service, rule, {
-            "requests": stats.requests,
-            "convergence": {
-                "converged": convergence.converged,
-                "rounds": convergence.rounds,
-                "redriven": convergence.redriven,
-                "residual_dead_letters": convergence.residual_dead_letters,
-                "parked_backlog": convergence.parked_backlog,
-            },
-            "audit_clean": report.clean,
-            "trace_clean": trace_report.clean,
-            "trace_checked": trace_report.checked,
-            "trace_findings": [str(f) for f in trace_report.findings],
-            "pending_measurements": pending,
-            "result": "CONVERGED" if clean else "DIVERGED",
-        }, scenario="chaos-soak", seed=args.seed, passed=clean))
-        return 0 if clean else 1
-
-    print(f"replayed {stats.requests} requests "
-          f"({stats.bytes_written / 1e9:.2f} GB)")
-    print("injected faults:")
-    for name, count in injected.items():
-        print(f"  {name:<26} {count}")
-    engine = rule.engine.stats
-    print("engine recovery:")
-    for name in ("lock_lost", "orphaned_uploads", "kv_retries",
-                 "kv_retry_exhausted", "kv_retry_deadline", "aborted",
-                 "retriggered", "parked", "drained"):
-        print(f"  {name:<26} {engine[name]}")
-    print("dead-letter drain: " + convergence.render())
-    print(f"convergence audit ({pending} pending measurement(s)):")
-    print(report.render())
-    print(trace_report.render())
-    print("RESULT: " + ("CONVERGED" if clean else "DIVERGED"))
-    return 0 if clean else 1
-
-
-def cmd_outage_drill(args) -> int:
-    """Sustained regional outage drill: every substrate in one region
-    goes dark mid-trace.  The drill passes only if the service degrades
-    by *parking* work (not dropping it), drains the backlog after
-    recovery, and a quiescent audit plus anti-entropy scan find zero
-    divergence."""
-    from repro.core.audit import ReplicationAuditor
-    from repro.core.invariants import TraceChecker
-    from repro.core.repair import AntiEntropyScanner
-    from repro.simcloud.chaos import ChaosConfig
-    from repro.traces.ibm_cos import IbmCosTraceGenerator
-    from repro.traces.replay import TraceReplayer
-
-    cloud, service, src, dst, rule = _build_service(args, slo=args.slo,
-                                                    tracing=True)
-    region = args.outage_region or args.src
-    window = ((region, args.outage_start, args.outage_duration),)
-    # Black out every substrate at once: functions fast-fail, the KV
-    # store throttles unconditionally, and WAN legs touching the region
-    # stall until the window closes.
-    cloud.apply_chaos(ChaosConfig(faas_outages=window, kv_outages=window,
-                                  wan_outages=window))
-    trace = IbmCosTraceGenerator(seed=args.seed).busy_hour(
-        total_requests=args.requests)
-    if not args.json:
-        print(f"drilling {len(trace)} requests with {region} dark from "
-              f"t={args.outage_start:.0f}s for {args.outage_duration:.0f}s ...")
-    stats = TraceReplayer(cloud, src).replay_all(trace)
-    injected = cloud.chaos_stats()
-    cloud.apply_chaos(None)
-    convergence = service.run_to_convergence()
-    audit = ReplicationAuditor(service).audit(quiescent=True)
-    repair = AntiEntropyScanner(service).scan(rule, redrive=True)
-    if repair.redriven:
-        # Repairs flow through the normal orchestration path; let them
-        # complete, then prove the diff is gone.
-        convergence = service.run_to_convergence()
-        audit = ReplicationAuditor(service).audit(quiescent=True)
-        repair = AntiEntropyScanner(service).scan(rule, redrive=False)
-    pending = service.pending_count()
-    trace_report = TraceChecker(service).check()
-    engine = rule.engine
-    degraded = engine.stats["parked"] > 0
-    clean = (degraded and convergence.converged and audit.clean
-             and repair.clean and trace_report.clean and pending == 0)
-
-    if args.json:
-        _print_json(_machine_report(cloud, service, rule, {
-            "requests": stats.requests,
-            "outage": {"region": region, "start_s": args.outage_start,
-                       "duration_s": args.outage_duration},
-            "degradation_engaged": degraded,
-            "trace_clean": trace_report.clean,
-            "trace_checked": trace_report.checked,
-            "trace_findings": [str(f) for f in trace_report.findings],
-            "backlog_drained_at_s": engine.backlog_drained_at,
-            "health_transitions": len(service.health.transitions)
-            if service.health is not None else 0,
-            "convergence": {
-                "converged": convergence.converged,
-                "rounds": convergence.rounds,
-                "redriven": convergence.redriven,
-                "residual_dead_letters": convergence.residual_dead_letters,
-                "parked_backlog": convergence.parked_backlog,
-            },
-            "audit_clean": audit.clean,
-            "repair": repair.to_dict(),
-            "pending_measurements": pending,
-            "result": "PASS" if clean else "FAIL",
-        }, scenario="outage-drill", seed=args.seed, passed=clean))
-        return 0 if clean else 1
-
-    print(f"replayed {stats.requests} requests "
-          f"({stats.bytes_written / 1e9:.2f} GB)")
-    print("injected faults:")
-    for name, count in injected.items():
-        if count:
-            print(f"  {name:<26} {count}")
-    print("degraded operation:")
-    for name in ("parked", "drained", "probes", "failover",
-                 "backlog_kv_failed", "kv_retry_deadline"):
-        print(f"  {name:<26} {engine.stats[name]}")
-    if service.health is not None:
-        print(f"  {'breaker_transitions':<26} "
-              f"{len(service.health.transitions)}")
-    if engine.backlog_drained_at is not None:
-        print(f"  backlog drained at t={engine.backlog_drained_at:.1f}s")
-    print("recovery: " + convergence.render())
-    print(f"quiescent audit ({pending} pending measurement(s)):")
-    print(audit.render())
-    print(repair.render())
-    print(trace_report.render())
-    print("RESULT: " + ("PASS" if clean else "FAIL"))
-    if not degraded:
-        print("  (outage never engaged the degraded path — lengthen the "
-              "window or raise --requests)", file=sys.stderr)
-    return 0 if clean else 1
-
-
-def cmd_corruption_drill(args) -> int:
-    """End-to-end data-integrity drill under a silent-corruption storm.
-
-    Replays a workload while the chaos layer flips bits on WAN
-    transfers and lies on bucket reads (rot, truncation, wrong ETags),
-    lets the storm pass and the service converge, then durably rots a
-    few replicated destination objects — the silent bit rot only a
-    byte-level deep scrub can see — and proves the scrub detects and
-    heals them.  The drill passes only when every injected corruption
-    was detected, the trace oracle (including the verified-finalize and
-    silent-corruption invariants) is clean, and a quiescent audit finds
-    zero divergence: zero silent finalizes, ever.
-    """
-    from repro.core.audit import ReplicationAuditor
-    from repro.core.invariants import TraceChecker
-    from repro.core.repair import AntiEntropyScanner
-    from repro.simcloud.chaos import ChaosConfig
-    from repro.traces.ibm_cos import IbmCosTraceGenerator
-    from repro.traces.replay import TraceReplayer
-
-    chaos = ChaosConfig(
-        corrupt_get_prob=args.corrupt_get,
-        corrupt_put_prob=args.corrupt_put,
-        corrupt_at_rest_prob=args.at_rest,
-        corrupt_truncate_prob=args.truncate,
-        corrupt_wrong_etag_prob=args.wrong_etag,
-    )
-    cloud, service, src, dst, rule = _build_service(args, slo=args.slo,
-                                                    tracing=True)
-    cloud.apply_chaos(chaos)
-    trace = IbmCosTraceGenerator(seed=args.seed).busy_hour(
-        total_requests=args.requests)
-    if not args.json:
-        print(f"corrupting {len(trace)} requests "
-              f"(get={chaos.corrupt_get_prob}, put={chaos.corrupt_put_prob}, "
-              f"at-rest={chaos.corrupt_at_rest_prob}, "
-              f"truncate={chaos.corrupt_truncate_prob}, "
-              f"wrong-etag={chaos.corrupt_wrong_etag_prob}) ...")
-    stats = TraceReplayer(cloud, src).replay_all(trace)
-    # The storm passes; quarantined parts and dead-lettered tasks must
-    # now heal through the ordinary redrive machinery.
-    cloud.apply_chaos(None)
-    convergence = service.run_to_convergence()
-
-    # Durable silent rot: the destination's bytes decay *after* a
-    # verified finalize, while HEAD keeps reporting the old ETag.  Only
-    # the byte-level scrub can see this.
-    scanner = AntiEntropyScanner(service)
-    rot_keys = [k for k in dst.keys() if dst.head(k).size > 0]
-    rot_keys = rot_keys[:args.rot_keys]
-    for key in rot_keys:
-        dst.rot_object(key)
-    scrub = scanner.scan(rule, redrive=True, scrub=True)
-    if scrub.redriven:
-        convergence = service.run_to_convergence()
-    rescrub = scanner.scan(rule, redrive=False, scrub=True)
-
-    audit = ReplicationAuditor(service).audit(quiescent=True)
-    trace_report = TraceChecker(service).check()
-    integrity = service.integrity_snapshot()
-    trace_integrity = service.tracer.integrity_summary()
-    pending = service.pending_count()
-
-    # Reconcile offense and defense: every fault the chaos layer
-    # injected (including the deterministic rot) must have been caught
-    # by a verifying reader — the engine per part, the scrub per
-    # object.  A shortfall means a corruption slipped through unseen.
-    injected = integrity["injected"]
-    detected = (integrity["corrupt_detected"]
-                + len(scrub.by_kind("corrupt")) + scrub.transient_anomalies)
-    accounted = detected >= injected
-    clean = (accounted and convergence.converged and audit.clean
-             and rescrub.clean and trace_report.clean and pending == 0
-             and len(scrub.by_kind("corrupt")) == len(rot_keys))
-
-    if args.json:
-        _print_json(_machine_report(cloud, service, rule, {
-            "requests": stats.requests,
-            "injected_corruptions": injected,
-            "detected_corruptions": detected,
-            "accounted": accounted,
-            "integrity": integrity,
-            "trace_integrity": trace_integrity,
-            "rotted_keys": rot_keys,
-            "scrub": scrub.to_dict(),
-            "rescrub_clean": rescrub.clean,
-            "convergence": {
-                "converged": convergence.converged,
-                "rounds": convergence.rounds,
-                "redriven": convergence.redriven,
-                "residual_dead_letters": convergence.residual_dead_letters,
-                "parked_backlog": convergence.parked_backlog,
-            },
-            "audit_clean": audit.clean,
-            "trace_clean": trace_report.clean,
-            "trace_checked": trace_report.checked,
-            "trace_findings": [str(f) for f in trace_report.findings],
-            "pending_measurements": pending,
-            "result": "PASS" if clean else "FAIL",
-        }, scenario="corruption-drill", seed=args.seed, passed=clean))
-        return 0 if clean else 1
-
-    print(f"replayed {stats.requests} requests "
-          f"({stats.bytes_written / 1e9:.2f} GB)")
-    print("injected corruption:")
-    for name, count in cloud.chaos_stats().items():
-        if name.startswith("corrupt") and count:
-            print(f"  {name:<26} {count}")
-    print("defense response:")
-    for name, count in integrity.items():
-        print(f"  {name:<26} {count}")
-    print(f"  {'detected_total':<26} {detected} "
-          f"({'accounted' if accounted else 'SHORTFALL'})")
-    print("dead-letter drain: " + convergence.render())
-    print(f"deep scrub ({len(rot_keys)} key(s) durably rotted):")
-    print(scrub.render())
-    print(rescrub.render())
-    print(f"quiescent audit ({pending} pending measurement(s)):")
-    print(audit.render())
-    print(trace_report.render())
-    print("RESULT: " + ("PASS" if clean else "FAIL"))
-    return 0 if clean else 1
-
-
-def cmd_hedge_drill(args) -> int:
-    """Speculative-hedging drill: tail-latency cloning under chaos.
-
-    Replays a busy-hour segment with hedging enabled and a
-    straggler-friendly fault mix (crashes plus WAN stalls), lets the
-    storm pass and the service converge, then proves the hedge
-    discipline held end to end: at least one hedge actually fired (the
-    drill must exercise the machinery, not vacuously pass), every
-    fired hedge resolved exactly once as won/lost/cancelled, no part
-    was double-finalized, the cloning ledger line reconciles, and the
-    quiescent audit plus trace oracle are clean.
-    """
-    from repro.core.audit import ReplicationAuditor
-    from repro.core.invariants import TraceChecker
-    from repro.simcloud.chaos import ChaosConfig
-    from repro.traces.ibm_cos import IbmCosTraceGenerator
-    from repro.traces.replay import TraceReplayer
-
-    args.hedging = True
-    chaos = ChaosConfig(crash_prob=args.crash_prob,
-                        wan_stall_prob=args.wan_stall)
-    cloud, service, src, dst, rule = _build_service(args, slo=args.slo,
-                                                    tracing=True)
-    cloud.apply_chaos(chaos)
-    trace = IbmCosTraceGenerator(seed=args.seed).busy_hour(
-        total_requests=args.requests)
-    if not args.json:
-        print(f"hedge-drilling {len(trace)} requests "
-              f"(q={args.hedge_quantile}, min-samples={args.hedge_min_samples}, "
-              f"min-part={args.hedge_min_part_bytes}B, "
-              f"clones<={args.max_clones}, crash={chaos.crash_prob}, "
-              f"wan-stall={chaos.wan_stall_prob}) ...")
-    stats = TraceReplayer(cloud, src).replay_all(trace)
-    cloud.apply_chaos(None)
-    convergence = service.run_to_convergence()
-    audit = ReplicationAuditor(service).audit(quiescent=True)
-    trace_report = TraceChecker(service).check()
-    pending = service.pending_count()
-    engine = rule.engine.stats
-    resolved = (engine["hedge_wins"] + engine["hedge_losses"]
-                + engine["hedge_cancelled"])
-    hedge_cost = sum(c.amount for c in service.tracer.costs
-                     if c.category == "hedge_clones")
-    clean = (engine["hedges"] > 0 and resolved == engine["hedges"]
-             and audit.clean and trace_report.clean
-             and convergence.converged and pending == 0)
-
-    if args.json:
-        _print_json(_machine_report(cloud, service, rule, {
-            "requests": stats.requests,
-            "hedging": {
-                "hedges": engine["hedges"],
-                "hedge_wins": engine["hedge_wins"],
-                "hedge_losses": engine["hedge_losses"],
-                "hedge_cancelled": engine["hedge_cancelled"],
-                "resolved": resolved,
-                "clone_cost_usd": hedge_cost,
-                "deadline_quantile": args.hedge_quantile,
-                "max_clones_per_part": args.max_clones,
-            },
-            "convergence": {
-                "converged": convergence.converged,
-                "rounds": convergence.rounds,
-                "redriven": convergence.redriven,
-                "residual_dead_letters": convergence.residual_dead_letters,
-                "parked_backlog": convergence.parked_backlog,
-            },
-            "audit_clean": audit.clean,
-            "trace_clean": trace_report.clean,
-            "trace_checked": trace_report.checked,
-            "trace_findings": [str(f) for f in trace_report.findings],
-            "pending_measurements": pending,
-            "result": "PASS" if clean else "FAIL",
-        }, scenario="hedge-drill", seed=args.seed, passed=clean))
-        return 0 if clean else 1
-
-    print(f"replayed {stats.requests} requests "
-          f"({stats.bytes_written / 1e9:.2f} GB)")
-    print("hedging:")
-    for name in ("hedges", "hedge_wins", "hedge_losses", "hedge_cancelled"):
-        print(f"  {name:<26} {engine[name]}")
-    print(f"  {'clone_cost_usd':<26} {hedge_cost:.6f}")
-    print("dead-letter drain: " + convergence.render())
-    print(f"quiescent audit ({pending} pending measurement(s)):")
-    print(audit.render())
-    print(trace_report.render())
-    print("RESULT: " + ("PASS" if clean else "FAIL"))
-    if engine["hedges"] == 0:
-        print("  (no hedge ever fired — lower --hedge-quantile / "
-              "--hedge-min-samples or raise --requests)", file=sys.stderr)
-    return 0 if clean else 1
-
-
-def cmd_lifecycle_drill(args) -> int:
-    """Planned-operations drill: run one lifecycle procedure mid-trace.
-
-    Schedules a region evacuation, rolling engine restart, or planned
-    orchestration switchover against a live loaded engine (optionally
-    concurrent with a chaos storm and with hedging on), lets the run
-    converge, then proves via the trace oracle — including the new
-    switchover-discipline and cordon invariants — plus a quiescent
-    audit and a byte-level deep scrub that no object was lost,
-    duplicated, or left divergent, and that the procedure actually
-    engaged (cordons applied, checkpoint written, or switchover
-    performed) within its drain deadline.
-    """
-    from repro.core.audit import ReplicationAuditor
-    from repro.core.invariants import TraceChecker
-    from repro.core.lifecycle import OperationsRunner
-    from repro.core.repair import AntiEntropyScanner
-    from repro.simcloud.chaos import ChaosConfig
-    from repro.traces.ibm_cos import IbmCosTraceGenerator
-    from repro.traces.replay import TraceReplayer
-
-    cloud, service, src, dst, rule = _build_service(args, slo=args.slo,
-                                                    tracing=True)
-    if args.chaos:
-        cloud.apply_chaos(ChaosConfig(
-            crash_prob=0.02, notif_drop_prob=0.02, notif_dup_prob=0.02,
-            kv_reject_prob=0.02, kv_delay_prob=0.02, wan_stall_prob=0.01))
-    runner = OperationsRunner(service, rule.rule_id,
-                              drain_deadline_s=args.drain_deadline)
-    runner.schedule(args.scenario, args.at)
-    trace = IbmCosTraceGenerator(seed=args.seed).busy_hour(
-        total_requests=args.requests)
-    if not args.json:
-        print(f"lifecycle drill '{args.scenario}' at t={args.at:.0f}s over "
-              f"{len(trace)} requests (chaos={'on' if args.chaos else 'off'}, "
-              f"hedging={'on' if getattr(args, 'hedging', False) else 'off'}, "
-              f"drain deadline "
-              f"{runner.drain_deadline_s:.0f}s) ...")
-    stats = TraceReplayer(cloud, src).replay_all(trace)
-    cloud.apply_chaos(None)
-    convergence = service.run_to_convergence()
-    audit = ReplicationAuditor(service).audit(quiescent=True)
-    scanner = AntiEntropyScanner(service)
-    repair = scanner.scan(rule, redrive=True, scrub=True, reap_uploads=True)
-    if repair.redriven:
-        convergence = service.run_to_convergence()
-        audit = ReplicationAuditor(service).audit(quiescent=True)
-        repair = scanner.scan(rule, redrive=False, scrub=True)
-    trace_report = TraceChecker(service).check()
-    pending = service.pending_count()
-    engine = rule.engine.stats
-    executed = len(runner.reports) == 1
-    proc = runner.reports[0] if runner.reports else None
-    # Per-scenario engagement: the drill must exercise the procedure,
-    # not vacuously pass on a schedule that never fired.
-    if args.scenario == "evacuate":
-        engaged = (executed and engine["cordons"] >= 3 and proc.deadline_met
-                   and (proc.migrated > 0 or engine["parked"] > 0))
-    elif args.scenario == "rolling":
-        engaged = executed and engine["checkpoints"] >= 1
+def cmd_drill(args) -> int:
+    """Run the roster entry a drill subcommand names; exit 1 unless it
+    passes."""
+    options = vars(args).copy()
+    spec = options.pop("variants")[options.pop("scenario", None)]
+    del options["command"]
+    as_json = options.pop("json")
+    run = run_drill(spec, **options)
+    if as_json:
+        _print_json(run.report)
     else:
-        engaged = (executed and engine["switchovers"] >= 1
-                   and proc.deadline_met and proc.migrated > 0)
-    clean = (engaged and convergence.converged and audit.clean
-             and repair.clean and trace_report.clean and pending == 0)
-
-    if args.json:
-        _print_json(_machine_report(cloud, service, rule, {
-            "requests": stats.requests,
-            "lifecycle": [r.to_dict() for r in runner.reports],
-            "engaged": engaged,
-            "chaos": bool(args.chaos),
-            "convergence": {
-                "converged": convergence.converged,
-                "rounds": convergence.rounds,
-                "redriven": convergence.redriven,
-                "residual_dead_letters": convergence.residual_dead_letters,
-                "parked_backlog": convergence.parked_backlog,
-                "backlog_peak": convergence.backlog_peak,
-                "drained": convergence.drained,
-            },
-            "audit_clean": audit.clean,
-            "repair": repair.to_dict(),
-            "trace_clean": trace_report.clean,
-            "trace_checked": trace_report.checked,
-            "trace_findings": [str(f) for f in trace_report.findings],
-            "pending_measurements": pending,
-            "result": "PASS" if clean else "FAIL",
-        }, scenario=f"lifecycle-{args.scenario}", seed=args.seed,
-            passed=clean))
-        return 0 if clean else 1
-
-    print(f"replayed {stats.requests} requests "
-          f"({stats.bytes_written / 1e9:.2f} GB)")
-    print("lifecycle:")
-    for r in runner.reports:
-        d = r.to_dict()
-        print(f"  {d['scenario']} at {d['region']} "
-              f"t=[{d['started_at']:.1f}, {d['finished_at']:.1f}]s: "
-              f"inflight={d['inflight_before']} drained={d['drained']} "
-              f"migrated={d['migrated']} "
-              f"deadline={'met' if d['deadline_met'] else 'MISSED'} "
-              f"restored={d['restored']} remirrored={d['remirrored']}")
-    for name in ("cordons", "drained_parts", "migrated_tasks",
-                 "checkpoints", "switchovers", "parked", "drained"):
-        print(f"  {name:<26} {engine[name]}")
-    print("recovery: " + convergence.render())
-    print(f"quiescent audit ({pending} pending measurement(s)):")
-    print(audit.render())
-    print(repair.render())
-    print(trace_report.render())
-    print("RESULT: " + ("PASS" if clean else "FAIL"))
-    if not engaged:
-        print("  (the procedure never engaged — move --at inside the "
-              "trace or raise --requests)", file=sys.stderr)
-    return 0 if clean else 1
-
-
-def cmd_tenant_drill(args) -> int:
-    """Multi-tenant control-plane drill: thousands of tenants, sharded.
-
-    Registers ``--tenants`` tenants (each with its own src/dst bucket
-    pair, fair-share weight, and — for the hot head of the skew — a
-    hard per-window spend budget), shards the key-space across
-    ``--shards`` engine workers, replays a seeded Zipf-skewed workload,
-    and verifies the isolation story end to end: every tenant
-    converges, the quiescent audit and byte-level deep scrub are clean,
-    the trace oracle (including the tenant-isolation invariant) reports
-    zero findings, no over-budget tenant shows post-exhaustion spend,
-    and both the budget machinery (deferrals) and the fair-share
-    scheduler (waits) actually engaged rather than vacuously passing.
-    """
-    from repro.core.audit import ReplicationAuditor
-    from repro.core.config import ReplicaConfig, TenantConfig
-    from repro.core.invariants import TraceChecker
-    from repro.core.repair import AntiEntropyScanner
-    from repro.core.service import AReplicaService
-    from repro.simcloud.cloud import build_default_cloud
-    from repro.simcloud.cost import estimate_task_cost
-    from repro.simcloud.objectstore import Blob
-
-    cloud = build_default_cloud(seed=args.seed)
-    config = ReplicaConfig(profile_samples=args.profile_samples,
-                           tracing_enabled=True)
-    service = AReplicaService(cloud, config)
-    service.enable_multitenancy(shards=args.shards,
-                                max_concurrent=args.max_concurrent)
-
-    # One offline profiling pass covers every tenant: the performance
-    # model is keyed by region path, and all tenants ride one pair.
-    probe_src = cloud.bucket(args.src, "profile-probe-src")
-    probe_dst = cloud.bucket(args.dst, "profile-probe-dst")
-    service.profiler.ensure_path(args.src, probe_src, probe_dst)
-    if args.dst != args.src:
-        service.profiler.ensure_path(args.dst, probe_src, probe_dst)
-
-    size = args.object_size
-    # The Zipf head's per-window arrival rate exceeds the budget, so the
-    # hot tenants exhaust and defer; the budget still clears the
-    # steady-state drain, so the lane empties within a few windows after
-    # the horizon.  Budgeted tenants trade latency for spend — their SLO
-    # covers that drain; everyone else keeps the tight default.
-    task_cost = estimate_task_cost(cloud.prices, probe_src.region,
-                                   probe_dst.region, size)
-    budget = args.budget_tasks * task_cost
-    budgeted_slo = args.horizon + 12 * args.budget_window
-    states = []
-    for i in range(args.tenants):
-        tid = f"t{i:05d}"
-        src = cloud.bucket(args.src, f"{tid}-src")
-        dst = cloud.bucket(args.dst, f"{tid}-dst")
-        budgeted = i < args.budgeted_tenants
-        tc = TenantConfig(
-            tenant_id=tid,
-            buckets=(src.name, dst.name),
-            slo_target_s=budgeted_slo if budgeted else args.tenant_slo,
-            budget_usd=budget if budgeted else None,
-            budget_window_s=args.budget_window,
-            weight=1.0 + (i % 4),
-        )
-        states.append(service.add_tenant(tc, src, dst))
-
-    # Seeded skewed workload: a warm-up burst of one PUT per tenant (so
-    # every tenant has work to converge, and the burst outruns the
-    # dispatch gate — that is what makes the fair-share ring queue),
-    # then Zipf-ranked traffic pointed at the head — the hot tenants
-    # that hold the tight budgets.
-    rng = cloud.rngs.stream("tenant-drill")
-    horizon = args.horizon
-    keyspace = 8
-    puts = []
-    for i, state in enumerate(states):
-        t = (i / max(1, len(states))) * min(10.0, horizon / 16)
-        puts.append((t, state, f"obj-{i % keyspace}"))
-    ranks = rng.zipf(1.3, size=max(0, args.requests - len(states)))
-    for j, rank in enumerate(ranks):
-        state = states[int(rank - 1) % len(states)]
-        t = float(rng.random()) * horizon
-        puts.append((t, state, f"obj-{int(rng.integers(keyspace))}"))
-    base = cloud.sim.now   # offline profiling consumed simulated time
-    for t, state, key in puts:
-        cloud.sim.call_at(
-            base + t, lambda b=state.src_bucket, k=key: b.put_object(
-                k, Blob.fresh(size), cloud.sim.now))
-
-    if not args.json:
-        print(f"tenant drill: {args.tenants} tenants on {args.shards} "
-              f"shard(s), {len(puts)} PUTs over {horizon:.0f}s, "
-              f"{args.budgeted_tenants} budgeted at "
-              f"${budget:.6f}/{args.budget_window:.0f}s ...")
-
-    convergence = service.run_to_convergence()
-    audit = ReplicationAuditor(service).audit(quiescent=True)
-    repair = AntiEntropyScanner(service).scan(redrive=True, scrub=True,
-                                              reap_uploads=True)
-    if repair.redriven:
-        convergence = service.run_to_convergence()
-        audit = ReplicationAuditor(service).audit(quiescent=True)
-        repair = AntiEntropyScanner(service).scan(redrive=False, scrub=True)
-    trace_report = TraceChecker(service).check()
-    isolation_findings = trace_report.by_kind("tenant-isolation")
-
-    tenants = service.tenant_summary()
-    unconverged = sorted(t for t, row in tenants.items()
-                         if not row["converged"])
-    slo_misses = sorted(t for t, row in tenants.items() if not row["slo_ok"])
-    over_admitted = sorted(t for t, row in tenants.items()
-                           if row["over_admissions"] > 0)
-    total_deferred = sum(row["deferred"] for row in tenants.values())
-    total_waits = sum(row["fairshare_waits"] for row in tenants.values())
-    engaged = total_deferred > 0 and total_waits > 0
-    clean = (convergence.converged and audit.clean and repair.clean
-             and trace_report.clean and not isolation_findings
-             and not unconverged and not slo_misses and not over_admitted
-             and len(tenants) == args.tenants and engaged
-             and service.pending_count() == 0)
-
-    if args.json:
-        _print_json(_machine_report(cloud, service, None, {
-            "tenants": len(tenants),
-            "shards": args.shards,
-            "requests": len(puts),
-            "convergence": {
-                "converged": convergence.converged,
-                "rounds": convergence.rounds,
-                "redriven": convergence.redriven,
-                "residual_dead_letters": convergence.residual_dead_letters,
-                "parked_backlog": convergence.parked_backlog,
-                "deferred_tenant_tasks": convergence.deferred_tenant_tasks,
-            },
-            "audit_clean": audit.clean,
-            "repair": repair.to_dict(),
-            "trace_clean": trace_report.clean,
-            "trace_checked": trace_report.checked,
-            "trace_findings": [str(f) for f in trace_report.findings],
-            "isolation_findings": len(isolation_findings),
-            "unconverged_tenants": unconverged,
-            "slo_miss_tenants": slo_misses,
-            "over_admitted_tenants": over_admitted,
-            "total_deferred": total_deferred,
-            "total_fairshare_waits": total_waits,
-            "engaged": engaged,
-            "tenant_verdicts": tenants,
-            "result": "PASS" if clean else "FAIL",
-        }, scenario="tenant-drill", seed=args.seed, passed=clean))
-        return 0 if clean else 1
-
-    busiest = sorted(tenants.items(), key=lambda kv: -kv[1]["events"])[:10]
-    print(f"{'tenant':<8} {'events':>7} {'admit':>6} {'defer':>6} "
-          f"{'reject':>7} {'waits':>6} {'spent_usd':>12} {'p99_s':>8} "
-          f"{'ok':>3}")
-    for tid, row in busiest:
-        ok = row["converged"] and row["slo_ok"] and not row["over_admissions"]
-        print(f"{tid:<8} {row['events']:>7} {row['admitted']:>6} "
-              f"{row['deferred']:>6} {row['rejected']:>7} "
-              f"{row['fairshare_waits']:>6} "
-              f"{row['lifetime_spent_usd']:>12.6f} "
-              f"{row['delay_p99_s']:>8.1f} {'ok' if ok else 'NO':>3}")
-    print(f"converged {len(tenants) - len(unconverged)}/{len(tenants)} "
-          f"tenant(s); {total_deferred} deferral(s), {total_waits} "
-          f"fair-share wait(s)")
-    print("recovery: " + convergence.render())
-    print(audit.render())
-    print(repair.render())
-    print(trace_report.render())
-    if unconverged:
-        print(f"  unconverged: {', '.join(unconverged[:10])} ...")
-    if slo_misses:
-        print(f"  SLO misses: {', '.join(slo_misses[:10])} ...")
-    if over_admitted:
-        print(f"  over-admitted: {', '.join(over_admitted[:10])} ...")
-    print("RESULT: " + ("PASS" if clean else "FAIL"))
-    return 0 if clean else 1
-
-
-def cmd_autopilot_drill(args) -> int:
-    """Closed-loop autopilot drill: surge + brownout, bounded recovery.
-
-    Runs a small multi-tenant service with the SLO autopilot armed,
-    replays a steady baseline workload, then injects two disturbances —
-    a mid-run load surge (a burst far above the dispatch gate's drain
-    rate) and, later, a WAN brownout of the destination region — and
-    verifies the controller end to end: it *engages* on each
-    disturbance (≥1 actuation inside each accounting window), every
-    disturbance episode *settles* (windowed per-tenant p99 back under
-    ``slo_target_s``) within the bound, spend stays inside every
-    tenant's budget, and convergence + quiescent audit + deep scrub +
-    the trace oracle (including the autopilot-discipline invariants:
-    bounds, cooldowns, cordon holds) are all clean.
-    """
-    from repro.core.audit import ReplicationAuditor
-    from repro.core.config import ReplicaConfig, TenantConfig
-    from repro.core.invariants import TraceChecker
-    from repro.core.repair import AntiEntropyScanner
-    from repro.core.service import AReplicaService
-    from repro.simcloud.chaos import ChaosConfig
-    from repro.simcloud.cloud import build_default_cloud
-    from repro.simcloud.cost import estimate_task_cost
-    from repro.simcloud.objectstore import Blob
-
-    cloud = build_default_cloud(seed=args.seed)
-    hedging = {}
-    if getattr(args, "hedging", False):
-        hedging = dict(
-            hedging_enabled=True,
-            hedge_deadline_quantile=args.hedge_quantile,
-            hedge_min_samples=args.hedge_min_samples,
-            hedge_min_part_bytes=args.hedge_min_part_bytes,
-            max_clones_per_part=args.max_clones,
-        )
-    config = ReplicaConfig(
-        profile_samples=args.profile_samples,
-        tracing_enabled=True,
-        enable_autopilot=True,
-        autopilot_interval_s=args.autopilot_interval,
-        autopilot_window_s=args.autopilot_window,
-        autopilot_cooldown_s=args.cooldown,
-        autopilot_settle_s=args.settle_bound,
-        **hedging)
-    service = AReplicaService(cloud, config)
-    service.enable_multitenancy(shards=args.shards,
-                                max_concurrent=args.max_concurrent)
-
-    probe_src = cloud.bucket(args.src, "profile-probe-src")
-    probe_dst = cloud.bucket(args.dst, "profile-probe-dst")
-    service.profiler.ensure_path(args.src, probe_src, probe_dst)
-    if args.dst != args.src:
-        service.profiler.ensure_path(args.dst, probe_src, probe_dst)
-
-    size = args.object_size
-    # Budgets are generous — this drill tests latency control, not
-    # admission control — but real: the burn-rate signal stays live and
-    # gate (c) still demands zero over-admissions and in-window spend.
-    task_cost = estimate_task_cost(cloud.prices, probe_src.region,
-                                   probe_dst.region, size)
-    budget = args.budget_tasks * task_cost
-    states = []
-    for i in range(args.tenants):
-        tid = f"ap{i:03d}"
-        src = cloud.bucket(args.src, f"{tid}-src")
-        dst = cloud.bucket(args.dst, f"{tid}-dst")
-        tc = TenantConfig(
-            tenant_id=tid,
-            buckets=(src.name, dst.name),
-            slo_target_s=args.tenant_slo,
-            budget_usd=budget,
-            budget_window_s=args.budget_window,
-        )
-        states.append(service.add_tenant(tc, src, dst))
-
-    # Disturbance two: a WAN brownout of the destination region.  WAN
-    # legs touching the region stall until the window closes — unlike a
-    # FaaS outage there is no degraded route around it, so the tail
-    # inflates and the controller must react.  Scheduled up front
-    # (absolute windows), like outage-drill.
-    horizon = args.horizon
-    base = cloud.sim.now   # offline profiling consumed simulated time
-    brownout = (args.dst, base + args.brownout_at, args.brownout_duration)
-    storm = {}
-    if args.chaos:
-        storm = dict(crash_prob=0.02, notif_drop_prob=0.02,
-                     notif_dup_prob=0.02, kv_reject_prob=0.02,
-                     kv_delay_prob=0.02, wan_stall_prob=0.01)
-    cloud.apply_chaos(ChaosConfig(wan_outages=(brownout,), **storm))
-
-    # Steady baseline keeps every tenant's p99 window warm for the whole
-    # run; disturbance one is a surge burst far above the dispatch
-    # gate's drain rate, queueing work and blowing the windowed p99
-    # through the target.
-    rng = cloud.rngs.stream("autopilot-drill")
-    puts = []
-    for j in range(args.requests):
-        state = states[j % len(states)]
-        t = float(rng.random()) * horizon
-        puts.append((t, state, f"obj-{j % 8}"))
-    for j in range(args.surge_requests):
-        state = states[int(rng.integers(len(states)))]
-        t = args.surge_at + float(rng.random()) * args.surge_duration
-        puts.append((t, state, f"surge-{j % 8}"))
-    for t, state, key in puts:
-        cloud.sim.call_at(
-            base + t, lambda b=state.src_bucket, k=key: b.put_object(
-                k, Blob.fresh(size), cloud.sim.now))
-
-    # Arm the controller past the horizon so the post-brownout episode
-    # can close (the p99 window must age the inflated samples out).
-    service.autopilot.start(horizon + 2 * args.settle_bound)
-
-    if not args.json:
-        print(f"autopilot drill: {args.tenants} tenants on {args.shards} "
-              f"shard(s), {len(puts)} PUTs over {horizon:.0f}s; surge at "
-              f"t={args.surge_at:.0f}s (+{args.surge_requests}), brownout "
-              f"of {args.dst} at t={args.brownout_at:.0f}s "
-              f"({args.brownout_duration:.0f}s, "
-              f"chaos={'on' if args.chaos else 'off'}) ...")
-
-    convergence = service.run_to_convergence()
-    cloud.apply_chaos(None)
-    autopilot = service.autopilot
-    autopilot.stop()
-    audit = ReplicationAuditor(service).audit(quiescent=True)
-    repair = AntiEntropyScanner(service).scan(redrive=True, scrub=True,
-                                              reap_uploads=True)
-    if repair.redriven:
-        convergence = service.run_to_convergence()
-        audit = ReplicationAuditor(service).audit(quiescent=True)
-        repair = AntiEntropyScanner(service).scan(redrive=False, scrub=True)
-    trace_report = TraceChecker(service).check()
-
-    # Gate (a): the controller engaged on each disturbance — at least
-    # one actuation inside each disturbance's accounting window
-    # [start, start + settle bound].
-    def engaged_in(start: float) -> int:
-        lo, hi = base + start, base + start + args.settle_bound
-        return sum(1 for a in autopilot.controller.changelog
-                   if lo <= a.time <= hi)
-    surge_actuations = engaged_in(args.surge_at)
-    brownout_actuations = engaged_in(args.brownout_at)
-
-    # Gate (b): every disturbance episode closed (windowed p99 back
-    # under target) within the settle bound.
-    settles = list(autopilot.stats["settle_time_s"])
-    open_episodes = sum(1 for s, e in autopilot.episodes if e is None)
-    settled = (not open_episodes
-               and all(s <= args.settle_bound for s in settles))
-
-    # Gate (c): spend stayed inside every tenant budget.
-    tenants = service.tenant_summary()
-    over_admitted = sorted(t for t, row in tenants.items()
-                           if row["over_admissions"] > 0)
-    over_budget = sorted(
-        t for t, row in tenants.items()
-        if row["budget_usd"] is not None
-        and row["window_spent_usd"] > row["budget_usd"])
-    unconverged = sorted(t for t, row in tenants.items()
-                         if not row["converged"])
-
-    clean = (convergence.converged and audit.clean and repair.clean
-             and trace_report.clean and not unconverged
-             and surge_actuations > 0 and brownout_actuations > 0
-             and settled and len(autopilot.episodes) >= 2
-             and not over_admitted and not over_budget
-             and service.pending_count() == 0)
-
-    extra = {
-        "tenants": len(tenants),
-        "requests": len(puts),
-        "chaos": bool(args.chaos),
-        "autopilot": autopilot.snapshot(),
-        "surge_actuations": surge_actuations,
-        "brownout_actuations": brownout_actuations,
-        "episodes": len(autopilot.episodes),
-        "open_episodes": open_episodes,
-        "settle_times_s": settles,
-        "settle_bound_s": args.settle_bound,
-        "convergence": {
-            "converged": convergence.converged,
-            "rounds": convergence.rounds,
-            "redriven": convergence.redriven,
-            "residual_dead_letters": convergence.residual_dead_letters,
-            "parked_backlog": convergence.parked_backlog,
-            "deferred_tenant_tasks": convergence.deferred_tenant_tasks,
-        },
-        "audit_clean": audit.clean,
-        "repair": repair.to_dict(),
-        "trace_clean": trace_report.clean,
-        "trace_checked": trace_report.checked,
-        "trace_findings": [str(f) for f in trace_report.findings],
-        "unconverged_tenants": unconverged,
-        "over_admitted_tenants": over_admitted,
-        "over_budget_tenants": over_budget,
-        "tenant_verdicts": tenants,
-        "result": "PASS" if clean else "FAIL",
-    }
-    if args.json:
-        _print_json(_machine_report(cloud, service, None, extra,
-                                    scenario="autopilot-drill",
-                                    seed=args.seed, passed=clean))
-        return 0 if clean else 1
-
-    ap_stats = autopilot.stats
-    print(f"actuations={ap_stats['actuations']} clamps={ap_stats['clamps']} "
-          f"cooldown_skips={ap_stats['cooldown_skips']} "
-          f"cordon_holds={ap_stats['cordon_holds']}")
-    print(f"engagement: surge={surge_actuations} "
-          f"brownout={brownout_actuations}; episodes="
-          f"{len(autopilot.episodes)} ({open_episodes} open), settles="
-          f"{['%.0fs' % s for s in settles]} (bound "
-          f"{args.settle_bound:.0f}s)")
-    for a in autopilot.controller.changelog:
-        print(f"  {a}")
-    print("recovery: " + convergence.render())
-    print(audit.render())
-    print(repair.render())
-    print(trace_report.render())
-    print("RESULT: " + ("PASS" if clean else "FAIL"))
-    return 0 if clean else 1
+        print(run.render())
+    return 0 if run.report["pass"] else 1
 
 
 def cmd_drill_all(args) -> int:
-    """Run every drill at one seed and fail on any non-PASS.
-
-    Each drill runs in its own freshly-seeded simulation with its
-    default knobs and ``--json`` output captured; the shared report
-    schema (scenario, seed, pass, stats) lets this aggregator treat
-    chaos, outage, corruption, hedging, and the three lifecycle drills
-    uniformly.  This is the standing regression harness for every
-    recovery path the repo has accumulated.
-    """
-    import contextlib
-    import io
-    import json
-
-    drills = [
-        ("chaos-soak", cmd_chaos_soak, ["chaos-soak"]),
-        ("outage-drill", cmd_outage_drill, ["outage-drill"]),
-        ("corruption-drill", cmd_corruption_drill, ["corruption-drill"]),
-        ("hedge-drill", cmd_hedge_drill, ["hedge-drill"]),
-        ("lifecycle-evacuate", cmd_lifecycle_drill,
-         ["lifecycle-drill", "--scenario", "evacuate"]),
-        ("lifecycle-rolling", cmd_lifecycle_drill,
-         ["lifecycle-drill", "--scenario", "rolling"]),
-        ("lifecycle-switchover", cmd_lifecycle_drill,
-         ["lifecycle-drill", "--scenario", "switchover"]),
-        ("tenant-drill", cmd_tenant_drill, ["tenant-drill"]),
-        ("autopilot-drill", cmd_autopilot_drill, ["autopilot-drill"]),
-    ]
-    parser = build_parser()
-    rows = []
+    """Run every drill at one seed, each in its own freshly-seeded
+    simulation at its roster defaults, and fail on any non-PASS: the
+    standing regression harness for every recovery path."""
+    drills = []
     reports = []
-    all_pass = True
-    for name, handler, argv in drills:
+    for name, spec in DRILLS.items():
         if not args.json:
             print(f"drill-all: running {name} (seed {args.seed}) ...",
                   file=sys.stderr)
-        sub_args = parser.parse_args(
-            argv + ["--seed", str(args.seed), "--json"])
-        buf = io.StringIO()
-        # A drill that crashes, or that emits an unparseable report, is
-        # a FAIL for that scenario — never a pass by omission, and never
-        # a traceback that aborts the remaining drills (the aggregate
-        # exit code must reflect *every* scenario's verdict).
+        # A drill that crashes is a FAIL for that scenario — never a
+        # pass by omission, and never a traceback that aborts the
+        # remaining drills (the aggregate exit code must reflect
+        # *every* scenario's verdict).
         try:
-            with contextlib.redirect_stdout(buf):
-                code = handler(sub_args)
-            report = json.loads(buf.getvalue())
+            report = run_drill(spec, seed=args.seed).report
         except Exception as exc:  # noqa: BLE001 - drill isolation barrier
             print(f"drill-all: {name} raised "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             report = {"scenario": name, "seed": args.seed, "pass": False,
                       "error": f"{type(exc).__name__}: {exc}"}
-            code = 1
-        passed = code == 0 and report.get("pass", False)
-        all_pass = all_pass and passed
-        rows.append((report.get("scenario", name),
-                     report.get("seed", args.seed), passed))
+        drills.append({"scenario": report.get("scenario", name),
+                       "seed": report.get("seed", args.seed),
+                       "pass": bool(report.get("pass", False))})
         reports.append(report)
+    all_pass = all(d["pass"] for d in drills)
     if args.json:
-        _print_json({
-            "seed": args.seed,
-            "pass": all_pass,
-            "drills": [{"scenario": s, "seed": sd, "pass": p}
-                       for s, sd, p in rows],
-            "reports": reports,
-        })
+        _print_json({"seed": args.seed, "pass": all_pass,
+                     "drills": drills, "reports": reports})
         return 0 if all_pass else 1
     print(f"{'scenario':<24} {'seed':>5} {'result':>8}")
-    for scenario, seed, passed in rows:
-        print(f"{scenario:<24} {seed:>5} "
-              f"{'PASS' if passed else 'FAIL':>8}")
+    for d in drills:
+        print(f"{d['scenario']:<24} {d['seed']:>5} "
+              f"{'PASS' if d['pass'] else 'FAIL':>8}")
     print("RESULT: " + ("PASS" if all_pass else "FAIL"))
     return 0 if all_pass else 1
 
@@ -1299,7 +310,6 @@ def cmd_compare(args) -> int:
     from repro.baselines.skyplane import SkyplaneReplicator
     from repro.baselines.s3rtc import S3RTCReplicator
     from repro.baselines.azrep import AzureObjectReplicator
-    from repro.simcloud.cloud import build_default_cloud
     from repro.simcloud.objectstore import Blob
 
     cloud, service, src, dst, rule = _build_service(args)
@@ -1346,79 +356,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_bench_perf(args) -> int:
-    """Run the hot-path microbenchmarks; optionally emit/check BENCH files."""
-    import json
-    import pathlib
-
-    from repro.bench import perf
-
-    reference_path = reference = None
-    if args.check:
-        # Resolve the reference — and refuse a scale mismatch — before
-        # spending minutes benchmarking.
-        reference_path = (pathlib.Path(args.baseline) if args.baseline
-                          else perf.latest_bench_file())
-        if reference_path is None or not reference_path.exists():
-            print("bench-perf --check: no BENCH_*.json reference found",
-                  file=sys.stderr)
-            return 1
-        reference = json.loads(reference_path.read_text())
-        try:
-            perf.check_regression({}, reference, tolerance=args.tolerance,
-                                  scale=args.scale)
-        except ValueError as exc:
-            print(f"bench-perf --check: {exc}", file=sys.stderr)
-            return 1
-
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-    results = perf.run_all(scale=args.scale, repeat=args.repeat,
-                           progress=lambda msg: print(f"  {msg}", file=sys.stderr))
-    if profiler is not None:
-        import pstats
-
-        profiler.disable()
-        print("\ntop 20 by cumulative time:", file=sys.stderr)
-        stats = pstats.Stats(profiler, stream=sys.stderr)
-        stats.sort_stats("cumulative").print_stats(20)
-    print(f"{'metric':<28} {'value':>16}")
-    for metric, value in results.items():
-        unit = "s" if metric.endswith("_seconds") else "/s"
-        print(f"  {metric:<26} {value:>14,.2f} {unit}")
-
-    if args.check:
-        warnings = perf.check_regression(results, reference,
-                                         tolerance=args.tolerance,
-                                         scale=args.scale)
-        if warnings:
-            print(f"\nperformance regressions vs {reference_path}:",
-                  file=sys.stderr)
-            for warning in warnings:
-                print(f"  WARNING: {warning}", file=sys.stderr)
-            return 1
-        print(f"\nno regression vs {reference_path} "
-              f"(tolerance {args.tolerance:.0%})")
-        return 0
-
-    if args.out:
-        baseline = None
-        if args.baseline:
-            doc = json.loads(pathlib.Path(args.baseline).read_text())
-            baseline = doc.get("current", doc)
-        meta = {"scale": args.scale, "repeat": args.repeat,
-                "command": "repro.cli bench-perf"}
-        doc = perf.emit(args.out, results, baseline=baseline, meta=meta)
-        print(f"\nwrote {args.out}")
-        for metric, ratio in sorted(doc.get("speedup", {}).items()):
-            print(f"  {metric:<26} {ratio:>8.2f}x vs baseline")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="areplica",
@@ -1440,23 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--percentile", type=float, default=0.99)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--profile-samples", type=int, default=8)
-
-    def hedging_knobs(p, default_on=False):
-        """Hedging flags: the drills accept --hedging to ride along;
-        hedge-drill forces it on and exposes the tuning knobs."""
-        if not default_on:
-            p.add_argument("--hedging", action="store_true",
-                           help="enable speculative straggler cloning")
-        p.add_argument("--hedge-quantile", type=float, default=0.95,
-                       help="windowed completion quantile deriving the "
-                            "per-part hedge deadline")
-        p.add_argument("--hedge-min-samples", type=int, default=8,
-                       help="completion samples required before hedging")
-        p.add_argument("--hedge-min-part-bytes", type=parse_size,
-                       default=parse_size("1MB"),
-                       help="smallest part worth cloning")
-        p.add_argument("--max-clones", type=int, default=1,
-                       help="clone budget per part")
 
     common(sub.add_parser("replicate", help="replicate one object and report"))
     common(sub.add_parser("plan", help="show the SLO-compliant plan"))
@@ -1482,221 +402,39 @@ def build_parser() -> argparse.ArgumentParser:
                            help="replay a workload and audit consistency")
     common(audit, with_size=False)
     audit.add_argument("--requests", type=int, default=2000)
-    soak = sub.add_parser("chaos-soak",
-                          help="replay a workload under injected faults and "
-                               "audit convergence")
-    common(soak, with_size=False)
-    soak.add_argument("--requests", type=int, default=1000)
-    soak.add_argument("--crash-prob", type=float, default=0.05,
-                      help="per-invocation function crash probability")
-    soak.add_argument("--notif-drop", type=float, default=0.05,
-                      help="notification drop (delayed redelivery) probability")
-    soak.add_argument("--notif-dup", type=float, default=0.05,
-                      help="notification duplication probability")
-    soak.add_argument("--notif-reorder", type=float, default=0.05,
-                      help="notification reordering probability")
-    soak.add_argument("--kv-reject", type=float, default=0.05,
-                      help="KV write throttling probability")
-    soak.add_argument("--kv-delay", type=float, default=0.05,
-                      help="KV admission-delay probability")
-    soak.add_argument("--wan-stall", type=float, default=0.02,
-                      help="per-transfer WAN stall probability")
-    soak.add_argument("--json", action="store_true",
-                      help="emit the machine-readable report instead of text")
-    hedging_knobs(soak)
-    drill = sub.add_parser("outage-drill",
-                           help="replay a workload through a sustained "
-                                "regional outage and verify degradation, "
-                                "recovery, and repair")
-    common(drill, with_size=False)
-    drill.add_argument("--requests", type=int, default=400)
-    drill.add_argument("--outage-region", default=None,
-                       help="region to black out (default: the source)")
-    drill.add_argument("--outage-start", type=float, default=600.0,
-                       help="outage start, seconds into the trace")
-    drill.add_argument("--outage-duration", type=float, default=600.0,
-                       help="outage length in seconds")
-    drill.add_argument("--json", action="store_true",
-                       help="emit the machine-readable report instead of text")
-    hedging_knobs(drill)
-    corrupt = sub.add_parser("corruption-drill",
-                             help="replay a workload under silent-corruption "
-                                  "faults and verify detection, quarantine, "
-                                  "and deep-scrub repair")
-    common(corrupt, with_size=False)
-    corrupt.add_argument("--requests", type=int, default=400)
-    corrupt.add_argument("--corrupt-get", type=float, default=0.15,
-                         help="in-flight bit-flip probability per WAN GET")
-    corrupt.add_argument("--corrupt-put", type=float, default=0.10,
-                         help="in-flight bit-flip probability per WAN PUT")
-    corrupt.add_argument("--at-rest", type=float, default=0.05,
-                         help="transient at-rest rot probability per read")
-    corrupt.add_argument("--truncate", type=float, default=0.05,
-                         help="truncated-read probability per read")
-    corrupt.add_argument("--wrong-etag", type=float, default=0.05,
-                         help="wrong-ETag response probability per read")
-    corrupt.add_argument("--rot-keys", type=int, default=3,
-                         help="replicated objects to durably rot before "
-                              "the deep scrub")
-    corrupt.add_argument("--json", action="store_true",
-                         help="emit the machine-readable report instead of "
-                              "text")
-    hedging_knobs(corrupt)
-    hedge = sub.add_parser("hedge-drill",
-                           help="replay a workload with speculative hedging "
-                                "on under chaos and verify the hedge "
-                                "discipline end to end")
-    common(hedge, with_size=False)
-    hedge.add_argument("--requests", type=int, default=600)
-    hedge.add_argument("--crash-prob", type=float, default=0.02,
-                       help="per-invocation function crash probability")
-    hedge.add_argument("--wan-stall", type=float, default=0.05,
-                       help="per-transfer WAN stall probability")
-    hedge.add_argument("--json", action="store_true",
+    rides = {"chaos": "layer a mild probabilistic chaos storm over the "
+                      "drill's own disturbance",
+             "hedging": "enable speculative straggler cloning"}
+    commands: dict[str, dict] = {}
+    for spec in DRILLS.values():
+        # The three planned operations share one subcommand.
+        commands.setdefault("lifecycle-drill" if spec.operation
+                            else spec.name, {})[spec.operation] = spec
+    for command, variants in commands.items():
+        spec = next(iter(variants.values()))
+        p = sub.add_parser(command, help=spec.help)
+        p.set_defaults(variants=variants)
+        common(p, with_size=False)
+        if None not in variants:
+            p.add_argument("--scenario", required=True,
+                           choices=list(variants),
+                           help="which planned operation to execute")
+        p.add_argument("--requests", type=int, default=None,
+                       help=f"workload size (default {spec.requests})")
+        for flag in spec.rides:
+            p.add_argument(f"--{flag}", action="store_true",
+                           help=rides[flag])
+        p.add_argument("--json", action="store_true",
                        help="emit the machine-readable report instead of "
                             "text")
-    hedging_knobs(hedge, default_on=True)
-    lifecycle = sub.add_parser(
-        "lifecycle-drill",
-        help="run one planned-operations procedure (evacuation, rolling "
-             "restart, or switchover) against a live loaded engine and "
-             "verify zero loss/duplication/divergence")
-    common(lifecycle, with_size=False)
-    lifecycle.add_argument("--scenario", required=True,
-                           choices=("evacuate", "rolling", "switchover"),
-                           help="which planned disruption to execute")
-    lifecycle.add_argument("--requests", type=int, default=400)
-    lifecycle.add_argument("--at", type=float, default=600.0,
-                           help="procedure start, seconds into the trace")
-    lifecycle.add_argument("--drain-deadline", type=float, default=None,
-                           help="graceful-drain bound in seconds "
-                                "(default: ReplicaConfig.drain_deadline_s)")
-    lifecycle.add_argument("--chaos", action="store_true",
-                           help="layer a probabilistic chaos storm over "
-                                "the procedure")
-    lifecycle.add_argument("--json", action="store_true",
-                           help="emit the machine-readable report instead "
-                                "of text")
-    hedging_knobs(lifecycle)
-    tenant = sub.add_parser(
-        "tenant-drill",
-        help="replay a skewed multi-tenant workload across sharded engine "
-             "workers and verify per-tenant convergence, SLO, budget, and "
-             "cross-tenant isolation")
-    common(tenant, with_size=False)
-    tenant.add_argument("--tenants", type=int, default=1000,
-                        help="tenants to register (own buckets, weight, "
-                             "and budget each)")
-    tenant.add_argument("--shards", type=int, default=4,
-                        help="engine workers the key-space is "
-                             "consistent-hashed across")
-    tenant.add_argument("--requests", type=int, default=3000,
-                        help="total PUTs (>= --tenants; the excess is "
-                             "Zipf-skewed onto the hot head)")
-    tenant.add_argument("--object-size", type=parse_size,
-                        default=parse_size("64KB"),
-                        help="PUT size (small keeps the inline path hot)")
-    tenant.add_argument("--horizon", type=float, default=3600.0,
-                        help="workload duration in seconds")
-    tenant.add_argument("--max-concurrent", type=int, default=32,
-                        help="fair-share scheduler concurrency gate")
-    tenant.add_argument("--budgeted-tenants", type=int, default=10,
-                        help="hot tenants given a hard per-window budget")
-    tenant.add_argument("--budget-tasks", type=float, default=25.0,
-                        help="budget expressed in admitted tasks per window")
-    tenant.add_argument("--budget-window", type=float, default=300.0,
-                        help="budget window length in seconds")
-    tenant.add_argument("--tenant-slo", type=float, default=120.0,
-                        help="p99 delay SLO for unbudgeted tenants in "
-                             "seconds (budgeted tenants get a drain-"
-                             "covering SLO derived from the window)")
-    tenant.add_argument("--json", action="store_true",
-                        help="emit the machine-readable report instead "
-                             "of text")
-    autop = sub.add_parser(
-        "autopilot-drill",
-        help="replay a busy-hour workload with a mid-run load surge and a "
-             "regional WAN brownout under the SLO autopilot and verify it "
-             "engages, recovers p99 within the settle bound, and stays "
-             "inside budgets")
-    common(autop, with_size=False)
-    autop.add_argument("--tenants", type=int, default=4,
-                       help="tenants to register (own buckets and budget "
-                            "each)")
-    autop.add_argument("--shards", type=int, default=2,
-                       help="engine workers the key-space is "
-                            "consistent-hashed across")
-    autop.add_argument("--requests", type=int, default=240,
-                       help="baseline PUTs spread uniformly over the "
-                            "horizon (keeps the p99 window warm)")
-    autop.add_argument("--object-size", type=parse_size,
-                       default=parse_size("64KB"),
-                       help="PUT size (small keeps the inline path hot)")
-    autop.add_argument("--horizon", type=float, default=1500.0,
-                       help="workload duration in seconds")
-    autop.add_argument("--max-concurrent", type=int, default=4,
-                       help="fair-share dispatch gate the surge must "
-                            "overwhelm (the autopilot's main actuator)")
-    autop.add_argument("--tenant-slo", type=float, default=60.0,
-                       help="per-tenant p99 delay target in seconds")
-    autop.add_argument("--budget-tasks", type=float, default=400.0,
-                       help="per-tenant budget in admitted tasks per window")
-    autop.add_argument("--budget-window", type=float, default=600.0,
-                       help="budget window length in seconds")
-    autop.add_argument("--surge-at", type=float, default=180.0,
-                       help="surge burst start, seconds into the trace")
-    autop.add_argument("--surge-duration", type=float, default=120.0,
-                       help="surge burst length in seconds")
-    autop.add_argument("--surge-requests", type=int, default=2400,
-                       help="extra PUTs packed into the surge burst")
-    autop.add_argument("--brownout-at", type=float, default=900.0,
-                       help="WAN brownout start, seconds into the trace")
-    autop.add_argument("--brownout-duration", type=float, default=120.0,
-                       help="WAN brownout length in seconds")
-    autop.add_argument("--autopilot-interval", type=float, default=30.0,
-                       help="controller tick cadence in seconds")
-    autop.add_argument("--autopilot-window", type=float, default=300.0,
-                       help="trailing window for the per-tenant p99")
-    autop.add_argument("--cooldown", type=float, default=90.0,
-                       help="post-actuation cooldown per knob in seconds")
-    autop.add_argument("--settle-bound", type=float, default=600.0,
-                       help="max seconds a disturbance episode may take to "
-                            "settle (and the engagement accounting window)")
-    autop.add_argument("--chaos", action="store_true",
-                       help="layer a probabilistic chaos storm over the "
-                            "disturbances")
-    autop.add_argument("--json", action="store_true",
-                       help="emit the machine-readable report instead of "
-                            "text")
-    hedging_knobs(autop)
     drill_all = sub.add_parser(
         "drill-all",
-        help="run chaos-soak, outage-drill, corruption-drill, hedge-drill, "
-             "the three lifecycle drills, tenant-drill, and autopilot-drill "
-             "at one seed; fail on any non-PASS")
+        help="run every drill in the roster at one seed; fail on any "
+             "non-PASS")
     drill_all.add_argument("--seed", type=int, default=0)
     drill_all.add_argument("--json", action="store_true",
                            help="emit the aggregated machine-readable "
                                 "report instead of text")
-    bench = sub.add_parser("bench-perf",
-                           help="run the hot-path microbenchmarks")
-    bench.add_argument("--scale", type=float, default=1.0,
-                       help="scale factor on every benchmark's work size")
-    bench.add_argument("--repeat", type=int, default=3,
-                       help="timing repetitions per benchmark (best wins)")
-    bench.add_argument("--out", default=None,
-                       help="write a BENCH_*.json document here")
-    bench.add_argument("--baseline", default=None,
-                       help="BENCH_*.json to record (with --out) or compare "
-                            "against (with --check)")
-    bench.add_argument("--check", action="store_true",
-                       help="compare against the latest BENCH_*.json and warn "
-                            "on regression (nonzero exit)")
-    bench.add_argument("--tolerance", type=float, default=0.30,
-                       help="allowed fractional throughput drop for --check")
-    bench.add_argument("--profile", action="store_true",
-                       help="run under cProfile and print the top 20 "
-                            "functions by cumulative time")
     return parser
 
 
@@ -1711,17 +449,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         "cost": cmd_cost,
         "regions": cmd_regions,
         "audit": cmd_audit,
-        "chaos-soak": cmd_chaos_soak,
-        "outage-drill": cmd_outage_drill,
-        "corruption-drill": cmd_corruption_drill,
-        "hedge-drill": cmd_hedge_drill,
-        "lifecycle-drill": cmd_lifecycle_drill,
-        "tenant-drill": cmd_tenant_drill,
-        "autopilot-drill": cmd_autopilot_drill,
         "drill-all": cmd_drill_all,
-        "bench-perf": cmd_bench_perf,
     }
-    return handlers[args.command](args)
+    # Every other subcommand was generated from the drill roster.
+    return handlers.get(args.command, cmd_drill)(args)
 
 
 if __name__ == "__main__":

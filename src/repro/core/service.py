@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -105,6 +105,9 @@ class ConvergenceReport:
     #: Tasks still sitting in tenant budget-deferral lanes when the loop
     #: gave up (0 on success, and always 0 for single-tenant services).
     deferred_tenant_tasks: int = 0
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
     def render(self) -> str:
         if self.converged:

@@ -22,8 +22,7 @@ events and cost records, all timestamped from the simulation clock and
 in execution order (the kernel is deterministic, so two runs with the
 same seed produce byte-identical exports).  Every emission site in the
 engine and substrates is guarded by a single ``tracer is not None``
-check — the disabled path costs one attribute read, preserving the
-hot-path wins benchmarked in ``BENCH_PR1.json``.
+check — the disabled path costs one attribute read.
 
 Beyond the phase letters, the engine emits a ``verify`` span (cat
 ``engine``) for every verify-after-finalize check, and the integrity

@@ -43,8 +43,8 @@ HEDGE_KNOBS = dict(hedging_enabled=True, hedge_deadline_quantile=0.9,
 
 def _service(seed: int, tracing: bool = False, **config_kwargs):
     cloud = build_default_cloud(seed=seed)
-    svc = AReplicaService(cloud, ReplicaConfig(
-        profile_samples=5, tracing_enabled=tracing, **config_kwargs))
+    svc = AReplicaService(cloud, ReplicaConfig(**{
+        "profile_samples": 5, "tracing_enabled": tracing, **config_kwargs}))
     src = cloud.bucket("aws:us-east-1", "src")
     dst = cloud.bucket("azure:eastus", "dst")
     rule = svc.add_rule(src, dst)
@@ -202,6 +202,32 @@ class TestHedgedReplication:
 
 
 # -- determinism contract -----------------------------------------------------
+
+
+class TestHedgingFrontier:
+    """The delay/cost frontier cloning exists for, sim-only and exact."""
+
+    def test_p99_cut_at_least_a_quarter_for_at_most_a_tenth_more_cost(self):
+        """Both arms replay the identical seeded 800-request busy-hour
+        segment under the identical seeded WAN-stall schedule
+        (exponential stalls, the paper's §6 straggler model) and drain
+        to convergence; the only difference is the hedging knobs.  The
+        hedged arm clones everything that overruns the windowed P90:
+        parts are cheap to clone relative to WAN stalls, so that is the
+        frontier-optimal policy here.  Recorded: P99 17.15 s -> 6.57 s
+        (61.7 % lower) at 1.011x the cost."""
+        def arm(**knobs):
+            cloud, svc, src, rule = _service(0, profile_samples=8, **knobs)
+            _stalled_replay(cloud, svc, src, seed=0, requests=800)
+            summary = svc.summary()
+            return (summary["delay_p99_s"], summary["total_cost_usd"],
+                    rule.engine.stats)
+
+        p99_off, cost_off, _ = arm()
+        p99_on, cost_on, stats = arm(**HEDGE_KNOBS)
+        assert stats["hedge_wins"] > 0
+        assert (p99_off - p99_on) / p99_off >= 0.25, (p99_off, p99_on)
+        assert cost_on / cost_off <= 1.10, (cost_off, cost_on)
 
 
 def _traced_export_bytes(seed: int, path, hedging: bool):

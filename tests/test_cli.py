@@ -125,38 +125,38 @@ class TestDrillAll:
     """``drill-all`` aggregation semantics, with the real drills stubbed
     out: one drill reporting ``pass: false`` — or crashing outright —
     must surface as a FAIL row and a nonzero exit, never as a pass by
-    omission or an aborted roster.  (The roster's handlers resolve as
-    ``repro.cli`` module globals at call time, so monkeypatching them
-    swaps in fast fakes.)"""
+    omission or an aborted roster.  (``repro.cli.run_drill`` resolves as
+    a module global at call time, so monkeypatching it swaps in a fast
+    fake for every scenario.)"""
 
-    HANDLERS = ("cmd_chaos_soak", "cmd_outage_drill",
-                "cmd_corruption_drill", "cmd_hedge_drill",
-                "cmd_lifecycle_drill", "cmd_tenant_drill",
-                "cmd_autopilot_drill")
     ROSTER = ("chaos-soak", "outage-drill", "corruption-drill",
               "hedge-drill", "lifecycle-evacuate", "lifecycle-rolling",
               "lifecycle-switchover", "tenant-drill", "autopilot-drill")
 
     @staticmethod
-    def _passing(args):
-        import json
+    def _stub(monkeypatch, **misbehaving):
+        """Every scenario passes, except those named (underscored) in
+        ``misbehaving``, which return the given report or raise the
+        given exception."""
+        from types import SimpleNamespace
 
-        # No "scenario" key: the aggregator falls back to its own roster
-        # name for the row, which the tests below assert against.
-        print(json.dumps({"seed": args.seed, "pass": True}))
-        return 0
+        def run_drill(spec, *, seed):
+            outcome = misbehaving.get(spec.name.replace("-", "_"))
+            if isinstance(outcome, Exception):
+                raise outcome
+            # No "scenario" key by default: the aggregator falls back to
+            # its own roster name for the row, which the tests below
+            # assert against.
+            return SimpleNamespace(
+                report=outcome or {"seed": seed, "pass": True})
 
-    def _stub_all(self, monkeypatch, handler=None):
-        import repro.cli as cli
-
-        for name in self.HANDLERS:
-            monkeypatch.setattr(cli, name, handler or self._passing)
+        monkeypatch.setattr("repro.cli.run_drill", run_drill)
 
     def test_all_pass_exits_zero_and_covers_the_roster(self, monkeypatch,
                                                        capsys):
         import json
 
-        self._stub_all(monkeypatch)
+        self._stub(monkeypatch)
         rc = main(["drill-all", "--seed", "3", "--json"])
         report = json.loads(capsys.readouterr().out)
         assert rc == 0
@@ -169,13 +169,8 @@ class TestDrillAll:
                                                    capsys):
         import json
 
-        def failing(args):
-            print(json.dumps({"scenario": "tenant-drill", "seed": args.seed,
-                              "pass": False}))
-            return 1
-
-        self._stub_all(monkeypatch)
-        monkeypatch.setattr("repro.cli.cmd_tenant_drill", failing)
+        self._stub(monkeypatch, tenant_drill={
+            "scenario": "tenant-drill", "seed": 0, "pass": False})
         rc = main(["drill-all", "--seed", "0", "--json"])
         report = json.loads(capsys.readouterr().out)
         assert rc == 1
@@ -188,11 +183,7 @@ class TestDrillAll:
                                                      capsys):
         import json
 
-        def exploding(args):
-            raise RuntimeError("boom")
-
-        self._stub_all(monkeypatch)
-        monkeypatch.setattr("repro.cli.cmd_outage_drill", exploding)
+        self._stub(monkeypatch, outage_drill=RuntimeError("boom"))
         rc = main(["drill-all", "--seed", "0", "--json"])
         report = json.loads(capsys.readouterr().out)
         assert rc == 1
@@ -207,12 +198,7 @@ class TestDrillAll:
         assert failed and "RuntimeError: boom" in failed[0]["error"]
 
     def test_text_mode_prints_fail_verdict(self, monkeypatch, capsys):
-        def failing(args):
-            print('{"pass": false}')
-            return 1
-
-        self._stub_all(monkeypatch)
-        monkeypatch.setattr("repro.cli.cmd_hedge_drill", failing)
+        self._stub(monkeypatch, hedge_drill={"pass": False})
         rc = main(["drill-all", "--seed", "0"])
         out = capsys.readouterr().out
         assert rc == 1

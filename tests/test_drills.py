@@ -1,0 +1,86 @@
+"""The drill roster at the CLI surface, pinned against the hand-rolled
+drills it replaced.
+
+``golden/drills_seed0.json`` holds, for each of the nine drills at seed
+0 and default size, the integer/boolean part of the ``--json`` report
+as the seven ``cmd_*_drill`` functions produced it (engine and fault
+counters, verdict — no floats, so the pin survives a NumPy bump).
+"""
+
+import json
+import pathlib
+from dataclasses import replace
+
+import pytest
+
+from repro.cli import main
+from repro.drills import DRILLS, GATES, run_drill
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden"
+                     / "drills_seed0.json").read_text())
+
+
+def _argv(name: str) -> list[str]:
+    operation = DRILLS[name].operation
+    return (["lifecycle-drill", "--scenario", operation] if operation
+            else [name])
+
+
+def test_the_golden_covers_the_whole_roster():
+    assert list(DRILLS) == [
+        "chaos-soak", "outage-drill", "corruption-drill", "hedge-drill",
+        "lifecycle-evacuate", "lifecycle-rolling", "lifecycle-switchover",
+        "tenant-drill", "autopilot-drill"]
+    assert sorted(GOLDEN) == sorted(DRILLS)
+
+
+@pytest.mark.parametrize("name", list(DRILLS))
+def test_drill_matches_golden_at_seed_0(name, capsys):
+    rc = main([*_argv(name), "--seed", "0", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["seed"] == 0
+    assert {k: report[k] for k in GOLDEN[name]} == GOLDEN[name]
+    assert report["engaged"] and all(report["gates"].values())
+
+
+def test_every_named_predicate_is_defined_and_used():
+    named = {g for d in DRILLS.values() for g in d.engaged + d.holds}
+    assert named == set(GATES)
+
+
+@pytest.mark.outage
+def test_a_replaced_spec_field_reaches_the_run_and_the_gate_names_it():
+    """The knobs the CLI no longer exposes are spec fields: move the
+    blackout past the end of the trace and the drill must FAIL on its
+    engagement predicate — nothing degraded — not pass vacuously."""
+    late = replace(DRILLS["outage-drill"], blackout=(7200.0, 60.0))
+    run = run_drill(late, seed=0, requests=150, profile_samples=4)
+    assert run.report["outage"]["start_s"] == 7200.0
+    assert run.verdict.clean
+    assert run.report["gates"] == {"degraded": False}
+    assert run.report["pass"] is False and run.report["result"] == "FAIL"
+    assert "gate degraded: FAILED" in run.render()
+
+
+@pytest.mark.scrub
+@pytest.mark.xfail(strict=True, reason="repair re-drive of a finished "
+                   "distributed task resumes its fossil part-pool record")
+def test_corruption_drill_seed_2_heals_the_rotted_distributed_object(capsys):
+    """Known finding (docs/operations.md), landed as a regression test
+    ahead of the fix.
+
+    At seed 2 (and 6) the deep scrub re-drives rotted ``t0/obj102``
+    (27 MB, distributed path) as a ``repair`` event whose task id
+    ``rule1:t0/obj102:180:created`` equals the finished original's.
+    ``_launch_distributed`` therefore resumes that task's fossil
+    part-pool record: every part is already marked done, no worker has a
+    part to move, nobody finalizes, and the lock is stranded until
+    ``reclaim_stranded_locks`` — whose re-dispatch drops the ``repair``
+    flag and short-circuits as ``already-replicated``.  The destination
+    stays rotted (``silent-divergence``) and the drill FAILs.
+    """
+    rc = main(["corruption-drill", "--seed", "2", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["rescrub_clean"] and report["audit_clean"]
+    assert rc == 0 and report["pass"]
