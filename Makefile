@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests lifecycle-drill drill-all coverage
+.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests lifecycle-drill drill-all e2e-digests coverage
 
 ## tier-1: the full default suite
 test:
@@ -51,6 +51,20 @@ autopilot-tests:
 ## exits non-zero if any drill reports pass=false
 drill-all:
 	$(PY) -m repro.cli drill-all --seed 0
+
+## "behaviour held" in one command: the seed-0 sim_digest of each
+## benchmark workload (1 s units, untraced) and of the traced 5 s storm.
+## A change that claims no simulated outcome moved prints the same five
+## lines as its parent (~2 min).
+e2e-digests:
+	@for w in busy_hour_small bulk_large tenant_fanout storm_churn; do \
+		printf '%-16s trace=0 ' $$w; \
+		$(PY) benchmarks/e2e/run.py --workload $$w --seed 0 --seconds 1 --trace 0 \
+			| grep -o 'sim_digest [0-9a-f]*' || exit 1; \
+	done
+	@printf '%-16s trace=1 ' storm_churn
+	@$(PY) benchmarks/e2e/run.py --workload storm_churn --seed 0 --seconds 5 --trace 1 \
+		| grep -o 'sim_digest [0-9a-f]*'
 
 ## any single drill of the roster (repro.drills.DRILLS), machine-readable:
 ## make corruption-drill | hedge-drill | tenant-drill | autopilot-drill ...

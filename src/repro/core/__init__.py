@@ -16,7 +16,11 @@ Modules:
 * :mod:`repro.core.locks` — object-granularity replication lock
   (Algorithm 2).
 * :mod:`repro.core.engine` — the variability-tolerant replication
-  engine (§5.1) with optimistic validation (§5.2).
+  engine (§5.1) with optimistic validation (§5.2): wiring, routing and
+  the decision path, composed with :mod:`repro.core.backlog` (parked
+  tasks) and :mod:`repro.core.hedging` (straggler cloning) and driving
+  the stateless data paths :mod:`repro.core.transfer` (single function,
+  integrity) and :mod:`repro.core.distributed` (part pool, recovery).
 * :mod:`repro.core.changelog` — changelog propagation (§5.4).
 * :mod:`repro.core.batching` — SLO-bounded batching (Algorithm 4).
 * :mod:`repro.core.logger` — runtime drift detection and model

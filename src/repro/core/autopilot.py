@@ -66,6 +66,11 @@ __all__ = ["AUTOPILOT_STAT_KEYS", "Actuation", "KnobSpec",
 AUTOPILOT_STAT_KEYS = ("actuations", "clamps", "cooldown_skips",
                        "cordon_holds", "settle_time_s")
 
+#: Hysteresis dead-band on every controller error signal: no knob moves
+#: while the signal sits within ±DEADBAND of its target, so the
+#: controller cannot oscillate around a satisfied SLO.
+DEADBAND = 0.15
+
 #: FaaS queue depth (summed across watched regions) beyond which the
 #: platform counts as saturated and hedging is throttled back.
 _SATURATION_QUEUE = 64.0
@@ -153,7 +158,7 @@ class KnobController:
     (bounds, no-oscillation-in-band, convergence) without a simulator.
     """
 
-    def __init__(self, deadband: float = 0.15, cooldown_s: float = 120.0,
+    def __init__(self, deadband: float = DEADBAND, cooldown_s: float = 120.0,
                  tracer=None, stats: Optional[dict] = None):
         if not 0.0 < deadband < 1.0:
             raise ValueError("deadband must be in (0, 1)")
@@ -267,7 +272,6 @@ class Autopilot:
         self.stats: dict = {k: ([] if k == "settle_time_s" else 0)
                             for k in AUTOPILOT_STAT_KEYS}
         self.controller = KnobController(
-            deadband=cfg.autopilot_deadband,
             cooldown_s=cfg.autopilot_cooldown_s,
             tracer=service.tracer, stats=self.stats)
         #: Anti-entropy cadence the scrub knob actuates; consumed by

@@ -22,8 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from repro.simcloud.kvstore import KvTable
+from repro.simcloud.objectstore import Blob, NoSuchKey
 
-__all__ = ["ChangelogOp", "ChangelogEntry", "ChangelogStore", "ChangelogNotApplicable"]
+__all__ = ["ChangelogOp", "ChangelogEntry", "ChangelogStore",
+           "ChangelogNotApplicable", "propagate_changelog",
+           "apply_changelog"]
 
 
 class ChangelogNotApplicable(RuntimeError):
@@ -68,6 +71,15 @@ class ChangelogEntry:
         """Bytes that must still cross the WAN when this hint applies."""
         return self.data_length
 
+    def to_item(self) -> dict:
+        """The hint as a plain dict (KV item / applier payload)."""
+        return {
+            "op": self.op, "key": self.key, "etag": self.etag,
+            "sources": [list(s) for s in self.sources],
+            "data_offset": self.data_offset,
+            "data_length": self.data_length,
+        }
+
 
 class ChangelogStore:
     """Per-bucket changelog hints in a serverless KV table."""
@@ -85,17 +97,8 @@ class ChangelogStore:
     def record(self, entry: ChangelogEntry):
         """Process: persist a hint (one KV write)."""
         self.recorded += 1
-        yield self.table.put_item(
-            self._key(entry.key, entry.etag),
-            {
-                "op": entry.op,
-                "key": entry.key,
-                "etag": entry.etag,
-                "sources": [list(s) for s in entry.sources],
-                "data_offset": entry.data_offset,
-                "data_length": entry.data_length,
-            },
-        )
+        yield self.table.put_item(self._key(entry.key, entry.etag),
+                                  entry.to_item())
 
     def record_copy(self, src_key: str, src_etag: str, dst_key: str,
                     dst_etag: str):
@@ -142,3 +145,88 @@ class ChangelogStore:
             data_offset=item["data_offset"],
             data_length=item["data_length"],
         )
+
+
+# -- the engine's changelog fast path (Fig 15) --------------------------------
+#
+# Stateless process functions over a ReplicationEngine, driven with
+# ``yield from`` by the orchestrator and applier handlers in engine.py.
+
+def propagate_changelog(engine, ctx, task):
+    """Process: ship ``task``'s changelog hint, if one exists, to an
+    applier function at the destination; True when that completed the
+    task (False = no hint, or inapplicable: replicate in full)."""
+    entry = yield from engine._kv(
+        ctx, lambda: engine.changelog.lookup(task["key"], task["etag"]))
+    if entry is None:
+        return False
+    invocation = yield from ctx.invoke(
+        engine._faas_at(engine.dst_bucket.region.key), engine._applier_name,
+        {"task": dict(task), "entry": entry.to_item()})
+    result = yield invocation
+    if result["applied"]:
+        engine.stats["changelog_applied"] += 1
+        return True
+    engine.stats["changelog_fallback"] += 1
+    return False
+
+
+def apply_changelog(engine, ctx, task, entry):
+    """Process: the applier function's body.
+
+    Verifies every source ETag against the destination bucket, then
+    reconstructs the object from local data (server-side copy /
+    compose) plus — for APPEND/PATCH — a ranged GET of only the fresh
+    bytes from the source region.  On success it finishes the task
+    (done marker, unlock, pending re-trigger) itself.
+    """
+    dst, key = engine.dst_bucket, task["key"]
+    ok = yield from engine._fence_ok(ctx, task)
+    if not ok:
+        return {"applied": False}
+    for src_key, src_etag in entry["sources"]:
+        if dst.current_etag(src_key) != src_etag:
+            return {"applied": False}
+    version = yield from _reconstruct(engine, ctx, task, entry)
+    if version is None:
+        return {"applied": False}
+    if version.etag != task["etag"]:
+        # The reconstruction did not reproduce the replicated version
+        # byte-for-byte; do not trust the hint.
+        dst.delete_object(key, ctx.now, notify=False)
+        return {"applied": False}
+    yield from engine._finish_replicated(ctx, task, version, kind="changelog")
+    return {"applied": True}
+
+
+def _reconstruct(engine, ctx, task, entry):
+    """Process: write ``task``'s object at the destination as ``entry``
+    derives it; the written version, or None when it cannot apply."""
+    dst, key, op = engine.dst_bucket, task["key"], entry["op"]
+    sources = entry["sources"]
+    if op == ChangelogOp.COPY:
+        return (yield from ctx.copy_object(dst, sources[0][0], key))
+    if op == ChangelogOp.CONCAT:
+        yield ctx.sleep(0.0)
+        return dst.compose_objects([s for s, _ in sources], key, ctx.now)
+    if op not in (ChangelogOp.APPEND, ChangelogOp.PATCH):
+        return None
+    # APPEND/PATCH: fetch only the fresh byte range from the source.
+    offset, length = entry["data_offset"], entry["data_length"]
+    try:
+        fresh, version = yield from ctx.get_object(engine.src_bucket, key,
+                                                   offset, length)
+    except (NoSuchKey, ValueError):
+        return None
+    if version.etag != task["etag"]:
+        return None
+    base = dst.head(sources[0][0]).blob
+    if op == ChangelogOp.APPEND:
+        pieces = [base, fresh]
+    else:
+        tail_start = offset + length
+        pieces = [base.slice(0, offset), fresh]
+        if tail_start < base.size:
+            pieces.append(base.slice(tail_start, base.size - tail_start))
+    yield ctx.sleep(0.0)
+    return dst.put_object(key, Blob.concat(pieces), ctx.now)

@@ -81,11 +81,6 @@ class ReplicaConfig:
         quarantined — escalated straight to the dead-letter queue with
         a ``corrupted`` disposition instead of burning platform
         retries against the same poisoned transfer.
-    verify_after_finalize:
-        Re-check the destination's ETag against the task's expected
-        content hash after the finalize write, *before* the done marker
-        is advanced — the end-to-end guard that keeps a corrupted
-        assembly from being vouched for forever.
     """
 
     slo_seconds: float = 0.0
@@ -106,7 +101,6 @@ class ReplicaConfig:
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     outage_catchup_concurrency: int = 8
     retransfer_budget: int = 2
-    verify_after_finalize: bool = True
     #: Record a causal span/event trace for every replication task
     #: (repro.core.tracing).  Off by default: the disabled path costs
     #: one ``is not None`` check per emission site, preserving the
@@ -136,10 +130,9 @@ class ReplicaConfig:
     #: How many clones one part may spawn before the engine stops
     #: hedging it (0 disables cloning while keeping the monitor on).
     max_clones_per_part: int = 1
-    #: Trailing window over part-completion samples feeding the
-    #: deadline percentile, and the minimum sample count before any
-    #: deadline is derived at all (fewer samples -> "never hedge").
-    hedge_window_s: float = 300.0
+    #: Minimum part-completion samples in the trailing window
+    #: (``hedging.HEDGE_WINDOW_S``) before any deadline is derived at
+    #: all (fewer samples -> "never hedge").
     hedge_min_samples: int = 8
     #: Planned-operations graceful-drain bound (core/lifecycle.py): how
     #: long an evacuation or switchover waits for in-flight functions
@@ -158,10 +151,6 @@ class ReplicaConfig:
     #: Trailing window over per-tenant delay samples feeding the
     #: windowed p99 the SLO error is computed from.
     autopilot_window_s: float = 300.0
-    #: Hysteresis dead-band on every controller error signal: no knob
-    #: moves while the signal sits within ±deadband of its target, so
-    #: the controller cannot oscillate around a satisfied SLO.
-    autopilot_deadband: float = 0.15
     #: Post-actuation cooldown per knob: once a knob moves, it holds
     #: for at least this long before the controller may move it again.
     autopilot_cooldown_s: float = 120.0
@@ -191,8 +180,6 @@ class ReplicaConfig:
             raise ValueError("hedge_min_part_bytes must be >= 0")
         if self.max_clones_per_part < 0:
             raise ValueError("max_clones_per_part must be >= 0")
-        if self.hedge_window_s <= 0:
-            raise ValueError("hedge_window_s must be positive")
         if self.hedge_min_samples < 1:
             raise ValueError("hedge_min_samples must be >= 1")
         if self.drain_deadline_s <= 0:
@@ -201,8 +188,6 @@ class ReplicaConfig:
             raise ValueError("autopilot_interval_s must be positive")
         if self.autopilot_window_s <= 0:
             raise ValueError("autopilot_window_s must be positive")
-        if not 0.0 < self.autopilot_deadband < 1.0:
-            raise ValueError("autopilot_deadband must be in (0, 1)")
         if self.autopilot_cooldown_s < 0:
             raise ValueError("autopilot_cooldown_s must be >= 0")
         if self.autopilot_settle_s <= 0:

@@ -279,11 +279,10 @@ class OperationsRunner:
         engine = self._engine
         report = LifecycleReport("rolling", self.rule_id, self.src_region,
                                  started_at=self.cloud.sim.now)
-        yield from self._kv_retry(engine.checkpoint_control_plane)
+        yield from self._kv_retry(engine.backlog.checkpoint)
         new_engine = self.service.rebuild_engine(self.rule_id)
-        self._event("rebuild",
-                    backlog=new_engine.backlog_size())
-        outcome = yield from self._kv_retry(new_engine.restore_control_plane)
+        self._event("rebuild", backlog=len(new_engine.backlog))
+        outcome = yield from self._kv_retry(new_engine.backlog.restore)
         report.restored = outcome["restored"]
         report.remirrored = outcome["remirrored"]
         report.finished_at = self.cloud.sim.now

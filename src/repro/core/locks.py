@@ -211,6 +211,25 @@ class ReplicationLockManager:
         outcome = yield from self.release(obj_key, owner)
         return outcome.pending
 
+    def stranded(self):
+        """Every lock record in the table right now, as ``(obj_key,
+        owner, seq, etag, lease_left_s)``: the newest version the record
+        knows of (held or pending) and how long until its lease can be
+        taken over.  A zero-cost peek meant for quiescence, when any
+        surviving record's holder is dead."""
+        now = self.table.sim.now
+        for kv_key, item in self.table.peek_prefix("lock:"):
+            seq = int(item.get("held_seq") or 0)
+            etag = item.get("held_etag") or ""
+            pending_seq = item.get("pending_seq")
+            if pending_seq is not None and int(pending_seq) > seq:
+                seq = int(pending_seq)
+                etag = item.get("pending_etag") or ""
+            lease_left_s = max(0.0, float(item.get("acquired_at", now))
+                               + self.lease_s - now)
+            yield (kv_key[len("lock:"):], item.get("owner"), seq, etag,
+                   lease_left_s)
+
     def is_locked(self, obj_key: str) -> bool:
         """Zero-cost probe for tests/metrics."""
         return self.table.peek(self._key(obj_key)) is not None

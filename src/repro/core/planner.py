@@ -299,3 +299,21 @@ class StrategyPlanner:
             self.plans_generated += 1
             self.cache.hits += 1
         return plan
+
+    def pinned(self, size: int, n: int, loc_key: str, src_key: str,
+               dst_key: str) -> Plan:
+        """The plan an experiment pinned to ``(n, loc_key)`` instead of
+        running Algorithm 3 (the ablation studies), priced by the model
+        when the path is profiled."""
+        path = (loc_key, src_key, dst_key)
+        inline = (n == 1 and loc_key == src_key
+                  and size <= self.config.local_threshold)
+        predicted = median = 0.0
+        if self.model.has_path(path):
+            predicted = self.model.predict_percentile(
+                path, size, n, self.config.percentile, inline=inline)
+            median = self.model.predict_percentile(path, size, n, 0.5,
+                                                   inline=inline)
+        return Plan(n=n, loc_key=loc_key, path=path, predicted_s=predicted,
+                    percentile=self.config.percentile, compliant=True,
+                    inline=inline, predicted_median_s=median)

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.batching import BatchingBuffer
 from repro.core.changelog import ChangelogStore
 from repro.core.config import ReplicaConfig, TenantConfig
-from repro.core.engine import ReplicationEngine, TaskResult
+from repro.core.engine import ReplicationEngine
 from repro.core.health import HealthTracker
 from repro.core.logger import RuntimeLogger
 from repro.core.model import PerformanceModel
@@ -31,6 +31,7 @@ from repro.core.planner import StrategyPlanner
 from repro.core.profiler import PerformanceProfiler
 from repro.core.scheduler import FairShareScheduler
 from repro.core.sharding import ShardRouter
+from repro.core.task import TaskResult, task_id
 from repro.core.tracing import Tracer
 from repro.simcloud.cloud import Cloud
 from repro.simcloud.cost import TenantLedger, estimate_task_cost
@@ -333,7 +334,7 @@ class AReplicaService:
         retries and DLQ redrives hit the *new* deployment.  Monotonic
         counters carry over via :meth:`ReplicationEngine.adopt_counters`.
         The caller restores control-plane state afterwards by driving
-        ``new_engine.restore_control_plane()``.
+        ``new_engine.backlog.restore()``.
         """
         rule = self.rules[rule_id]
         old = rule.engine
@@ -443,7 +444,7 @@ class AReplicaService:
         ledger = state.ledger
         ledger.sync(now)
         if ledger.exhausted:
-            task = f"{tid}:{event.key}:{event.sequencer}:{event.kind}"
+            task = task_id(tid, event.key, event.sequencer, event.kind)
             if state.config.exhausted_policy == "reject":
                 state.stats["rejected"] += 1
                 if self.tracer is not None:
@@ -542,7 +543,7 @@ class AReplicaService:
             rule_ids = {r.rule_id for r in rules}
             delays = [r.delay for r in self.records if r.rule_id in rule_ids]
             pending = sum(len(v) for r in rules for v in r.outstanding.values())
-            parked = sum(r.engine.backlog_size() for r in rules)
+            parked = sum(len(r.engine.backlog) for r in rules)
             slo = state.config.slo_target_s
             p99 = float(np.quantile(np.asarray(delays), 0.99)) if delays \
                 else 0.0
@@ -571,8 +572,8 @@ class AReplicaService:
         if self.tracer is not None:
             # The paper's N phase: source write completion → delivery of
             # the notification at the service (Fig 18-19's first bar).
-            task = (f"{rule.rule_id}:{event.key}:{event.sequencer}:"
-                    f"{event.kind}")
+            task = task_id(rule.rule_id, event.key, event.sequencer,
+                           event.kind)
             self.tracer.span("N", "phase", task, event.event_time,
                              self.cloud.sim.now, key=event.key,
                              seq=event.sequencer, kind=event.kind)
@@ -585,8 +586,8 @@ class AReplicaService:
             if self.tracer is not None:
                 self.tracer.event(
                     "duplicate-delivery", "engine",
-                    f"{rule.rule_id}:{event.key}:{event.sequencer}:"
-                    f"{event.kind}",
+                    task_id(rule.rule_id, event.key, event.sequencer,
+                            event.kind),
                     key=event.key, seq=event.sequencer, kind=event.kind)
             self.records.append(ReplicationRecord(
                 rule_id=rule.rule_id, key=event.key, seq=event.sequencer,
@@ -649,11 +650,11 @@ class AReplicaService:
 
     def backlog_count(self) -> int:
         """Tasks parked across every rule's outage backlog."""
-        return sum(rule.engine.backlog_size() for rule in self.rules.values())
+        return sum(len(rule.engine.backlog) for rule in self.rules.values())
 
     def backlog_peak(self) -> int:
         """High-water mark of the parked backlog across every rule."""
-        return sum(rule.engine.backlog_peak for rule in self.rules.values())
+        return sum(rule.engine.backlog.peak for rule in self.rules.values())
 
     def drained_count(self) -> int:
         """Parked tasks re-dispatched (drained) across every rule."""

@@ -344,7 +344,7 @@ def _outage_extras(run: Run) -> dict:
         "outage": {"region": run.src, "start_s": start,
                    "duration_s": duration},
         "degradation_engaged": engine.stats["parked"] > 0,
-        "backlog_drained_at_s": engine.backlog_drained_at,
+        "backlog_drained_at_s": engine.backlog.drained_at,
         "health_transitions": (len(health.transitions)
                                if health is not None else 0),
     }

@@ -32,9 +32,9 @@ STORM = ChaosConfig(
 )
 
 
-def soak(seed: int, chaos: ChaosConfig = STORM):
+def soak(seed: int, chaos: ChaosConfig = STORM, **cfg):
     cloud = build_default_cloud(seed=seed)
-    config = ReplicaConfig(profile_samples=4, mc_samples=300)
+    config = ReplicaConfig(profile_samples=4, mc_samples=300, **cfg)
     svc = AReplicaService(cloud, config)
     src = cloud.bucket("aws:us-east-1", "src")
     dst = cloud.bucket("azure:eastus", "dst")

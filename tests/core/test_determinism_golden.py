@@ -22,7 +22,7 @@ from repro.traces.replay import TraceReplayer
 MB = 1024**2
 
 
-def _fig12_scenario(seed: int):
+def _fig12_run(seed: int):
     """A distributed replication (Fig 12 shape): one large object split
     across parallel replicator functions, plus chaos-free retries of
     small objects — the full lock/pool/finalize protocol."""
@@ -37,6 +37,11 @@ def _fig12_scenario(seed: int):
         src.put_object(f"small-{i}", Blob.fresh((i + 1) * 64 * 1024),
                        cloud.now + 0.2 * i)
     cloud.run()
+    return cloud, svc
+
+
+def _fig12_scenario(seed: int):
+    cloud, svc = _fig12_run(seed)
     return (
         [ (r.key, r.seq, r.kind, r.event_time, r.visible_time, r.plan_n)
           for r in svc.records ],
@@ -45,9 +50,9 @@ def _fig12_scenario(seed: int):
     )
 
 
-def _fig23_slice(seed: int, idle_lifecycle_runner: bool = False,
-                 idle_multitenancy: bool = False,
-                 idle_autopilot: bool = False):
+def _fig23_run(seed: int, idle_lifecycle_runner: bool = False,
+               idle_multitenancy: bool = False,
+               idle_autopilot: bool = False):
     """A one-minute slice of the Fig 23 busy-hour replay."""
     gen = IbmCosTraceGenerator(seed=seed)
     batches = [b for b in gen.generate_batches(60.0)]
@@ -68,6 +73,11 @@ def _fig23_slice(seed: int, idle_lifecycle_runner: bool = False,
         from repro.core.autopilot import Autopilot
         Autopilot(svc)  # constructed, never started
     TraceReplayer(cloud, src).replay_all_batches(batches)
+    return cloud, svc
+
+
+def _fig23_slice(seed: int, **idle):
+    cloud, svc = _fig23_run(seed, **idle)
     return (
         svc.delays(),
         sorted(cloud.ledger.breakdown().items()),

@@ -3,6 +3,7 @@ and recovery plumbing."""
 
 import pytest
 
+from repro.core import distributed
 from repro.core.config import ReplicaConfig
 from repro.core.service import AReplicaService
 from repro.simcloud.cloud import build_default_cloud
@@ -143,23 +144,22 @@ class TestMeasurement:
 
 
 class TestRecoveryPlumbing:
-    def test_finalizer_crash_recovered(self):
+    def test_finalizer_crash_recovered(self, monkeypatch):
         """Kill only finalization: parts complete, but the completing
         worker dies before recording — the janitor must finalize."""
         cloud, svc, src, dst, rule = build(seed=311, dst_key="azure:eastus")
-        engine = rule.engine
-        original = engine._try_finalize
+        original = distributed.try_finalize
         crashes = {"left": 1}
 
-        def flaky_finalize(ctx, task):
+        def flaky_finalize(engine, ctx, task):
             if crashes["left"] > 0:
                 crashes["left"] -= 1
                 raise RuntimeError("finalizer crash")
-            return original(ctx, task)
+            return original(engine, ctx, task)
 
-        engine._try_finalize = lambda ctx, task: flaky_finalize(ctx, task)
-        engine.recovery_grace_s = 2.0
-        engine.finalize_lease_s = 5.0
+        monkeypatch.setattr(distributed, "try_finalize", flaky_finalize)
+        monkeypatch.setattr(distributed, "RECOVERY_GRACE_S", 2.0)
+        monkeypatch.setattr(distributed, "FINALIZE_LEASE_S", 5.0)
         blob = Blob.fresh(256 * MB)
         src.put_object("k", blob, cloud.now)
         cloud.run()
@@ -183,3 +183,44 @@ class TestRecoveryPlumbing:
         cloud.run()
         for (task, worker), (start, end) in rule.engine.worker_spans.items():
             assert end >= start
+
+
+class _IteratorProxy:
+    """A process that is not a generator: a hand-written iterator that
+    forwards the generator protocol to one, the way an instrumentation
+    wrapper around a lock or pool primitive does."""
+
+    def __init__(self, gen):
+        self._gen = gen
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._gen)
+
+    def send(self, value):
+        return self._gen.send(value)
+
+    def throw(self, *exc):
+        return self._gen.throw(*exc)
+
+    def close(self):
+        return self._gen.close()
+
+
+class TestKvDispatch:
+    def test_a_proxied_primitive_is_delegated_to_not_yielded(self):
+        """Regression: ``_kv`` told requests from processes by exact
+        generator type, so a proxied ``locks.lock`` was yielded to the
+        kernel whole, failed every attempt with ``SimulationError`` and
+        the PUT never became visible."""
+        cloud, svc, src, dst, rule = build(seed=314)
+        lock = rule.engine.locks.lock
+        rule.engine.locks.lock = lambda *a, **kw: _IteratorProxy(
+            lock(*a, **kw))
+        blob = Blob.fresh(MB)
+        src.put_object("k", blob, cloud.now)
+        svc.run_to_convergence()
+        assert dst.head("k").etag == blob.etag
+        assert svc.pending_count() == 0

@@ -25,6 +25,7 @@ from repro.core.invariants import TraceChecker
 from repro.core.partpool import PartPool
 from repro.core.repair import AntiEntropyScanner
 from repro.core.service import AReplicaService
+from repro.core.transfer import fusion_ok
 from repro.simcloud import objectstore
 from repro.simcloud.chaos import ChaosConfig
 from repro.simcloud.cloud import build_default_cloud
@@ -120,22 +121,22 @@ class TestHedgeDeadlineFailsafe:
 
     def test_cold_engine_has_no_deadline(self):
         _, _, _, rule = _service(0, **HEDGE_KNOBS)
-        assert rule.engine._hedge_deadline(1000.0) is None
+        assert rule.engine.hedger.deadline(1000.0) is None
 
     def test_below_min_samples_has_no_deadline(self):
         _, _, _, rule = _service(0, **HEDGE_KNOBS, hedge_min_samples=8)
         for i in range(7):
-            rule.engine._hedge_samples.record(990.0 + i, 1.0)
-        assert rule.engine._hedge_deadline(1000.0) is None
-        rule.engine._hedge_samples.record(997.5, 1.0)
-        assert rule.engine._hedge_deadline(1000.0) is not None
+            rule.engine.hedger.samples.record(990.0 + i, 1.0)
+        assert rule.engine.hedger.deadline(1000.0) is None
+        rule.engine.hedger.samples.record(997.5, 1.0)
+        assert rule.engine.hedger.deadline(1000.0) is not None
 
     def test_aged_out_window_has_no_deadline(self):
         _, _, _, rule = _service(0, **HEDGE_KNOBS, hedge_min_samples=4)
         for i in range(8):
-            rule.engine._hedge_samples.record(float(i), 1.0)
-        assert rule.engine._hedge_deadline(10.0) is not None
-        assert rule.engine._hedge_deadline(1000.0) is None
+            rule.engine.hedger.samples.record(float(i), 1.0)
+        assert rule.engine.hedger.deadline(10.0) is not None
+        assert rule.engine.hedger.deadline(1000.0) is None
 
     def test_no_deadline_means_never_hedge_end_to_end(self):
         """Direction assertion: a missing deadline fails *closed*.  An
@@ -157,10 +158,10 @@ class TestFusionEligibility:
         fused data path collapses into one kernel event; a task that
         can hedge must never fuse."""
         _, _, _, fused = _service(0, fuse_small_transfers=True)
-        assert fused.engine._fusion_ok()
+        assert fusion_ok(fused.engine)
         _, _, _, hedged = _service(0, fuse_small_transfers=True,
                                    **HEDGE_KNOBS)
-        assert not hedged.engine._fusion_ok()
+        assert not fusion_ok(hedged.engine)
 
 
 # -- end-to-end hedged race ---------------------------------------------------

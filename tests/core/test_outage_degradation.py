@@ -64,9 +64,9 @@ class TestParkAndDrain:
         # instead of burning platform retries into the DLQ.
         assert engine.stats["parked"] > 0
         assert engine.stats["drained"] == engine.stats["parked"]
-        assert engine.backlog_size() == 0
-        assert engine.backlog_drained_at is not None
-        assert engine.backlog_drained_at > 600.0
+        assert len(engine.backlog) == 0
+        assert engine.backlog.drained_at is not None
+        assert engine.backlog.drained_at > 600.0
         assert report.converged
         for key, blob in blobs.items():
             assert dst.head(key).etag == blob.etag
@@ -87,13 +87,13 @@ class TestParkAndDrain:
         # (a platform-retried early event re-parks behind later ones),
         # so FIFO is asserted against what was actually enqueued.
         parked_order, dispatched = [], []
-        orig_park = engine._park
+        orig_park = engine.backlog.park
 
         def park_spy(payload):
             parked_order.append((payload["key"], payload["seq"]))
             return orig_park(payload)
 
-        engine._park = park_spy
+        engine.backlog.park = park_spy
         faas = cloud.faas(SRC)
         orig_invoke = faas.invoke_and_forget
 
@@ -131,7 +131,7 @@ class TestParkAndDrain:
             put_spaced(cloud, src, 10, gap_s=25.0)
             svc.run_to_convergence()
             return (svc.health.transitions, dict(rule.engine.stats),
-                    rule.engine.backlog_drained_at)
+                    rule.engine.backlog.drained_at)
         first, second = run(), run()
         # Breaker transitions (times included), engine counters, and the
         # drain completion instant replay bit-for-bit under one seed.

@@ -73,7 +73,7 @@ def test_corruption_drill_seed_2_heals_the_rotted_distributed_object(capsys):
     At seed 2 (and 6) the deep scrub re-drives rotted ``t0/obj102``
     (27 MB, distributed path) as a ``repair`` event whose task id
     ``rule1:t0/obj102:180:created`` equals the finished original's.
-    ``_launch_distributed`` therefore resumes that task's fossil
+    ``distributed.launch`` therefore resumes that task's fossil
     part-pool record: every part is already marked done, no worker has a
     part to move, nobody finalizes, and the lock is stranded until
     ``reclaim_stranded_locks`` — whose re-dispatch drops the ``repair``
