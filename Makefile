@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests lifecycle-drill drill-all e2e-digests coverage
+.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests lifecycle-drill drill-all e2e-digests paper coverage
 
 ## tier-1: the full default suite
 test:
@@ -65,6 +65,14 @@ e2e-digests:
 	@printf '%-16s trace=1 ' storm_churn
 	@$(PY) benchmarks/e2e/run.py --workload storm_churn --seed 0 --seconds 5 --trace 1 \
 		| grep -o 'sim_digest [0-9a-f]*'
+
+## the reproduction gate (~1 min): regenerate every paper table/figure
+## under benchmarks/ (the e2e benchmark has its own entry points) and
+## fail if any assertion fails or a committed results/ file changed.
+## Needs pytest-benchmark and scipy on top of the tier-1 dependencies.
+paper:
+	$(PY) -m pytest benchmarks --ignore=benchmarks/e2e -q
+	git diff --exit-code results/
 
 ## any single drill of the roster (repro.drills.DRILLS), machine-readable:
 ## make corruption-drill | hedge-drill | tenant-drill | autopilot-drill ...

@@ -57,17 +57,22 @@ def test_ablation_gumbel_vs_monte_carlo(benchmark, save_result):
 
     lines = ["Ablation: Gumbel (EVT) vs Monte-Carlo tail estimation "
              "(100 GB transfer)", ""]
-    lines.append(f"{'n':>5} {'pctl':>6} {'MC':>9} {'Gumbel':>9} {'err':>7} "
-                 f"{'speedup':>8}")
-    for n, p, mc, ev, mc_t, ev_t in rows:
+    lines.append(f"{'n':>5} {'pctl':>6} {'MC':>9} {'Gumbel':>9} {'err':>7}")
+    for n, p, mc, ev, _mc_t, _ev_t in rows:
         err = abs(ev - mc) / mc
         lines.append(f"{n:>5} {p:>6} {mc:>8.2f}s {ev:>8.2f}s "
-                     f"{err * 100:>6.1f}% {mc_t / max(ev_t, 1e-9):>7.0f}x")
+                     f"{err * 100:>6.1f}%")
+    # The planning-time speed-up is host wall clock: asserted below and
+    # kept in the benchmark's extra_info, never in the saved text, so
+    # results/ regenerates byte for byte.
+    lines += ["", "Gumbel planning-time speed-up over Monte-Carlo: "
+                  "asserted > 20x in aggregate (wall clock, not saved)"]
     save_result("abl_gumbel", "\n".join(lines))
 
-    for n, p, mc, ev, mc_t, ev_t in rows:
+    for n, p, mc, ev, _mc_t, _ev_t in rows:
         assert abs(ev - mc) / mc < 0.10, (n, p)      # few-percent agreement
     # Aggregate speedup is large (per-call timers are noisy; compare sums).
     total_mc = sum(r[4] for r in rows)
     total_ev = sum(r[5] for r in rows)
+    benchmark.extra_info["gumbel_speedup_x"] = round(total_mc / total_ev)
     assert total_mc / total_ev > 20

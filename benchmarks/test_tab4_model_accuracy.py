@@ -18,10 +18,17 @@ from repro.simcloud.objectstore import Blob
 
 REGIONS = ["aws:us-east-1", "azure:westus2", "gcp:europe-west6"]
 N = 32
+#: Probe instances per path.  Four of the six pairs predict within
+#: ~15 % of each other (9-12 s), and at the helper's default of 8 probes
+#: one pair's prediction scatters 9.9-14.1 s across seeds (instance
+#: bandwidth is that variable on Azure and GCP) — wider than the gaps
+#: the rank assertion below compares.  32 probes hold it to ~±1 s.
+PROFILE_SAMPLES = 32
 
 
 def _measure_pair(src_key, dst_key, runs, seed):
-    cloud, service, src, dst, rule = build_service(src_key, dst_key, seed=seed)
+    cloud, service, src, dst, rule = build_service(
+        src_key, dst_key, seed=seed, profile_samples=PROFILE_SAMPLES)
     rule.engine.forced_plan = (N, src_key)
     keepalive = cloud.faas(src_key).profile.keepalive_s
     actual = []

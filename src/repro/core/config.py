@@ -112,7 +112,7 @@ class ReplicaConfig:
     #: intermediate instants — no chaos/corruption hooks armed, no
     #: tracer recording, neither endpoint in an outage window (the
     #: engine re-checks eligibility per task).  Off by default so
-    #: drills and differential tests exercise the un-fused path.
+    #: drills and golden suites exercise the un-fused path.
     fuse_small_transfers: bool = False
     #: Speculative hedging (tail-latency cloning): when a distributed
     #: part overruns a deadline derived from recent completions, clone

@@ -413,8 +413,7 @@ def _recover_orphaned_parts(engine, ctx, task, pool, worker_key, start):
         stalled = False
         for idx in missing:
             won = yield from engine._kv(ctx, lambda i=idx: pool.try_reclaim(
-                i, _worker_identity(task), ctx.now,
-                lease_s=_RECLAIM_LEASE_S))
+                i, _worker_identity(task), lease_s=_RECLAIM_LEASE_S))
             if not won:
                 # Another recoverer holds a live reclaim lease on this
                 # part — possibly this janitor's own crashed

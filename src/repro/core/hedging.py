@@ -47,7 +47,7 @@ class Hedger:
         self._seq = itertools.count(1)
         #: Live clone transfer bodies keyed by (task_id, part, seq); the
         #: race cancels the losing side in flight through this registry
-        #: (an O(1) interrupt on the timer-wheel kernel).
+        #: (a process interrupt).
         self._live: dict[tuple, object] = {}
 
     def eligible(self, size: int) -> bool:
@@ -130,9 +130,9 @@ class Hedger:
         completions (:meth:`deadline`).  When the part overruns its
         deadline, the range is cloned onto a fresh FaaS instance;
         whichever contender's completion enters the pool's done-set
-        first wins, and the loser is cancelled in flight (an O(1)
-        interrupt on the timer-wheel kernel).  Every fired hedge
-        resolves exactly once — ``won`` (a clone delivered the part),
+        first wins, and the loser is cancelled in flight (a process
+        interrupt).  Every fired hedge resolves exactly once —
+        ``won`` (a clone delivered the part),
         ``lost`` (the primary did, or the clone failed while the part
         still completed), or ``cancelled`` (the race was abandoned:
         task abort, quarantine, or this worker itself dying) — and

@@ -156,7 +156,7 @@ class PartPool:
         done = set(item.get("done_parts", [])) if item else set()
         return [i for i in range(self.num_parts) if i not in done]
 
-    def try_reclaim(self, part_index: int, owner: str, now: float,
+    def try_reclaim(self, part_index: int, owner: str,
                     lease_s: float = 60.0):
         """Process: atomically take over an orphaned part.
 
@@ -177,10 +177,16 @@ class PartPool:
         faults; a crashed recoverer's record ages past ``lease_s``
         before the pool drains again), so expiry alone covers it
         without the rewin hole.
+
+        Expiry is judged, and ``at`` stamped, on the table's clock at
+        the admission instant: a caller-side ``now`` goes stale across a
+        delayed round trip (the rule ``ReplicationLockManager.lock`` and
+        ``distributed._claim_lease`` follow).
         """
         state = {"won": False}
 
         def attempt(item):
+            now = self.table.sim.now
             if item is None or now - item["at"] > lease_s:
                 state["won"] = True
                 return {"owner": owner, "at": now}

@@ -272,18 +272,8 @@ class AReplicaService:
         changelog = ChangelogStore(
             self.cloud.kv_table(src_bucket.region.key, changelog_table)
         )
-        engine = ReplicationEngine(
-            self.cloud, cfg, src_bucket, dst_bucket,
-            self._planner_for(cfg),
-            changelog=changelog if cfg.enable_changelog else None,
-            recorder=_Recorder(self, rule_id), rule_id=rule_id,
-            scheduling=scheduling, health=self.health,
-            scheduler=self.scheduler if tenant is not None else None,
-            tenant=tenant,
-        )
-        if self.tracer is not None:
-            engine.set_tracer(self.tracer if tenant is None
-                              else self.tracer.scoped(tenant))
+        engine = self._build_engine(rule_id, cfg, src_bucket, dst_bucket,
+                                    changelog, scheduling, tenant)
         rule = ReplicationRule(rule_id, src_bucket, dst_bucket, engine,
                                changelog, tenant=tenant, config=config)
         if cfg.slo_enabled and cfg.enable_batching:
@@ -301,6 +291,27 @@ class AReplicaService:
                 src_bucket, lambda event, r=rule: self._on_event(r, event)
             )
         return rule
+
+    def _build_engine(self, rule_id: str, cfg: ReplicaConfig,
+                      src_bucket: Bucket, dst_bucket: Bucket,
+                      changelog: ChangelogStore, scheduling: str,
+                      tenant: Optional[str]) -> ReplicationEngine:
+        """One rule's engine with the service's shared wiring (planner,
+        health, recorder, fair-share lane and scoped tracer for tenant
+        rules) — for a new rule or a rolling-restart replacement."""
+        engine = ReplicationEngine(
+            self.cloud, cfg, src_bucket, dst_bucket,
+            self._planner_for(cfg),
+            changelog=changelog if cfg.enable_changelog else None,
+            recorder=_Recorder(self, rule_id), rule_id=rule_id,
+            scheduling=scheduling, health=self.health,
+            scheduler=self.scheduler if tenant is not None else None,
+            tenant=tenant,
+        )
+        if self.tracer is not None:
+            engine.set_tracer(self.tracer if tenant is None
+                              else self.tracer.scoped(tenant))
+        return engine
 
     def _planner_for(self, cfg: ReplicaConfig) -> StrategyPlanner:
         """The shared planner, or a clone for a divergent tenant config.
@@ -339,20 +350,10 @@ class AReplicaService:
         rule = self.rules[rule_id]
         old = rule.engine
         old.detach()
-        cfg = rule.config or self.config
-        engine = ReplicationEngine(
-            self.cloud, cfg, rule.src_bucket, rule.dst_bucket,
-            self._planner_for(cfg),
-            changelog=rule.changelog if cfg.enable_changelog else None,
-            recorder=_Recorder(self, rule_id), rule_id=rule_id,
-            scheduling=old.scheduling, health=self.health,
-            scheduler=self.scheduler if rule.tenant is not None else None,
-            tenant=rule.tenant,
-        )
+        engine = self._build_engine(
+            rule_id, rule.config or self.config, rule.src_bucket,
+            rule.dst_bucket, rule.changelog, old.scheduling, rule.tenant)
         engine.adopt_counters(old)
-        if self.tracer is not None:
-            engine.set_tracer(self.tracer if rule.tenant is None
-                              else self.tracer.scoped(rule.tenant))
         rule.engine = engine
         if rule.batcher is not None:
             rule.batcher.flush = engine.handle_event
@@ -537,11 +538,14 @@ class AReplicaService:
     def tenant_summary(self) -> dict:
         """Per-tenant verdict block: counters, spend, SLO, convergence."""
         out = {}
+        delays_by_rule: dict[str, list[float]] = {}
+        for record in self.records:
+            delays_by_rule.setdefault(record.rule_id, []).append(record.delay)
         for tid in sorted(self.tenants):
             state = self.tenants[tid]
             rules = self.tenant_rules(tid)
-            rule_ids = {r.rule_id for r in rules}
-            delays = [r.delay for r in self.records if r.rule_id in rule_ids]
+            delays = [d for r in rules
+                      for d in delays_by_rule.get(r.rule_id, ())]
             pending = sum(len(v) for r in rules for v in r.outstanding.values())
             parked = sum(len(r.engine.backlog) for r in rules)
             slo = state.config.slo_target_s
@@ -681,12 +685,8 @@ class AReplicaService:
             for key in ("corrupt_detected", "retransfers", "quarantined",
                         "finalize_verify_failed"):
                 snap[key] += stats.get(key, 0)
-        regions = set()
-        for rule in self.rules.values():
-            regions.add(rule.src_bucket.region.key)
-            regions.add(rule.dst_bucket.region.key)
         snap["quarantined_dead_letters"] = sum(
-            self.cloud.faas(r).quarantined_dead_letters for r in regions)
+            faas.quarantined_dead_letters for faas in self._faas_regions())
         return snap
 
     def run_until_quiet(self, max_time: Optional[float] = None) -> None:
@@ -746,18 +746,20 @@ class AReplicaService:
         """Re-enqueue dead-lettered function events on every platform a
         rule touches — the recovery step after an outage that outlasted
         the platforms' automatic retries (§6)."""
-        regions = set()
-        for rule in self.rules.values():
-            regions.add(rule.src_bucket.region.key)
-            regions.add(rule.dst_bucket.region.key)
-        return sum(self.cloud.faas(r).redrive_dead_letters() for r in regions)
+        return sum(faas.redrive_dead_letters()
+                   for faas in self._faas_regions())
 
     def _dead_letter_count(self) -> int:
+        return sum(len(faas.dead_letters) for faas in self._faas_regions())
+
+    def _faas_regions(self) -> list:
+        """The FaaS platform of every region a rule touches, by region
+        key (a fixed order: redrives schedule events)."""
         regions = set()
         for rule in self.rules.values():
             regions.add(rule.src_bucket.region.key)
             regions.add(rule.dst_bucket.region.key)
-        return sum(len(self.cloud.faas(r).dead_letters) for r in regions)
+        return [self.cloud.faas(r) for r in sorted(regions)]
 
     def run_to_convergence(self, max_redrives: int = 10) -> ConvergenceReport:
         """Drain the simulation, redriving dead letters until none remain.

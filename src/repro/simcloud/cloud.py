@@ -52,9 +52,8 @@ class Cloud:
 
     def __init__(self, seed: int = 0, profiles: Optional[CloudProfiles] = None,
                  keep_cost_entries: bool = False,
-                 chaos: Optional[ChaosConfig] = None,
-                 kernel: str = "wheel"):
-        self.sim = Simulator(kernel=kernel)
+                 chaos: Optional[ChaosConfig] = None):
+        self.sim = Simulator()
         self.rngs = RngFactory(seed)
         self.profiles = profiles or CloudProfiles()
         self.prices = PriceBook()

@@ -9,32 +9,28 @@ The kernel is fully deterministic: events scheduled for the same
 timestamp fire in scheduling order (a monotonically increasing sequence
 number breaks ties), and no wall-clock or OS entropy is consulted.
 
-Performance notes (the event loop is the simulator's hottest path):
+The event queue is a plain future-event list:
 
-* Timed events live in a two-level **hierarchical timer wheel** with a
-  binary-heap overflow for the far future: scheduling and cancelling
-  are O(1) appends/marks instead of O(log n) heap operations.  Level 0
-  has 256 slots of 1/64 s (a 4 s horizon); level 1 has 256 slots of
-  4 s (a 1024 s horizon, comfortably covering the FaaS watchdog
-  timers that dominate cancelled-timer churn); anything further out
-  waits in ``_heap`` until the wheel window reaches it.
-* Event payloads are **slab records**: parallel arrays indexed by a
-  recycled free list, so the wheel moves small ``(time, seq, idx)``
-  keys around and a cancelled timer is a single in-place kind mark —
-  no per-event payload tuple, no heap surgery.
+* Timed events are ``(time, seq, kind, a, b, c)`` tuples in one binary
+  heap (C ``heapq``).  ``seq`` is unique, so tuple comparison never
+  looks past it and the heap pops in (time, scheduling order).
 * Zero-delay events (process kick-off, interrupts, callback fan-out,
-  same-instant KV responses) bypass the wheel entirely through a FIFO
-  ring; a shared sequence counter keeps them correctly interleaved with
-  wheel events at the same timestamp.
-* Cancelled timers are tombstones: their slab record is marked dead in
-  place and reaped when its slot loads (never advancing the clock);
-  once dead records outnumber live buffered events the wheel is
-  compacted.  The tombstone counter is self-checking — it must end
-  every compaction non-negative.
+  same-instant KV responses) skip the heap through a FIFO ring of
+  ``(seq, kind, a, b, c)`` records, all due at ``now``.  The sequence
+  counter is shared, and a heap event due *now* fires before the ring
+  head only if it was scheduled first — so same-timestamp order is
+  global scheduling order no matter which structure held the event.
+* A cancelled :class:`Timer` is a tombstone: its record stays queued
+  with the callback cleared and is skipped when popped, without
+  advancing the clock.  ``_tombstones`` counts them; once there are at
+  least ``_COMPACT_MIN`` and they outnumber the live heap records the
+  heap is rebuilt without them.  The counter is self-checking — it must
+  end every compaction non-negative.
 
-The pre-wheel binary-heap kernel is retained as :class:`HeapSimulator`
-(``Simulator(kernel="heap")``), kept byte-for-byte order-compatible so
-the golden differential suite can assert the wheel changes nothing.
+Event kinds are small ints dispatched inline: the common "resolve this
+future / resume this process after a latency" patterns need no closure,
+no :class:`Timer` and (for :class:`SleepRequest` /
+:class:`DeferredResult`) no future.
 
 Example
 -------
@@ -58,7 +54,6 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "Simulator",
-    "HeapSimulator",
     "Future",
     "Process",
     "SleepRequest",
@@ -68,21 +63,13 @@ __all__ = [
     "Timer",
 ]
 
-# Event record kinds (slab ``kind`` field / index 1 of a ring record).
+# Event record kinds (index 2 of a heap record, 1 of a ring record).
 _TIMER = 0      # a: Timer            -> a.fire()
 _CALL = 1       # a: fn, b: value, c: exc -> a(b, c)
 _RESOLVE = 2    # a: Future, b: value -> a.resolve(b)
 _FAIL = 3       # a: Future, b: exc   -> a.fail(b)
 _WAKE = 4       # a: Process, b: epoch -> a._step(None, None) if still fresh
 _DEFER = 5      # a: Process, b: DeferredResult, c: epoch -> deliver outcome
-_DEAD = -1      # cancelled in place; reaped when its slot loads
-
-# Timer-wheel geometry.  Level-0 slots are 1/64 s wide (so the slot of
-# an event is ``int(time * 64)``); level-1 slots span 256 level-0 slots.
-_SLOTS_PER_S = 64.0
-_L0_SLOTS = 256
-_L1_RATIO_SHIFT = 8     # 256 level-0 slots per level-1 slot
-_SLOT_MASK = 255
 
 
 class Timer:
@@ -94,14 +81,11 @@ class Timer:
     clock forward when the queue drains.
     """
 
-    __slots__ = ("_fn", "_sim", "_idx")
+    __slots__ = ("_fn", "_sim")
 
     def __init__(self, fn: Callable[[], None], sim: Optional["Simulator"] = None):
         self._fn: Optional[Callable[[], None]] = fn
         self._sim = sim
-        #: Slab index of the timer's event record (None when the record
-        #: is a ring tuple or the kernel keeps tuple records).
-        self._idx: Optional[int] = None
 
     @property
     def cancelled(self) -> bool:
@@ -112,7 +96,7 @@ class Timer:
             return
         self._fn = None
         if self._sim is not None:
-            self._sim._cancel_timer(self._idx)
+            self._sim._cancel_timer()
 
     def fire(self) -> None:
         if self._fn is not None:
@@ -282,8 +266,7 @@ class Process(Future):
             self._step(None, None)
         else:
             # Kick off on the next kernel step at the current time
-            # (inlined zero-delay push — the ring is shared by both
-            # kernels).
+            # (inlined zero-delay push).
             sim._seq = seq = sim._seq + 1
             sim._ring.append((seq, _CALL, self._step, None, None))
 
@@ -328,9 +311,9 @@ class Process(Future):
             self.fail(err)
             return
         if type(target) is SleepRequest:
-            # A wake-up is a (process, epoch) slab record — no future, no
-            # bound-method closure.  The kernel dispatch checks the epoch
-            # so wake-ups scheduled before an interrupt stay stale.
+            # A wake-up is a (process, epoch) event record — no future,
+            # no bound-method closure.  The kernel dispatch checks the
+            # epoch so wake-ups scheduled before an interrupt stay stale.
             sim = self.sim
             delay = target.delay
             if delay == 0.0:
@@ -339,131 +322,51 @@ class Process(Future):
                 sim._ring.append((seq, _WAKE, self, self._epoch, None))
             else:
                 sim._push(sim.now + delay, _WAKE, self, self._epoch, None)
-            return
-        self._handle_target(target)
-
-    def _handle_target(self, target: Any) -> None:
-        """Wire up a yielded wait target (all shapes except SleepRequest,
-        which the kernel loops special-case inline)."""
-        if type(target) is DeferredResult:
+        elif type(target) is DeferredResult:
             sim = self.sim
             sim._push(sim.now + target.delay, _DEFER, self, target,
                       self._epoch)
-            return
-        if not isinstance(target, Future):
+        elif isinstance(target, Future):
+            self._waiting_on = target
+            target.add_callback(self._on_wait_done)
+        else:
             self.fail(
                 SimulationError(
                     f"process {self.name!r} yielded {target!r}; "
                     "processes must yield Future objects"
                 )
             )
-            return
-        self._waiting_on = target
-        target.add_callback(self._on_wait_done)
-
 
 
 class Simulator:
-    """The event loop: a hierarchical timer wheel of slab event records,
-    plus a FIFO ring for zero-delay events at the current time.
+    """The event loop: a binary heap of timed event records plus a FIFO
+    ring for zero-delay events at the current time (see the module
+    docstring for the ordering and tombstone rules)."""
 
-    ``Simulator(kernel="heap")`` returns the legacy single-heap kernel
-    (:class:`HeapSimulator`) instead — same semantics, kept for the
-    golden differential tests and as a paranoia escape hatch.
-    """
-
-    #: Compact the wheel when at least this many dead records are parked
-    #: in it and they outnumber the live buffered events.
+    #: Compact the heap when at least this many cancelled timers are
+    #: queued and they outnumber the live heap records.
     _COMPACT_MIN = 64
 
-    def __new__(cls, kernel: str = "wheel"):
-        if cls is Simulator and kernel == "heap":
-            return object.__new__(HeapSimulator)
-        return object.__new__(cls)
-
-    def __init__(self, kernel: str = "wheel") -> None:
-        if kernel not in ("wheel", "heap"):
-            raise ValueError(f"unknown kernel {kernel!r}")
+    def __init__(self) -> None:
         self.now: float = 0.0
+        # Heap records: (time, seq, kind, a, b, c).
+        self._heap: list[tuple] = []
         # Ring records: (seq, kind, a, b, c), all due at ``now``.
         self._ring: deque[tuple] = deque()
+        #: Events scheduled so far; also the same-timestamp tie-break.
         self._seq = 0
-        #: Cancelled-but-unreaped timers (all locations).
+        #: Cancelled-but-unpopped timers (heap and ring).
         self._tombstones = 0
-        # -- slab event records (parallel arrays + free list) ----------
-        self._slab_kind: list[int] = []
-        self._slab_a: list[Any] = []
-        self._slab_b: list[Any] = []
-        self._slab_c: list[Any] = []
-        self._free: list[int] = []
-        #: Dead slab records still parked in a wheel structure (the
-        #: sweepable subset of ``_tombstones``).
-        self._dead_buffered = 0
-        # -- timer wheel -----------------------------------------------
-        #: Events of the already-open level-0 slot, sorted descending by
-        #: (time, seq); the next event to fire is ``_active[-1]``.
-        self._active: list[tuple] = []
-        self._l0: list[list] = [[] for _ in range(_L0_SLOTS)]
-        self._l1: list[list] = [[] for _ in range(_L0_SLOTS)]
-        self._n0 = 0            # events parked in _l0
-        self._n1 = 0            # events parked in _l1
-        self._cur0 = 0          # absolute index of the open level-0 slot
-        self._next1 = 1         # next absolute level-1 slot to scatter
-        #: Far-future overflow (beyond the level-1 horizon), a plain
-        #: heap of (time, seq, idx).
-        self._heap: list[tuple] = []
 
     # -- scheduling ----------------------------------------------------
 
-    def _push(self, time: float, kind: int, a: Any, b: Any, c: Any) -> Optional[int]:
-        """Schedule one event record; zero-delay goes to the ring.
-
-        Returns the slab index for wheel-resident records (used by
-        :meth:`call_at` to make cancellation an O(1) in-place mark), or
-        None for ring records.
-        """
-        self._seq = seq = self._seq + 1
+    def _push(self, time: float, kind: int, a: Any, b: Any, c: Any) -> None:
+        """Schedule one event record; zero-delay goes to the ring."""
+        self._seq += 1
         if time <= self.now:
-            self._ring.append((seq, kind, a, b, c))
-            return None
-        free = self._free
-        if free:
-            i = free.pop()
-            self._slab_kind[i] = kind
-            self._slab_a[i] = a
-            self._slab_b[i] = b
-            self._slab_c[i] = c
+            self._ring.append((self._seq, kind, a, b, c))
         else:
-            i = len(self._slab_kind)
-            self._slab_kind.append(kind)
-            self._slab_a.append(a)
-            self._slab_b.append(b)
-            self._slab_c.append(c)
-        s = int(time * _SLOTS_PER_S)
-        entry = (time, seq, i)
-        if s <= self._cur0:
-            # Due within the already-open slot: ordered insert into the
-            # descending active list (common for sub-16 ms latencies).
-            active = self._active
-            lo, hi = 0, len(active)
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                if entry < active[mid]:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            active.insert(lo, entry)
-        elif (s >> _L1_RATIO_SHIFT) < self._next1:
-            self._l0[s & _SLOT_MASK].append(entry)
-            self._n0 += 1
-        else:
-            s1 = s >> _L1_RATIO_SHIFT
-            if s1 < self._next1 + _L0_SLOTS:
-                self._l1[s1 & _SLOT_MASK].append(entry)
-                self._n1 += 1
-            else:
-                heapq.heappush(self._heap, entry)
-        return i
+            heapq.heappush(self._heap, (time, self._seq, kind, a, b, c))
 
     def _schedule_call(
         self,
@@ -510,7 +413,7 @@ class Simulator:
         if time < self.now:
             raise SimulationError(f"cannot schedule at {time} < now {self.now}")
         timer = Timer(fn, self)
-        timer._idx = self._push(time, _TIMER, timer, None, None)
+        self._push(time, _TIMER, timer, None, None)
         return timer
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> Timer:
@@ -548,170 +451,23 @@ class Simulator:
 
     # -- tombstone management ------------------------------------------
 
-    def _cancel_timer(self, idx: Optional[int]) -> None:
-        """A timer was cancelled; mark its slab record dead in place."""
+    def _cancel_timer(self) -> None:
+        """A timer was cancelled; its record stays queued as a tombstone
+        until popped, or until tombstones dominate the heap."""
         self._tombstones += 1
-        if idx is None:
-            return          # ring-resident: reaped lazily at pop
-        self._slab_kind[idx] = _DEAD
-        self._slab_a[idx] = None    # drop the Timer ref immediately
-        dead = self._dead_buffered = self._dead_buffered + 1
-        if (dead >= self._COMPACT_MIN
-                and dead * 2 > (len(self._active) + self._n0 + self._n1
-                                + len(self._heap))):
-            self._compact()
-
-    def _reap(self, idx: int) -> None:
-        """Recycle one dead slab record pulled out of a queue."""
-        self._free.append(idx)
-        self._dead_buffered -= 1
-        self._tombstones -= 1
-
-    def _compact(self) -> None:
-        """Sweep dead records out of every wheel structure.
-
-        Keeps memory bounded under cancelled-timer churn (the FaaS
-        watchdog pattern parks hundreds of thousands of dead records in
-        level 1 otherwise).  The tombstone bookkeeping is self-checking:
-        both counters must end the sweep non-negative.
-        """
-        kinds = self._slab_kind
-
-        def sweep(bucket: list) -> list:
-            live = [e for e in bucket if kinds[e[2]] != _DEAD]
-            if len(live) != len(bucket):
-                for e in bucket:
-                    if kinds[e[2]] == _DEAD:
-                        self._reap(e[2])
-            return live
-
-        active = sweep(self._active)
-        self._active[:] = active
-        for slots, count_attr in ((self._l0, "_n0"), (self._l1, "_n1")):
-            removed = 0
-            for j, bucket in enumerate(slots):
-                if not bucket:
-                    continue
-                live = sweep(bucket)
-                if len(live) != len(bucket):
-                    removed += len(bucket) - len(live)
-                    slots[j] = live
-            if removed:
-                setattr(self, count_attr, getattr(self, count_attr) - removed)
         heap = self._heap
-        live = sweep(heap)
-        if len(live) != len(heap):
+        if (self._tombstones >= self._COMPACT_MIN
+                and self._tombstones * 2 > len(heap)):
+            live = [e for e in heap
+                    if e[2] != _TIMER or e[3]._fn is not None]
+            self._tombstones -= len(heap) - len(live)
+            if self._tombstones < 0:
+                raise SimulationError(
+                    "tombstone accounting drifted negative after compaction: "
+                    f"tombstones={self._tombstones}")
             heapq.heapify(live)
+            # In place: the drain loop holds a reference to the list.
             heap[:] = live
-        if self._tombstones < 0 or self._dead_buffered < 0 \
-                or self._n0 < 0 or self._n1 < 0:
-            raise SimulationError(
-                "tombstone accounting drifted negative after compaction: "
-                f"tombstones={self._tombstones} dead={self._dead_buffered} "
-                f"n0={self._n0} n1={self._n1}")
-
-    # -- wheel advance --------------------------------------------------
-
-    def _advance_l1(self) -> None:
-        """Scatter the next level-1 slot into level 0 and pull any
-        overflow events that now fit the level-1 window.  Only called
-        with the level-0 window fully drained (``_cur0`` one slot short
-        of the boundary), so every scattered event lands in a distinct
-        level-0 bucket."""
-        k = self._next1
-        self._next1 = k + 1
-        bucket = self._l1[k & _SLOT_MASK]
-        if bucket:
-            self._l1[k & _SLOT_MASK] = []
-            self._n1 -= len(bucket)
-            kinds = self._slab_kind
-            l0 = self._l0
-            moved = 0
-            for e in bucket:
-                i = e[2]
-                if kinds[i] == _DEAD:
-                    self._reap(i)
-                    continue
-                l0[int(e[0] * _SLOTS_PER_S) & _SLOT_MASK].append(e)
-                moved += 1
-            self._n0 += moved
-        if self._heap:
-            self._pull_overflow()
-
-    def _pull_overflow(self) -> None:
-        """Move overflow events that fit the level-1 window onto the
-        wheel (level 0 if they are inside the level-0 window)."""
-        heap = self._heap
-        kinds = self._slab_kind
-        limit = self._next1 + _L0_SLOTS - 1
-        boundary = self._next1 << _L1_RATIO_SHIFT
-        while heap:
-            s = int(heap[0][0] * _SLOTS_PER_S)
-            if (s >> _L1_RATIO_SHIFT) > limit:
-                break
-            e = heapq.heappop(heap)
-            i = e[2]
-            if kinds[i] == _DEAD:
-                self._reap(i)
-                continue
-            if s < boundary:
-                self._l0[s & _SLOT_MASK].append(e)
-                self._n0 += 1
-            else:
-                self._l1[(s >> _L1_RATIO_SHIFT) & _SLOT_MASK].append(e)
-                self._n1 += 1
-
-    def _refill(self) -> bool:
-        """Advance the wheel until ``_active`` holds the next batch of
-        live events; False when the simulation is out of events.  Never
-        advances ``self.now`` — the clock moves only when an event
-        fires, so cancelled horizons cannot drag it."""
-        l0 = self._l0
-        while True:
-            if self._n0:
-                cur0 = self._cur0
-                s = cur0 + 1
-                while not l0[s & _SLOT_MASK]:
-                    s += 1
-                    if s > cur0 + _L0_SLOTS + 1:
-                        raise SimulationError(
-                            "timer wheel invariant broken: level-0 count "
-                            f"{self._n0} but no populated slot in window")
-                self._cur0 = s
-                bucket = l0[s & _SLOT_MASK]
-                l0[s & _SLOT_MASK] = []
-                self._n0 -= len(bucket)
-                if self._dead_buffered:
-                    kinds = self._slab_kind
-                    live = [e for e in bucket if kinds[e[2]] != _DEAD]
-                    if len(live) != len(bucket):
-                        for e in bucket:
-                            if kinds[e[2]] == _DEAD:
-                                self._reap(e[2])
-                        if not live:
-                            continue
-                    bucket = live
-                if len(bucket) > 1:
-                    bucket.sort(reverse=True)
-                self._active = bucket
-                return True
-            if self._n1:
-                # Level 0 is empty: fast-forward to the next level-1
-                # boundary and open that slot.
-                self._cur0 = (self._next1 << _L1_RATIO_SHIFT) - 1
-                self._advance_l1()
-                continue
-            heap = self._heap
-            kinds = self._slab_kind
-            while heap and kinds[heap[0][2]] == _DEAD:
-                self._reap(heapq.heappop(heap)[2])
-            if not heap:
-                return False
-            # Jump the whole window to the overflow horizon.
-            s = int(heap[0][0] * _SLOTS_PER_S)
-            self._cur0 = s - 1
-            self._next1 = ((s - 1) >> _L1_RATIO_SHIFT) + 1
-            self._pull_overflow()
 
     # -- combinators ---------------------------------------------------
 
@@ -785,463 +541,10 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next live event; return False if none remain.
 
-        Ring events (zero-delay, due now) and wheel events at the
+        Ring events (zero-delay, due now) and heap events at the
         current timestamp are merged by sequence number, preserving
         global scheduling order among same-timestamp events.
         """
-        ring = self._ring
-        kinds = self._slab_kind
-        while True:
-            active = self._active
-            if ring:
-                if active:
-                    entry = active[-1]
-                    i = entry[2]
-                    if kinds[i] == _DEAD:
-                        active.pop()
-                        self._reap(i)
-                        continue
-                    if entry[0] <= self.now and entry[1] < ring[0][0]:
-                        active.pop()
-                        return self._fire_record(entry)
-                seq, kind, a, b, c = ring.popleft()
-                if kind == _TIMER and a._fn is None:
-                    self._tombstones -= 1
-                    continue
-                self._dispatch(kind, a, b, c)
-                return True
-            if active:
-                entry = active[-1]
-                i = entry[2]
-                if kinds[i] == _DEAD:
-                    active.pop()
-                    self._reap(i)
-                    continue
-                active.pop()
-                return self._fire_record(entry)
-            if not self._refill():
-                return False
-
-    def _fire_record(self, entry: tuple) -> bool:
-        """Advance the clock to a live slab event and dispatch it."""
-        time = entry[0]
-        if time < self.now:
-            raise SimulationError("event queue corrupted: time went backwards")
-        self.now = time
-        i = entry[2]
-        kind = self._slab_kind[i]
-        a = self._slab_a[i]
-        b = self._slab_b[i]
-        c = self._slab_c[i]
-        self._slab_a[i] = None
-        self._slab_b[i] = None
-        self._slab_c[i] = None
-        self._free.append(i)
-        self._dispatch(kind, a, b, c)
-        return True
-
-    def _drain(self) -> None:
-        """Run until the event queue is empty.
-
-        Semantically ``while self.step(): pass``, but with the event
-        pop, slab access, dispatch, *and the process-wake fast path*
-        (generator send + re-schedule of the next sleep) inlined — the
-        call frames that :meth:`step` pays per event add up to a large
-        share of a replay's runtime.  Any change to the merge/tombstone
-        rules here must be mirrored in :meth:`step` (the golden
-        ordering and differential tests cover both).
-
-        Loop shape: the outer iteration establishes the next live wheel
-        event, then (a) fires the batch of ring events due now — gated
-        by the wheel event's sequence number so same-timestamp ordering
-        is global — or (b) fires the wheel event.  Dispatches during a
-        ring batch can only append ring events with larger sequence
-        numbers or park wheel events strictly in the future, so the
-        gate computed at batch start stays valid throughout.
-
-        Two scheduling shortcuts, both order-invisible:
-
-        * a woken process that immediately sleeps again reuses its
-          just-fired slab slot verbatim (same kind/process/epoch — zero
-          field writes);
-        * a zero-delay sleep yielded when *nothing else is runnable at
-          the current instant* resumes the process directly instead of
-          round-tripping through the ring — it would have been the very
-          next event regardless.
-        """
-        ring = self._ring
-        kinds = self._slab_kind
-        slab_a = self._slab_a
-        slab_b = self._slab_b
-        slab_c = self._slab_c
-        free = self._free
-        l0 = self._l0
-        l1 = self._l1
-        heappush = heapq.heappush
-        sleep_cls = SleepRequest
-        deferred_cls = DeferredResult
-        active = self._active
-        slot_mul = _SLOTS_PER_S
-        mask = _SLOT_MASK
-        l1_shift = _L1_RATIO_SHIFT
-        l0_slots = _L0_SLOTS
-        # Read-only mirrors: _cur0/_next1 are only mutated by _refill
-        # (and its helpers), whose sole call site below re-syncs them.
-        cur0 = self._cur0
-        next1 = self._next1
-        while True:
-            e = None
-            while active:
-                e = active[-1]
-                i = e[2]
-                if kinds[i] != _DEAD:
-                    break
-                active.pop()
-                free.append(i)
-                self._dead_buffered -= 1
-                self._tombstones -= 1
-                e = None
-            if ring:
-                now = self.now
-                gate = e[1] if (e is not None and e[0] <= now) else None
-                progressed = False
-                while ring:
-                    r = ring[0]
-                    if gate is not None and gate < r[0]:
-                        break
-                    ring.popleft()
-                    progressed = True
-                    kind = r[1]
-                    a = r[2]
-                    if kind == _WAKE:
-                        if r[3] != a._epoch or a._done:
-                            continue
-                        while True:
-                            try:
-                                target = a._gen.send(None)
-                            except StopIteration as stop:
-                                a.resolve(stop.value)
-                                break
-                            except BaseException as err:  # noqa: BLE001
-                                a.fail(err)
-                                break
-                            if target.__class__ is sleep_cls:
-                                delay = target.delay
-                                if delay == 0.0:
-                                    if not ring and gate is None:
-                                        continue  # sole runnable: resume now
-                                    self._seq = seq = self._seq + 1
-                                    ring.append((seq, _WAKE, a, a._epoch,
-                                                 None))
-                                    break
-                                self._seq = seq = self._seq + 1
-                                time = now + delay
-                                if free:
-                                    i = free.pop()
-                                    kinds[i] = _WAKE
-                                    slab_a[i] = a
-                                    slab_b[i] = a._epoch
-                                else:
-                                    i = len(kinds)
-                                    kinds.append(_WAKE)
-                                    slab_a.append(a)
-                                    slab_b.append(a._epoch)
-                                    slab_c.append(None)
-                                s = int(time * slot_mul)
-                                entry = (time, seq, i)
-                                if s <= cur0:
-                                    lo, hi = 0, len(active)
-                                    while lo < hi:
-                                        mid = (lo + hi) >> 1
-                                        if entry < active[mid]:
-                                            lo = mid + 1
-                                        else:
-                                            hi = mid
-                                    active.insert(lo, entry)
-                                elif (s >> l1_shift) < next1:
-                                    l0[s & mask].append(entry)
-                                    self._n0 += 1
-                                else:
-                                    s1 = s >> l1_shift
-                                    if s1 < next1 + l0_slots:
-                                        l1[s1 & mask].append(entry)
-                                        self._n1 += 1
-                                    else:
-                                        heappush(self._heap, entry)
-                                break
-                            a._handle_target(target)
-                            break
-                    elif kind == _DEFER:
-                        if r[4] == a._epoch and not a._done:
-                            d = r[3]
-                            a._step(d.value, d.exc)
-                    elif kind == _CALL:
-                        a(r[3], r[4])
-                    elif kind == _TIMER:
-                        fn = a._fn
-                        if fn is None:
-                            self._tombstones -= 1
-                        else:
-                            a._fn = None
-                            fn()
-                    elif kind == _RESOLVE:
-                        a.resolve(r[3])
-                    else:
-                        a.fail(r[3])
-                if progressed:
-                    continue
-                # The gate blocked the very first ring event: the due
-                # wheel event fires first; fall through.
-            if e is None:
-                if not self._refill():
-                    return
-                active = self._active
-                cur0 = self._cur0
-                next1 = self._next1
-                continue
-            # Fire the next wheel event.  Slab fields are NOT cleared on
-            # fire — they are overwritten at the next allocation of the
-            # slot.
-            active.pop()
-            time = e[0]
-            if time < self.now:
-                raise SimulationError(
-                    "event queue corrupted: time went backwards")
-            self.now = time
-            i = e[2]
-            kind = kinds[i]
-            a = slab_a[i]
-            if kind == _WAKE or kind == _DEFER:
-                # Merged process-resume fast path: a timed wake delivers
-                # None, a deferred result delivers its payload; both
-                # then route the process's next wait inline, reusing
-                # slot i for single-event waits (a field rewrite at
-                # most — no free-list round trip).
-                if kind == _WAKE:
-                    epoch = slab_b[i]
-                    if epoch != a._epoch or a._done:
-                        free.append(i)
-                        continue
-                    val = err = None
-                else:
-                    epoch = slab_c[i]
-                    if epoch != a._epoch or a._done:
-                        free.append(i)
-                        continue
-                    d = slab_b[i]
-                    val = d.value
-                    err = d.exc
-                while True:
-                    try:
-                        if err is not None:
-                            target = a._gen.throw(err)
-                        else:
-                            target = a._gen.send(val)
-                    except StopIteration as stop:
-                        free.append(i)
-                        a.resolve(stop.value)
-                        break
-                    except BaseException as err2:  # noqa: BLE001
-                        free.append(i)
-                        a.fail(err2)
-                        break
-                    val = err = None
-                    cls = target.__class__
-                    if cls is sleep_cls:
-                        delay = target.delay
-                        if delay == 0.0:
-                            if not ring and not (active
-                                                 and active[-1][0] <= time):
-                                continue  # sole runnable: resume now
-                            self._seq = seq = self._seq + 1
-                            free.append(i)
-                            ring.append((seq, _WAKE, a, epoch, None))
-                            break
-                        # Reuse slot i in place (rewrite fields only if
-                        # it fired as a deferred-result record).
-                        self._seq = seq = self._seq + 1
-                        if kind == _DEFER:
-                            kinds[i] = kind = _WAKE
-                            slab_b[i] = epoch
-                        time = time + delay
-                        s = int(time * slot_mul)
-                        entry = (time, seq, i)
-                        if s <= cur0:
-                            lo, hi = 0, len(active)
-                            while lo < hi:
-                                mid = (lo + hi) >> 1
-                                if entry < active[mid]:
-                                    lo = mid + 1
-                                else:
-                                    hi = mid
-                            active.insert(lo, entry)
-                        elif (s >> l1_shift) < next1:
-                            l0[s & mask].append(entry)
-                            self._n0 += 1
-                        else:
-                            s1 = s >> l1_shift
-                            if s1 < next1 + l0_slots:
-                                l1[s1 & mask].append(entry)
-                                self._n1 += 1
-                            else:
-                                heappush(self._heap, entry)
-                        break
-                    if cls is deferred_cls:
-                        delay = target.delay
-                        self._seq = seq = self._seq + 1
-                        if delay == 0.0:
-                            free.append(i)
-                            ring.append((seq, _DEFER, a, target, epoch))
-                            break
-                        if kind == _WAKE:
-                            kinds[i] = kind = _DEFER
-                        slab_b[i] = target
-                        slab_c[i] = epoch
-                        time = time + delay
-                        s = int(time * slot_mul)
-                        entry = (time, seq, i)
-                        if s <= cur0:
-                            lo, hi = 0, len(active)
-                            while lo < hi:
-                                mid = (lo + hi) >> 1
-                                if entry < active[mid]:
-                                    lo = mid + 1
-                                else:
-                                    hi = mid
-                            active.insert(lo, entry)
-                        elif (s >> l1_shift) < next1:
-                            l0[s & mask].append(entry)
-                            self._n0 += 1
-                        else:
-                            s1 = s >> l1_shift
-                            if s1 < next1 + l0_slots:
-                                l1[s1 & mask].append(entry)
-                                self._n1 += 1
-                            else:
-                                heappush(self._heap, entry)
-                        break
-                    free.append(i)
-                    a._handle_target(target)
-                    break
-            elif kind == _TIMER:
-                free.append(i)
-                fn = a._fn
-                if fn is None:
-                    self._tombstones -= 1
-                else:
-                    a._fn = None
-                    fn()
-            elif kind == _CALL:
-                b = slab_b[i]
-                c = slab_c[i]
-                free.append(i)
-                a(b, c)
-            elif kind == _RESOLVE:
-                b = slab_b[i]
-                free.append(i)
-                a.resolve(b)
-            else:
-                b = slab_b[i]
-                free.append(i)
-                a.fail(b)
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the event queue drains or ``until`` is reached.
-
-        When ``until`` is given, the clock is advanced to exactly
-        ``until`` even if the last event fires earlier, so repeated
-        bounded runs compose predictably.
-        """
-        if until is None:
-            self._drain()
-            return
-        if until < self.now:
-            raise SimulationError(f"cannot run until {until} < now {self.now}")
-        kinds = self._slab_kind
-        while True:
-            if not self._ring:
-                active = self._active
-                while active and kinds[active[-1][2]] == _DEAD:
-                    self._reap(active.pop()[2])
-                if not active:
-                    if not self._refill():
-                        break
-                    continue
-                if active[-1][0] > until:
-                    break
-            self.step()
-        self.now = until
-
-    def run_process(self, gen: ProcessBody, name: str = "") -> Any:
-        """Spawn ``gen``, drain the queue, and return its result."""
-        proc = self.spawn(gen, name=name)
-        self.run()
-        if not proc.done:
-            raise SimulationError(
-                f"process {proc.name!r} did not finish (deadlocked waiting?)"
-            )
-        return proc.value
-
-
-class HeapSimulator(Simulator):
-    """The legacy single-binary-heap kernel (pre timer wheel).
-
-    Kept behind ``Simulator(kernel="heap")`` so the golden differential
-    suite can assert the wheel kernel reproduces its event order, chaos
-    stats, and cost ledgers byte for byte.  Heap records are the
-    original ``(time, seq, kind, a, b, c)`` tuples; cancelled timers
-    are lazily skipped tombstones with the same self-checking
-    accounting as the wheel."""
-
-    def __init__(self, kernel: str = "heap") -> None:
-        self.now = 0.0
-        self._heap: list[tuple] = []
-        self._ring: deque[tuple] = deque()
-        self._seq = 0
-        self._tombstones = 0
-
-    # -- scheduling ----------------------------------------------------
-
-    def _push(self, time: float, kind: int, a: Any, b: Any, c: Any) -> Optional[int]:
-        self._seq += 1
-        if time <= self.now:
-            self._ring.append((self._seq, kind, a, b, c))
-        else:
-            heapq.heappush(self._heap, (time, self._seq, kind, a, b, c))
-        return None
-
-    # -- tombstone management ------------------------------------------
-
-    def _cancel_timer(self, idx: Optional[int]) -> None:
-        self._tombstones += 1
-        heap = self._heap
-        if (self._tombstones >= self._COMPACT_MIN
-                and self._tombstones * 2 > len(heap)):
-            live = [e for e in heap
-                    if e[2] != _TIMER or e[3]._fn is not None]
-            self._tombstones -= len(heap) - len(live)
-            if self._tombstones < 0:
-                raise SimulationError(
-                    "tombstone accounting drifted negative after compaction: "
-                    f"tombstones={self._tombstones}")
-            heapq.heapify(live)
-            # In place: the drain loop holds a reference to the list.
-            heap[:] = live
-
-    def _skip_dead_head(self) -> None:
-        """Pop cancelled-timer tombstones sitting at the heap head."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head[2] == _TIMER and head[3]._fn is None:
-                heapq.heappop(heap)
-                self._tombstones -= 1
-            else:
-                break
-
-    # -- running -------------------------------------------------------
-
-    def step(self) -> bool:
         ring = self._ring
         heap = self._heap
         while True:
@@ -1279,6 +582,15 @@ class HeapSimulator(Simulator):
             return True
 
     def _drain(self) -> None:
+        """Run until the event queue is empty.
+
+        Semantically ``while self.step(): pass`` with the pop and the
+        dispatch inlined — the two call frames :meth:`step` pays per
+        event are a measurable share of a replay.  Any change to the
+        merge or tombstone rules here must be mirrored in :meth:`step`
+        (``run(until=...)`` takes that loop; the ordering tests cover
+        both).
+        """
         ring = self._ring
         heap = self._heap
         pop = heapq.heappop
@@ -1333,15 +645,35 @@ class HeapSimulator(Simulator):
                 a.fail(b)
 
     def run(self, until: Optional[float] = None) -> None:
+        """Run until the event queue drains or ``until`` is reached.
+
+        When ``until`` is given, the clock is advanced to exactly
+        ``until`` even if the last event fires earlier, so repeated
+        bounded runs compose predictably.
+        """
         if until is None:
             self._drain()
             return
         if until < self.now:
             raise SimulationError(f"cannot run until {until} < now {self.now}")
+        heap = self._heap
         while True:
             if not self._ring:
-                self._skip_dead_head()
-                if not self._heap or self._heap[0][0] > until:
+                # Cancelled timers at the head must not hold the clock.
+                while heap and heap[0][2] == _TIMER and heap[0][3]._fn is None:
+                    heapq.heappop(heap)
+                    self._tombstones -= 1
+                if not heap or heap[0][0] > until:
                     break
             self.step()
         self.now = until
+
+    def run_process(self, gen: ProcessBody, name: str = "") -> Any:
+        """Spawn ``gen``, drain the queue, and return its result."""
+        proc = self.spawn(gen, name=name)
+        self.run()
+        if not proc.done:
+            raise SimulationError(
+                f"process {proc.name!r} did not finish (deadlocked waiting?)"
+            )
+        return proc.value

@@ -186,7 +186,7 @@ class TestReplicationUnderCrashes:
         wins = []
 
         def claimer(i):
-            won = yield from pool.try_reclaim(2, owner=f"w{i}", now=cloud.now)
+            won = yield from pool.try_reclaim(2, owner=f"w{i}")
             wins.append(won)
 
         def main():

@@ -78,13 +78,16 @@ class TestTryReclaimOwnership:
         pool = PartPool(table, "t", 3)
 
         def main():
-            first = yield from pool.try_reclaim(0, "w0", 100.0, lease_s=60.0)
-            same_owner_live = yield from pool.try_reclaim(0, "w0", 130.0,
+            sim = cloud.sim
+            yield sim.timeout_at(100.0)
+            first = yield from pool.try_reclaim(0, "w0", lease_s=60.0)
+            yield sim.timeout_at(130.0)
+            same_owner_live = yield from pool.try_reclaim(0, "w0",
                                                           lease_s=60.0)
-            other_owner_live = yield from pool.try_reclaim(0, "w1", 130.0,
+            other_owner_live = yield from pool.try_reclaim(0, "w1",
                                                            lease_s=60.0)
-            after_expiry = yield from pool.try_reclaim(0, "w1", 161.0,
-                                                       lease_s=60.0)
+            yield sim.timeout_at(161.0)
+            after_expiry = yield from pool.try_reclaim(0, "w1", lease_s=60.0)
             return first, same_owner_live, other_owner_live, after_expiry
 
         assert cloud.sim.run_process(main()) == (True, False, False, True)

@@ -110,6 +110,37 @@ class TestPartPool:
         # 1 create + (5+1) claims (last returns None) + 5 completes.
         assert table.op_counts["write"] == 1 + 6 + 5
 
+    def test_reclaim_lease_judged_and_stamped_at_admission_time(self, cloud,
+                                                                table):
+        """Regression: ``try_reclaim`` took the caller's pre-round-trip
+        ``now``, so under injected admission delay the new lease was
+        backdated to the call instant and expiry was judged on a stale
+        clock.  A delayed KV write answers at the instant it is
+        admitted, so the stored ``at`` must equal the clock on return."""
+        from repro.simcloud.chaos import ChaosConfig
+
+        table.set_chaos(ChaosConfig(kv_delay_prob=0.999, kv_delay_mean_s=5.0),
+                        cloud.rngs.stream("test-reclaim-delay"))
+        pool = PartPool(table, "t-delay", 4)
+        sim = cloud.sim
+
+        def main():
+            called = sim.now
+            assert (yield from pool.try_reclaim(0, "w0", lease_s=1.0))
+            admitted = sim.now
+            assert admitted > called + 0.1, "chaos injected no delay"
+            assert table.peek("reclaim:t-delay:0")["at"] == admitted
+            # Issued inside the lease, admitted past it: the takeover
+            # must be granted on the admission clock.
+            called = sim.now
+            won = yield from pool.try_reclaim(0, "w1", lease_s=1.0)
+            assert sim.now - called > 1.0, "second round trip too short"
+            assert won
+            assert table.peek("reclaim:t-delay:0") == {
+                "owner": "w1", "at": sim.now}
+
+        run(cloud, main())
+
     def test_abort_first_claimer_only(self, cloud, table):
         pool = PartPool(table, "t5", 4)
         results = []

@@ -60,7 +60,7 @@ class PartPoolMachine(RuleBasedStateMachine):
     @rule(data=st.data(), worker=st.integers(0, 3))
     def reclaim_attempt(self, data, worker):
         idx = data.draw(st.integers(0, NUM_PARTS - 1))
-        self._run(self.pool.try_reclaim(idx, f"w{worker}", self.cloud.now))
+        self._run(self.pool.try_reclaim(idx, f"w{worker}"))
 
     # -- invariants ----------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulation kernel."""
 
+import itertools
+
 import pytest
 
 from repro.simcloud.sim import Future, Interrupt, SimulationError, Simulator
@@ -276,3 +278,198 @@ def test_nested_process_failure_propagates():
         return "unreachable"
 
     assert sim.run_process(outer()) == "handled"
+
+
+def _kernel_trace():
+    """A raw-kernel scenario touching every scheduling path: timers
+    (fired and cancelled), ring entries, sleeps short and far-future,
+    interrupts, and futures."""
+    sim = Simulator()
+    order = []
+
+    def worker(tag, delay):
+        yield sim.sleep(delay)
+        order.append((sim.now, f"wake:{tag}"))
+        yield sim.sleep(0.0)
+        order.append((sim.now, f"ring:{tag}"))
+        yield sim.sleep(delay * 3.0)
+        order.append((sim.now, f"done:{tag}"))
+
+    for i in range(40):
+        sim.spawn(worker(i, 0.05 + i * 0.037))
+    timers = []
+    for i in range(200):
+        timers.append(sim.call_later(
+            0.01 + (i % 17) * 0.31, lambda i=i: order.append(
+                (sim.now, f"timer:{i}"))))
+    for i, t in enumerate(timers):
+        if i % 3 == 0:
+            t.cancel()
+    # A far-future event, and one that is cancelled so it must not drag
+    # the clock.
+    sim.call_later(2000.0, lambda: order.append((sim.now, "far")))
+    sim.call_later(5000.0, lambda: None).cancel()
+
+    def sleeper():
+        try:
+            yield sim.sleep(300.0)
+            order.append((sim.now, "overslept"))
+        except Exception:  # noqa: BLE001  (Interrupt)
+            order.append((sim.now, "interrupted"))
+            yield sim.sleep(0.5)
+            order.append((sim.now, "resumed"))
+
+    proc = sim.spawn(sleeper())
+    sim.call_later(1.5, lambda: proc.interrupt("cut"))
+    sim.run()
+    return order, sim.now
+
+
+#: ``_kernel_trace()``'s event order, one row per timestamp.  Recorded
+#: at the last commit that carried two kernels (timer wheel and heap),
+#: where both produced exactly this — it holds same-timestamp ring/heap
+#: tie-breaking across commits.  Never regenerate it to make a kernel
+#: change pass.
+_KERNEL_TRACE_GOLDEN = [
+    (0.01,
+     "timer:17 timer:34 timer:68 timer:85 timer:119 timer:136 "
+     "timer:170 timer:187"),
+    (0.05, "wake:0 ring:0"),
+    (0.087, "wake:1 ring:1"),
+    (0.124, "wake:2 ring:2"),
+    (0.16099999999999998, "wake:3 ring:3"),
+    (0.198, "wake:4 ring:4"),
+    (0.2, "done:0"),
+    (0.235, "wake:5 ring:5"),
+    (0.27199999999999996, "wake:6 ring:6"),
+    (0.309, "wake:7 ring:7"),
+    (0.32,
+     "timer:1 timer:35 timer:52 timer:86 timer:103 timer:137 "
+     "timer:154 timer:188"),
+    (0.346, "wake:8 ring:8"),
+    (0.348, "done:1"),
+    (0.38299999999999995, "wake:9 ring:9"),
+    (0.42, "wake:10 ring:10"),
+    (0.45699999999999996, "wake:11 ring:11"),
+    (0.49399999999999994, "wake:12 ring:12"),
+    (0.496, "done:2"),
+    (0.531, "wake:13 ring:13"),
+    (0.5680000000000001, "wake:14 ring:14"),
+    (0.605, "wake:15 ring:15"),
+    (0.63,
+     "timer:2 timer:19 timer:53 timer:70 timer:104 timer:121 "
+     "timer:155 timer:172"),
+    (0.642, "wake:16 ring:16"),
+    (0.6439999999999999, "done:3"),
+    (0.679, "wake:17 ring:17"),
+    (0.716, "wake:18 ring:18"),
+    (0.753, "wake:19 ring:19"),
+    (0.79, "wake:20 ring:20"),
+    (0.792, "done:4"),
+    (0.827, "wake:21 ring:21"),
+    (0.864, "wake:22 ring:22"),
+    (0.901, "wake:23 ring:23"),
+    (0.938, "wake:24 ring:24"),
+    (0.94,
+     "timer:20 timer:37 timer:71 timer:88 timer:122 timer:139 "
+     "timer:173 timer:190 done:5"),
+    (0.975, "wake:25 ring:25"),
+    (1.012, "wake:26 ring:26"),
+    (1.049, "wake:27 ring:27"),
+    (1.086, "wake:28 ring:28"),
+    (1.0879999999999999, "done:6"),
+    (1.123, "wake:29 ring:29"),
+    (1.16, "wake:30 ring:30"),
+    (1.197, "wake:31 ring:31"),
+    (1.234, "wake:32 ring:32"),
+    (1.236, "done:7"),
+    (1.25,
+     "timer:4 timer:38 timer:55 timer:89 timer:106 timer:140 "
+     "timer:157 timer:191"),
+    (1.271, "wake:33 ring:33"),
+    (1.308, "wake:34 ring:34"),
+    (1.345, "wake:35 ring:35"),
+    (1.382, "wake:36 ring:36"),
+    (1.384, "done:8"),
+    (1.419, "wake:37 ring:37"),
+    (1.456, "wake:38 ring:38"),
+    (1.4929999999999999, "wake:39 ring:39"),
+    (1.5, "interrupted"),
+    (1.5319999999999998, "done:9"),
+    (1.56,
+     "timer:5 timer:22 timer:56 timer:73 timer:107 timer:124 "
+     "timer:158 timer:175"),
+    (1.68, "done:10"),
+    (1.8279999999999998, "done:11"),
+    (1.8699999999999999,
+     "timer:23 timer:40 timer:74 timer:91 timer:125 timer:142 "
+     "timer:176 timer:193"),
+    (1.9759999999999998, "done:12"),
+    (2.0, "resumed"),
+    (2.124, "done:13"),
+    (2.1799999999999997,
+     "timer:7 timer:41 timer:58 timer:92 timer:109 timer:143 "
+     "timer:160 timer:194"),
+    (2.2720000000000002, "done:14"),
+    (2.42, "done:15"),
+    (2.4899999999999998,
+     "timer:8 timer:25 timer:59 timer:76 timer:110 timer:127 "
+     "timer:161 timer:178"),
+    (2.568, "done:16"),
+    (2.716, "done:17"),
+    (2.8,
+     "timer:26 timer:43 timer:77 timer:94 timer:128 timer:145 "
+     "timer:179 timer:196"),
+    (2.864, "done:18"),
+    (3.012, "done:19"),
+    (3.11,
+     "timer:10 timer:44 timer:61 timer:95 timer:112 timer:146 "
+     "timer:163 timer:197"),
+    (3.16, "done:20"),
+    (3.308, "done:21"),
+    (3.42,
+     "timer:11 timer:28 timer:62 timer:79 timer:113 timer:130 "
+     "timer:164 timer:181"),
+    (3.456, "done:22"),
+    (3.604, "done:23"),
+    (3.7299999999999995,
+     "timer:29 timer:46 timer:80 timer:97 timer:131 timer:148 "
+     "timer:182 timer:199"),
+    (3.752, "done:24"),
+    (3.9, "done:25"),
+    (4.04,
+     "timer:13 timer:47 timer:64 timer:98 timer:115 timer:149 "
+     "timer:166"),
+    (4.048, "done:26"),
+    (4.196, "done:27"),
+    (4.344, "done:28"),
+    (4.35,
+     "timer:14 timer:31 timer:65 timer:82 timer:116 timer:133 "
+     "timer:167 timer:184"),
+    (4.492, "done:29"),
+    (4.64, "done:30"),
+    (4.66,
+     "timer:32 timer:49 timer:83 timer:100 timer:134 timer:151 "
+     "timer:185"),
+    (4.788, "done:31"),
+    (4.936, "done:32"),
+    (4.97,
+     "timer:16 timer:50 timer:67 timer:101 timer:118 timer:152 "
+     "timer:169"),
+    (5.084, "done:33"),
+    (5.232, "done:34"),
+    (5.38, "done:35"),
+    (5.528, "done:36"),
+    (5.676, "done:37"),
+    (5.824, "done:38"),
+    (5.9719999999999995, "done:39"),
+    (2000.0, "far"),
+]
+
+
+def test_event_order_golden():
+    order, now = _kernel_trace()
+    rows = [(t, " ".join(tag for _, tag in group))
+            for t, group in itertools.groupby(order, key=lambda e: e[0])]
+    assert rows == _KERNEL_TRACE_GOLDEN
+    assert now == 2000.0  # the uncancelled far-future timer fired
