@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests lifecycle-drill drill-all e2e-digests paper coverage
+.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests footprint lifecycle-drill drill-all e2e-digests paper coverage
 
 ## tier-1: the full default suite
 test:
@@ -42,6 +42,11 @@ lifecycle-drill:
 ## just the multi-tenant isolation / fair-share / sharding suites
 tenant-tests:
 	$(PY) -m pytest -q -m tenant
+
+## what one mostly idle tenant retains: KiB traced per tenant after one
+## and after eight PUTs, and the ten largest owners (tests/core/test_footprint.py)
+footprint:
+	$(PY) -m pytest -q -s tests/core/test_footprint.py
 
 ## just the closed-loop SLO controller (autopilot) suites
 autopilot-tests:

@@ -42,14 +42,17 @@ class ParkedBacklog:
     def __init__(self, engine):
         self.engine = engine
         #: Tasks whose every route was dark when they arrived, FIFO.
-        self._entries: deque[tuple[int, dict]] = deque()
+        #: Most rules never park one: until the first, the queue and the
+        #: drained-id set below are shared empty immutables, not a deque
+        #: and a set (0.8 KB) per engine.
+        self._entries: deque[tuple[int, dict]] | tuple = ()
         #: Next backlog id — a plain integer (not itertools.count) so a
         #: checkpoint can record it and resume the id space.
         self._next_id = 1
         #: Backlog ids already re-dispatched; a post-restart restore
         #: must not resurrect an entry whose drain raced the teardown
         #: (the trace oracle counts a double drain as a leak).
-        self._drained_ids: set[int] = set()
+        self._drained_ids: set[int] | frozenset = frozenset()
         #: High-water mark of the queue (evacuation/outage progress
         #: observability — surfaced by service.summary()).
         self.peak = 0
@@ -64,7 +67,7 @@ class ParkedBacklog:
     def surrender(self) -> None:
         """Drop the in-memory queue: the durable ``backlog:`` mirror
         plus the checkpoint are the hand-off to a replacement engine."""
-        self._entries.clear()
+        self._entries = ()
 
     # -- park -----------------------------------------------------------------
 
@@ -78,6 +81,8 @@ class ParkedBacklog:
             engine.tracer.event("park", "engine", payload.get("task"),
                                 rule=engine.rule_id, backlog_id=backlog_id,
                                 key=payload.get("key"))
+        if not self._entries:
+            self._entries = deque()
         self._entries.append((backlog_id, payload))
         self.peak = max(self.peak, len(self._entries))
         self._mirror(lambda: engine._lock_table.put_item(
@@ -153,6 +158,8 @@ class ParkedBacklog:
         the next recovery.
         """
         cap = self.engine.config.outage_catchup_concurrency
+        if not self._drained_ids:
+            self._drained_ids = set()
         try:
             while self._entries:
                 engine = self.engine
@@ -233,7 +240,7 @@ class ParkedBacklog:
         checkpoint and teardown, re-verifies each entry's durable
         ``backlog:`` mirror (re-writing any the original best-effort
         mirror lost — the cold-object re-mirror), and merges the
-        survivors into the live queue.  The deque is mutated only at
+        survivors into the live queue.  The queue is replaced only at
         the end so a mid-restore fault retried by the caller stays
         idempotent.
         """
@@ -259,11 +266,9 @@ class ParkedBacklog:
                 remirrored += 1
             restored.append((bid, dict(payload)))
         if restored:
-            merged = sorted(list(self._entries) + restored)
-            self._entries.clear()
-            self._entries.extend(merged)
+            self._entries = deque(sorted([*self._entries, *restored]))
             self.peak = max(self.peak, len(self._entries))
-        self._drained_ids |= drained
+        self._drained_ids = drained | self._drained_ids
         engine = self.engine
         if engine.tracer is not None:
             engine.tracer.event("restore", "lifecycle", None,

@@ -93,9 +93,9 @@ class ReplicationEngine:
         self.worker_parts: dict[tuple[str, int], int] = {}
         self.worker_spans: dict[tuple[str, int], tuple[float, float]] = {}
         self.stats = dict.fromkeys(_STAT_KEYS, 0)
-        # Backoff jitter draws on a dedicated stream: retry timing for a
-        # given seed must not shift with unrelated sampling.
-        self._retry_rng = cloud.rngs.stream(f"retry:{rule_id}")
+        # Backoff jitter draws on a dedicated stream (retry timing must not
+        # shift with unrelated sampling), opened at the first rejection.
+        self._retry_rng = None
         # Control state lives in serverless databases (§7): locks and
         # done markers beside the orchestrator (source region), part
         # pools beside the replicators (execution region), namespaced
@@ -221,6 +221,9 @@ class ReplicationEngine:
                 if attempt >= policy.max_attempts:
                     self.stats["kv_retry_exhausted"] += 1
                     raise
+                if self._retry_rng is None:
+                    self._retry_rng = self.cloud.rngs.stream(
+                        f"retry:{self.rule_id}")
                 backoff = policy.backoff_s(attempt, self._retry_rng)
                 if policy.deadline_s is not None:
                     # Total-time cap from the first rejection: an outage

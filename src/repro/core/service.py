@@ -260,10 +260,7 @@ class AReplicaService:
             rule_id = f"rule{next(self._rule_seq)}"
         cfg = config or self.config
         if profile:
-            self.profiler.ensure_path(src_bucket.region.key, src_bucket, dst_bucket)
-            if dst_bucket.region.key != src_bucket.region.key:
-                self.profiler.ensure_path(dst_bucket.region.key, src_bucket,
-                                          dst_bucket)
+            self._ensure_profiled(src_bucket, dst_bucket)
         # Tenant rules get a tenant-suffixed changelog table: the shared
         # table is keyed by object key, and two tenants may legitimately
         # reuse key names without sharing deltas.
@@ -291,6 +288,14 @@ class AReplicaService:
                 src_bucket, lambda event, r=rule: self._on_event(r, event)
             )
         return rule
+
+    def _ensure_profiled(self, src_bucket: Bucket, dst_bucket: Bucket) -> None:
+        """Onboarding: fit both candidate execution locations of the
+        path (a no-op for a location already fitted)."""
+        src_key, dst_key = src_bucket.region.key, dst_bucket.region.key
+        self.profiler.ensure_path(src_key, src_bucket, dst_bucket)
+        if dst_key != src_key:
+            self.profiler.ensure_path(dst_key, src_bucket, dst_bucket)
 
     def _build_engine(self, rule_id: str, cfg: ReplicaConfig,
                       src_bucket: Bucket, dst_bucket: Bucket,
@@ -396,13 +401,17 @@ class AReplicaService:
 
         Engine workers are created lazily, one per (tenant, shard) on
         the first admitted event routed there — a thousand mostly idle
-        tenants cost a dict entry each, not a thousand engines.
+        tenants cost a dict entry each, not a thousand engines.  The
+        region pair is profiled here when no earlier rule or tenant
+        fitted it: the lazily built shard rules skip profiling, and a
+        planner without a path model fails every task it is handed.
         """
         if self.shard_router is None:
             self.enable_multitenancy()
         tid = config.tenant_id
         if tid in self.tenants:
             raise ValueError(f"duplicate tenant {tid!r}")
+        self._ensure_profiled(src_bucket, dst_bucket)
         state = TenantState(
             config=config, src_bucket=src_bucket, dst_bucket=dst_bucket,
             ledger=TenantLedger(tid, budget_usd=config.budget_usd,

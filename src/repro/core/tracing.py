@@ -84,7 +84,7 @@ def task_ref(payload) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """A closed interval of simulated time attributed to one task."""
 
@@ -96,7 +96,7 @@ class Span:
     attrs: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """An instantaneous lifecycle fact (finalize, park, done-marker…)."""
 
@@ -107,7 +107,7 @@ class Event:
     attrs: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostRecord:
     """One ledger charge observed through the tracer's cost sink."""
 

@@ -181,23 +181,28 @@ class Invocation(Future):
         self.fresh_instance = fresh_instance
 
 
-@dataclass
+_ZERO_STATS = dict.fromkeys(
+    ("invocations", "cold_starts", "warm_starts", "timeouts", "errors",
+     "retries"), 0)
+
+
 class _Deployment:
-    name: str
-    handler: Callable[["FunctionContext", Any], Generator]
-    config: FunctionConfig
-    timeout_s: float
-    warm_pool: deque = field(default_factory=deque)
-    stats: dict[str, int] = field(
-        default_factory=lambda: {
-            "invocations": 0,
-            "cold_starts": 0,
-            "warm_starts": 0,
-            "timeouts": 0,
-            "errors": 0,
-            "retries": 0,
-        }
-    )
+    """One deployed function.  A replication rule deploys five and a
+    quiet one invokes two, so the warm pool and the counters exist from
+    the first invocation on (``_start_attempt``), not from ``deploy``."""
+
+    __slots__ = ("name", "handler", "config", "timeout_s", "warm_pool",
+                 "stats")
+
+    def __init__(self, name: str,
+                 handler: Callable[["FunctionContext", Any], Generator],
+                 config: FunctionConfig, timeout_s: float):
+        self.name = name
+        self.handler = handler
+        self.config = config
+        self.timeout_s = timeout_s
+        self.warm_pool: Optional[deque] = None
+        self.stats: Optional[dict[str, int]] = None
 
 
 class FaasRegion:
@@ -331,7 +336,7 @@ class FaasRegion:
         )
 
     def deployment_stats(self, name: str) -> dict[str, int]:
-        return dict(self._deployments[name].stats)
+        return dict(self._deployments[name].stats or _ZERO_STATS)
 
     def _sample(self, dist: Dist) -> float:
         """One scalar draw from ``dist``, buffered per distribution."""
@@ -470,6 +475,8 @@ class FaasRegion:
         self._running += 1
         self.peak_running = max(self.peak_running, self._running)
         dep = self._deployments[invocation.name]
+        if dep.stats is None:
+            dep.warm_pool, dep.stats = deque(), dict(_ZERO_STATS)
         dep.stats["invocations"] += 1
         invocation.attempts += 1
         # Eager: the attempt's first segment (instance acquisition up to

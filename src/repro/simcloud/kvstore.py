@@ -79,11 +79,12 @@ class KvTable:
         self._prices = prices
         self._ledger = ledger
         self._profile = profile or KvProfile()
-        self._rng = rngs.stream(f"kv:{region.key}:{name}")
         self._items: dict[str, dict[str, Any]] = {}
         self.op_counts = {"read": 0, "write": 0}
+        # The table's stream has this one reader, so blocks grow with use.
         self._latency_sampler = BufferedSampler(
-            self._profile.latency_s[region.provider], self._rng)
+            self._profile.latency_s[region.provider],
+            rngs.stream(f"kv:{region.key}:{name}"), owns_stream=True)
         # Per-op constants, hoisted out of the (very hot) _respond path.
         price = prices.kv[region.provider]
         self._op_cost = {"read": price.read, "write": price.write}

@@ -181,31 +181,26 @@ class InstanceChannel:
     def __init__(self, provider: str, profile: NetworkProfile, rng: np.random.Generator):
         self.provider = provider
         self.profile = profile
-        self._rng = rng
         sigma = profile.instance_sigma[provider]
         # Mean-one lognormal: E[exp(N(-s^2/2, s^2))] = 1.
         self.base_factor = float(rng.lognormal(-sigma**2 / 2, sigma))
         self._drift = 0.0
         # Per-transfer constants and a block buffer of innovations —
         # next_factor is called once per data leg, so the scalar NumPy
-        # dispatch would otherwise dominate it.
+        # dispatch would otherwise dominate it.  Past the draw above the
+        # channel is its generator's only reader (blocks grow with use),
+        # and an innovation is signed: no floor.
         t_sigma = profile.transfer_sigma[provider]
-        self._innov_std = t_sigma * math.sqrt(1 - profile.drift_rho**2)
         self._half_sigma2 = t_sigma**2 / 2
         self._rho = profile.drift_rho
-        self._innov_buf: list[float] = []
-        self._innov_idx = 0
+        self._innovations = BufferedSampler(
+            normal(0.0, t_sigma * math.sqrt(1 - profile.drift_rho**2),
+                   floor=-math.inf),
+            rng, block=64, owns_stream=True)
 
     def next_factor(self) -> float:
         """Sample the instantaneous speed multiplier for one transfer."""
-        idx = self._innov_idx
-        buf = self._innov_buf
-        if idx >= len(buf):
-            buf = self._rng.normal(0.0, self._innov_std, 64).tolist()
-            self._innov_buf = buf
-            idx = 0
-        self._innov_idx = idx + 1
-        self._drift = self._rho * self._drift + buf[idx]
+        self._drift = self._rho * self._drift + self._innovations.sample()
         return max(0.05, self.base_factor * math.exp(self._drift - self._half_sigma2))
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from repro.simcloud.regions import Region
@@ -135,15 +134,26 @@ class Blob:
             segments.extend(p.segments)
         return Blob(sum(p.size for p in parts), _merge_segments(segments))
 
-    @cached_property
+    @property
     def content_id(self) -> str:
         """Canonical string identity of the content."""
         return "+".join(f"{s}@{o}#{n}" for s, o, n in self.segments) or "empty"
 
-    @cached_property
+    @property
     def etag(self) -> str:
-        """Platform-generated content hash (like the S3 ETag)."""
-        return hashlib.md5(self.content_id.encode()).hexdigest()
+        """Platform-generated content hash (like the S3 ETag).
+
+        Computed once per blob and kept in the instance dict (``frozen``
+        guards ``setattr``, not this).  Not ``functools.cached_property``:
+        on Python 3.11 that takes an RLock on every first access, and
+        the data path makes a fresh slice — one first access — per part.
+        """
+        cache = self.__dict__
+        etag = cache.get("_etag")
+        if etag is None:
+            etag = cache["_etag"] = hashlib.md5(
+                self.content_id.encode()).hexdigest()
+        return etag
 
 
 def _merge_segments(segments: list[Segment]) -> tuple[Segment, ...]:

@@ -9,6 +9,7 @@ a whole experiment is reproducible from one integer.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,14 @@ class RngFactory:
         return RngFactory(int.from_bytes(digest[8:16], "little"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dist:
     """A samplable distribution over positive reals.
 
     ``kind`` is one of ``normal``, ``lognormal``, ``constant``,
     ``uniform``.  Samples from unbounded kinds are truncated below at
     ``floor`` (physical quantities like latencies and bandwidths cannot
-    be negative).
+    be negative); ``floor=-inf`` leaves a signed quantity untruncated.
     """
 
     kind: str
@@ -60,7 +61,7 @@ class Dist:
         elif self.kind == "lognormal":
             x = rng.lognormal(self.a, self.b, size)
         elif self.kind == "constant":
-            x = self.a if size is None else np.full(size, self.a)
+            x = self.a if size is None else np.full(size, float(self.a))
         elif self.kind == "uniform":
             x = rng.uniform(self.a, self.b, size)
         else:
@@ -93,6 +94,10 @@ class Dist:
         raise ValueError(self.kind)
 
 
+#: First block of a sampler that owns its stream; doubles per refill.
+_FIRST_BLOCK = 16
+
+
 class BufferedSampler:
     """Scalar draws from a :class:`Dist` served out of vectorized blocks.
 
@@ -101,24 +106,40 @@ class BufferedSampler:
     admission) draw millions of scalars.  Drawing a block at a time
     amortizes the dispatch while staying fully seeded-deterministic
     (the block is drawn from the same stream, just ahead of time).
+
+    Samplers that *share* ``rng`` interleave their draws by whole
+    blocks, so there ``block`` decides every value either of them
+    returns and must never change.  ``owns_stream=True`` promises that
+    nothing else draws from ``rng`` from now on; NumPy's array fills are
+    split-invariant (``n`` values in one call equal the same ``n`` drawn
+    in several), so such a sampler returns ``dist.sample(rng, n)``
+    element by element however it cuts its blocks, and it sizes them to
+    demand: most of a large tenancy's tables serve a handful of draws.
     """
 
-    __slots__ = ("_dist", "_rng", "_block", "_buf", "_idx")
+    __slots__ = ("_dist", "_rng", "_block", "_max_block", "_buf", "_idx")
 
-    def __init__(self, dist: Dist, rng: np.random.Generator, block: int = 512):
+    def __init__(self, dist: Dist, rng: np.random.Generator, block: int = 512,
+                 *, owns_stream: bool = False):
         self._dist = dist
         self._rng = rng
-        self._block = block
-        self._buf: list[float] = []
+        self._block = min(block, _FIRST_BLOCK) if owns_stream else block
+        self._max_block = block
+        # Packed doubles: 8 B a value where a list of floats holds 40.
+        self._buf = array("d")
         self._idx = 0
 
     def sample(self) -> float:
         idx = self._idx
-        if idx >= len(self._buf):
-            self._buf = self._dist.sample(self._rng, self._block).tolist()
+        buf = self._buf
+        if idx >= len(buf):
+            block = self._block
+            buf = self._buf = array(
+                "d", self._dist.sample(self._rng, block).tobytes())
+            self._block = min(2 * block, self._max_block)
             idx = 0
         self._idx = idx + 1
-        return self._buf[idx]
+        return buf[idx]
 
 
 def normal(mean: float, std: float, floor: float = 1e-9) -> Dist:

@@ -239,3 +239,26 @@ class TestBudgetIsolation:
         assert len({e.window for e in b_ledger.entries}) == 1
         a_ledger = svc.tenants["t-a"].ledger
         assert len({e.window for e in a_ledger.entries}) > 1
+
+
+def test_add_tenant_profiles_an_unprofiled_region_pair():
+    """A tenant on a pair nobody profiled used to livelock: every task
+    failed planning with 'no profiled path', the failure was booked as a
+    FaaS platform fault, and the breaker's half-open probe loop never
+    ended (0 records, dead letters and heap growing without bound).
+    ``add_tenant`` now runs the onboarding profile ``add_rule`` runs.
+    Bounded by kernel steps, not wall time."""
+    cloud = build_default_cloud(seed=0)
+    svc = AReplicaService(cloud, ReplicaConfig(profile_samples=4,
+                                               mc_samples=300))
+    src = cloud.bucket("aws:us-east-1", "lone-src")
+    dst = cloud.bucket("gcp:europe-west6", "lone-dst")
+    svc.add_tenant(TenantConfig("lone"), src, dst)
+    put_workload(cloud, src, 50, spacing=1.0)
+    sim, steps = cloud.sim, 0
+    while steps < 2_000_000 and sim.step():
+        steps += 1
+    assert steps < 2_000_000, f"still running at sim time {sim.now:.0f} s"
+    assert len(svc.records) == 50
+    assert svc.pending_count() == 0
+    assert not cloud.faas("aws:us-east-1").dead_letters

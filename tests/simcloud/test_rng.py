@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simcloud.rng import RngFactory, constant, lognormal, normal, uniform
+from repro.simcloud.rng import (BufferedSampler, RngFactory, constant,
+                                lognormal, normal, uniform)
 
 
 class TestRngFactory:
@@ -89,3 +90,45 @@ class TestDist:
     def test_scalar_sample_is_float_like(self):
         rng = np.random.default_rng(0)
         assert float(normal(1.0, 0.1).sample(rng)) > 0
+
+
+class TestBufferedSampler:
+    @pytest.mark.parametrize("dist", [
+        normal(0.004, 0.0012, floor=0.001), lognormal(-1.0, 0.5),
+        constant(3.5), uniform(2.0, 4.0)], ids=lambda d: d.kind)
+    def test_stream_owner_returns_the_one_call_sequence(self, dist):
+        """Demand-sized blocks rest on split invariance: however an
+        owning sampler cuts its stream into blocks (16, 32, 64, 64, 64
+        here: four boundaries in 200 draws), it returns what one
+        ``dist.sample(fresh_rng, n)`` call returns, element by element."""
+        n = 200
+        sampler = BufferedSampler(dist, RngFactory(5).stream("own"),
+                                  block=64, owns_stream=True)
+        got = [sampler.sample() for _ in range(n)]
+        assert got == dist.sample(RngFactory(5).stream("own"), n).tolist()
+        assert all(type(x) is float for x in got)
+
+    def test_shared_stream_interleaving_is_frozen(self):
+        """Two samplers on one stream interleave by whole blocks, so the
+        block schedule decides every value; this literal was generated
+        before blocks became demand-sized and must never be regenerated
+        to make a sampler change pass."""
+        rng = RngFactory(11).stream("shared")
+        a = BufferedSampler(normal(0.45, 0.12, floor=0.05), rng, block=8)
+        b = BufferedSampler(lognormal(-1.0, 0.5), rng, block=4)
+        got = [(a if i % 3 else b).sample() for i in range(40)]
+        assert got == [
+            0.8103021122444083, 0.29709705958520205, 0.2913192987872129,
+            0.4330732701022601, 0.49557343860576886, 0.26990795587422345,
+            0.15833574882919596, 0.3283596916071685, 0.3741547963956427,
+            0.6090340056131788, 0.6747586079337555, 0.4963092547200294,
+            0.447695901497041, 0.29978634755359823, 0.5642355867558271,
+            0.6648170182410441, 0.4083609784930928, 0.5186015338640056,
+            0.3565998844282507, 0.4849970551949384, 0.5237926061579787,
+            0.8120036836846166, 0.4270523814368724, 0.39693904331272195,
+            0.1339643146437032, 0.31604220866630744, 0.40493243162740045,
+            0.29748862627559586, 0.46117099059377215, 0.46991276800677184,
+            0.25670762004573255, 0.4880992958506608, 0.3607400042714455,
+            0.24065037999180128, 0.5785062624055147, 0.3166850108939876,
+            0.5805190671318362, 0.5870437529097081, 0.174261857342825,
+            0.6105620512677353]
