@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests footprint lifecycle-drill drill-all e2e-digests paper coverage
+.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests footprint lifecycle-drill drill-all e2e-digests e2e-smoke-digests paper coverage
 
 ## tier-1: the full default suite
 test:
@@ -70,6 +70,21 @@ e2e-digests:
 	@printf '%-16s trace=1 ' storm_churn
 	@$(PY) benchmarks/e2e/run.py --workload storm_churn --seed 0 --seconds 5 --trace 1 \
 		| grep -o 'sim_digest [0-9a-f]*'
+
+## the ~15 s CI cousin of e2e-digests: the digests of the four --smoke
+## units plus the traced storm smoke, diffed against the committed
+## tests/golden/e2e_smoke_digests.txt.  A speed-only change must leave
+## every line identical; a declared behaviour change regenerates it.
+e2e-smoke-digests:
+	@{ for w in busy_hour_small bulk_large tenant_fanout storm_churn; do \
+		printf '%-16s trace=0 ' $$w; \
+		$(PY) benchmarks/e2e/run.py --workload $$w --smoke --trace 0 \
+			| grep -o 'sim_digest [0-9a-f]*' || exit 1; \
+	done; \
+	printf '%-16s trace=1 ' storm_churn; \
+	$(PY) benchmarks/e2e/run.py --workload storm_churn --smoke --trace 1 \
+		| grep -o 'sim_digest [0-9a-f]*'; } \
+		| diff tests/golden/e2e_smoke_digests.txt - && echo "smoke digests match"
 
 ## the reproduction gate (~1 min): regenerate every paper table/figure
 ## under benchmarks/ (the e2e benchmark has its own entry points) and

@@ -26,7 +26,7 @@ __all__ = ["PartPool", "PartCompletion", "PartState", "FairAssignment"]
 class PartCompletion(NamedTuple):
     """Outcome of one :meth:`PartPool.complete_part` call."""
 
-    #: True for the writer whose completion entered the done-set —
+    #: True for the writer whose completion entered the done map —
     #: the first-writer-wins signal a hedged race settles on.
     first: bool
     #: True for the exactly-one caller that observed the transition to
@@ -81,7 +81,7 @@ class PartPool:
     def complete(self, part_index: int):
         """Process: record ``part_index`` done; True for the finisher.
 
-        Completion is recorded in a per-task done-set, so duplicated
+        Completion is recorded in a per-task done map, so duplicated
         work — a recovered part whose original owner was merely slow,
         or a platform-retried function redoing its parts — counts once.
         Exactly one call observes the transition to fully-complete.
@@ -92,17 +92,22 @@ class PartPool:
     def complete_part(self, part_index: int):
         """Process: like :meth:`complete`, but returns the full
         :class:`PartCompletion` — ``first`` tells a hedged contender
-        whether *its* bytes entered the done-set (first-writer-wins)
+        whether *its* bytes entered the done map (first-writer-wins)
         or a rival already completed the part.  Same single KV update.
         """
         state = {"finished": False, "first": False}
 
         def mark(item):
-            done = item.setdefault("done_parts", [])
-            if part_index in done:
+            # One bytearray per record, flipped in place: KV reads are
+            # shallow copies, so an in-flight read sees completions
+            # admitted before its delivery (docs/operations.md, finding 8).
+            done = item.get("done_map")
+            if done is None:
+                done = item["done_map"] = bytearray(self.num_parts)
+            if done[part_index]:
                 item["duplicates"] = item.get("duplicates", 0) + 1
                 return item
-            done.append(part_index)
+            done[part_index] = 1
             item["completed"] += 1
             state["first"] = True
             state["finished"] = item["completed"] == self.num_parts
@@ -151,10 +156,16 @@ class PartPool:
         return sorted(item.get("quarantined_parts", [])) if item else []
 
     def missing_parts(self):
-        """Process: part indices not yet recorded as done (recovery)."""
+        """Process: part indices not yet recorded as done (recovery).
+        O(missing): ``find`` skips straight to the next zero byte."""
         item = yield self.table.get_item(self._key)
-        done = set(item.get("done_parts", [])) if item else set()
-        return [i for i in range(self.num_parts) if i not in done]
+        done = (item and item.get("done_map")) or bytes(self.num_parts)
+        missing = []
+        i = done.find(0)
+        while i >= 0:
+            missing.append(i)
+            i = done.find(0, i + 1)
+        return missing
 
     def try_reclaim(self, part_index: int, owner: str,
                     lease_s: float = 60.0):
@@ -207,9 +218,10 @@ class PartPool:
         item = yield self.table.get_item(self._key)
         if item is None:
             return PartState(exists=False, aborted=False, done=False)
+        done = item.get("done_map")
         return PartState(exists=True,
                          aborted=bool(item.get("aborted")),
-                         done=part_index in item.get("done_parts", []))
+                         done=done is not None and done[part_index] == 1)
 
     def abort(self):
         """Process: mark the task aborted (optimistic-validation failure).

@@ -25,10 +25,11 @@ properties ``tests/core/test_fairshare.py`` checks under random mixes.
 Everything is deterministic: the ring is visited in tenant arrival
 order, ties resolve FIFO, and no randomness or wall-clock is consulted.
 A dispatched task's concurrency slot is held until its invocation
-(including platform auto-retries) settles; a watcher process on the
-simulator releases the slot and re-pumps the queues.  Engines without
-a scheduler dispatch directly — the single-tenant fast path stays one
-``is None`` check (byte-identical to a build without this module).
+(including platform auto-retries) settles; a callback on the
+invocation then releases the slot and re-pumps the queues.  Engines
+without a scheduler dispatch directly — the single-tenant fast path
+stays one ``is None`` check (byte-identical to a build without this
+module).
 
 Backlog drains and half-open probes bypass the scheduler by design:
 they are recovery traffic already capped by
@@ -76,12 +77,11 @@ class FairShareScheduler:
     uncontended path adds no simulator events.
     """
 
-    def __init__(self, sim, max_concurrent: int = 64, quantum: float = 1.0):
+    def __init__(self, max_concurrent: int = 64, quantum: float = 1.0):
         if max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
         if quantum <= 0:
             raise ValueError("quantum must be positive")
-        self.sim = sim
         self.max_concurrent = max_concurrent
         self.quantum = quantum
         self._tenants: dict[str, _TenantQueue] = {}
@@ -185,7 +185,7 @@ class FairShareScheduler:
                 self._ring.append(tenant_id)
             else:
                 # Saturated mid-service: hold the front spot and the
-                # unspent deficit until a watcher frees a slot.
+                # unspent deficit until a settle frees a slot.
                 break
 
     def _dispatch(self, lane: _TenantQueue, dispatch: Callable[[], object]) -> None:
@@ -196,16 +196,11 @@ class FairShareScheduler:
         if invocation is None:
             self.in_flight -= 1
             return
-        self.sim.spawn(self._watch(invocation),
-                       name=f"fairshare:{lane.tenant_id}")
+        invocation.add_callback(self._release)
 
-    def _watch(self, invocation):
-        """Process: hold the slot until the invocation settles."""
-        try:
-            yield invocation
-        except Exception:
-            # A dead-lettered invocation fails its future; the DLQ
-            # redrive owns the task now — the slot is all we release.
-            pass
+    def _release(self, _invocation) -> None:
+        """The invocation settled: free its slot and re-pump.  A
+        dead-lettered invocation settles by failing; the DLQ redrive
+        owns the task now — the slot is all we release."""
         self.in_flight -= 1
         self._pump()

@@ -391,8 +391,8 @@ class AReplicaService:
         """
         if self.tenants:
             raise RuntimeError("enable_multitenancy must precede add_tenant")
-        self.scheduler = FairShareScheduler(
-            self.cloud.sim, max_concurrent=max_concurrent, quantum=quantum)
+        self.scheduler = FairShareScheduler(max_concurrent=max_concurrent,
+                                            quantum=quantum)
         self.shard_router = ShardRouter(shards, vnodes=vnodes)
 
     def add_tenant(self, config: TenantConfig, src_bucket: Bucket,

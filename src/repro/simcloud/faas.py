@@ -188,11 +188,11 @@ _ZERO_STATS = dict.fromkeys(
 
 class _Deployment:
     """One deployed function.  A replication rule deploys five and a
-    quiet one invokes two, so the warm pool and the counters exist from
-    the first invocation on (``_start_attempt``), not from ``deploy``."""
+    quiet one invokes two, so the warm pool, counters and ledger detail
+    exist from the first invocation on (``_start_attempt``)."""
 
     __slots__ = ("name", "handler", "config", "timeout_s", "warm_pool",
-                 "stats")
+                 "stats", "detail")
 
     def __init__(self, name: str,
                  handler: Callable[["FunctionContext", Any], Generator],
@@ -203,6 +203,7 @@ class _Deployment:
         self.timeout_s = timeout_s
         self.warm_pool: Optional[deque] = None
         self.stats: Optional[dict[str, int]] = None
+        self.detail: Optional[str] = None
 
 
 class FaasRegion:
@@ -369,20 +370,18 @@ class FaasRegion:
         invocation = Invocation(self.sim, name, payload,
                                 fresh_instance=fresh_instance)
         accepted = Future(self.sim)
-        requested_at = self.sim.now
-
-        def accept() -> None:
-            if self.tracer is not None:
-                # The caller-side invocation latency I(loc), paid per
-                # request (T_func = I·n + D + P in the model).
-                self.tracer.span("I", "phase", _task_ref(payload),
-                                 requested_at, self.sim.now,
-                                 fn=name, region=self.region.key)
-            accepted.resolve(invocation)
-            self._admit(invocation)
-
-        self.sim.call_later(latency, accept)
+        self.sim.schedule_call(latency, self._accept, accepted, invocation)
         return accepted, invocation
+
+    def _accept(self, accepted: Future, invocation: Invocation) -> None:
+        if self.tracer is not None:
+            # The caller-side invocation latency I(loc), paid per
+            # request (T_func = I·n + D + P in the model).
+            self.tracer.span("I", "phase", _task_ref(invocation.payload),
+                             invocation.enqueued_at, self.sim.now,
+                             fn=invocation.name, region=self.region.key)
+        accepted.resolve(invocation)
+        self._admit(invocation)
 
     def invoke_and_forget(self, name: str, payload: Any) -> Invocation:
         """Platform-internal trigger (no caller to pay *I*), e.g. a
@@ -426,27 +425,9 @@ class FaasRegion:
             return 0.0
         return period - math.fmod(self.sim.now, period)
 
-    def _acquire_instance(self, dep: _Deployment, task: Optional[str] = None,
-                          fresh: bool = False):
-        """Process: obtain a warm or cold instance; returns (_Instance, cold).
-
-        ``fresh`` skips the warm pool entirely: the caller wants a
-        brand-new instance (and the fresh per-instance channel factor a
-        cold start draws), not whatever persistent factor a warm
-        instance happens to carry.
-        """
+    def _cold_instance(self, task: Optional[str]):
+        """Process: start a brand-new instance (P, then cold D)."""
         now = self.sim.now
-        while not fresh and dep.warm_pool:
-            inst: _Instance = dep.warm_pool.popleft()
-            if now - inst.last_used <= self.profile.keepalive_s:
-                yield SleepRequest(
-                    self._sample(self.profile.warm_start_s[self.provider])
-                )
-                if self.tracer is not None:
-                    self.tracer.span("D", "phase", task, now, self.sim.now,
-                                     kind="warm", region=self.region.key,
-                                     instance=inst.instance_id)
-                return inst, False
         postponement = self._next_scheduler_tick()
         if postponement > 0:
             yield SleepRequest(postponement)
@@ -469,7 +450,7 @@ class FaasRegion:
             self.tracer.span("D", "phase", task, cold_from, self.sim.now,
                              kind="cold", region=self.region.key,
                              instance=inst.instance_id)
-        return inst, True
+        return inst
 
     def _start_attempt(self, invocation: Invocation) -> None:
         self._running += 1
@@ -477,16 +458,21 @@ class FaasRegion:
         dep = self._deployments[invocation.name]
         if dep.stats is None:
             dep.warm_pool, dep.stats = deque(), dict(_ZERO_STATS)
+            dep.detail = f"{self.region.key}:{dep.name}"
         dep.stats["invocations"] += 1
         invocation.attempts += 1
-        # Eager: the attempt's first segment (instance acquisition up to
-        # its first sleep) runs synchronously, saving one zero-delay
-        # kernel event per invocation on the hottest control path.
-        self.sim.spawn(self._run_attempt(dep, invocation),
-                       name=f"faas:{self.region.key}:{invocation.name}",
-                       eager=True)
+        ctx = FunctionContext(self, dep)
+        # Eager: the first segment (up to the instance's start-up sleep)
+        # runs now, saving a kick-off event; ``ctx`` learns its process
+        # before that sleep ends.  Through ``sim.spawn`` so the external
+        # benchmark tracer keeps filing the attempt under this module.
+        ctx._proc = self.sim.spawn(self._run_attempt(dep, invocation, ctx),
+                                   eager=True)
 
-    def _run_attempt(self, dep: _Deployment, invocation: Invocation):
+    def _run_attempt(self, dep: _Deployment, invocation: Invocation,
+                     ctx: "FunctionContext"):
+        """Process: one attempt in one frame — the handler runs here via
+        ``yield from``; the context's timers interrupt this process."""
         tracer = self.tracer
         task = _task_ref(invocation.payload) if tracer is not None else None
         if self.chaos_outage_windows and self._outage_active():
@@ -506,28 +492,35 @@ class FaasRegion:
                 dep, invocation, None,
                 ServiceUnavailable(f"faas outage in {self.region.key}"))
             return
-        attempt_from = self.sim.now
+        sim = self.sim
+        attempt_from = sim.now
         try:
-            # Inlined (yield from) rather than spawned: acquisition is
-            # strictly sequential within the attempt, so a child process
-            # only added a spawn event plus a join per invocation.
-            inst, cold = yield from self._acquire_instance(
-                dep, task, fresh=invocation.fresh_instance)
-            dep.stats["cold_starts" if cold else "warm_starts"] += 1
+            # ``fresh_instance`` skips the warm pool: the caller wants the
+            # fresh per-instance channel factor a cold start draws.
+            inst = None
+            warm_pool = dep.warm_pool
+            while warm_pool and not invocation.fresh_instance:
+                candidate: _Instance = warm_pool.popleft()
+                if attempt_from - candidate.last_used <= self.profile.keepalive_s:
+                    inst = candidate
+                    break
+            if inst is not None:
+                yield SleepRequest(
+                    self._sample(self.profile.warm_start_s[self.provider]))
+                if tracer is not None:
+                    tracer.span("D", "phase", task, attempt_from, sim.now,
+                                kind="warm", region=self.region.key,
+                                instance=inst.instance_id)
+                dep.stats["warm_starts"] += 1
+            else:
+                inst = yield from self._cold_instance(task)
+                dep.stats["cold_starts"] += 1
             if invocation.started_at is None:
-                invocation.started_at = self.sim.now
-            ctx = FunctionContext(self, dep, inst, deadline=self.sim.now + dep.timeout_s)
+                invocation.started_at = sim.now
+            ctx.instance = inst
+            ctx.deadline = sim.now + dep.timeout_s
             ctx._trace_task = task
-            body = self.sim.spawn(dep.handler(ctx, invocation.payload),
-                                  name=f"body:{dep.name}", eager=True)
-            watchdog_fired = [False]
-
-            def watchdog() -> None:
-                if body.alive:
-                    watchdog_fired[0] = True
-                    body.interrupt("timeout")
-
-            watchdog_timer = self.sim.call_later(dep.timeout_s, watchdog)
+            watchdog_timer = sim.call_later(dep.timeout_s, ctx._on_timeout)
             chaos_timer = None
             # The draw precedes the scope check so a scoped storm (one
             # tenant's functions) consumes the identical stream a
@@ -537,21 +530,19 @@ class FaasRegion:
                     and self._chaos_rng.random() < self.chaos_crash_prob
                     and (self.chaos_crash_scope is None
                          or self.chaos_crash_scope in dep.name)):
-                def chaos() -> None:
-                    if body.alive:
-                        self.chaos_crashes += 1
-                        body.interrupt("chaos-crash")
-
-                chaos_timer = self.sim.call_later(
+                chaos_timer = sim.call_later(
                     float(self._chaos_rng.exponential(self.chaos_mean_delay_s)),
-                    chaos,
-                )
-            started = self.sim.now
+                    ctx._on_crash)
+            started = sim.now
+            # The handler's first segment runs after the timers are armed
+            # and the crash draw is taken.  The crash schedule depends on
+            # no first segment drawing from ``faas-chaos:{region}``: every
+            # ``_flip_in_flight`` must sit after a yield.
             try:
-                result = yield body
+                result = yield from dep.handler(ctx, invocation.payload)
                 error: Optional[BaseException] = None
             except Interrupt as intr:
-                error = FunctionTimeout(str(intr.cause)) if watchdog_fired[0] else intr
+                error = FunctionTimeout(str(intr.cause)) if ctx._timed_out else intr
                 result = None
             except Exception as exc:  # noqa: BLE001 - handler fault
                 error = exc
@@ -559,10 +550,10 @@ class FaasRegion:
             watchdog_timer.cancel()
             if chaos_timer is not None:
                 chaos_timer.cancel()
-            duration = self.sim.now - started
+            duration = sim.now - started
             billed = self._bill(dep, duration, task)
-            inst.last_used = self.sim.now
-            dep.warm_pool.append(inst)
+            inst.last_used = sim.now
+            warm_pool.append(inst)
             if tracer is not None:
                 if error is None:
                     outcome = "ok"
@@ -573,12 +564,15 @@ class FaasRegion:
                 else:
                     outcome = "error"
                 tracer.span("attempt", "faas", task, attempt_from,
-                            self.sim.now, fn=dep.name,
+                            sim.now, fn=dep.name,
                             region=self.region.key,
                             instance=inst.instance_id,
                             attempt=invocation.attempts, outcome=outcome,
                             compute_cost=billed)
         finally:
+            # No attempt process may outlive its attempt (via a context a
+            # hedge's child processes hold): tenant_fanout's RSS grows.
+            ctx._proc = None
             self._release_slot()
         self._settle_attempt(dep, invocation, result, error)
 
@@ -629,10 +623,9 @@ class FaasRegion:
         )
         per_request = self.prices.faas[self.provider].per_request
         self.ledger.charge(self.sim.now, CostCategory.FAAS_COMPUTE, cost,
-                           f"{self.region.key}:{dep.name}", task=task)
+                           dep.detail, task=task)
         self.ledger.charge(self.sim.now, CostCategory.FAAS_REQUESTS,
-                           per_request, f"{self.region.key}:{dep.name}",
-                           task=task)
+                           per_request, dep.detail, task=task)
         return cost + per_request
 
 
@@ -645,12 +638,18 @@ class FunctionContext:
     request latency and transfer duration.
     """
 
-    def __init__(self, faas: FaasRegion, dep: _Deployment, inst: _Instance,
-                 deadline: float):
+    __slots__ = ("_faas", "_dep", "_proc", "_timed_out", "instance",
+                 "deadline", "region", "config", "_client_ready",
+                 "bytes_downloaded", "bytes_uploaded", "_trace_task")
+
+    def __init__(self, faas: FaasRegion, dep: _Deployment):
         self._faas = faas
         self._dep = dep
-        self.instance = inst
-        self.deadline = deadline
+        #: The attempt's process while it runs (the timers' target).
+        self._proc: Optional[Process] = None
+        self._timed_out = False
+        self.instance: Optional[_Instance] = None  # set once it is ready
+        self.deadline = math.inf
         self.region = faas.region
         self.config = dep.config
         self._client_ready = False
@@ -659,6 +658,18 @@ class FunctionContext:
         #: Task attribution for spans and ledger charges issued from
         #: this context (stamped per attempt by the platform).
         self._trace_task: Optional[str] = None
+
+    def _on_timeout(self) -> None:
+        proc = self._proc
+        if proc is not None and proc.alive:
+            self._timed_out = True
+            proc.interrupt("timeout")
+
+    def _on_crash(self) -> None:
+        proc = self._proc
+        if proc is not None and proc.alive:
+            self._faas.chaos_crashes += 1
+            proc.interrupt("chaos-crash")
 
     # -- basics ---------------------------------------------------------------
 
@@ -728,16 +739,16 @@ class FunctionContext:
                                task=self._trace_task)
 
     def _client_startup(self):
-        """First data-path call per invocation pays the S overhead."""
-        if not self._client_ready:
-            self._client_ready = True
-            startup_from = self.now
-            yield SleepRequest(self._faas.fabric.sample_startup(self.region.provider))
-            if self._faas.tracer is not None:
-                self._faas.tracer.span(
-                    "S", "phase", self._trace_task, startup_from, self.now,
-                    region=self.region.key,
-                    instance=self.instance.instance_id)
+        """First data-path call per invocation pays the S overhead
+        (callers enter only while ``_client_ready`` is False)."""
+        self._client_ready = True
+        startup_from = self.now
+        yield SleepRequest(self._faas.fabric.sample_startup(self.region.provider))
+        if self._faas.tracer is not None:
+            self._faas.tracer.span(
+                "S", "phase", self._trace_task, startup_from, self.now,
+                region=self.region.key,
+                instance=self.instance.instance_id)
 
     def _leg_seconds(self, bucket: Bucket, nbytes: int, upload: bool,
                      concurrency: int) -> float:
@@ -794,10 +805,12 @@ class FunctionContext:
     def get_object(self, bucket: Bucket, key: str, offset: int = 0,
                    length: Optional[int] = None, concurrency: int = 1):
         """Download a (range of an) object into local storage."""
-        yield from self._client_startup()
+        if not self._client_ready:
+            yield from self._client_startup()
         yield SleepRequest(self._request_latency(bucket))
         blob, version = bucket.get_object(key, offset, length)
-        blob = self._flip_in_flight("get", bucket, blob)
+        if self._faas.chaos_corrupt_get_prob > 0:
+            blob = self._flip_in_flight("get", bucket, blob)
         self._charge_request(bucket, "get")
         leg_from = self.now
         yield SleepRequest(self._leg_seconds(bucket, blob.size, upload=False,
@@ -868,15 +881,17 @@ class FunctionContext:
     def put_object(self, bucket: Bucket, key: str, blob: Blob,
                    if_match: Optional[str] = None, concurrency: int = 1):
         """Upload ``blob`` from local storage to ``bucket/key``."""
-        yield from self._client_startup()
+        if not self._client_ready:
+            yield from self._client_startup()
         yield SleepRequest(self._request_latency(bucket))
         leg_from = self.now
         yield SleepRequest(self._leg_seconds(bucket, blob.size, upload=True,
                                            concurrency=concurrency))
         if self._faas.tracer is not None:
             self._trace_leg("put", bucket, blob.size, leg_from)
-        version = bucket.put_object(key, self._flip_in_flight("put", bucket, blob),
-                                    self.now, if_match=if_match)
+        sent = (self._flip_in_flight("put", bucket, blob)
+                if self._faas.chaos_corrupt_put_prob > 0 else blob)
+        version = bucket.put_object(key, sent, self.now, if_match=if_match)
         self._charge_request(bucket, "put")
         self._charge_egress(self.region, bucket.region, blob.size)
         self.bytes_uploaded += blob.size
@@ -914,7 +929,8 @@ class FunctionContext:
         """``pipelined=True`` overlaps the request handshake with the
         previous part's data transfer (streaming uploads), so only the
         transfer time itself is paid; the request is still billed."""
-        yield from self._client_startup()
+        if not self._client_ready:
+            yield from self._client_startup()
         if not pipelined:
             yield SleepRequest(self._request_latency(bucket))
         leg_from = self.now
@@ -922,8 +938,9 @@ class FunctionContext:
                                            concurrency=concurrency))
         if self._faas.tracer is not None:
             self._trace_leg("upload-part", bucket, blob.size, leg_from)
-        etag = bucket.upload_part(upload_id, part_number,
-                                  self._flip_in_flight("put", bucket, blob))
+        sent = (self._flip_in_flight("put", bucket, blob)
+                if self._faas.chaos_corrupt_put_prob > 0 else blob)
+        etag = bucket.upload_part(upload_id, part_number, sent)
         self._charge_request(bucket, "put")
         self._charge_egress(self.region, bucket.region, blob.size)
         self.bytes_uploaded += blob.size

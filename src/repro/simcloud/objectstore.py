@@ -104,6 +104,10 @@ class Blob:
             )
         if offset == 0 and length == self.size:
             return self
+        if len(self.segments) == 1:
+            source, seg_off, _ = self.segments[0]
+            return Blob(length, ((source, seg_off + offset, length),)
+                        if length else ())
         out: list[Segment] = []
         remaining = length
         cursor = offset

@@ -11,12 +11,12 @@ The three guarantees the multi-tenant control plane leans on:
   (charge only while ``window_spent < budget``) never produces an
   over-admission, so budget-exhausted tenants cannot have dispatched.
 
-The scheduler is exercised against a fake simulator: ``spawn`` just
-collects the slot-watcher generators, and the test *is* the event
-loop — it advances a watcher to its ``yield`` (the invocation future)
-and then sends the settle, which releases the slot and re-pumps.  That
-keeps every interleaving deterministic and lets hypothesis pick truly
-hostile completion orders without running a DES.
+The scheduler is exercised without a simulator: each dispatch returns
+a fake invocation future the test settles by hand, firing the
+scheduler's slot-release callback, which re-pumps the queues.  The test
+*is* the event loop, which keeps every interleaving deterministic and
+lets hypothesis pick truly hostile completion orders without running a
+DES.
 """
 
 from __future__ import annotations
@@ -33,47 +33,48 @@ from repro.simcloud.cost import TenantLedger
 pytestmark = pytest.mark.tenant
 
 
-class FakeSim:
-    """Collects watcher processes; the test drives them by hand."""
+class FakeInvocation:
+    """An invocation future that settles only when the test says so."""
 
     def __init__(self):
-        self.watchers = []
+        self.callbacks = []
 
-    def spawn(self, gen, name=None):
-        self.watchers.append(gen)
-        return gen
+    def add_callback(self, fn) -> None:
+        self.callbacks.append(fn)
+
+    def settle(self) -> None:
+        for fn in self.callbacks:
+            fn(self)
 
 
 class Harness:
-    """A scheduler plus hand-cranked dispatch/settle machinery."""
+    """A scheduler plus hand-settled dispatch machinery."""
 
     def __init__(self, max_concurrent: int, quantum: float = 1.0):
-        self.sim = FakeSim()
-        self.sched = FairShareScheduler(
-            self.sim, max_concurrent=max_concurrent, quantum=quantum)
+        self.sched = FairShareScheduler(max_concurrent=max_concurrent,
+                                        quantum=quantum)
         self.order: list[str] = []  # tenant ids in dispatch order
+        self.outstanding: list[FakeInvocation] = []  # dispatch order
 
     def submit(self, tid: str, n: int = 1) -> None:
         for _ in range(n):
             self.sched.submit(tid, lambda t=tid: self._dispatch(t))
 
-    def _dispatch(self, tid: str) -> object:
+    def _dispatch(self, tid: str) -> FakeInvocation:
         self.order.append(tid)
-        return object()  # opaque invocation future
+        invocation = FakeInvocation()
+        self.outstanding.append(invocation)
+        return invocation
 
     def settle(self, index: int = 0) -> None:
-        """Complete the ``index``-th outstanding watcher."""
-        gen = self.sim.watchers.pop(index)
-        next(gen)  # run to `yield invocation`
-        try:
-            gen.send(None)  # invocation settled: release slot, re-pump
-        except StopIteration:
-            pass
+        """Settle the ``index``-th outstanding invocation: its slot is
+        released and the ring re-pumped."""
+        self.outstanding.pop(index).settle()
 
     def drain(self, choose=None) -> None:
-        """Settle everything; ``choose(n)`` picks which watcher next."""
-        while self.sim.watchers:
-            index = choose(len(self.sim.watchers)) if choose else 0
+        """Settle everything; ``choose(n)`` picks which invocation next."""
+        while self.outstanding:
+            index = choose(len(self.outstanding)) if choose else 0
             self.settle(index)
 
 
@@ -151,7 +152,7 @@ def test_longrun_dispatch_shares_converge_to_weights(weights):
         h.sched.add_tenant(tid, weight=w)
         h.submit(tid, rounds)  # deep enough to never drain
     observed = 0
-    while h.sim.watchers and observed < rounds:
+    while h.outstanding and observed < rounds:
         h.settle()
         observed = len(h.order)
     total_weight = sum(weights.values())
@@ -176,7 +177,7 @@ def test_shares_converge_for_random_weight_mixes(weights):
     for i, w in enumerate(weights):
         h.sched.add_tenant(f"t{i}", weight=w)
         h.submit(f"t{i}", horizon)
-    while h.sim.watchers and len(h.order) < horizon:
+    while h.outstanding and len(h.order) < horizon:
         h.settle()
     total_weight = sum(weights)
     tolerance = 0.05 + len(weights) * math.ceil(max(weights)) / horizon
@@ -213,8 +214,8 @@ def test_empty_lane_forfeits_deficit():
 
 def test_slot_held_until_invocation_settles():
     """Concurrency accounting: a dispatched task occupies a slot until
-    its watcher sees the invocation settle; a ``None`` result (fire and
-    forget) releases the slot synchronously."""
+    its invocation settles; a ``None`` result (fire and forget)
+    releases the slot synchronously."""
     h = Harness(max_concurrent=2)
     h.sched.add_tenant("t", weight=1.0)
     h.submit("t", 3)
@@ -224,7 +225,7 @@ def test_slot_held_until_invocation_settles():
     h.drain()
     assert h.sched.in_flight == 0
 
-    none_sched = FairShareScheduler(FakeSim(), max_concurrent=1)
+    none_sched = FairShareScheduler(max_concurrent=1)
     none_sched.add_tenant("t")
     none_sched.submit("t", lambda: None)
     assert none_sched.in_flight == 0 and none_sched.total_dispatched == 1
@@ -243,11 +244,11 @@ def test_fairshare_waits_counter_lands_in_tenant_stats():
 
 def test_scheduler_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        FairShareScheduler(FakeSim(), max_concurrent=0)
+        FairShareScheduler(max_concurrent=0)
     with pytest.raises(ValueError):
-        FairShareScheduler(FakeSim(), quantum=0.0)
+        FairShareScheduler(quantum=0.0)
     with pytest.raises(ValueError):
-        FairShareScheduler(FakeSim()).add_tenant("t", weight=0.0)
+        FairShareScheduler().add_tenant("t", weight=0.0)
 
 
 # -- budget honesty: exhausted tenants never dispatch -------------------------

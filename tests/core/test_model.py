@@ -202,3 +202,27 @@ class TestPredict:
         t = m.t_transfer_parallel_percentile(PATH, size_small, n, p)
         t_double = m.t_transfer_parallel_percentile(PATH, 2 * size_small, 2 * n, p)
         assert t_double >= t - 0.05
+
+
+class TestRowMax:
+    def test_tail_samples_equal_the_numpy_row_reduce(self):
+        """The column-by-column row max is bit-identical to
+        ``draws.max(axis=1)`` for every Monte-Carlo n, including rows
+        clamped to zero (a path whose per-instance time is centred on
+        zero clamps about half of all draws)."""
+        clamped = PathParams(client_startup=NormalParam(0.0, 1.0),
+                             chunk=NormalParam(0.0, 0.01),
+                             chunk_distributed=NormalParam(0.0, 0.01))
+        size = 64 * 8 * MB
+        zero_rows = 0
+        for n in range(1, 64):
+            model, oracle = make_model(seed=n), make_model(seed=n)
+            for m in (model, oracle):
+                m.set_path_params(PATH, clamped)
+            per_inst = oracle._per_instance(PATH, size, n)
+            draws = per_inst.sample(oracle._rng, (oracle.mc_samples, n))
+            expected = draws.max(axis=1)
+            got = model.transfer_tail_samples(PATH, size, n)
+            assert got.tobytes() == expected.tobytes(), n
+            zero_rows += int((got == 0.0).sum())
+        assert zero_rows > 0

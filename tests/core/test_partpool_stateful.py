@@ -68,7 +68,8 @@ class PartPoolMachine(RuleBasedStateMachine):
     def progress_counters_consistent(self):
         state = self.pool.peek_progress()
         assert state["completed"] == len(self.completed)
-        assert set(state.get("done_parts", [])) == self.completed
+        done_map = state.get("done_map", b"")
+        assert {i for i, d in enumerate(done_map) if d} == self.completed
 
     @invariant()
     def at_most_one_finish_signal(self):

@@ -411,3 +411,91 @@ class TestDataPath:
             return (yield inv)
 
         assert run(cloud, main()) == "hi"
+
+
+class TestAttemptLifecycle:
+    """The handler runs inside the attempt's own process; the context's
+    watchdog and crash timers interrupt that process."""
+
+    def _invoke(self, cloud, faas, name):
+        def main():
+            accepted, inv = faas.invoke(name, None)
+            yield accepted
+            try:
+                return (yield inv)
+            except InvocationFailed as exc:
+                return exc
+
+        return run(cloud, main())
+
+    def test_watchdog_fails_the_attempt_with_function_timeout(self, cloud):
+        faas = cloud.faas("aws:us-east-1")
+        faas.profile = type(faas.profile)(max_retries=0)
+
+        def forever(ctx, payload):
+            yield ctx.sleep(10_000.0)
+
+        faas.deploy("stuck", forever, timeout_s=5.0)
+        outcome = self._invoke(cloud, faas, "stuck")
+        assert isinstance(outcome, InvocationFailed)
+        assert faas.dead_letters[0][2].startswith("FunctionTimeout(")
+        assert faas.deployment_stats("stuck")["timeouts"] == 1
+        assert len(faas._deployments["stuck"].warm_pool) == 1
+        assert faas.running == 0
+
+    def test_chaos_crash_fails_the_attempt_with_interrupt(self, cloud):
+        faas = cloud.faas("aws:us-east-1")
+        faas.profile = type(faas.profile)(max_retries=0)
+        faas.chaos_crash_prob = 1.0
+        faas.chaos_mean_delay_s = 0.5
+
+        def slow(ctx, payload):
+            yield ctx.sleep(1_000.0)
+
+        faas.deploy("slow", slow)
+        outcome = self._invoke(cloud, faas, "slow")
+        assert isinstance(outcome, InvocationFailed)
+        assert faas.dead_letters[0][2].startswith("Interrupt(")
+        assert faas.chaos_crashes == 1
+        stats = faas.deployment_stats("slow")
+        assert stats["errors"] == 1 and stats["timeouts"] == 0
+        assert len(faas._deployments["slow"].warm_pool) == 1
+
+    def test_handler_that_catches_interrupt_and_returns_succeeds(self, cloud):
+        faas = cloud.faas("aws:us-east-1")
+        faas.chaos_crash_prob = 1.0
+        faas.chaos_mean_delay_s = 0.5
+
+        def stubborn(ctx, payload):
+            try:
+                yield ctx.sleep(1_000.0)
+            except Interrupt as intr:
+                return f"survived {intr.cause}"
+            return "finished"
+
+        faas.deploy("stubborn", stubborn)
+        assert self._invoke(cloud, faas, "stubborn") == "survived chaos-crash"
+        stats = faas.deployment_stats("stubborn")
+        assert stats["errors"] == 0 and stats["retries"] == 0
+        assert faas.chaos_crashes == 1
+
+    def test_instance_returns_to_the_warm_pool_after_a_crash(self, cloud):
+        faas = cloud.faas("aws:us-east-1")
+        faas.profile = type(faas.profile)(max_retries=0)
+        faas.chaos_crash_prob = 1.0
+        faas.chaos_mean_delay_s = 0.5
+        seen = []
+
+        def handler(ctx, payload):
+            seen.append(ctx.instance.instance_id)
+            # Short enough that the stale wake-up of the crashed attempt
+            # does not carry the clock past the keep-alive.
+            yield ctx.sleep(60.0)
+
+        faas.deploy("f", handler)
+        self._invoke(cloud, faas, "f")
+        faas.chaos_crash_prob = 0.0
+        self._invoke(cloud, faas, "f")
+        stats = faas.deployment_stats("f")
+        assert stats["cold_starts"] == 1 and stats["warm_starts"] == 1
+        assert seen[0] == seen[1]

@@ -10,6 +10,7 @@ from repro.simcloud.objectstore import (
     NoSuchKey,
     NoSuchUpload,
     PreconditionFailed,
+    _merge_segments,
 )
 from repro.simcloud.regions import get_region
 
@@ -90,6 +91,52 @@ class TestBlob:
             blob.slice(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:]) if hi > lo
         ]
         assert Blob.concat(parts) == blob
+
+
+def _walk_slice(blob, offset, length):
+    """The general segment walk ``Blob.slice`` takes for any source."""
+    out, remaining, cursor, pos = [], length, offset, 0
+    for source, seg_off, seg_len in blob.segments:
+        if remaining == 0:
+            break
+        seg_end = pos + seg_len
+        if cursor < seg_end:
+            take = min(seg_end - cursor, remaining)
+            out.append((source, seg_off + (cursor - pos), take))
+            cursor += take
+            remaining -= take
+        pos = seg_end
+    return Blob(length, _merge_segments(out))
+
+
+@st.composite
+def _blob_and_range(draw):
+    """A one- or many-segment blob and any range of it, empty and full
+    ranges included."""
+    sources = draw(st.integers(1, 4))
+    pieces = []
+    for _ in range(sources):
+        base = Blob.fresh(draw(st.integers(1, 500)))
+        lo = draw(st.integers(0, base.size - 1))
+        pieces.append(base.slice(lo, draw(st.integers(1, base.size - lo))))
+    blob = Blob.concat(pieces)
+    offset = draw(st.integers(0, blob.size))
+    length = draw(st.sampled_from([0, blob.size - offset])
+                  | st.integers(0, blob.size - offset))
+    return blob, offset, length
+
+
+class TestSliceFastPath:
+    @given(case=_blob_and_range())
+    @settings(max_examples=200, deadline=None)
+    def test_slice_matches_the_general_walk(self, case):
+        blob, offset, length = case
+        assert blob.slice(offset, length) == _walk_slice(blob, offset, length)
+
+    def test_single_segment_sub_range(self):
+        blob = Blob(100, (("src", 40, 100),))
+        assert blob.slice(10, 5).segments == (("src", 50, 5),)
+        assert blob.slice(100, 0) == Blob(0, ())
 
 
 class TestBucketBasics:
