@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests footprint lifecycle-drill drill-all e2e-digests e2e-smoke-digests paper coverage
+.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests footprint lifecycle-drill drill-all examples e2e-digests e2e-smoke-digests paper coverage
 
 ## tier-1: the full default suite
 test:
@@ -56,6 +56,14 @@ autopilot-tests:
 ## exits non-zero if any drill reports pass=false
 drill-all:
 	$(PY) -m repro.cli drill-all --seed 0
+
+## run every script under examples/ (~5 s); fails on the first non-zero
+## exit, so a renamed or removed API the examples use cannot go unseen
+examples:
+	@for f in examples/*.py; do \
+		echo "== $$f"; \
+		$(PY) $$f > /dev/null || { echo "FAILED: $$f"; exit 1; }; \
+	done
 
 ## "behaviour held" in one command: the seed-0 sim_digest of each
 ## benchmark workload (1 s units, untraced) and of the traced 5 s storm.

@@ -2,8 +2,9 @@
 
 One :class:`ReplicaConfig` instance parameterizes a replication rule:
 the user-defined SLO and percentile, the data-part size used by
-decentralized scheduling, the threshold below which the orchestrator
-replicates inline (``T_func = 0``), and the cost-optimization switches.
+decentralized scheduling, and the cost-optimization switches.  The
+§5.1 size thresholds (inline below ``LOCAL_THRESHOLD``, distributed
+from ``DISTRIBUTED_THRESHOLD``) are module constants.
 """
 
 from __future__ import annotations
@@ -11,14 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.health import BreakerConfig
 from repro.core.retry import RetryPolicy
 
-__all__ = ["ReplicaConfig", "TenantConfig", "MB", "DEFAULT_PART_SIZE"]
+__all__ = ["ReplicaConfig", "TenantConfig", "MB", "DEFAULT_PART_SIZE",
+           "LOCAL_THRESHOLD", "DISTRIBUTED_THRESHOLD"]
 
 MB = 1024 * 1024
 #: §5.1: "a part size of 8 MB strikes an effective balance".
 DEFAULT_PART_SIZE = 8 * MB
+#: Objects at or below this size are replicated inline by the
+#: orchestrator function itself (``T_func = 0`` in the model).
+LOCAL_THRESHOLD = 32 * MB
+#: Minimum object size for which multi-function distributed replication
+#: is considered at all (§5.1: relatively large objects, e.g. > 64 MB,
+#: benefit).  Never below LOCAL_THRESHOLD.
+DISTRIBUTED_THRESHOLD = 64 * MB
 
 
 @dataclass(frozen=True)
@@ -37,13 +45,6 @@ class ReplicaConfig:
         that must fall within the SLO (Algorithm 3's ``p``).
     part_size:
         Data part granularity for distributed replication.
-    local_threshold:
-        Objects at or below this size are replicated inline by the
-        orchestrator function itself (``T_func = 0`` in the model).
-    distributed_threshold:
-        Minimum object size for which multi-function distributed
-        replication is considered at all (§5.1: replication of
-        relatively large objects, e.g. > 64 MB, benefits).
     max_parallelism:
         Upper bound on replicator functions per task (Algorithm 3's
         ``n_max``); bounded by account concurrency limits (§6).
@@ -69,25 +70,15 @@ class ReplicaConfig:
         degrade routing around open circuits (parking tasks in a
         durable backlog when no route remains).  Disabling restores
         the pre-health behaviour: every fault is retried in place.
-    breaker:
-        Circuit-breaker tuning shared by every health target.
     outage_catchup_concurrency:
         How many parked tasks the engine re-dispatches per batch while
         draining the backlog after recovery — the cap that keeps the
         catch-up burst from re-browning-out a freshly recovered region.
-    retransfer_budget:
-        How many times a part whose payload fails checksum verification
-        is re-fetched (or re-uploaded) in place before the part is
-        quarantined — escalated straight to the dead-letter queue with
-        a ``corrupted`` disposition instead of burning platform
-        retries against the same poisoned transfer.
     """
 
     slo_seconds: float = 0.0
     percentile: float = 0.99
     part_size: int = DEFAULT_PART_SIZE
-    local_threshold: int = 32 * MB
-    distributed_threshold: int = 64 * MB
     max_parallelism: int = 512
     enable_changelog: bool = True
     enable_batching: bool = True
@@ -98,9 +89,7 @@ class ReplicaConfig:
     retry_policy: RetryPolicy = field(
         default_factory=lambda: RetryPolicy(deadline_s=150.0))
     health_enabled: bool = True
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
     outage_catchup_concurrency: int = 8
-    retransfer_budget: int = 2
     #: Record a causal span/event trace for every replication task
     #: (repro.core.tracing).  Off by default: the disabled path costs
     #: one ``is not None`` check per emission site, preserving the
@@ -124,21 +113,9 @@ class ReplicaConfig:
     #: Quantile of the windowed part-completion durations the hedge
     #: deadline is derived from (the "P95-derived deadline").
     hedge_deadline_quantile: float = 0.95
-    #: Parts smaller than this are never hedged: a clone's cold start
-    #: and invocation latency dwarf any straggler saving on tiny parts.
-    hedge_min_part_bytes: int = 1 * MB
     #: How many clones one part may spawn before the engine stops
     #: hedging it (0 disables cloning while keeping the monitor on).
     max_clones_per_part: int = 1
-    #: Minimum part-completion samples in the trailing window
-    #: (``hedging.HEDGE_WINDOW_S``) before any deadline is derived at
-    #: all (fewer samples -> "never hedge").
-    hedge_min_samples: int = 8
-    #: Planned-operations graceful-drain bound (core/lifecycle.py): how
-    #: long an evacuation or switchover waits for in-flight functions
-    #: at the cordoned region to finish before moving on (the remainder
-    #: is parked and migrated through the backlog, never dropped).
-    drain_deadline_s: float = 180.0
     #: SLO autopilot (core/autopilot.py): a closed-loop controller that
     #: retunes engine knobs online from windowed per-tenant SLO error
     #: and budget burn-rate.  Off by default, and the disabled path is
@@ -168,22 +145,12 @@ class ReplicaConfig:
             raise ValueError("part_size must be positive")
         if self.max_parallelism < 1:
             raise ValueError("max_parallelism must be >= 1")
-        if self.local_threshold > self.distributed_threshold:
-            raise ValueError("local_threshold cannot exceed distributed_threshold")
         if self.outage_catchup_concurrency < 1:
             raise ValueError("outage_catchup_concurrency must be >= 1")
-        if self.retransfer_budget < 0:
-            raise ValueError("retransfer_budget must be >= 0")
         if not 0.5 <= self.hedge_deadline_quantile < 1.0:
             raise ValueError("hedge_deadline_quantile must be in [0.5, 1.0)")
-        if self.hedge_min_part_bytes < 0:
-            raise ValueError("hedge_min_part_bytes must be >= 0")
         if self.max_clones_per_part < 0:
             raise ValueError("max_clones_per_part must be >= 0")
-        if self.hedge_min_samples < 1:
-            raise ValueError("hedge_min_samples must be >= 1")
-        if self.drain_deadline_s <= 0:
-            raise ValueError("drain_deadline_s must be positive")
         if self.autopilot_interval_s <= 0:
             raise ValueError("autopilot_interval_s must be positive")
         if self.autopilot_window_s <= 0:
@@ -212,7 +179,7 @@ class ReplicaConfig:
 class TenantConfig:
     """One tenant of a multi-tenant AReplica deployment.
 
-    A tenant owns a set of buckets, may override the service-wide
+    A tenant owns a set of buckets, runs under the service-wide
     :class:`ReplicaConfig`, carries its own SLO verdict target, and —
     following TCDRM's budget-aware replication economics — a **hard
     spend budget** per accounting window.  Once the tenant's admission
@@ -231,9 +198,6 @@ class TenantConfig:
     buckets:
         The tenant's bucket names (informational registry; the service
         binds concrete Bucket objects at :meth:`~repro.core.service.AReplicaService.add_tenant`).
-    config_overrides:
-        Field overrides applied on top of the service ReplicaConfig for
-        this tenant's engines (e.g. a private ``retransfer_budget``).
     slo_target_s:
         Per-tenant replication-delay verdict target (p99, evaluated by
         drills/tests) — distinct from ``ReplicaConfig.slo_seconds``,
@@ -257,7 +221,6 @@ class TenantConfig:
 
     tenant_id: str
     buckets: tuple[str, ...] = ()
-    config_overrides: dict = field(default_factory=dict)
     slo_target_s: float = 0.0
     budget_usd: Optional[float] = None
     budget_window_s: float = 3600.0
@@ -278,16 +241,3 @@ class TenantConfig:
             raise ValueError("exhausted_policy must be 'defer' or 'reject'")
         if self.weight <= 0:
             raise ValueError("weight must be positive")
-        unknown = set(self.config_overrides) - {
-            f.name for f in ReplicaConfig.__dataclass_fields__.values()}
-        if unknown:
-            raise ValueError(
-                f"unknown ReplicaConfig overrides: {sorted(unknown)}")
-
-    def effective_config(self, base: ReplicaConfig) -> ReplicaConfig:
-        """The tenant's ReplicaConfig: ``base`` plus the overrides."""
-        if not self.config_overrides:
-            return base
-        from dataclasses import replace
-
-        return replace(base, **self.config_overrides)

@@ -222,8 +222,8 @@ def part_attempt(engine, ctx, task, pool, idx, offset, length):
     the downloaded range against the source version's content (a
     corrupted part must never be uploaded), and the store's part-ETag
     response against the uploaded payload (a miswritten part must never
-    be assembled).  Either mismatch re-transfers in place under
-    ``retransfer_budget``; a poison part — one that keeps failing — is
+    be assembled).  Either mismatch re-transfers in place under the
+    retransfer budget; a poison part — one that keeps failing — is
     quarantined to the DLQ instead of burning platform retries.
 
     Returns ``"ok"`` | ``"stale"`` | ``"aborted"`` |

@@ -28,7 +28,7 @@ from repro.core import distributed
 from repro.core.backlog import ParkedBacklog
 from repro.core.changelog import (ChangelogStore, apply_changelog,
                                   propagate_changelog)
-from repro.core.config import ReplicaConfig
+from repro.core.config import LOCAL_THRESHOLD, ReplicaConfig
 from repro.core.health import HealthTracker, NoRouteAvailable
 from repro.core.hedging import Hedger
 from repro.core.locks import ReplicationLockManager
@@ -438,7 +438,7 @@ class ReplicationEngine:
         # whose ping-pong this breaks).  The HEAD only pays for itself
         # when the transfer dwarfs a round-trip; repair events skip it —
         # deep scrub re-drives exactly when that ETag cannot be trusted.
-        if current.size > self.config.local_threshold and not repair:
+        if current.size > LOCAL_THRESHOLD and not repair:
             try:
                 dst_etag = (yield from ctx.head_object(self.dst_bucket,
                                                        key)).etag

@@ -20,11 +20,18 @@ from repro.simcloud.cost import CostCategory
 from repro.simcloud.monitoring import TimeSeries
 from repro.simcloud.sim import Interrupt
 
-__all__ = ["Hedger", "HEDGE_WINDOW_S"]
+__all__ = ["Hedger", "HEDGE_WINDOW_S", "HEDGE_MIN_PART_BYTES",
+           "HEDGE_MIN_SAMPLES"]
 
 #: Trailing window over part-completion samples feeding the deadline
 #: percentile.
 HEDGE_WINDOW_S = 300.0
+#: Parts smaller than this are never hedged: a clone's cold start and
+#: invocation latency dwarf any straggler saving on tiny parts.
+HEDGE_MIN_PART_BYTES = 1024 * 1024
+#: Minimum part-completion samples in the trailing window before any
+#: deadline is derived at all (fewer samples -> "never hedge").
+HEDGE_MIN_SAMPLES = 8
 
 _NOT_DONE = {"part_done": False, "finished": False}
 
@@ -32,9 +39,8 @@ _NOT_DONE = {"part_done": False, "finished": False}
 class Hedger:
     """Per-engine hedging state and the hedged part race.
 
-    Tunables (``hedge_deadline_quantile``, ``max_clones_per_part``,
-    ``hedge_min_part_bytes``, ``hedge_min_samples``) are read through
-    ``self.engine.config`` at use time: the autopilot replaces that
+    Tunables (``hedge_deadline_quantile``, ``max_clones_per_part``) are
+    read through ``self.engine.config`` at use time: the autopilot replaces that
     config object while tasks are in flight, and a rebuilt engine
     adopts the hedger by pointing ``engine`` at itself.
     """
@@ -55,7 +61,7 @@ class Hedger:
         (and so must flow through the part pool, where it gets one)."""
         cfg = self.engine.config
         return (cfg.max_clones_per_part > 0
-                and size >= cfg.hedge_min_part_bytes)
+                and size >= HEDGE_MIN_PART_BYTES)
 
     def deadline(self, now: float) -> Optional[float]:
         """Hedge deadline in seconds for a part starting ``now``, or None.
@@ -72,7 +78,7 @@ class Hedger:
         cfg = self.engine.config
         cutoff = now - HEDGE_WINDOW_S
         _times, values = self.samples.window(cutoff)
-        if len(values) < cfg.hedge_min_samples:
+        if len(values) < HEDGE_MIN_SAMPLES:
             return None
         # Bound the sample buffer: anything older than a full window
         # behind the cutoff can never be read again.

@@ -114,9 +114,13 @@ class OperationsRunner:
     #: Bounded-backoff attempts for control-plane KV writes that race a
     #: KV chaos window (the checkpoint must land *despite* the storm).
     kv_attempts = 8
+    #: Graceful-drain bound: how long an evacuation or switchover waits
+    #: for in-flight functions at the cordoned region to finish before
+    #: moving on (the remainder is parked and migrated through the
+    #: backlog, never dropped).
+    drain_deadline_s = 180.0
 
-    def __init__(self, service, rule_id: str,
-                 drain_deadline_s: Optional[float] = None):
+    def __init__(self, service, rule_id: str):
         rule = service.rules[rule_id]  # KeyError for unknown rules
         if service.health is None:
             raise ValueError(
@@ -125,11 +129,6 @@ class OperationsRunner:
         self.service = service
         self.cloud = service.cloud
         self.rule_id = rule_id
-        self.drain_deadline_s = (drain_deadline_s
-                                 if drain_deadline_s is not None
-                                 else service.config.drain_deadline_s)
-        if self.drain_deadline_s <= 0:
-            raise ValueError("drain_deadline_s must be positive")
         self.src_region = rule.src_bucket.region.key
         self.dst_region = rule.dst_bucket.region.key
         self.reports: list[LifecycleReport] = []

@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.core.config import ReplicaConfig
+from repro.core.config import (DISTRIBUTED_THRESHOLD, LOCAL_THRESHOLD,
+                               ReplicaConfig)
 from repro.core.health import HealthTracker, NoRouteAvailable
 from repro.core.model import PathKey, PerformanceModel
 
@@ -149,7 +150,7 @@ class StrategyPlanner:
     def _is_inline(self, n: int, loc_key: str, src_key: str, size: int) -> bool:
         """The orchestrator (at the source region) can replicate small
         objects itself, skipping the extra invocation entirely."""
-        return n == 1 and loc_key == src_key and size <= self.config.local_threshold
+        return n == 1 and loc_key == src_key and size <= LOCAL_THRESHOLD
 
     def _max_useful_parallelism(self, size: int, fastest: bool = False) -> int:
         """No more functions than data parts; in SLO mode, no
@@ -157,7 +158,7 @@ class StrategyPlanner:
         (a single function is cheaper and compliant).  In fastest mode
         (SLO = 0) every multi-part object may be parallelized — that is
         how the trace replay absorbs bursts of medium objects."""
-        if not fastest and size < self.config.distributed_threshold:
+        if not fastest and size < DISTRIBUTED_THRESHOLD:
             return 1
         return max(1, min(self.config.max_parallelism,
                           self.model.num_chunks(size)))
@@ -211,7 +212,7 @@ class StrategyPlanner:
         self.plans_generated += 1
         fastest_mode = slo_remaining == -math.inf
         n_cap = self._max_useful_parallelism(size, fastest=fastest_mode)
-        inline_ok = size <= self.config.local_threshold
+        inline_ok = size <= LOCAL_THRESHOLD
         key = (src_key, dst_key, p, self.model.num_chunks(size), n_cap,
                inline_ok)
         candidates = self.cache.get(key)
@@ -289,8 +290,8 @@ class StrategyPlanner:
             return self.generate(size, src_key, dst_key,
                                  slo_remaining=-math.inf)
         key = (src_key, dst_key, self.config.percentile,
-               self.model.num_chunks(size), size <= self.config.local_threshold,
-               size >= self.config.distributed_threshold)
+               self.model.num_chunks(size), size <= LOCAL_THRESHOLD,
+               size >= DISTRIBUTED_THRESHOLD)
         plan = self._fastest_plans.get(key)
         if plan is None:
             plan = self.generate(size, src_key, dst_key, slo_remaining=-math.inf)
@@ -306,8 +307,7 @@ class StrategyPlanner:
         running Algorithm 3 (the ablation studies), priced by the model
         when the path is profiled."""
         path = (loc_key, src_key, dst_key)
-        inline = (n == 1 and loc_key == src_key
-                  and size <= self.config.local_threshold)
+        inline = n == 1 and loc_key == src_key and size <= LOCAL_THRESHOLD
         predicted = median = 0.0
         if self.model.has_path(path):
             predicted = self.model.predict_percentile(

@@ -142,9 +142,6 @@ class ReplicationRule:
     closed: dict[str, tuple[int, float]] = field(default_factory=dict)
     #: Owning tenant for multi-tenant shard rules (None for classic rules).
     tenant: Optional[str] = None
-    #: Effective config the rule's engine was built with, when it differs
-    #: from the service default (tenant overrides); rebuild_engine honors it.
-    config: Optional[ReplicaConfig] = None
 
 
 @dataclass
@@ -198,7 +195,6 @@ class AReplicaService:
             self.health = HealthTracker(
                 clock=lambda: cloud.sim.now,
                 schedule=cloud.sim.call_later,
-                config=self.config.breaker,
             )
             cloud.set_health(self.health)
         #: Optional causal tracer (ReplicaConfig.tracing_enabled); wired
@@ -221,9 +217,6 @@ class AReplicaService:
         self.tenants: dict[str, TenantState] = {}
         self.scheduler: Optional[FairShareScheduler] = None
         self.shard_router: Optional[ShardRouter] = None
-        #: Planner clones keyed by tenant override signature (tenants
-        #: without overrides share self.planner and its PlanCache).
-        self._tenant_planners: dict[tuple, StrategyPlanner] = {}
         #: Closed-loop SLO controller (ReplicaConfig.enable_autopilot).
         #: Construction is side-effect free; nothing runs until
         #: ``service.autopilot.start(duration_s)`` arms the tick loop,
@@ -240,7 +233,6 @@ class AReplicaService:
                  profile: bool = True,
                  rule_id: Optional[str] = None,
                  connect: bool = True,
-                 config: Optional[ReplicaConfig] = None,
                  tenant: Optional[str] = None) -> ReplicationRule:
         """Configure replication from ``src_bucket`` to ``dst_bucket``.
 
@@ -252,13 +244,11 @@ class AReplicaService:
         The remaining keywords exist for the multi-tenant shard layer
         (``_tenant_rule``): an explicit ``rule_id`` names the per-shard
         lock domain, ``connect=False`` skips the notification hookup
-        (the tenant router delivers admitted events directly),
-        ``config`` applies a tenant's effective ReplicaConfig, and
+        (the tenant router delivers admitted events directly), and
         ``tenant`` tags the engine (scoped tracer + fair-share lane).
         """
         if rule_id is None:
             rule_id = f"rule{next(self._rule_seq)}"
-        cfg = config or self.config
         if profile:
             self._ensure_profiled(src_bucket, dst_bucket)
         # Tenant rules get a tenant-suffixed changelog table: the shared
@@ -269,15 +259,15 @@ class AReplicaService:
         changelog = ChangelogStore(
             self.cloud.kv_table(src_bucket.region.key, changelog_table)
         )
-        engine = self._build_engine(rule_id, cfg, src_bucket, dst_bucket,
-                                    changelog, scheduling, tenant)
+        engine = self._build_engine(rule_id, self.config, src_bucket,
+                                    dst_bucket, changelog, scheduling, tenant)
         rule = ReplicationRule(rule_id, src_bucket, dst_bucket, engine,
-                               changelog, tenant=tenant, config=config)
-        if cfg.slo_enabled and cfg.enable_batching:
+                               changelog, tenant=tenant)
+        if self.config.slo_enabled and self.config.enable_batching:
             rule.batcher = BatchingBuffer(
                 self.cloud.sim,
                 self.cloud.timers(src_bucket.region.key),
-                cfg,
+                self.config,
                 src_bucket,
                 estimate_s=self._estimate_replication_time(rule),
                 flush=engine.handle_event,
@@ -306,7 +296,7 @@ class AReplicaService:
         rules) — for a new rule or a rolling-restart replacement."""
         engine = ReplicationEngine(
             self.cloud, cfg, src_bucket, dst_bucket,
-            self._planner_for(cfg),
+            self.planner,
             changelog=changelog if cfg.enable_changelog else None,
             recorder=_Recorder(self, rule_id), rule_id=rule_id,
             scheduling=scheduling, health=self.health,
@@ -317,25 +307,6 @@ class AReplicaService:
             engine.set_tracer(self.tracer if tenant is None
                               else self.tracer.scoped(tenant))
         return engine
-
-    def _planner_for(self, cfg: ReplicaConfig) -> StrategyPlanner:
-        """The shared planner, or a clone for a divergent tenant config.
-
-        Planning knobs (cost cap, strategy toggles, degraded-routing
-        policy) live on the config, so tenants with overrides need their
-        own StrategyPlanner; clones are cached by override signature so
-        a thousand tenants sharing three profiles build three planners.
-        """
-        if cfg is self.config:
-            return self.planner
-        key = tuple(sorted(
-            (f, repr(getattr(cfg, f))) for f in cfg.__dataclass_fields__))
-        planner = self._tenant_planners.get(key)
-        if planner is None:
-            planner = StrategyPlanner(self.model, cfg, health=self.health)
-            planner.tracer = self.tracer
-            self._tenant_planners[key] = planner
-        return planner
 
     def rebuild_engine(self, rule_id: str) -> ReplicationEngine:
         """Tear down a rule's engine and rebuild it in place (rolling
@@ -348,7 +319,10 @@ class AReplicaService:
         same lock table, done markers, and ``backlog:`` mirror, and
         FaaS ``deploy`` overwrites by name so in-flight platform
         retries and DLQ redrives hit the *new* deployment.  Monotonic
-        counters carry over via :meth:`ReplicationEngine.adopt_counters`.
+        counters carry over via :meth:`ReplicationEngine.adopt_counters`,
+        and so do the old engine's ``config`` and ``retry_policy``: the
+        autopilot actuates those in place, and a restart must not
+        silently revert a knob the controller believes it holds.
         The caller restores control-plane state afterwards by driving
         ``new_engine.backlog.restore()``.
         """
@@ -356,8 +330,9 @@ class AReplicaService:
         old = rule.engine
         old.detach()
         engine = self._build_engine(
-            rule_id, rule.config or self.config, rule.src_bucket,
-            rule.dst_bucket, rule.changelog, old.scheduling, rule.tenant)
+            rule_id, old.config, rule.src_bucket, rule.dst_bucket,
+            rule.changelog, old.scheduling, rule.tenant)
+        engine.retry_policy = old.retry_policy
         engine.adopt_counters(old)
         rule.engine = engine
         if rule.batcher is not None:
@@ -367,7 +342,7 @@ class AReplicaService:
     def _estimate_replication_time(self, rule: ReplicationRule):
         src = rule.src_bucket.region.key
         dst = rule.dst_bucket.region.key
-        planner = self._planner_for(rule.config or self.config)
+        planner = self.planner
 
         def estimate(size: int) -> float:
             # Power-of-two size bucketing keeps the batcher's estimate
@@ -380,8 +355,8 @@ class AReplicaService:
 
     # -- multi-tenancy -----------------------------------------------------------
 
-    def enable_multitenancy(self, shards: int = 1, max_concurrent: int = 64,
-                            quantum: float = 1.0, vnodes: int = 64) -> None:
+    def enable_multitenancy(self, shards: int = 1,
+                            max_concurrent: int = 64) -> None:
         """Switch the service into multi-tenant mode.
 
         Builds the fair-share dispatch scheduler and the consistent-hash
@@ -391,9 +366,8 @@ class AReplicaService:
         """
         if self.tenants:
             raise RuntimeError("enable_multitenancy must precede add_tenant")
-        self.scheduler = FairShareScheduler(max_concurrent=max_concurrent,
-                                            quantum=quantum)
-        self.shard_router = ShardRouter(shards, vnodes=vnodes)
+        self.scheduler = FairShareScheduler(max_concurrent=max_concurrent)
+        self.shard_router = ShardRouter(shards)
 
     def add_tenant(self, config: TenantConfig, src_bucket: Bucket,
                    dst_bucket: Bucket) -> TenantState:
@@ -425,13 +399,6 @@ class AReplicaService:
         )
         return state
 
-    def _tenant_config(self, state: TenantState) -> Optional[ReplicaConfig]:
-        """The tenant's effective ReplicaConfig, or None when it matches
-        the service default (so shard rules share self.config/planner)."""
-        if not state.config.config_overrides:
-            return None
-        return state.config.effective_config(self.config)
-
     def _tenant_rule(self, state: TenantState, shard: int) -> ReplicationRule:
         rule_id = state.shard_rules.get(shard)
         if rule_id is not None:
@@ -440,7 +407,7 @@ class AReplicaService:
         rule = self.add_rule(
             state.src_bucket, state.dst_bucket,
             profile=False, rule_id=f"{tid}-s{shard}", connect=False,
-            config=self._tenant_config(state), tenant=tid,
+            tenant=tid,
         )
         state.shard_rules[shard] = rule.rule_id
         return rule

@@ -21,6 +21,13 @@ from typing import Optional
 from repro.core.task import TaskResult
 from repro.simcloud.objectstore import NoSuchKey
 
+#: How many times a part whose payload fails checksum verification is
+#: re-fetched (or re-uploaded) in place before it is quarantined —
+#: escalated straight to the dead-letter queue with a ``corrupted``
+#: disposition instead of burning platform retries against the same
+#: poisoned transfer.
+RETRANSFER_BUDGET = 2
+
 __all__ = ["PartQuarantined", "run_single", "propagate_delete", "fusion_ok",
            "classify_download", "record_corruption", "retransfer",
            "quarantine", "withdraw_unverified", "reconverge_superseded",
@@ -77,10 +84,10 @@ def record_corruption(engine, task, stage: str, kind: str,
 def retransfer(engine, task, stage: str, kind: str, used: int,
                part: Optional[int] = None) -> bool:
     """Account one transfer that failed verification; True when it may
-    be re-sent in place (``used`` retransfers so far are within
-    ``retransfer_budget``), False when the caller must quarantine."""
+    be re-sent in place (``used`` retransfers so far are within the
+    retransfer budget), False when the caller must quarantine."""
     record_corruption(engine, task, stage, kind, part)
-    if used >= engine.config.retransfer_budget:
+    if used >= RETRANSFER_BUDGET:
         return False
     engine.stats["retransfers"] += 1
     return True

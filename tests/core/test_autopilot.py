@@ -394,6 +394,24 @@ def _add_tenant(cloud, svc, tid="t0", slo=0.5):
 
 
 class TestAutopilotService:
+    def test_rolling_restart_keeps_actuated_knobs(self):
+        """Regression: ``rebuild_engine`` built the replacement from the
+        service config, so a rolling restart silently reverted every
+        knob the controller had moved while it still believed it held
+        the moved value."""
+        cloud, svc = _live_service()
+        rule = svc.add_rule(cloud.bucket("aws:us-east-1", "probe-src"),
+                            cloud.bucket("azure:eastus", "probe-dst"),
+                            profile=False)
+        ap = svc.autopilot
+        ap._config_writer("outage_catchup_concurrency", integer=True)(16)
+        ap._set_retry_deadline(40.0)
+        engine = svc.rebuild_engine(rule.rule_id)
+        assert engine is rule.engine
+        assert engine.config.outage_catchup_concurrency == 16
+        assert engine.retry_policy.deadline_s == 40.0
+        assert svc.config.outage_catchup_concurrency == 8
+
     def test_disabled_config_constructs_nothing(self):
         cloud = build_default_cloud(seed=0)
         svc = AReplicaService(cloud, ReplicaConfig(profile_samples=4))

@@ -1,8 +1,12 @@
 """Tests for ReplicaConfig."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.config import DEFAULT_PART_SIZE, MB, ReplicaConfig
+from repro.core.config import (DEFAULT_PART_SIZE, DISTRIBUTED_THRESHOLD,
+                               LOCAL_THRESHOLD, MB, ReplicaConfig,
+                               TenantConfig)
 
 
 def test_defaults_match_paper():
@@ -10,6 +14,7 @@ def test_defaults_match_paper():
     assert cfg.part_size == 8 * MB          # §5.1 part-size finding
     assert cfg.percentile == 0.99
     assert not cfg.slo_enabled              # SLO=0: fastest plan (§8.1)
+    assert LOCAL_THRESHOLD <= DISTRIBUTED_THRESHOLD
 
 
 def test_slo_enabled_flag():
@@ -35,7 +40,7 @@ def test_parallelism_ladder_non_power_of_two_cap():
         {"percentile": 1.0},
         {"part_size": 0},
         {"max_parallelism": 0},
-        {"local_threshold": 128 * MB, "distributed_threshold": 64 * MB},
+        {"outage_catchup_concurrency": 0},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
@@ -45,3 +50,28 @@ def test_invalid_configs_rejected(kwargs):
 
 def test_default_part_size_constant():
     assert DEFAULT_PART_SIZE == 8 * 1024 * 1024
+
+
+#: Every settable knob, by name.  A new one is a reviewed diff here:
+#: add a field only when something outside the tests sets it.
+REPLICA_CONFIG_FIELDS = {
+    "slo_seconds", "percentile", "part_size", "max_parallelism",
+    "enable_changelog", "enable_batching", "batching_epsilon", "mc_samples",
+    "gumbel_threshold", "profile_samples", "retry_policy", "health_enabled",
+    "outage_catchup_concurrency", "tracing_enabled", "fuse_small_transfers",
+    "hedging_enabled", "hedge_deadline_quantile", "max_clones_per_part",
+    "enable_autopilot", "autopilot_interval_s", "autopilot_window_s",
+    "autopilot_cooldown_s", "autopilot_settle_s",
+}
+TENANT_CONFIG_FIELDS = {
+    "tenant_id", "buckets", "slo_target_s", "budget_usd", "budget_window_s",
+    "exhausted_policy", "weight",
+}
+
+
+@pytest.mark.parametrize("cls, expected", [
+    (ReplicaConfig, REPLICA_CONFIG_FIELDS),
+    (TenantConfig, TENANT_CONFIG_FIELDS),
+])
+def test_config_field_census(cls, expected):
+    assert {f.name for f in dataclasses.fields(cls)} == expected

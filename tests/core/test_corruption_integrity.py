@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import transfer
 from repro.core.audit import ReplicationAuditor
 from repro.core.client import ClientIntegrityError, ReplicatedBucketClient
 from repro.core.config import ReplicaConfig
@@ -172,14 +173,14 @@ def test_fixed_seed_mixed_storm_smoke():
 # quarantine: poison parts under an exhausted retransfer budget
 # ---------------------------------------------------------------------------
 
-def test_exhausted_budget_quarantines_then_redrive_heals():
+def test_exhausted_budget_quarantines_then_redrive_heals(monkeypatch):
     """With a zero retransfer budget every detected corruption is a
     poison part: the task must dead-letter with the ``corrupted``
     disposition instead of burning platform retries, and the post-storm
     redrive must heal it completely."""
+    monkeypatch.setattr(transfer, "RETRANSFER_BUDGET", 0)
     cloud, svc, src, dst, rule = corrupted_soak(
-        99, ChaosConfig(corrupt_get_prob=0.5, corrupt_put_prob=0.3),
-        retransfer_budget=0)
+        99, ChaosConfig(corrupt_get_prob=0.5, corrupt_put_prob=0.3))
 
     assert rule.engine.stats["quarantined"] > 0
     assert rule.engine.stats["retransfers"] == 0     # budget is zero

@@ -7,8 +7,11 @@ variation: two simulations built from the same seed have to produce
 These tests run each scenario twice in-process and compare exactly.
 """
 
+import functools
 import itertools
 import json
+
+import pytest
 
 from repro.core.config import ReplicaConfig
 from repro.core.service import AReplicaService
@@ -50,34 +53,33 @@ def _fig12_scenario(seed: int):
     )
 
 
-def _fig23_run(seed: int, idle_lifecycle_runner: bool = False,
-               idle_multitenancy: bool = False,
-               idle_autopilot: bool = False):
-    """A one-minute slice of the Fig 23 busy-hour replay."""
+def _fig23_run(seed: int, idle: str = ""):
+    """A one-minute slice of the Fig 23 busy-hour replay, with at most
+    one optional layer (``idle``) built but never started."""
     gen = IbmCosTraceGenerator(seed=seed)
     batches = [b for b in gen.generate_batches(60.0)]
     cloud = build_default_cloud(seed=seed)
     svc = AReplicaService(cloud, ReplicaConfig(profile_samples=5,
                                                mc_samples=300))
-    if idle_multitenancy:
+    if idle == "tenancy":
         # Scheduler + shard router built, zero tenants registered:
         # classic rules must not route through either.
         svc.enable_multitenancy(shards=4, max_concurrent=8)
     src = cloud.bucket("aws:us-east-1", "src")
     dst = cloud.bucket("azure:eastus", "dst")
     rule = svc.add_rule(src, dst)
-    if idle_lifecycle_runner:
+    if idle == "lifecycle":
         from repro.core.lifecycle import OperationsRunner
         OperationsRunner(svc, rule.rule_id)  # constructed, never scheduled
-    if idle_autopilot:
+    if idle == "autopilot":
         from repro.core.autopilot import Autopilot
         Autopilot(svc)  # constructed, never started
     TraceReplayer(cloud, src).replay_all_batches(batches)
     return cloud, svc
 
 
-def _fig23_slice(seed: int, **idle):
-    cloud, svc = _fig23_run(seed, **idle)
+def _fig23_slice(seed: int, idle: str = ""):
+    cloud, svc = _fig23_run(seed, idle)
     return (
         svc.delays(),
         sorted(cloud.ledger.breakdown().items()),
@@ -107,39 +109,30 @@ class TestSeededReproducibility:
         # Sanity check that the comparisons above can actually fail.
         assert _fig23_slice(seed=7)[0] != _fig23_slice(seed=8)[0]
 
-    def test_idle_lifecycle_runner_is_byte_invisible(self):
-        """Lifecycle off == lifecycle absent.  An OperationsRunner that
-        is constructed but never scheduled must not shift a single RNG
-        draw, event, or ledger entry: runs with and without it are
-        byte-identical across seeds (the planned-operations layer's
-        zero-perturbation guarantee)."""
-        for seed in (0, 1, 2):
-            plain = _fig23_slice(seed=seed)
-            with_runner = _fig23_slice(seed=seed, idle_lifecycle_runner=True)
-            assert plain == with_runner, f"seed {seed} perturbed"
 
-    def test_idle_multitenancy_is_byte_invisible(self):
-        """Multi-tenancy off == multi-tenancy absent.  A service with
-        the fair-share scheduler and shard router constructed but no
-        tenants registered must run a classic single-rule workload
-        byte-identically: no extra RNG draw, event, or ledger entry —
-        the single-tenant fast path stays one ``is None`` check."""
-        for seed in (0, 1, 2):
-            plain = _fig23_slice(seed=seed)
-            with_mt = _fig23_slice(seed=seed, idle_multitenancy=True)
-            assert plain == with_mt, f"seed {seed} perturbed"
+@functools.cache
+def _plain_fig23_slice(seed: int):
+    return _fig23_slice(seed)
 
-    def test_idle_autopilot_is_byte_invisible(self):
-        """Autopilot off == autopilot absent.  An ``Autopilot`` that is
-        constructed but never started must not shift a single RNG draw,
-        event, timer, or ledger entry: construction is side-effect free
-        (the monitor, probes, and knob registry are built lazily in
-        ``start()``), so ``enable_autopilot=False`` — where nothing is
-        even constructed — is byte-invisible a fortiori."""
-        for seed in (0, 1, 2):
-            plain = _fig23_slice(seed=seed)
-            with_ap = _fig23_slice(seed=seed, idle_autopilot=True)
-            assert plain == with_ap, f"seed {seed} perturbed"
+
+@pytest.mark.parametrize("idle", ["lifecycle", "tenancy", "autopilot"])
+def test_idle_layer_is_byte_invisible(idle):
+    """Layer off == layer absent.  A layer that is constructed but never
+    started must not shift a single RNG draw, event, timer, or ledger
+    entry: runs with and without it are byte-identical across seeds.
+
+    * ``lifecycle``: an OperationsRunner constructed, never scheduled.
+    * ``tenancy``: the fair-share scheduler and shard router built with
+      no tenants registered; classic rules never route through either,
+      so the single-tenant fast path stays one ``is None`` check.
+    * ``autopilot``: an ``Autopilot`` constructed, never started (the
+      monitor, probes and knob registry are built lazily in
+      ``start()``), so ``enable_autopilot=False`` — where nothing is
+      even constructed — is byte-invisible a fortiori.
+    """
+    for seed in (0, 1, 2):
+        assert _fig23_slice(seed, idle) == _plain_fig23_slice(seed), \
+            f"seed {seed} perturbed"
 
 
 def _traced_export(seed: int, path):

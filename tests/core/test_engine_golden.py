@@ -58,9 +58,11 @@ def _chaos_storm(seed):
 
 
 def _hedged_stalls(seed):
-    cloud, svc, src, _rule = test_hedging._service(
-        seed, tracing=True, mc_samples=300, **test_hedging.HEDGE_KNOBS)
-    test_hedging._stalled_replay(cloud, svc, src, seed=seed, requests=200)
+    with test_hedging.hedge_every_part():
+        cloud, svc, src, _rule = test_hedging._service(
+            seed, tracing=True, mc_samples=300, **test_hedging.HEDGE_KNOBS)
+        test_hedging._stalled_replay(cloud, svc, src, seed=seed,
+                                     requests=200)
     return cloud, svc
 
 
@@ -77,14 +79,15 @@ def _rolling_restart(seed):
     """Checkpoint -> rebuild_engine -> restore while both FaaS platforms
     are dark, so the restart happens over a non-empty backlog and the
     adopted backlog and hedger keep working for the rebuilt engine."""
-    cloud, svc, src, _dst, rule = test_lifecycle.build(
-        seed, **test_hedging.HEDGE_KNOBS)
-    cloud.apply_chaos(ChaosConfig(
-        faas_outages=((SRC, 100.0, 250.0), (DST, 100.0, 250.0))))
-    test_lifecycle.spawn_workload(cloud, src, n=60)
-    OperationsRunner(svc, rule.rule_id).schedule("rolling", 200.0)
-    cloud.run()
-    svc.run_to_convergence()
+    with test_hedging.hedge_every_part():
+        cloud, svc, src, _dst, rule = test_lifecycle.build(
+            seed, **test_hedging.HEDGE_KNOBS)
+        cloud.apply_chaos(ChaosConfig(
+            faas_outages=((SRC, 100.0, 250.0), (DST, 100.0, 250.0))))
+        test_lifecycle.spawn_workload(cloud, src, n=60)
+        OperationsRunner(svc, rule.rule_id).schedule("rolling", 200.0)
+        cloud.run()
+        svc.run_to_convergence()
     return cloud, svc
 
 

@@ -42,7 +42,7 @@ def test_split_out_modules_stay_small(name):
 #: Fragments that used to be re-typed at several sites; each now has one
 #: home under ``core/``.
 WRITTEN_ONCE = (
-    r"\.retransfer_budget\b",
+    r"\bRETRANSFER_BUDGET\b(?! =)",
     r"max_clones_per_part > 0",
     r'"already-replicated"',
     r'stats\["retriggered"\]',

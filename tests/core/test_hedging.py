@@ -11,6 +11,7 @@ chaos-storm property: with hedging on, storms at seeds 0-2 converge
 with the audit, trace oracle, and deep scrub all clean.
 """
 
+import contextlib
 import itertools
 import json
 
@@ -19,6 +20,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import latest_window_percentile, percentile
+from repro.core import hedging
 from repro.core.audit import ReplicationAuditor
 from repro.core.config import ReplicaConfig
 from repro.core.invariants import TraceChecker
@@ -36,10 +38,27 @@ pytestmark = pytest.mark.hedge
 
 MB = 1024**2
 
-#: The aggressive hedging profile the drills and benchmark use: clone
-#: anything that overruns the windowed P90, up to twice per part.
+#: The aggressive hedging profile these tests and the engine golden
+#: run (the hedge drill and the benchmark's storm use the default hedge
+#: knobs): clone anything that overruns the windowed P90, up to twice
+#: per part, parts of any size included (see hedge_every_part).
 HEDGE_KNOBS = dict(hedging_enabled=True, hedge_deadline_quantile=0.9,
-                   max_clones_per_part=2, hedge_min_part_bytes=1)
+                   max_clones_per_part=2)
+
+
+@contextlib.contextmanager
+def hedge_every_part():
+    """Lower ``hedging.HEDGE_MIN_PART_BYTES`` to one byte for the block:
+    the rest of the HEDGE_KNOBS profile."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hedging, "HEDGE_MIN_PART_BYTES", 1)
+        yield
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _hedge_every_part():
+    with hedge_every_part():
+        yield
 
 
 def _service(seed: int, tracing: bool = False, **config_kwargs):
@@ -127,26 +146,28 @@ class TestHedgeDeadlineFailsafe:
         assert rule.engine.hedger.deadline(1000.0) is None
 
     def test_below_min_samples_has_no_deadline(self):
-        _, _, _, rule = _service(0, **HEDGE_KNOBS, hedge_min_samples=8)
+        assert hedging.HEDGE_MIN_SAMPLES == 8
+        _, _, _, rule = _service(0, **HEDGE_KNOBS)
         for i in range(7):
             rule.engine.hedger.samples.record(990.0 + i, 1.0)
         assert rule.engine.hedger.deadline(1000.0) is None
         rule.engine.hedger.samples.record(997.5, 1.0)
         assert rule.engine.hedger.deadline(1000.0) is not None
 
-    def test_aged_out_window_has_no_deadline(self):
-        _, _, _, rule = _service(0, **HEDGE_KNOBS, hedge_min_samples=4)
+    def test_aged_out_window_has_no_deadline(self, monkeypatch):
+        monkeypatch.setattr(hedging, "HEDGE_MIN_SAMPLES", 4)
+        _, _, _, rule = _service(0, **HEDGE_KNOBS)
         for i in range(8):
             rule.engine.hedger.samples.record(float(i), 1.0)
         assert rule.engine.hedger.deadline(10.0) is not None
         assert rule.engine.hedger.deadline(1000.0) is None
 
-    def test_no_deadline_means_never_hedge_end_to_end(self):
+    def test_no_deadline_means_never_hedge_end_to_end(self, monkeypatch):
         """Direction assertion: a missing deadline fails *closed*.  An
         unreachable sample floor keeps the sentinel None for the whole
         run — zero clones, even with hedging on and stalls injected."""
-        cloud, svc, src, rule = _service(0, **dict(HEDGE_KNOBS,
-                                                   hedge_min_samples=10**9))
+        monkeypatch.setattr(hedging, "HEDGE_MIN_SAMPLES", 10**9)
+        cloud, svc, src, rule = _service(0, **HEDGE_KNOBS)
         conv = _stalled_replay(cloud, svc, src, seed=0, requests=150)
         assert conv.converged
         assert rule.engine.stats["hedges"] == 0

@@ -173,11 +173,6 @@ class TestRunnerContract:
         with pytest.raises(ValueError, match="health"):
             OperationsRunner(svc, rule.rule_id)
 
-    def test_drain_deadline_validated(self):
-        cloud, svc, src, dst, rule = build(seed=842)
-        with pytest.raises(ValueError):
-            OperationsRunner(svc, rule.rule_id, drain_deadline_s=0.0)
-
     def test_idle_runner_is_invisible(self):
         """A constructed-but-unscheduled runner draws nothing: no RNG
         stream, no events, no KV traffic (the byte-determinism

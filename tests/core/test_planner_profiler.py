@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.config import ReplicaConfig
+from repro.core.config import DISTRIBUTED_THRESHOLD, ReplicaConfig
 from repro.core.model import NormalParam, PerformanceModel
 from repro.core.planner import StrategyPlanner
 from repro.core.profiler import PerformanceProfiler
@@ -127,8 +127,7 @@ class TestPlanner:
                                                          profiled):
         """With an SLO to meet, sub-threshold objects stay on a single
         (cheaper) function; fastest mode may still parallelize them."""
-        _, config, _, _, _, _ = profiled
-        plan = planner.generate(config.distributed_threshold - 1,
+        plan = planner.generate(DISTRIBUTED_THRESHOLD - 1,
                                 "aws:us-east-1", "azure:eastus",
                                 slo_remaining=120.0)
         assert plan.n == 1
@@ -136,8 +135,7 @@ class TestPlanner:
 
     def test_fastest_mode_may_parallelize_medium_objects(self, planner,
                                                          profiled):
-        _, config, _, _, _, _ = profiled
-        plan = planner.fastest(config.distributed_threshold - 1,
+        plan = planner.fastest(DISTRIBUTED_THRESHOLD - 1,
                                "aws:us-east-1", "azure:eastus")
         assert plan.n >= 1  # allowed to exceed 1 (bursts of medium objects)
 
