@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests footprint lifecycle-drill drill-all examples e2e-digests e2e-smoke-digests paper coverage
+.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests footprint lifecycle-drill drill-all examples e2e-digests e2e-rss e2e-smoke-digests paper coverage
 
 ## tier-1: the full default suite
 test:
@@ -43,8 +43,9 @@ lifecycle-drill:
 tenant-tests:
 	$(PY) -m pytest -q -m tenant
 
-## what one mostly idle tenant retains: KiB traced per tenant after one
-## and after eight PUTs, and the ten largest owners (tests/core/test_footprint.py)
+## what one mostly idle tenant and one replicated PUT retain: KiB traced
+## per tenant after one and after eight PUTs, KiB per 4 KiB PUT through
+## one rule, and the ten largest owners of each (tests/core/test_footprint.py)
 footprint:
 	$(PY) -m pytest -q -s tests/core/test_footprint.py
 
@@ -78,6 +79,18 @@ e2e-digests:
 	@printf '%-16s trace=1 ' storm_churn
 	@$(PY) benchmarks/e2e/run.py --workload storm_churn --seed 0 --seconds 5 --trace 1 \
 		| grep -o 'sim_digest [0-9a-f]*'
+
+## peak memory in one command (~1 min): the seed-0 host_peak_rss_mb of
+## each benchmark workload (1 s units, untraced), one line each.  One
+## run per workload is a before/after glance, not the ten-pair protocol
+## a claim needs, so CI does not run it.
+e2e-rss:
+	@for w in busy_hour_small bulk_large tenant_fanout storm_churn; do \
+		printf '%-16s trace=0 ' $$w; \
+		$(PY) benchmarks/e2e/run.py --workload $$w --seed 0 --seconds 1 --trace 0 \
+			| awk '$$1 == "host_peak_rss_mb" { print $$1, $$2, $$3; ok = 1 } END { exit !ok }' \
+			|| exit 1; \
+	done
 
 ## the ~15 s CI cousin of e2e-digests: the digests of the four --smoke
 ## units plus the traced storm smoke, diffed against the committed

@@ -33,7 +33,7 @@ __all__ = ["LockOutcome", "PendingVersion", "UnlockOutcome",
            "ReplicationLockManager"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LockOutcome:
     """Result of a lock attempt."""
 
@@ -51,7 +51,7 @@ class LockOutcome:
     reentrant: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PendingVersion:
     """The newest version that arrived while the lock was held."""
 
@@ -59,7 +59,7 @@ class PendingVersion:
     seq: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnlockOutcome:
     """Result of a release attempt."""
 

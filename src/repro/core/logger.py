@@ -1,13 +1,13 @@
 """Runtime logger and model drift correction (§4 "Logger").
 
 Transfer rates between regions change after offline profiling.  The
-logger tracks the (predicted, actual) replication time of completed
-tasks per path and keeps an exponentially-weighted estimate of the
-actual/predicted ratio.  When the ratio deviates persistently — not
-just for one noisy task — the model's path parameters are rescaled and
-its Monte-Carlo caches invalidated, which is exactly the "significant,
-persistent deviation" trigger the paper describes for re-running the
-on-demand simulation.
+logger folds the (predicted, actual) replication time of each completed
+task into a per-path exponentially-weighted estimate of the
+actual/predicted ratio; it keeps no per-task log.  When the ratio
+deviates persistently — not just for one noisy task — the model's path
+parameters are rescaled and its Monte-Carlo caches invalidated, which
+is exactly the "significant, persistent deviation" trigger the paper
+describes for re-running the on-demand simulation.
 """
 
 from __future__ import annotations
@@ -17,19 +17,7 @@ from dataclasses import dataclass
 
 from repro.core.model import PathKey, PerformanceModel
 
-__all__ = ["TaskTiming", "RuntimeLogger"]
-
-
-@dataclass(frozen=True)
-class TaskTiming:
-    """One completed task's timing observation."""
-
-    path: PathKey
-    n: int
-    size: int
-    predicted_s: float
-    actual_s: float
-    time: float
+__all__ = ["RuntimeLogger"]
 
 
 @dataclass
@@ -41,7 +29,8 @@ class _PathDrift:
 
 
 class RuntimeLogger:
-    """Streams task timings into the performance model."""
+    """Folds task timings into per-path drift state and rescales the
+    performance model's path on persistent drift."""
 
     def __init__(
         self,
@@ -49,7 +38,6 @@ class RuntimeLogger:
         alpha: float = 0.25,
         drift_threshold: float = 0.30,
         patience: int = 5,
-        keep_timings: bool = True,
     ):
         """``drift_threshold`` is on |log(actual/predicted)| — 0.30 means
         a persistent ~35 % deviation; ``patience`` is how many
@@ -58,19 +46,17 @@ class RuntimeLogger:
         self.alpha = alpha
         self.drift_threshold = drift_threshold
         self.patience = patience
-        self.keep_timings = keep_timings
-        self.timings: list[TaskTiming] = []
         self._drift: dict[PathKey, _PathDrift] = {}
 
-    def record(self, path: PathKey, n: int, size: int,
-               predicted_s: float, actual_s: float, time: float) -> None:
-        """Log one completed task; may rescale the model's path."""
-        if self.keep_timings:
-            self.timings.append(TaskTiming(path, n, size, predicted_s,
-                                           actual_s, time))
+    def record(self, path: PathKey, predicted_s: float,
+               actual_s: float) -> None:
+        """Fold one completed task into ``path``'s drift estimate; may
+        rescale the model's path."""
         if predicted_s <= 0 or actual_s <= 0:
             return
-        state = self._drift.setdefault(path, _PathDrift())
+        state = self._drift.get(path)
+        if state is None:
+            state = self._drift[path] = _PathDrift()
         state.observations += 1
         log_ratio = math.log(actual_s / predicted_s)
         state.ewma_log_ratio = (

@@ -35,7 +35,7 @@ from repro.core.model import PathKey, PerformanceModel
 __all__ = ["Plan", "PlanCache", "StrategyPlanner"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plan:
     """An executable replication strategy."""
 

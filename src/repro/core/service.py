@@ -49,7 +49,7 @@ TENANT_STAT_KEYS = ("admitted", "deferred", "rejected", "fairshare_waits",
                     "shard_migrations")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplicationRecord:
     """Delay measurement for one source-bucket write."""
 
@@ -611,10 +611,9 @@ class AReplicaService:
             ))
         if result.plan is not None and result.plan.predicted_median_s > 0:
             self.logger.record(
-                result.plan.path, result.plan.n, 0,
+                result.plan.path,
                 predicted_s=result.plan.predicted_median_s,
                 actual_s=max(1e-9, result.visible_time - result.started),
-                time=result.visible_time,
             )
 
     # -- inspection helpers ---------------------------------------------------------

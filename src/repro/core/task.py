@@ -24,7 +24,7 @@ def task_id(rule_id: str, key: str, seq: int, kind: str) -> str:
     return f"{rule_id}:{key}:{seq}:{kind}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskResult:
     """Summary of one completed replication task."""
 

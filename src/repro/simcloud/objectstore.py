@@ -69,7 +69,7 @@ _fresh_counter = itertools.count()
 Segment = tuple[str, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Blob:
     """Symbolic object content.
 
@@ -86,6 +86,9 @@ class Blob:
 
     size: int
     segments: tuple[Segment, ...]
+    #: The ETag, once :attr:`etag` has computed it.
+    _etag: Optional[str] = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     @staticmethod
     def fresh(size: int, tag: str = "") -> "Blob":
@@ -147,16 +150,17 @@ class Blob:
     def etag(self) -> str:
         """Platform-generated content hash (like the S3 ETag).
 
-        Computed once per blob and kept in the instance dict (``frozen``
-        guards ``setattr``, not this).  Not ``functools.cached_property``:
-        on Python 3.11 that takes an RLock on every first access, and
-        the data path makes a fresh slice — one first access — per part.
+        Computed once per blob and kept in the ``_etag`` slot, written
+        past the ``frozen`` guard; the slot is outside eq, hash and repr,
+        so a blob compares the same before and after.  Not
+        ``functools.cached_property``: that needs an instance dict, and
+        on Python 3.11 takes an RLock on every first access while the
+        data path makes a fresh slice — one first access — per part.
         """
-        cache = self.__dict__
-        etag = cache.get("_etag")
+        etag = self._etag
         if etag is None:
-            etag = cache["_etag"] = hashlib.md5(
-                self.content_id.encode()).hexdigest()
+            etag = hashlib.md5(self.content_id.encode()).hexdigest()
+            object.__setattr__(self, "_etag", etag)
         return etag
 
 
@@ -175,13 +179,12 @@ def _merge_segments(segments: list[Segment]) -> tuple[Segment, ...]:
     return tuple(merged)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectVersion:
     """One immutable version of an object."""
 
     key: str
     blob: Blob
-    version_id: str
     put_time: float
     sequencer: int
     #: Injected-fault override: a store that misreports an ETag on a
@@ -198,7 +201,7 @@ class ObjectVersion:
             else self.blob.etag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectEvent:
     """A cloud notification payload (JSON-equivalent metadata)."""
 
@@ -399,6 +402,9 @@ class Bucket:
     def _emit(self, event: ObjectEvent) -> None:
         # Iterate the subscribe-time snapshot: no per-event list copy,
         # and listeners registered mid-emit only see later events.
+        # Writers build the event only when this snapshot is non-empty
+        # (a destination bucket has no listener); the sequencer is drawn
+        # either way.
         for listener in self._listeners_snapshot:
             listener(event)
 
@@ -426,12 +432,12 @@ class Bucket:
                 )
         seq = next(self._seq)
         self.last_sequencer = seq
-        version = ObjectVersion(key, blob, f"v{seq}", time, seq)
+        version = ObjectVersion(key, blob, time, seq)
         prior = self._objects.get(key)
         if prior is not None and self.versioning:
             self._noncurrent.setdefault(key, []).append(prior)
         self._objects[key] = version
-        if notify:
+        if notify and self._listeners_snapshot:
             self._emit(
                 ObjectEvent(
                     "created", self.name, self.region, key, blob.size,
@@ -452,12 +458,11 @@ class Bucket:
         if notify:
             seq = next(self._seq)
             self.last_sequencer = seq
-            self._emit(
-                ObjectEvent(
+            if self._listeners_snapshot:
+                self._emit(ObjectEvent(
                     "deleted", self.name, self.region, key, prior.size,
                     prior.etag, seq, time,
-                )
-            )
+                ))
 
     def copy_object(self, src_key: str, dst_key: str, time: float,
                     notify: bool = True) -> ObjectVersion:

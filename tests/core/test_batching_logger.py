@@ -129,7 +129,7 @@ class TestRuntimeLogger:
         path = ("loc", "s", "d")
         for i in range(20):
             actual = 1.0 * (1.05 if i % 2 else 0.95)
-            logger.record(path, 1, MB, predicted_s=1.0, actual_s=actual, time=i)
+            logger.record(path, predicted_s=1.0, actual_s=actual)
         assert logger.corrections(path) == 0
 
     def test_persistent_drift_triggers_correction(self):
@@ -137,8 +137,8 @@ class TestRuntimeLogger:
         logger = RuntimeLogger(model, patience=5)
         path = ("loc", "s", "d")
         chunk_before = model.path_params[path].chunk.mean
-        for i in range(30):
-            logger.record(path, 1, MB, predicted_s=1.0, actual_s=2.2, time=i)
+        for _ in range(30):
+            logger.record(path, predicted_s=1.0, actual_s=2.2)
         assert logger.corrections(path) >= 1
         assert model.path_params[path].chunk.mean > chunk_before
 
@@ -147,31 +147,33 @@ class TestRuntimeLogger:
         logger = RuntimeLogger(model, patience=5)
         path = ("loc", "s", "d")
         chunk_before = model.path_params[path].chunk.mean
-        for i in range(30):
-            logger.record(path, 1, MB, predicted_s=1.0, actual_s=0.4, time=i)
+        for _ in range(30):
+            logger.record(path, predicted_s=1.0, actual_s=0.4)
         assert model.path_params[path].chunk.mean < chunk_before
 
     def test_timings_recorded(self):
         logger = RuntimeLogger(self._model())
-        logger.record(("loc", "s", "d"), 4, MB, 1.0, 1.1, time=0.0)
-        assert len(logger.timings) == 1
+        logger.record(("loc", "s", "d"), 1.0, 1.1)
         assert logger.observations(("loc", "s", "d")) == 1
+        assert logger.observations(("loc", "d", "s")) == 0
+        logger.record(("loc", "s", "d"), 1.0, 0.9)
+        assert logger.observations(("loc", "s", "d")) == 2
 
     def test_degenerate_values_ignored(self):
         logger = RuntimeLogger(self._model())
-        logger.record(("loc", "s", "d"), 1, MB, 0.0, 1.0, time=0.0)
-        logger.record(("loc", "s", "d"), 1, MB, 1.0, 0.0, time=0.0)
+        logger.record(("loc", "s", "d"), 0.0, 1.0)
+        logger.record(("loc", "s", "d"), 1.0, 0.0)
         assert logger.observations(("loc", "s", "d")) == 0
 
     def test_correction_resets_drift_state(self):
         model = self._model()
         logger = RuntimeLogger(model, patience=3)
         path = ("loc", "s", "d")
-        for i in range(10):
-            logger.record(path, 1, MB, 1.0, 3.0, time=i)
+        for _ in range(10):
+            logger.record(path, 1.0, 3.0)
         first = logger.corrections(path)
         assert first >= 1
         # After correction, accurate predictions cause no more changes.
-        for i in range(10):
-            logger.record(path, 1, MB, 1.0, 1.0, time=i)
+        for _ in range(10):
+            logger.record(path, 1.0, 1.0)
         assert logger.corrections(path) == first

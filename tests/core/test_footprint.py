@@ -1,4 +1,4 @@
-"""Per-tenant memory footprint: what one mostly idle tenant retains.
+"""Memory footprint: what an idle tenant and a replicated PUT retain.
 
 A multi-tenant deployment is thousands of rules that each saw a few
 objects, so what an engine, its tables, deployments and function
@@ -6,8 +6,13 @@ instances *hold* must follow what they *used*.  These checks keep the
 marginal bytes per tenant under a budget (this test read 66.3 KiB after
 one PUT and 80.4 after eight before sampler blocks were demand-sized
 and per-rule state was created at first use; 21.3 and 34.9 after) and
-name the owners when the budget is exceeded.  ``make footprint`` prints
-the numbers.
+name the owners when the budget is exceeded.
+
+A busy hour is a million small PUTs through one rule, so what each
+replicated object leaves behind is the other budget: 2 083 B per PUT
+before the records kept per object and request were slotted and the
+write-only per-task log and version ids went, 1 483 B after.
+``make footprint`` prints the numbers.
 """
 
 from __future__ import annotations
@@ -18,42 +23,52 @@ import tracemalloc
 import pytest
 
 from repro.core.config import ReplicaConfig, TenantConfig
+from repro.core.locks import LockOutcome, PendingVersion, UnlockOutcome
+from repro.core.planner import Plan
 from repro.core.service import AReplicaService
+from repro.core.task import TaskResult
 from repro.simcloud.cloud import build_default_cloud
-from repro.simcloud.objectstore import Blob
+from repro.simcloud.objectstore import Blob, ObjectEvent
 
 pytestmark = pytest.mark.tenant
 
 KIB = 1024
 TENANTS = 400
+PUTS = 2000
 SRC, DST = "aws:us-east-1", "azure:eastus"
 
 
-def _put_round(cloud, buckets, round_no: int) -> None:
-    """One 4 KiB PUT per bucket, 50 ms apart, then run to quiescence."""
+def _put_all(cloud, writes, spacing: float) -> None:
+    """One 4 KiB PUT per ``(bucket, key)``, ``spacing`` seconds apart,
+    then run to quiescence."""
     base = cloud.sim.now
-    for i, src in enumerate(buckets):
+    for i, (bucket, key) in enumerate(writes):
         cloud.sim.call_at(
-            base + 1.0 + 0.05 * i,
-            lambda src=src: src.put_object(f"obj-{round_no}",
-                                           Blob.fresh(4 * KIB), cloud.sim.now))
+            base + 1.0 + spacing * i,
+            lambda bucket=bucket, key=key: bucket.put_object(
+                key, Blob.fresh(4 * KIB), cloud.sim.now))
     cloud.run()
 
 
-def _traced_kib(since: int, tenants: int, label: str, budget: float,
+def _put_round(cloud, buckets, round_no: int) -> None:
+    """One PUT per bucket, 50 ms apart."""
+    _put_all(cloud, [(src, f"obj-{round_no}") for src in buckets], 0.05)
+
+
+def _traced_kib(since: int, count: int, label: str, budget: float,
                 show: bool) -> float:
-    """KiB traced per tenant since ``since``; names the ten largest
-    owners when over ``budget`` (or when asked to show)."""
+    """KiB traced per one of ``count`` units since ``since``; names the
+    ten largest owners when over ``budget`` (or when asked to show)."""
     gc.collect()
-    per_tenant = (tracemalloc.get_traced_memory()[0] - since) / tenants / KIB
-    if show or per_tenant > budget:
-        print(f"\n{label}: {per_tenant:.1f} KiB per tenant "
-              f"(budget {budget:.0f}); largest owners, whole process:")
+    per_unit = (tracemalloc.get_traced_memory()[0] - since) / count / KIB
+    if show or per_unit > budget:
+        print(f"\n{label}: {per_unit:.2f} KiB (budget {budget:.2f}); "
+              f"largest owners, whole process:")
         for stat in tracemalloc.take_snapshot().statistics("lineno")[:10]:
             frame = stat.traceback[0]
             print(f"  {stat.size / KIB:8.0f} KiB {stat.count:7d} blocks  "
                   f"{frame.filename}:{frame.lineno}")
-    return per_tenant
+    return per_unit
 
 
 def test_marginal_bytes_per_tenant_stay_in_budget(request):
@@ -79,7 +94,8 @@ def test_marginal_bytes_per_tenant_stay_in_budget(request):
                            cloud.bucket(DST, f"t{i:03d}-dst"))
             buckets.append(src)
         _put_round(cloud, buckets, 1)
-        after_one = _traced_kib(empty, TENANTS, "one PUT each", 32.0, show)
+        after_one = _traced_kib(empty, TENANTS, "per tenant, one PUT each",
+                                32.0, show)
         # Seven more PUTs, on a quarter of the tenants (tracing every
         # allocation is slow): growth per busy tenant on top of the above.
         busy = buckets[:TENANTS // 4]
@@ -87,14 +103,57 @@ def test_marginal_bytes_per_tenant_stay_in_budget(request):
         for round_no in range(2, 9):
             _put_round(cloud, busy, round_no)
         after_eight = after_one + _traced_kib(
-            one_each, len(busy), "seven more PUTs each", 48.0 - after_one,
-            show)
+            one_each, len(busy), "per busy tenant, seven more PUTs",
+            48.0 - after_one, show)
     finally:
         tracemalloc.stop()
     assert len(svc.records) == 1 + TENANTS + 7 * len(busy)
     assert svc.pending_count() == 0
     assert after_one <= 32.0
     assert after_eight <= 48.0
+
+
+def test_bytes_retained_per_replicated_put_stay_in_budget(request):
+    show = request.config.getoption("capture") == "no"      # make footprint
+    cloud = build_default_cloud(seed=0)
+    svc = AReplicaService(cloud, ReplicaConfig(profile_samples=4,
+                                               mc_samples=300))
+    src, dst = cloud.bucket(SRC, "src"), cloud.bucket(DST, "dst")
+    svc.add_rule(src, dst)
+    # The warm-up profiles the pair and fills the plan cache, warm
+    # pools and sampler blocks, none of which grows per object.
+    _put_all(cloud, [(src, f"warm-{i}") for i in range(50)], 0.01)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _put_all(cloud, [(src, f"obj-{i}") for i in range(PUTS)], 0.01)
+        per_put = _traced_kib(before, PUTS, "per replicated 4 KiB PUT",
+                              1.6, show)
+    finally:
+        tracemalloc.stop()
+    assert len(svc.records) == 50 + PUTS
+    assert svc.pending_count() == 0
+    version = dst.head(f"obj-{PUTS - 1}")
+    assert version.etag == src.current_etag(f"obj-{PUTS - 1}")
+    assert per_put <= 1.6
+    # What is kept per object or request, and what a task builds, holds
+    # no instance dict: a field added later must not bring one back.
+    etag = version.etag
+    plan = Plan(1, SRC, (SRC, SRC, DST), 1.0, 0.99, True, True)
+    pending = PendingVersion(etag, 2)
+    for record in (
+        version.blob,
+        version,
+        ObjectEvent("created", "src", src.region, "k", 1, etag, 1, 0.0),
+        svc.records[-1],
+        TaskResult("k", etag, 1, 0.0, 1.0, plan),
+        plan,
+        LockOutcome(True),
+        UnlockOutcome(True, pending),
+        pending,
+    ):
+        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 def test_never_invoked_deployment_holds_no_pool_and_no_stats():

@@ -1,11 +1,11 @@
 """Remaining behaviour corners: same-region rules, batching internals,
-logger options, planner percentile overrides, and network overrides."""
+logger counters, planner percentile overrides, and network overrides."""
 
 import pytest
 
 from repro.core.config import ReplicaConfig
 from repro.core.logger import RuntimeLogger
-from repro.core.model import LocParams, NormalParam, PathParams, PerformanceModel
+from repro.core.model import PerformanceModel
 from repro.core.service import AReplicaService
 from repro.simcloud.cloud import Cloud, CloudProfiles, build_default_cloud
 from repro.simcloud.network import DEFAULT_PROFILE, NetworkProfile
@@ -74,20 +74,6 @@ class TestBatchingInternals:
 
 
 class TestLoggerOptions:
-    def test_keep_timings_false_saves_memory(self):
-        model = PerformanceModel(chunk_size=8 * MB)
-        model.set_loc_params("l", LocParams(NormalParam(0.01, 0.001),
-                                            NormalParam(0.3, 0.01),
-                                            NormalParam.zero()))
-        model.set_path_params(("l", "s", "d"), PathParams(
-            NormalParam(0.1, 0.01), NormalParam(0.2, 0.02),
-            NormalParam(0.2, 0.02)))
-        logger = RuntimeLogger(model, keep_timings=False)
-        for i in range(10):
-            logger.record(("l", "s", "d"), 1, MB, 1.0, 1.0, time=i)
-        assert logger.timings == []
-        assert logger.observations(("l", "s", "d")) == 10
-
     def test_unknown_path_counters_zero(self):
         model = PerformanceModel(chunk_size=8 * MB)
         logger = RuntimeLogger(model)

@@ -1,5 +1,8 @@
 """Tests for the simulated object storage."""
 
+import dataclasses
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +94,60 @@ class TestBlob:
             blob.slice(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:]) if hi > lo
         ]
         assert Blob.concat(parts) == blob
+
+
+class TestSlotCachedEtag:
+    """The ETag is cached in a slot outside eq, hash and repr."""
+
+    def test_cached_and_uncached_blobs_compare_and_hash_equal(self):
+        cached = Blob(10, (("fixed", 0, 10),))
+        assert cached.etag
+        fresh = Blob(10, (("fixed", 0, 10),))
+        assert cached == fresh
+        assert hash(cached) == hash(fresh)
+        assert {cached: 1}[fresh] == 1
+
+    def test_repr_hides_the_cache(self):
+        blob = Blob(10, (("fixed", 0, 10),))
+        assert blob.etag
+        assert "_etag" not in repr(blob)
+        assert blob.etag not in repr(blob)
+
+    def test_md5_runs_once_per_blob(self, monkeypatch):
+        calls = []
+        md5 = hashlib.md5
+
+        def counting_md5(data):
+            calls.append(data)
+            return md5(data)
+
+        monkeypatch.setattr(hashlib, "md5", counting_md5)
+        blob, other = Blob.fresh(100), Blob.fresh(100)
+        assert blob.etag == blob.etag == blob.etag
+        assert len(calls) == 1
+        assert other.etag
+        assert len(calls) == 2
+
+    def test_frozen_guard_still_holds(self):
+        blob = Blob.fresh(10)
+        assert blob.etag
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            blob._etag = "forged"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            blob.size = 11
+
+    def test_replace_keeps_working_on_versions(self):
+        b = make_bucket()
+        blob = Blob.fresh(10)
+        version = b.put_object("k", blob, 1.0)
+        lying = dataclasses.replace(version, reported_etag="bogus")
+        assert (lying.etag, lying.blob.etag) == ("bogus", blob.etag)
+        assert (lying.key, lying.sequencer) == (version.key, version.sequencer)
+        # rot_object replaces the blob and pins the pre-rot ETag.
+        reported, true = b.rot_object("k")
+        assert reported == blob.etag != true
+        assert b.head("k").etag == blob.etag
+        assert b.head("k").blob.etag == true
 
 
 def _walk_slice(blob, offset, length):
@@ -350,6 +407,21 @@ class TestEvents:
         b.subscribe(events.append)
         b.put_object("k", Blob.fresh(1), 1.0, notify=False)
         assert events == []
+
+    def test_listenerless_bucket_still_draws_sequencers(self):
+        """No event is built without a listener, but the sequencer is
+        drawn exactly as if one were listening."""
+        quiet, loud = make_bucket(), make_bucket()
+        events = []
+        loud.subscribe(events.append)
+        for b in (quiet, loud):
+            b.put_object("a", Blob.fresh(1), 1.0)
+            assert b.last_sequencer == 1
+            b.put_object("b", Blob.fresh(1), 2.0)
+            b.delete_object("a", 3.0)
+            assert b.last_sequencer == 3
+        assert [e.sequencer for e in events] == [1, 2, 3]
+        assert quiet.put_object("c", Blob.fresh(1), 4.0).sequencer == 4
 
     def test_multipart_complete_emits_single_event(self):
         b = make_bucket()
