@@ -95,14 +95,6 @@ class ReplicaConfig:
     #: one ``is not None`` check per emission site, preserving the
     #: benchmarked hot-path numbers.
     tracing_enabled: bool = False
-    #: Fuse the request-handshake and data-transfer legs of the
-    #: small-object (single-PUT) pipeline into one kernel event per
-    #: direction.  Only takes effect when nothing can observe the
-    #: intermediate instants — no chaos/corruption hooks armed, no
-    #: tracer recording, neither endpoint in an outage window (the
-    #: engine re-checks eligibility per task).  Off by default so
-    #: drills and golden suites exercise the un-fused path.
-    fuse_small_transfers: bool = False
     #: Speculative hedging (tail-latency cloning): when a distributed
     #: part overruns a deadline derived from recent completions, clone
     #: the same range onto a fresh FaaS instance and let first-writer-

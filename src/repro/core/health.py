@@ -207,12 +207,6 @@ class HealthTracker:
                     and b.ewma >= cfg.ewma_threshold)):
             self._open(target, b, now)
 
-    def record_success(self, target: Target) -> None:
-        self.record(target, True)
-
-    def record_failure(self, target: Target) -> None:
-        self.record(target, False)
-
     # -- queries -------------------------------------------------------------
 
     @property

@@ -202,15 +202,6 @@ class ReplicationLockManager:
                                      int(captured["seq"]))  # type: ignore[arg-type]
         return UnlockOutcome(bool(captured["released"]), pending)
 
-    def unlock(self, obj_key: str, owner: str):
-        """Process: release and return just the pending version.
-
-        Thin compatibility wrapper over :meth:`release` for callers that
-        only care about Algorithm 2's pending-version hand-off.
-        """
-        outcome = yield from self.release(obj_key, owner)
-        return outcome.pending
-
     def stranded(self):
         """Every lock record in the table right now, as ``(obj_key,
         owner, seq, etag, lease_left_s)``: the newest version the record

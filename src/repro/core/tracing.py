@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 __all__ = ["Span", "Event", "CostRecord", "Tracer", "TenantTracer",
-           "task_ref", "PHASES", "PHASE_NAMES"]
+           "PHASES", "PHASE_NAMES"]
 
 #: Delay-decomposition phases, in presentation order.
 PHASES = ("N", "I", "D", "P", "S", "C")
@@ -64,24 +64,6 @@ PHASE_NAMES = {
     "S": "client startup",
     "C": "chunk transfer",
 }
-
-
-def task_ref(payload) -> Optional[str]:
-    """The task id a function invocation payload is working for.
-
-    The engine stamps orchestrator payloads with a ``task`` field;
-    replicator payloads already carry ``task_id``, and the changelog
-    applier nests the whole task dict under ``task``.  Attribution
-    degrades to ``None`` (an untasked row) rather than KeyError for
-    payloads outside the task lifecycle (probes, timers).
-    """
-    if isinstance(payload, dict):
-        ref = payload.get("task", payload.get("task_id"))
-        if isinstance(ref, dict):
-            ref = ref.get("task_id")
-        if ref is not None:
-            return str(ref)
-    return None
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,7 +28,7 @@ from repro.simcloud.objectstore import NoSuchKey
 #: poisoned transfer.
 RETRANSFER_BUDGET = 2
 
-__all__ = ["PartQuarantined", "run_single", "propagate_delete", "fusion_ok",
+__all__ = ["PartQuarantined", "run_single", "propagate_delete",
            "classify_download", "record_corruption", "retransfer",
            "quarantine", "withdraw_unverified", "reconverge_superseded",
            "abort_upload"]
@@ -204,25 +204,6 @@ def abort_upload(engine, upload_id: str) -> None:
 
 # -- single-function replication ----------------------------------------------
 
-def fusion_ok(engine) -> bool:
-    """Eligibility for fused small-object transfers.
-
-    Fusing the handshake and data legs into one kernel event is only
-    allowed when nothing can observe the intermediate instants: no
-    chaos/corruption hooks armed, no tracer recording spans, neither
-    endpoint inside an outage window, and hedging off — the hedge
-    monitor's deadline gates sample transfer progress at instants
-    fusion would collapse away.
-    """
-    cloud = engine.cloud
-    return (engine.config.fuse_small_transfers
-            and engine.hedger is None
-            and cloud.chaos is None
-            and cloud.tracer is None
-            and not engine.src_bucket.in_outage
-            and not engine.dst_bucket.in_outage)
-
-
 def run_single(engine, ctx, task):
     """Process: single-function replication (orchestrator inline, or
     one remote replicator).
@@ -240,14 +221,10 @@ def run_single(engine, ctx, task):
     key = task["key"]
     src, dst = engine.src_bucket, engine.dst_bucket
     part = engine.config.part_size
-    fused = fusion_ok(engine)
     used = 0
     while True:
         try:
-            if fused and task.get("size", part + 1) <= part:
-                blob, version = yield from ctx.get_object_fused(src, key)
-            else:
-                blob, version = yield from ctx.get_object(src, key)
+            blob, version = yield from ctx.get_object(src, key)
         except NoSuchKey:
             yield from engine._finish(ctx, task["task_id"], key, None)
             return
@@ -275,10 +252,7 @@ def run_single(engine, ctx, task):
         if not ok:
             return
         while True:
-            if fused:
-                dst_version = yield from ctx.put_object_fused(dst, key, blob)
-            else:
-                dst_version = yield from ctx.put_object(dst, key, blob)
+            dst_version = yield from ctx.put_object(dst, key, blob)
             if dst_version.etag == blob.etag:
                 break
             # The store durably recorded some other payload under our

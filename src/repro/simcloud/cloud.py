@@ -164,8 +164,7 @@ class Cloud:
         if chaos is not None and not chaos.enabled:
             chaos = None
         self.chaos = chaos
-        self.fabric.set_chaos(chaos, self.rngs.stream("chaos:wan"),
-                              clock=lambda: self.sim.now)
+        self.fabric.set_chaos(chaos, self.rngs.stream("chaos:wan"))
         self.notifications.set_chaos(chaos, self.rngs.stream("chaos:notif"))
         for faas in self._faas.values():
             faas.configure_chaos(chaos)

@@ -68,8 +68,14 @@ __all__ = [
 
 
 def _task_ref(payload) -> Optional[str]:
-    """Task attribution for tracing (mirrors repro.core.tracing.task_ref;
-    duplicated so the substrate layer never imports the core package)."""
+    """The task id a function invocation payload is working for.
+
+    The engine stamps orchestrator payloads with a ``task`` field;
+    replicator payloads already carry ``task_id``, and the changelog
+    applier nests the whole task dict under ``task``.  Attribution
+    degrades to ``None`` (an untasked row) rather than KeyError for
+    payloads outside the task lifecycle (probes, timers).
+    """
     if isinstance(payload, dict):
         ref = payload.get("task", payload.get("task_id"))
         if isinstance(ref, dict):
@@ -826,57 +832,6 @@ class FunctionContext:
         yield SleepRequest(self._request_latency(bucket))
         self._charge_request(bucket, "get")
         return bucket.head(key)
-
-    def get_object_fused(self, bucket: Bucket, key: str,
-                         concurrency: int = 1):
-        """Small-object GET with handshake and data legs fused.
-
-        Pays the same total latency as :meth:`get_object` (the same
-        draws, in the same per-stream order) but yields once instead
-        of twice, halving the kernel events of the dominant small-PUT
-        pipeline.  The caller is responsible for eligibility: no chaos
-        or corruption hooks armed and no tracer recording.  The one
-        observable difference is that the snapshot read is issued at
-        request time rather than after the request round-trip, so its
-        visibility window opens one request-latency earlier (plus the
-        client-startup overhead S when this is the invocation's first
-        data-path call — S is folded into the same fused sleep).
-        """
-        extra = 0.0
-        if not self._client_ready:
-            self._client_ready = True
-            extra = self._faas.fabric.sample_startup(self.region.provider)
-        latency = self._request_latency(bucket)
-        blob, version = bucket.get_object(key)
-        self._charge_request(bucket, "get")
-        yield SleepRequest(extra + latency + self._leg_seconds(
-            bucket, blob.size, upload=False, concurrency=concurrency))
-        self._charge_egress(bucket.region, self.region, blob.size)
-        self.bytes_downloaded += blob.size
-        return blob, version
-
-    def put_object_fused(self, bucket: Bucket, key: str, blob: Blob,
-                         if_match: Optional[str] = None,
-                         concurrency: int = 1):
-        """Small-object PUT with handshake and data legs fused.
-
-        Timing-identical to :meth:`put_object` (the store mutation
-        lands at the same instant, after both legs) with one yield
-        instead of two.  Same eligibility contract (and client-startup
-        folding) as :meth:`get_object_fused`.
-        """
-        extra = 0.0
-        if not self._client_ready:
-            self._client_ready = True
-            extra = self._faas.fabric.sample_startup(self.region.provider)
-        yield SleepRequest(extra + self._request_latency(bucket)
-                           + self._leg_seconds(bucket, blob.size, upload=True,
-                                               concurrency=concurrency))
-        version = bucket.put_object(key, blob, self.now, if_match=if_match)
-        self._charge_request(bucket, "put")
-        self._charge_egress(self.region, bucket.region, blob.size)
-        self.bytes_uploaded += blob.size
-        return version
 
     def put_object(self, bucket: Bucket, key: str, blob: Blob,
                    if_match: Optional[str] = None, concurrency: int = 1):

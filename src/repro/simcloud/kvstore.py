@@ -31,11 +31,7 @@ from repro.simcloud.regions import Provider, Region
 from repro.simcloud.rng import BufferedSampler, Dist, RngFactory, normal
 from repro.simcloud.sim import DeferredResult, Future, Simulator
 
-__all__ = ["KvProfile", "KvTable", "ConditionFailed", "Throttled"]
-
-
-class ConditionFailed(RuntimeError):
-    """A conditional write's condition evaluated to false."""
+__all__ = ["KvProfile", "KvTable", "Throttled"]
 
 
 class Throttled(RuntimeError):
@@ -185,12 +181,12 @@ class KvTable:
 
             def admit(_a: Any, _b: Any) -> None:
                 if self._health is not None:
-                    # The database answered (even a ConditionFailed is
+                    # The database answered (even a failed mutation is
                     # a healthy, linearizable response).
                     self._health.record(self._health_target, True)
                 try:
                     value = apply()
-                except Exception as exc:  # ConditionFailed etc.
+                except Exception as exc:
                     fut.fail(exc)
                     return
                 self.op_counts[kind] += 1
@@ -217,64 +213,41 @@ class KvTable:
         self._ledger.charge(self.sim.now, CostCategory.KV_OPS,
                             self._op_cost[kind], self._op_detail[kind])
         if self._health is not None:
-            # Any admitted response — ConditionFailed included — means
+            # Any admitted response — a failed mutation included — means
             # the database is up; only rejections (which bypass this
             # path) count against the region's health.
             self._health.record(self._health_target, True)
         return DeferredResult(self._latency(), value, error)
 
     # -- point operations ----------------------------------------------------
+    #
+    # Each operation's mutation is written once, as ``_do_*``: the clean
+    # path applies it directly (no per-op closure), the chaos path hands
+    # it to :meth:`_chaos_admit`, which may reject or delay it.
 
     def get_item(self, key: str) -> DeferredResult:
         """Read an item; resolves with a copy of the dict or None."""
         if self._chaos is not None:
             return self._chaos_admit("read", lambda: self._do_get(key))
-        item = self._items.get(key)
-        return self._respond("read", dict(item) if item is not None else None)
+        return self._respond("read", self._do_get(key))
 
     def put_item(self, key: str, item: dict[str, Any]) -> DeferredResult:
         """Unconditional upsert."""
         if self._chaos is not None:
             return self._chaos_admit("write", lambda: self._do_put(key, item))
-        self._items[key] = dict(item)
-        return self._respond("write", None)
+        return self._respond("write", self._do_put(key, item))
 
     def delete_item(self, key: str) -> DeferredResult:
         if self._chaos is not None:
             return self._chaos_admit("write", lambda: self._do_delete(key))
-        self._items.pop(key, None)
-        return self._respond("write", None)
-
-    def conditional_put(
-        self,
-        key: str,
-        item: dict[str, Any],
-        condition: Callable[[Optional[dict[str, Any]]], bool],
-    ) -> DeferredResult:
-        """Upsert only if ``condition(current_item)`` holds.
-
-        Resolves with True on success; fails with
-        :class:`ConditionFailed` otherwise (mirroring DynamoDB's
-        ``ConditionalCheckFailedException``).
-        """
-        if self._chaos is not None:
-            return self._chaos_admit(
-                "write", lambda: self._do_conditional_put(key, item, condition))
-        current = self._items.get(key)
-        if not condition(dict(current) if current is not None else None):
-            return self._respond("write", error=ConditionFailed(key))
-        self._items[key] = dict(item)
-        return self._respond("write", True)
+        return self._respond("write", self._do_delete(key))
 
     def put_if_absent(self, key: str, item: dict[str, Any]) -> DeferredResult:
         """Create the item only if the key does not exist; bool result."""
         if self._chaos is not None:
             return self._chaos_admit(
                 "write", lambda: self._do_put_if_absent(key, item))
-        if key in self._items:
-            return self._respond("write", False)
-        self._items[key] = dict(item)
-        return self._respond("write", True)
+        return self._respond("write", self._do_put_if_absent(key, item))
 
     def update_item(
         self, key: str, fn: Callable[[Optional[dict[str, Any]]], Optional[dict[str, Any]]]
@@ -289,24 +262,14 @@ class KvTable:
         """
         if self._chaos is not None:
             return self._chaos_admit("write", lambda: self._do_update(key, fn))
-        current = self._items.get(key)
-        updated = fn(dict(current) if current is not None else None)
-        if updated is None:
-            self._items.pop(key, None)
-        else:
-            self._items[key] = dict(updated)
-        return self._respond("write", dict(updated) if updated is not None else None)
+        return self._respond("write", self._do_update(key, fn))
 
     def increment(self, key: str, field_name: str, by: int = 1) -> DeferredResult:
         """Atomic counter; creates the item/field at 0 when missing."""
         if self._chaos is not None:
             return self._chaos_admit(
                 "write", lambda: self._do_increment(key, field_name, by))
-        item = self._items.setdefault(key, {})
-        item[field_name] = item.get(field_name, 0) + by
-        return self._respond("write", item[field_name])
-
-    # -- the mutations themselves (chaos path; mirrors the inline code) ------
+        return self._respond("write", self._do_increment(key, field_name, by))
 
     def _do_get(self, key: str) -> Optional[dict[str, Any]]:
         item = self._items.get(key)
@@ -317,13 +280,6 @@ class KvTable:
 
     def _do_delete(self, key: str) -> None:
         self._items.pop(key, None)
-
-    def _do_conditional_put(self, key, item, condition) -> bool:
-        current = self._items.get(key)
-        if not condition(dict(current) if current is not None else None):
-            raise ConditionFailed(key)
-        self._items[key] = dict(item)
-        return True
 
     def _do_put_if_absent(self, key: str, item: dict[str, Any]) -> bool:
         if key in self._items:

@@ -33,9 +33,7 @@ from repro.simcloud.regions import Provider, Region
 from repro.simcloud.rng import BufferedSampler, Dist, RngFactory, normal
 
 __all__ = ["FunctionConfig", "NetworkProfile", "InstanceChannel", "NetworkFabric",
-           "DEFAULT_PROFILE", "MBPS"]
-
-MBPS = 1e6  # bits per second in one Mbps
+           "DEFAULT_PROFILE"]
 
 
 @dataclass(frozen=True)
@@ -227,7 +225,6 @@ class NetworkFabric:
         # Fault injection: None keeps transfers on the chaos-free path.
         self._chaos: ChaosConfig | None = None
         self._chaos_rng = None
-        self._clock = None
         self.chaos_stalls = 0
         self.chaos_blackouts = 0
         #: Regional outage windows keyed by region: transfers touching
@@ -241,16 +238,12 @@ class NetworkFabric:
 
     # -- fault injection --------------------------------------------------
 
-    def set_chaos(self, chaos: ChaosConfig | None, rng, clock=None) -> None:
-        """Install (or clear) WAN fault injection.
-
-        ``clock`` is a zero-argument callable returning simulated time
-        (needed to test transfer starts against blackout windows; the
-        fabric itself is clockless).
-        """
+    def set_chaos(self, chaos: ChaosConfig | None, rng) -> None:
+        """Install (or clear) WAN fault injection.  The fabric is
+        clockless: callers pass the transfer start to
+        :meth:`chaos_penalty_s`."""
         self._chaos = chaos if chaos is not None and chaos.wan_enabled else None
         self._chaos_rng = ChaosDraws(rng) if rng is not None else None
-        self._clock = clock
         self._outage_by_region = {}
         if self._chaos is not None:
             for region_key, start, duration in self._chaos.wan_outages:
@@ -348,14 +341,6 @@ class NetworkFabric:
         self._mbps_memo[memo_key] = result
         return result
 
-    def mean_transfer_seconds(self, exec_region: Region, src: Region, dst: Region,
-                              nbytes: int, config: FunctionConfig) -> float:
-        """Expected store-and-forward time, excluding startup overhead."""
-        down = self.path_mbps(exec_region, src, config, upload=False) * MBPS
-        up = self.path_mbps(exec_region, dst, config, upload=True) * MBPS
-        bits = nbytes * 8
-        return bits / down + bits / up
-
     # -- stochastic sampling ---------------------------------------------
 
     def open_channel(self, provider: str) -> InstanceChannel:
@@ -405,26 +390,3 @@ class NetworkFabric:
         extra = p.congestion_sigma[provider] * math.log2(concurrency)
         self._congestion_memo[memo_key] = (divisor, extra)
         return divisor, extra
-
-    def sample_transfer_seconds(
-        self,
-        exec_region: Region,
-        src: Region,
-        dst: Region,
-        nbytes: int,
-        config: FunctionConfig,
-        channel: InstanceChannel,
-        concurrency: int = 1,
-    ) -> float:
-        """One store-and-forward transfer time draw for ``nbytes``."""
-        base = self.mean_transfer_seconds(exec_region, src, dst, nbytes, config)
-        divisor, extra_sigma = self.congestion_scale(exec_region.provider, concurrency)
-        factor = channel.next_factor()
-        if extra_sigma > 0:
-            factor *= self.congestion_jitter(extra_sigma)
-        seconds = base * divisor / factor
-        if (self._chaos is not None and self._clock is not None
-                and (exec_region.key != src.key or exec_region.key != dst.key)):
-            seconds += self.chaos_penalty_s(self._clock(), exec_region.key,
-                                            src.key, dst.key)
-        return seconds

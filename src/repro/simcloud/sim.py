@@ -67,9 +67,8 @@ __all__ = [
 _TIMER = 0      # a: Timer            -> a.fire()
 _CALL = 1       # a: fn, b: value, c: exc -> a(b, c)
 _RESOLVE = 2    # a: Future, b: value -> a.resolve(b)
-_FAIL = 3       # a: Future, b: exc   -> a.fail(b)
-_WAKE = 4       # a: Process, b: epoch -> a._step(None, None) if still fresh
-_DEFER = 5      # a: Process, b: DeferredResult, c: epoch -> deliver outcome
+_WAKE = 3       # a: Process, b: epoch -> a._step(None, None) if still fresh
+_DEFER = 4      # a: Process, b: DeferredResult, c: epoch -> deliver outcome
 
 
 class Timer:
@@ -389,12 +388,6 @@ class Simulator:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._push(self.now + delay, _RESOLVE, fut, value, None)
 
-    def schedule_fail(self, delay: float, fut: Future, exc: BaseException) -> None:
-        """Fail ``fut`` with ``exc`` after ``delay`` seconds."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._push(self.now + delay, _FAIL, fut, exc, None)
-
     def schedule_call(self, delay: float, fn: Callable[..., None],
                       a: Any = None, b: Any = None) -> None:
         """Run ``fn(a, b)`` after ``delay`` seconds.
@@ -533,10 +526,8 @@ class Simulator:
             a(b, c)
         elif kind == _RESOLVE:
             a.resolve(b)
-        elif kind == _TIMER:
-            a.fire()
         else:
-            a.fail(b)
+            a.fire()
 
     def step(self) -> bool:
         """Execute the next live event; return False if none remain.
@@ -639,10 +630,8 @@ class Simulator:
                 a(b, c)
             elif kind == _RESOLVE:
                 a.resolve(b)
-            elif kind == _TIMER:
-                a.fire()
             else:
-                a.fail(b)
+                a.fire()
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue drains or ``until`` is reached.

@@ -58,8 +58,8 @@ REPLICA_CONFIG_FIELDS = {
     "slo_seconds", "percentile", "part_size", "max_parallelism",
     "enable_changelog", "enable_batching", "batching_epsilon", "mc_samples",
     "gumbel_threshold", "profile_samples", "retry_policy", "health_enabled",
-    "outage_catchup_concurrency", "tracing_enabled", "fuse_small_transfers",
-    "hedging_enabled", "hedge_deadline_quantile", "max_clones_per_part",
+    "outage_catchup_concurrency", "tracing_enabled", "hedging_enabled",
+    "hedge_deadline_quantile", "max_clones_per_part",
     "enable_autopilot", "autopilot_interval_s", "autopilot_window_s",
     "autopilot_cooldown_s", "autopilot_settle_s",
 }

@@ -25,12 +25,13 @@ from repro.traces.replay import TraceReplayer
 MB = 1024**2
 
 
-def _fig12_run(seed: int):
+def _fig12_run(seed: int, tracing: bool = False):
     """A distributed replication (Fig 12 shape): one large object split
     across parallel replicator functions, plus chaos-free retries of
     small objects — the full lock/pool/finalize protocol."""
     cloud = build_default_cloud(seed=seed)
-    config = ReplicaConfig(slo_seconds=0.0, profile_samples=5, mc_samples=300)
+    config = ReplicaConfig(slo_seconds=0.0, profile_samples=5, mc_samples=300,
+                           tracing_enabled=tracing)
     svc = AReplicaService(cloud, config)
     src = cloud.bucket("aws:us-east-1", "src")
     dst = cloud.bucket("azure:eastus", "dst")
@@ -53,14 +54,15 @@ def _fig12_scenario(seed: int):
     )
 
 
-def _fig23_run(seed: int, idle: str = ""):
+def _fig23_run(seed: int, idle: str = "", tracing: bool = False):
     """A one-minute slice of the Fig 23 busy-hour replay, with at most
     one optional layer (``idle``) built but never started."""
     gen = IbmCosTraceGenerator(seed=seed)
     batches = [b for b in gen.generate_batches(60.0)]
     cloud = build_default_cloud(seed=seed)
     svc = AReplicaService(cloud, ReplicaConfig(profile_samples=5,
-                                               mc_samples=300))
+                                               mc_samples=300,
+                                               tracing_enabled=tracing))
     if idle == "tenancy":
         # Scheduler + shard router built, zero tenants registered:
         # classic rules must not route through either.
@@ -133,6 +135,33 @@ def test_idle_layer_is_byte_invisible(idle):
     for seed in (0, 1, 2):
         assert _fig23_slice(seed, idle) == _plain_fig23_slice(seed), \
             f"seed {seed} perturbed"
+
+
+def _outcome(cloud, svc):
+    """What a run produced: every record, the ledger, the pending count
+    and the clock."""
+    return (
+        [(r.key, r.seq, r.kind, r.event_time, r.visible_time, r.plan_n)
+         for r in svc.records],
+        sorted(cloud.ledger.breakdown().items()),
+        svc.pending_count(),
+        cloud.now,
+    )
+
+
+@pytest.mark.parametrize("run", [_fig23_run, _fig12_run],
+                         ids=["fig23", "fig12"])
+def test_tracing_only_observes(run):
+    """Tracing on == tracing off.  The Tracer records what a run did and
+    never selects different code, so the traced run is the measured run:
+    the inline small-object path (fig23) and the distributed one (fig12)
+    produce the same records, ledger, pending count and clock with
+    ``tracing_enabled`` as without it, across seeds."""
+    for seed in (0, 1, 2):
+        plain = _outcome(*run(seed))
+        cloud, svc = run(seed, tracing=True)
+        assert svc.tracer.spans, "traced run recorded nothing"
+        assert _outcome(cloud, svc) == plain, f"seed {seed} perturbed"
 
 
 def _traced_export(seed: int, path):

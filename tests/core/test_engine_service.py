@@ -188,43 +188,3 @@ class TestCostAccounting:
         cloud.run()
         total = before.delta(cloud.ledger.snapshot()).total
         assert 1e-5 < total < 1e-3
-
-
-class TestFusedSmallTransfers:
-    """``fuse_small_transfers`` folds the handshake and data legs of a
-    small GET/PUT into one kernel event each.  For tasks that do not
-    overlap (so the shared latency/bandwidth streams are drawn in the
-    same order) that must be invisible in simulated time and cost."""
-
-    @staticmethod
-    def _serial_small_puts(fuse):
-        cloud, svc, src, dst, rule = build(seed=7, fuse_small_transfers=fuse)
-        sizes = cloud.rngs.stream("fused-workload").integers(1, 4096, 40)
-        events_before = cloud.sim._seq
-        for i, kb in enumerate(sizes):
-            # 10 s apart: each replication finishes before the next PUT.
-            cloud.sim.call_later(
-                1.0 + 10.0 * i, lambda i=i, size=int(kb) * 1024: src.put_object(
-                    f"obj{i}", Blob.fresh(size), cloud.sim.now))
-        cloud.run()
-        assert all(dst.head(f"obj{i}").etag == src.head(f"obj{i}").etag
-                   for i in range(len(sizes)))
-        return (sorted((r.key, r.delay) for r in svc.records),
-                cloud.ledger.breakdown(), dict(rule.engine.stats),
-                cloud.sim._seq - events_before)
-
-    def test_fusion_changes_event_count_only(self):
-        plain_delays, plain_ledger, plain_stats, plain_events = \
-            self._serial_small_puts(fuse=False)
-        fused_delays, fused_ledger, fused_stats, fused_events = \
-            self._serial_small_puts(fuse=True)
-        assert len(fused_delays) == len(plain_delays) == 40
-        assert fused_stats == plain_stats
-        assert fused_stats["inline"] == 40
-        assert fused_ledger == pytest.approx(plain_ledger, rel=1e-9)
-        for (key, fused), (plain_key, plain) in zip(fused_delays,
-                                                    plain_delays):
-            assert key == plain_key
-            assert fused == pytest.approx(plain, abs=1e-9)
-        # One event saved per fused GET and per fused PUT, at least.
-        assert fused_events <= plain_events - 2 * 40

@@ -290,7 +290,7 @@ class TestReplicationLock:
             outcome = yield from mgr.lock("k", "e1", 1, owner="a")
             assert outcome.acquired
             assert mgr.is_locked("k")
-            pending = yield from mgr.unlock("k", owner="a")
+            pending = (yield from mgr.release("k", owner="a")).pending
             return pending
 
         assert run(cloud, main()) is None
@@ -304,7 +304,7 @@ class TestReplicationLock:
             second = yield from mgr.lock("k", "e2", 2, owner="b")
             assert not second.acquired
             assert second.registered_pending
-            pending = yield from mgr.unlock("k", owner="a")
+            pending = (yield from mgr.release("k", owner="a")).pending
             return pending
 
         pending = run(cloud, main())
@@ -319,7 +319,7 @@ class TestReplicationLock:
             yield from mgr.lock("k", "e3", 3, owner="c")
             older = yield from mgr.lock("k", "e2", 2, owner="b")
             assert not older.registered_pending  # e3 is newer, e2 can quit
-            pending = yield from mgr.unlock("k", owner="a")
+            pending = (yield from mgr.release("k", owner="a")).pending
             return pending
 
         pending = run(cloud, main())
@@ -330,10 +330,11 @@ class TestReplicationLock:
 
         def main():
             yield from mgr.lock("k", "e1", 1, owner="a")
-            pending = yield from mgr.unlock("k", owner="z")
-            return pending
+            outcome = yield from mgr.release("k", owner="z")
+            return outcome
 
-        assert run(cloud, main()) is None
+        outcome = run(cloud, main())
+        assert not outcome.released and outcome.pending is None
         assert table.peek("lock:k") is not None
 
     def test_expired_lease_stolen(self, cloud, table):
@@ -357,7 +358,7 @@ class TestReplicationLock:
             yield from mgr.lock("k", "e2", 2, owner="waiter")
             yield cloud.sim.sleep(11.0)
             yield from mgr.lock("k", "e3", 3, owner="alive")
-            pending = yield from mgr.unlock("k", owner="alive")
+            pending = (yield from mgr.release("k", owner="alive")).pending
             return pending
 
         pending = run(cloud, main())
@@ -409,7 +410,7 @@ class TestFencing:
             b = yield from mgr.lock("k", "e2", 2, owner="b")
             ok_after = yield from mgr.verify("k", "a", a.fence)
             ok_thief = yield from mgr.verify("k", "b", b.fence)
-            yield from mgr.unlock("k", owner="b")
+            yield from mgr.release("k", owner="b")
             ok_gone = yield from mgr.verify("k", "b", b.fence)
             return ok_before, ok_after, ok_thief, ok_gone
 

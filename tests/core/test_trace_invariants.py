@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 from repro.core.config import ReplicaConfig
 from repro.core.invariants import TraceChecker
 from repro.core.service import AReplicaService
-from repro.core.tracing import PHASES, Tracer, task_ref
+from repro.core.tracing import PHASES, Tracer
 from repro.simcloud.chaos import ChaosConfig
 from repro.simcloud.cloud import build_default_cloud
 from repro.simcloud.cost import CostCategory, CostLedger
+from repro.simcloud.faas import _task_ref as task_ref
 from repro.simcloud.objectstore import Blob
 
 pytestmark = pytest.mark.trace

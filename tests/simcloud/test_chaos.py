@@ -186,7 +186,7 @@ class TestWanChaos:
         cloud = build_default_cloud(seed=6)
         fabric = cloud.fabric
         fabric.set_chaos(ChaosConfig(wan_blackout_windows=((10.0, 5.0),)),
-                         cloud.rngs.stream("test-wan"), clock=lambda: 0.0)
+                         cloud.rngs.stream("test-wan"))
         assert fabric.chaos_penalty_s(12.0) == pytest.approx(3.0)
         assert fabric.chaos_penalty_s(20.0) == 0.0
         assert fabric.chaos_blackouts == 1
@@ -195,7 +195,7 @@ class TestWanChaos:
         cloud = build_default_cloud(seed=6)
         fabric = cloud.fabric
         fabric.set_chaos(ChaosConfig(wan_stall_prob=0.9, wan_stall_mean_s=4.0),
-                         cloud.rngs.stream("test-wan"), clock=lambda: 0.0)
+                         cloud.rngs.stream("test-wan"))
         penalties = [fabric.chaos_penalty_s(0.0) for _ in range(30)]
         assert fabric.chaos_stalls > 0
         assert max(penalties) > 0.0

@@ -1,7 +1,7 @@
 """Kernel fast-path semantics: the optimizations must be invisible.
 
 Covers the event-record scheduling primitives (``schedule_resolve`` /
-``schedule_fail`` / ``schedule_call``), the zero-delay FIFO ring's
+``schedule_call``), the zero-delay FIFO ring's
 ordering guarantees against the heap, the :class:`SleepRequest` and
 :class:`DeferredResult` process fast paths (including interrupt
 safety via the resume epoch), and lazy cancelled-timer compaction.
@@ -33,22 +33,6 @@ class TestSchedulingPrimitives:
         sim.run()
         assert got == ["payload"]
         assert sim.now == 1.5
-
-    def test_schedule_fail_raises_in_waiter(self):
-        sim = Simulator()
-        fut = Future(sim)
-        sim.schedule_fail(0.5, fut, RuntimeError("boom"))
-        caught = []
-
-        def proc():
-            try:
-                yield fut
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        sim.spawn(proc())
-        sim.run()
-        assert caught == ["boom"]
 
     def test_schedule_call_passes_both_arguments(self):
         sim = Simulator()

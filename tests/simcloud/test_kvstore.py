@@ -4,7 +4,6 @@ import pytest
 
 from repro.simcloud.cloud import build_default_cloud
 from repro.simcloud.cost import CostCategory
-from repro.simcloud.kvstore import ConditionFailed
 
 
 @pytest.fixture
@@ -93,24 +92,6 @@ class TestPointOps:
 
 
 class TestAtomics:
-    def test_conditional_put_success(self, cloud, table):
-        def flow():
-            ok = yield table.conditional_put("k", {"v": 1}, lambda cur: cur is None)
-            return ok
-
-        assert run(cloud, flow()) is True
-
-    def test_conditional_put_failure_raises(self, cloud, table):
-        def flow():
-            yield table.put_item("k", {"v": 1})
-            try:
-                yield table.conditional_put("k", {"v": 2}, lambda cur: cur is None)
-            except ConditionFailed:
-                return "failed"
-            return "succeeded"
-
-        assert run(cloud, flow()) == "failed"
-
     def test_put_if_absent(self, cloud, table):
         def flow():
             first = yield table.put_if_absent("k", {"v": 1})
