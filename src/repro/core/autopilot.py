@@ -75,9 +75,6 @@ DEADBAND = 0.15
 #: platform counts as saturated and hedging is throttled back.
 _SATURATION_QUEUE = 64.0
 
-#: Baseline anti-entropy scrub cadence the scrub knob decays back to.
-_SCRUB_BASELINE_S = 1800.0
-
 
 @dataclass(frozen=True)
 class Actuation:
@@ -274,9 +271,6 @@ class Autopilot:
         self.controller = KnobController(
             cooldown_s=cfg.autopilot_cooldown_s,
             tracer=service.tracer, stats=self.stats)
-        #: Anti-entropy cadence the scrub knob actuates; consumed by
-        #: whoever schedules AntiEntropyScanner passes (docs/operations).
-        self.scrub_interval_s = _SCRUB_BASELINE_S
         self.monitor: Optional[CloudMonitor] = None
         #: Disturbance episodes as ``[start, end-or-None]`` pairs; an
         #: episode opens when the worst per-tenant SLO error leaves the
@@ -390,12 +384,6 @@ class Autopilot:
             integer=True,
             read=lambda: float(clones),
             write=self._config_writer("max_clones_per_part", integer=True)))
-        C.register(KnobSpec(
-            "scrub_interval_s", lo=_SCRUB_BASELINE_S / 2.0,
-            hi=4.0 * _SCRUB_BASELINE_S, baseline=_SCRUB_BASELINE_S,
-            step=_SCRUB_BASELINE_S / 2.0,
-            read=lambda: self.scrub_interval_s,
-            write=lambda v: setattr(self, "scrub_interval_s", v)))
 
     def _weight_knob(self, tenant_id: str) -> str:
         """Lazily register the fair-share boost knob for one tenant."""
@@ -536,8 +524,6 @@ class Autopilot:
         C.drive("hedge_deadline_quantile", throttle, now,
                 reason="saturation")
         C.drive("max_clones_per_part", throttle, now, reason="saturation")
-        C.drive("scrub_interval_s", _nmax(slo_e, cost_e), now,
-                reason="load-shed")
         if self.service.scheduler is not None:
             for tid, err in slo_errors.items():
                 if err is None:
@@ -580,5 +566,4 @@ class Autopilot:
                     "lo": spec.lo, "hi": spec.hi,
                 } for spec in self.controller.specs()},
             "actuations": [str(a) for a in self.controller.changelog],
-            "scrub_interval_s": self.scrub_interval_s,
         }
