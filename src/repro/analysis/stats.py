@@ -11,7 +11,6 @@ import numpy as np
 __all__ = [
     "percentile",
     "percentile_or",
-    "latest_window_percentile",
     "Summary",
     "summarize",
     "windowed_percentile",
@@ -52,30 +51,6 @@ def percentile_or(values: Sequence[float], p: float,
     if not math.isfinite(result):
         return default
     return result
-
-
-def latest_window_percentile(
-    times: Sequence[float],
-    values: Sequence[float],
-    p: float,
-    window_s: float,
-    now: float,
-) -> float | None:
-    """The p-quantile of the samples in ``[now - window_s, now]``.
-
-    The decision-path companion of :func:`windowed_percentile`: one
-    trailing window, evaluated at ``now``, with an explicit ``None``
-    sentinel when the window holds no samples (instead of the NaN the
-    plotting variant stores per empty window).  The hedge-deadline
-    path treats None as "never hedge".
-    """
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
-    starts, out = windowed_percentile(times, values, p, window_s=window_s,
-                                      start=now - window_s, end=now)
-    if out.size == 0 or not math.isfinite(out[-1]):
-        return None
-    return float(out[-1])
 
 
 @dataclass(frozen=True)

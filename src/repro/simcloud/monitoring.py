@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.analysis.stats import latest_window_percentile
+from repro.analysis.stats import percentile_or
 from repro.analysis.textchart import series_strip
 from repro.simcloud.sim import Simulator
 
@@ -77,18 +77,15 @@ class TimeSeries:
 
     def window_percentile(self, p: float, window_s: float,
                           now: float) -> Optional[float]:
-        """The p-quantile of the samples in ``[now - window_s, now]``.
+        """The p-quantile of the samples in ``[now - window_s, now]``,
+        both ends included, or ``None`` when the window holds none.
 
-        Thin accessor over :func:`repro.analysis.stats.
-        latest_window_percentile`, preserving its explicit ``None``
-        sentinel for a cold signal (no samples in the window).  Every
-        decision path that derives a threshold from a trailing window —
-        the hedge deadline, the autopilot's SLO error — goes through
-        this one fail-closed quantile, so a cold window can never leak
-        a NaN into a comparison.
+        Every decision path that derives a threshold from a trailing
+        window — the hedge deadline, the autopilot's SLO error — goes
+        through this one fail-closed quantile, so a cold window can
+        never leak a NaN into a comparison.
         """
-        return latest_window_percentile(self.times, self.values, p,
-                                        window_s, now)
+        return percentile_or(self.window(now - window_s, now)[1], p)
 
     def discard_before(self, cutoff: float) -> None:
         """Drop samples older than ``cutoff`` (bounded-memory trailing
