@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 from repro.core.tracing import Tracer
@@ -197,17 +198,16 @@ class TraceChecker:
         for e in tr.events:
             if e.cat != "lock":
                 continue
-            owner_id = e.attrs["owner"]
+            owner, obj_key = e.get("owner"), e.get("key")
             # Task-id owners ({rule}:{key}:{seq}:{kind}) carry their
             # domain as the rule prefix; opaque owners (synthetic
             # traces, tooling) share one anonymous domain.
-            domain = owner_id.split(":", 1)[0] if ":" in owner_id else ""
-            key = (domain, e.attrs["key"])
-            subj = f"{domain}/{e.attrs['key']}" if domain else e.attrs["key"]
+            domain = owner.split(":", 1)[0] if ":" in owner else ""
+            key = (domain, obj_key)
+            subj = f"{domain}/{obj_key}" if domain else obj_key
             if e.name == "lock-acquire":
                 acquires += 1
-                owner, fence = e.attrs["owner"], e.attrs["fence"]
-                mode = e.attrs["mode"]
+                fence, mode = e.get("fence"), e.get("mode")
                 held = holders.get(key)
                 if mode == "fresh":
                     if held is not None:
@@ -237,7 +237,7 @@ class TraceChecker:
                             f"{held[1]}"))
                 holders[key] = (owner, fence)
             elif e.name == "lock-release":
-                owner, released = e.attrs["owner"], e.attrs["released"]
+                released = e.get("released")
                 held = holders.get(key)
                 if released:
                     if held is None or held[0] != owner:
@@ -261,10 +261,10 @@ class TraceChecker:
         plan_end: dict[str, float] = {}
         for e in tr.events:
             if e.cat == "lock" and e.name == "lock-acquire":
-                task = e.attrs["owner"]
+                task = e.get("owner")
                 first_acquire.setdefault(task, e.time)
-                acquires_by_key.setdefault(e.attrs["key"], []).append(
-                    (e.time, e.attrs["fence"]))
+                acquires_by_key.setdefault(e.get("key"), []).append(
+                    (e.time, e.get("fence")))
             elif e.cat == "engine" and e.name == "finalize":
                 if e.task is not None:
                     finalizes.setdefault(e.task, []).append(e)
@@ -276,7 +276,7 @@ class TraceChecker:
             if e.cat != "engine" or e.name != "visible":
                 continue
             visibles += 1
-            task, kind = e.task, e.attrs["kind"]
+            task, kind = e.task, e.get("kind")
             if kind not in _WRITING_KINDS or task is None:
                 continue
             cands = [f for f in finalizes.get(task, ())
@@ -288,7 +288,7 @@ class TraceChecker:
                     f"finalize"))
                 continue
             fin = cands[-1]
-            fence = fin.attrs.get("fence")
+            fence = fin.get("fence")
             if not isinstance(fence, int) or fence < 1:
                 report.findings.append(TraceFinding(
                     "unfenced-visible", task,
@@ -300,7 +300,7 @@ class TraceChecker:
             # whenever a release deletes the lock record, so an earlier
             # *generation's* takeover token says nothing about ours.
             lo = first_acquire.get(task, -math.inf)
-            for at, f2 in acquires_by_key.get(fin.attrs["key"], ()):
+            for at, f2 in acquires_by_key.get(fin.get("key"), ()):
                 if f2 > fence and lo - _EPS <= at < fin.time - _EPS:
                     report.findings.append(TraceFinding(
                         "superseded-fence", task,
@@ -327,10 +327,10 @@ class TraceChecker:
             if e.cat != "engine":
                 continue
             if e.name == "park":
-                parked[(e.attrs["rule"], e.attrs["backlog_id"])] = \
-                    e.attrs.get("key", "?")
+                parked[(e.get("rule"), e.get("backlog_id"))] = \
+                    e.get("key", "?")
             elif e.name == "drain":
-                ref = (e.attrs["rule"], e.attrs["backlog_id"])
+                ref = (e.get("rule"), e.get("backlog_id"))
                 if ref in drained:
                     report.findings.append(TraceFinding(
                         "park-leak", str(ref[1]),
@@ -353,9 +353,9 @@ class TraceChecker:
         newest: dict[tuple[str, str], object] = {}
         for e in tr.events:
             if e.cat == "engine" and e.name == "done-marker":
-                ref = (e.attrs["rule"], e.attrs["key"])
+                ref = (e.get("rule"), e.get("key"))
                 cur = newest.get(ref)
-                if cur is None or e.attrs["seq"] >= cur.attrs["seq"]:
+                if cur is None or e.get("seq") >= cur.get("seq"):
                     newest[ref] = e
         report.checked["done_markers"] = len(newest)
         for (rule_id, key), e in newest.items():
@@ -363,22 +363,22 @@ class TraceChecker:
             if rule is None:
                 continue
             dst = rule.dst_bucket
-            if e.attrs["op"] == "delete":
+            if e.get("op") == "delete":
                 if key in dst:
                     report.findings.append(TraceFinding(
                         "done-mismatch", key,
-                        f"marker records deletion (seq {e.attrs['seq']}) "
+                        f"marker records deletion (seq {e.get('seq')}) "
                         f"but key survives at destination"))
             else:
                 if key not in dst:
                     report.findings.append(TraceFinding(
                         "done-mismatch", key,
-                        f"marker seq {e.attrs['seq']} but key missing at "
+                        f"marker seq {e.get('seq')} but key missing at "
                         f"destination"))
-                elif dst.head(key).etag != e.attrs["etag"]:
+                elif dst.head(key).etag != e.get("etag"):
                     report.findings.append(TraceFinding(
                         "done-mismatch", key,
-                        f"marker etag {e.attrs['etag']} != destination "
+                        f"marker etag {e.get('etag')} != destination "
                         f"etag {dst.head(key).etag}"))
 
     # -- end-to-end integrity: verified finalizes, surfaced corruption ------
@@ -402,8 +402,8 @@ class TraceChecker:
         detections = 0
         for e in tr.events:
             if e.cat == "engine" and e.name == "finalize":
-                if e.attrs.get("op") == "put":
-                    if e.attrs.get("verified"):
+                if e.get("op") == "put":
+                    if e.get("verified"):
                         verified_finalizes += 1
                         if e.task is not None:
                             last_verified_fin[e.task] = e.time
@@ -460,11 +460,11 @@ class TraceChecker:
         first_writers: dict[tuple, int] = {}
         for e in tr.events:
             if e.cat == "engine" and e.name == "hedge-start":
-                started[(e.task, e.attrs["part"], e.attrs["seq"])] = e.time
+                started[(e.task, e.get("part"), e.get("seq"))] = e.time
             elif e.cat == "engine" and e.name == "hedge-resolved":
-                ref = (e.task, e.attrs["part"], e.attrs["seq"])
+                ref = (e.task, e.get("part"), e.get("seq"))
                 resolved[ref] = resolved.get(ref, 0) + 1
-                outcome = e.attrs.get("outcome")
+                outcome = e.get("outcome")
                 if outcome not in ("won", "lost", "cancelled"):
                     report.findings.append(TraceFinding(
                         "hedge-outcome", str(e.task),
@@ -476,8 +476,8 @@ class TraceChecker:
                         f"hedge of part {ref[1]} seq {ref[2]} resolved "
                         f"but never started"))
             elif (e.cat == "pool" and e.name == "part-complete"
-                    and e.attrs.get("first") and e.task is not None):
-                ref = (e.task, e.attrs["idx"])
+                    and e.get("first") and e.task is not None):
+                ref = (e.task, e.get("idx"))
                 first_writers[ref] = first_writers.get(ref, 0) + 1
         report.checked["hedges"] = len(started)
         for ref, t in sorted(started.items(), key=lambda kv: str(kv[0])):
@@ -521,18 +521,18 @@ class TraceChecker:
         own_acquires: dict[str, list[float]] = {}
         for e in tr.events:
             if e.cat == "lock" and e.name == "lock-acquire":
-                own_acquires.setdefault(e.attrs["owner"], []).append(e.time)
+                own_acquires.setdefault(e.get("owner"), []).append(e.time)
         epochs: dict[tuple, set] = {}
         for e in tr.events:
             if e.cat != "engine" or e.name != "finalize":
                 continue
-            loc = e.attrs.get("loc")
+            loc = e.get("loc")
             if loc is None or e.task is None:
                 continue
             gen = max((t for t in own_acquires.get(e.task, ())
                        if t <= e.time + _EPS), default=-math.inf)
             epochs.setdefault(
-                (e.task, gen, e.attrs.get("fence")), set()).add(loc)
+                (e.task, gen, e.get("fence")), set()).add(loc)
         report.checked["finalize_epochs"] = len(epochs)
         for (task, gen, fence), locs in sorted(
                 epochs.items(), key=lambda kv: str(kv[0])):
@@ -556,9 +556,9 @@ class TraceChecker:
         """
         windows: dict[str, list[list[float]]] = {}
         for e in tr.events:
-            if e.cat != "lifecycle" or e.attrs.get("substrate") != "faas":
+            if e.cat != "lifecycle" or e.get("substrate") != "faas":
                 continue
-            region = e.attrs["region"]
+            region = e.get("region")
             if e.name == "cordon":
                 windows.setdefault(region, []).append([e.time, math.inf])
             elif e.name == "uncordon":
@@ -573,7 +573,7 @@ class TraceChecker:
             if e.cat != "engine" or e.name not in ("dispatch", "probe",
                                                    "drain"):
                 continue
-            region = e.attrs.get("region")
+            region = e.get("region")
             for start, end in windows.get(region, ()):
                 if start + _EPS < e.time < end - _EPS:
                     report.findings.append(TraceFinding(
@@ -606,10 +606,10 @@ class TraceChecker:
             return
         last_by_knob: dict[str, float] = {}
         for s in acts:
-            knob = s.attrs.get("knob", "?")
-            lo, hi = s.attrs.get("lo"), s.attrs.get("hi")
-            for label, value in (("old", s.attrs.get("old")),
-                                 ("new", s.attrs.get("new"))):
+            knob = s.get("knob", "?")
+            lo, hi = s.get("lo"), s.get("hi")
+            for label, value in (("old", s.get("old")),
+                                 ("new", s.get("new"))):
                 if value is None or lo is None or hi is None or \
                         lo - _EPS <= value <= hi + _EPS:
                     continue
@@ -617,7 +617,7 @@ class TraceChecker:
                     "autopilot-bounds", knob,
                     f"actuation at t={s.start:.3f} has {label} value "
                     f"{value!r} outside declared [{lo}, {hi}]"))
-            cooldown = s.attrs.get("cooldown_s", 0.0)
+            cooldown = s.get("cooldown_s", 0.0)
             prev = last_by_knob.get(knob)
             if prev is not None and s.start - prev < cooldown - _EPS:
                 report.findings.append(TraceFinding(
@@ -631,7 +631,7 @@ class TraceChecker:
         for e in tr.events:
             if e.cat != "lifecycle" or e.name not in ("cordon", "uncordon"):
                 continue
-            ref = (e.attrs.get("substrate"), e.attrs.get("region"))
+            ref = (e.get("substrate"), e.get("region"))
             if e.name == "cordon":
                 windows.setdefault(ref, []).append([e.time, math.inf])
             else:
@@ -644,7 +644,7 @@ class TraceChecker:
                             if w[0] + _EPS < s.start < w[1] - _EPS), None)
                 if hit is not None:
                     report.findings.append(TraceFinding(
-                        "autopilot-cordon", s.attrs.get("knob", "?"),
+                        "autopilot-cordon", s.get("knob", "?"),
                         f"actuation at t={s.start:.3f} inside cordon "
                         f"window [{hit[0]:.3f}, {hit[1]:.3f}) on "
                         f"{ref[1]!r}"))
@@ -681,15 +681,15 @@ class TraceChecker:
                 return prefix
             return None
 
-        for rec in list(tr.spans) + list(tr.events):
-            tenant = rec.attrs.get("tenant")
+        for rec in chain(tr.spans, tr.events):
+            tenant = rec.get("tenant")
             if tenant is None:
                 continue
             tagged += 1
             subjects = []
             if rec.task is not None:
                 subjects.append(rec.task)
-            owner = rec.attrs.get("owner")
+            owner = rec.get("owner")
             if isinstance(owner, str) and ":" in owner:
                 subjects.append(owner)
             for task in subjects:
@@ -715,15 +715,15 @@ class TraceChecker:
     def _check_costs(self, tr: Tracer, report: TraceReport) -> None:
         recorded = tr.recorded_cost()
         billed = tr.billed_delta()
-        report.checked["cost_records"] = len(tr.costs)
+        report.checked["cost_records"] = tr.cost_count()
         if not math.isclose(recorded, billed, rel_tol=1e-9, abs_tol=1e-9):
             report.findings.append(TraceFinding(
                 "cost-gap", "ledger",
                 f"trace mirrors ${recorded:.9f} but the ledger grew "
                 f"${billed:.9f} since install"))
         known = set(tr.tasks())
-        orphans = sorted({c.task for c in tr.costs
-                          if c.task is not None and c.task not in known})
+        orphans = sorted(task for task in tr.attributed_cost()
+                         if task is not None and task not in known)
         for task in orphans:
             report.findings.append(TraceFinding(
                 "cost-orphan", task,

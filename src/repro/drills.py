@@ -378,8 +378,7 @@ def _hedging_extras(run: Run) -> dict:
     block.update(
         resolved=block["hedge_wins"] + block["hedge_losses"]
         + block["hedge_cancelled"],
-        clone_cost_usd=sum(c.amount for c in run.service.tracer.costs
-                           if c.category == "hedge_clones"),
+        clone_cost_usd=run.service.tracer.category_cost("hedge_clones")[1],
         deadline_quantile=config.hedge_deadline_quantile,
         max_clones_per_part=config.max_clones_per_part)
     return {"hedging": block}

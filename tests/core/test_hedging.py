@@ -203,10 +203,9 @@ class TestHedgedReplication:
         assert report.checked["hedges"] == stats["hedges"]
 
         # ... and every clone attempt hit the cloning-aware ledger line.
-        hedge_costs = [c for c in svc.tracer.costs
-                       if c.category == "hedge_clones"]
-        assert len(hedge_costs) == stats["hedges"]
-        assert all(c.amount > 0 for c in hedge_costs)
+        clones, clone_cost = svc.tracer.category_cost("hedge_clones")
+        assert clones == stats["hedges"]
+        assert clone_cost > 0
 
         assert ReplicationAuditor(svc).audit(quiescent=True).clean
 
