@@ -51,13 +51,12 @@ class Cloud:
     """All three providers' services over one shared simulator."""
 
     def __init__(self, seed: int = 0, profiles: Optional[CloudProfiles] = None,
-                 keep_cost_entries: bool = False,
                  chaos: Optional[ChaosConfig] = None):
         self.sim = Simulator()
         self.rngs = RngFactory(seed)
         self.profiles = profiles or CloudProfiles()
         self.prices = PriceBook()
-        self.ledger = CostLedger(keep_entries=keep_cost_entries)
+        self.ledger = CostLedger()
         self.fabric = NetworkFabric(self.rngs, self.profiles.network)
         self.notifications = NotificationBus(self.sim, self.rngs,
                                              self.profiles.notifications)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-__all__ = ["CostCategory", "CostEntry", "CostLedger", "CostSnapshot",
+__all__ = ["CostCategory", "CostLedger", "CostSnapshot",
            "TenantLedger", "estimate_task_cost"]
 
 
@@ -48,16 +48,6 @@ class CostCategory:
 
 
 @dataclass(frozen=True)
-class CostEntry:
-    """One metered charge."""
-
-    time: float
-    category: str
-    amount: float
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class CostSnapshot:
     """Immutable totals, used to compute per-operation deltas."""
 
@@ -76,10 +66,8 @@ class CostSnapshot:
 
 @dataclass
 class CostLedger:
-    """Append-only record of charges with per-category totals."""
+    """Per-category totals of every charge."""
 
-    keep_entries: bool = False
-    entries: list[CostEntry] = field(default_factory=list)
     _totals: dict[str, float] = field(default_factory=lambda: defaultdict(float))
     #: Optional observer called with every charge — the tracing layer
     #: installs one to mirror charges (with task attribution where the
@@ -94,8 +82,6 @@ class CostLedger:
         if category not in CostCategory.ALL:
             raise ValueError(f"unknown cost category {category!r}")
         self._totals[category] += amount
-        if self.keep_entries:
-            self.entries.append(CostEntry(time, category, amount, detail))
         if self.sink is not None:
             self.sink(time, category, amount, detail, task)
 

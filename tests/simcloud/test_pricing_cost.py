@@ -105,15 +105,6 @@ class TestCostLedger:
         assert delta.totals[CostCategory.KV_OPS] == pytest.approx(0.1)
         assert delta.total == pytest.approx(0.6)
 
-    def test_entries_kept_only_when_enabled(self):
-        quiet = CostLedger()
-        quiet.charge(0.0, CostCategory.EGRESS, 1.0)
-        assert quiet.entries == []
-        chatty = CostLedger(keep_entries=True)
-        chatty.charge(0.0, CostCategory.EGRESS, 1.0, "detail")
-        assert len(chatty.entries) == 1
-        assert chatty.entries[0].detail == "detail"
-
     def test_breakdown_excludes_zero(self):
         ledger = CostLedger()
         ledger.charge(0.0, CostCategory.EGRESS, 1.0)
