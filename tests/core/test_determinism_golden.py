@@ -8,6 +8,7 @@ These tests run each scenario twice in-process and compare exactly.
 """
 
 import functools
+import hashlib
 import itertools
 import json
 
@@ -188,11 +189,19 @@ def _traced_export(seed: int, path):
     return path.read_bytes()
 
 
+#: sha256 of the seed-42 export.  It pins the bytes across commits, so a
+#: change to how records are stored cannot alter what is exported; only
+#: a change meant to alter the trace may regenerate it.
+GOLDEN_EXPORT_SHA256 = (
+    "1abbe2f075af6fb66e530a5ba0b9cbf121eddc7aca2099cee74b7b7070fc4021")
+
+
 class TestGoldenTraceExport:
     def test_traced_run_exports_byte_identical_json(self, tmp_path):
         first = _traced_export(42, tmp_path / "a.json")
         second = _traced_export(42, tmp_path / "b.json")
         assert first == second
+        assert hashlib.sha256(first).hexdigest() == GOLDEN_EXPORT_SHA256
         events = json.loads(first)["traceEvents"]
         assert events, "export carries no events"
         assert {e["ph"] for e in events} <= {"M", "X", "i"}

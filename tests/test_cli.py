@@ -70,6 +70,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "p99.99" in out
 
+    def test_trace_out_writes_the_chrome_export(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "trace.json"
+        rc = main(["trace", "--requests", "300", "--dst", "aws:us-east-2",
+                   "--profile-samples", "4", "--trace-out", str(path),
+                   "--json"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        phases = [e["ph"] for e in json.loads(path.read_text())["traceEvents"]]
+        assert report["trace_out"] == str(path)
+        assert report["trace_spans"] == phases.count("X") > 0
+        assert report["trace_events"] == phases.count("i") > 0
+        assert report["delay_breakdown"]["C"]["count"] > 0
+
     def test_compare_includes_proprietary_on_aws(self, capsys):
         rc = main(["compare", "--size", "1MB", "--src", "aws:us-east-1",
                    "--dst", "aws:us-east-2", "--profile-samples", "4"])
