@@ -637,6 +637,19 @@ class TestSyntheticLegalTraces:
         report = TraceChecker(svc).check()
         assert report.clean, report.render()
 
+    def test_another_rules_takeover_does_not_supersede_a_fence(self):
+        """Lock tables are per rule, so a lease takeover in one rule's
+        lock domain says nothing about another rule's fence on the same
+        key (a fan-out of one source bucket to two destinations)."""
+        tr, svc = bare()
+        acquire(tr, 0.0, "k", "r1:k:1:created", 1, "fresh")
+        acquire(tr, 0.5, "k", "r2:k:1:created", 1, "fresh")
+        acquire(tr, 1.0, "k", "r2:k:2:created", 2, "takeover")
+        finalize(tr, 2.0, "r1:k:1:created", "k", fence=1)
+        visible(tr, 3.0, "r1:k:1:created", "k")
+        report = TraceChecker(svc).check()
+        assert report.clean, report.render()
+
     def test_non_writing_visibility_needs_no_finalize(self):
         tr, svc = bare()
         visible(tr, 1.0, "t1", "k", kind="already-replicated")
