@@ -4,6 +4,8 @@ One task is one ``{rule}:{key}:{seq}:{kind}`` lifecycle — lock, plan,
 transfer, finalize, unlock — identified by :func:`task_id` everywhere
 (lock owner, pool record, trace row) and summarised to whoever built
 the engine as a :class:`TaskResult` through a :class:`TaskRecorder`.
+The lifecycle's rules are data here, and the trace checker
+(:mod:`repro.core.invariants`) reads them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,29 @@ from typing import Optional, Protocol
 
 from repro.core.planner import Plan
 
-__all__ = ["task_id", "TaskResult", "TaskRecorder", "NullRecorder"]
+__all__ = ["task_id", "TaskResult", "TaskRecorder", "NullRecorder",
+           "LIFECYCLE", "WRITING_KINDS", "RECOVERY_FACTS",
+           "CORDONED_ADMISSIONS", "ACQUIRE_MODES"]
+
+#: A task's facts in the order they must happen, each with the name a
+#: trace finding gives it.
+LIFECYCLE = {"lock-acquire": "first lock acquire", "plan": "plan selection",
+             "finalize": "finalize", "visible": "visibility"}
+#: Visibility kinds that wrote the destination, so each needs a fenced
+#: finalize; ``already-replicated``, ``content-match`` and
+#: ``duplicate-delivery`` report work done earlier.
+WRITING_KINDS = frozenset({"created", "changelog", "deleted"})
+#: Facts that hand a task, and any corruption it saw, to recovery.
+RECOVERY_FACTS = frozenset({"quarantine", "abort", "retrigger", "lock-lost",
+                            "park", "dead-letter"})
+#: Admissions a cordon on a FaaS region forbids while it is open.
+CORDONED_ADMISSIONS = frozenset({"dispatch", "probe", "drain"})
+#: How a lock may be taken, as ``mode: (holder, fence step)``.  The
+#: holder must be ``None`` (nobody), ``"self"`` (the acquirer) or
+#: ``"any"`` (somebody); the new fence is the holder's (0 when unheld)
+#: plus the step.
+ACQUIRE_MODES = {"fresh": (None, 1), "reentrant": ("self", 0),
+                 "takeover": ("any", 1)}
 
 
 def task_id(rule_id: str, key: str, seq: int, kind: str) -> str:

@@ -15,7 +15,8 @@ write-only per-task log and version ids went, 1 483 B after.  With the
 tracer on, each PUT's spans and events stay for the life of the run:
 7.81 KiB per traced PUT while every record carried an attribute dict
 and every ledger charge was kept as a record, 4.25 KiB with one flat
-tuple per record and the charges kept as totals.
+tuple per record and the charges kept as totals.  The trace checker's
+transient memory is budgeted the same way, per traced PUT.
 ``make footprint`` prints the numbers.
 """
 
@@ -27,6 +28,7 @@ import tracemalloc
 import pytest
 
 from repro.core.config import ReplicaConfig, TenantConfig
+from repro.core.invariants import TraceChecker
 from repro.core.locks import LockOutcome, PendingVersion, UnlockOutcome
 from repro.core.planner import Plan
 from repro.core.service import AReplicaService
@@ -169,14 +171,41 @@ def test_bytes_retained_per_replicated_put_stay_in_budget(request):
         assert not hasattr(record, "__dict__"), type(record).__name__
 
 
-def test_bytes_retained_per_traced_replicated_put_stay_in_budget(request):
+@pytest.fixture(scope="module")
+def traced_puts(request):
+    """The traced scenario: KiB retained per PUT, and the service."""
     show = request.config.getoption("capture") == "no"      # make footprint
-    per_put, svc, _, _ = _retained_per_put(
-        "per traced replicated 4 KiB PUT", 5.0, show, tracing=True)
+    return _retained_per_put("per traced replicated 4 KiB PUT", 5.0, show,
+                             tracing=True)[:2]
+
+
+def test_bytes_retained_per_traced_replicated_put_stay_in_budget(traced_puts):
+    per_put, svc = traced_puts
     assert per_put <= 5.0
     # A trace record is one tuple: no instance dict, no attribute dict.
     for record in (svc.tracer.spans[-1], svc.tracer.events[-1]):
         assert isinstance(record, tuple) and not hasattr(record, "__dict__")
+
+
+def test_trace_checker_transient_bytes_per_traced_put_stay_in_budget(
+        request, traced_puts):
+    """The checker's peak allocation while it checks the traced
+    scenario, per traced PUT: 0.60 KiB with one pass over the trace per
+    invariant, 0.46 with one index built in one pass."""
+    show = request.config.getoption("capture") == "no"      # make footprint
+    svc = traced_puts[1]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = TraceChecker(svc).check()
+        peak = tracemalloc.get_traced_memory()[1] / len(svc.records) / KIB
+    finally:
+        tracemalloc.stop()
+    if show:
+        print(f"\ntrace checker peak per traced PUT: {peak:.3f} KiB "
+              f"(budget 0.60)")
+    assert report.clean, report.render()
+    assert peak <= 0.60
 
 
 def test_never_invoked_deployment_holds_no_pool_and_no_stats():
