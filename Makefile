@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests footprint lifecycle-drill drill-all examples e2e-digests e2e-rss e2e-smoke-digests paper coverage
+.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests footprint lifecycle-drill drill-all examples e2e-digests e2e-rss e2e-smoke-digests trace-digests paper coverage
 
 ## tier-1: the full default suite
 test:
@@ -108,6 +108,14 @@ e2e-smoke-digests:
 	$(PY) benchmarks/e2e/run.py --workload storm_churn --smoke --trace 1 \
 		| grep -o 'sim_digest [0-9a-f]*'; } \
 		| diff tests/golden/e2e_smoke_digests.txt - && echo "smoke digests match"
+
+## what the trace checker reports (~25 s; not in CI): the sha256 of
+## each drill's trace_findings plus trace_checked at seeds 0-2, then the
+## findings and checked counts of the seed-0 storm_churn unit.  A change
+## that claims the checker's findings held prints the same lines as its
+## parent.
+trace-digests:
+	$(PY) -m tests.trace_digests
 
 ## the reproduction gate (~1 min): regenerate every paper table/figure
 ## under benchmarks/ (the e2e benchmark has its own entry points) and
