@@ -15,7 +15,7 @@ passes.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import transfer
@@ -145,6 +145,10 @@ def test_pure_corruption_storm_accounts_for_every_fault():
 # ---------------------------------------------------------------------------
 
 @given(seed=st.integers(0, 10_000))
+@example(seed=27).xfail(
+    raises=AssertionError,
+    reason="one corruption detection is neither re-verified nor surfaced "
+           "(silent-corruption; probably finding 7, docs/operations.md)")
 @settings(max_examples=6, deadline=None)
 def test_mixed_chaos_and_corruption_storm_converges_clean(seed):
     cloud, svc, src, dst, rule = corrupted_soak(seed, MIXED_STORM)

@@ -63,14 +63,22 @@ def test_a_replaced_spec_field_reaches_the_run_and_the_gate_names_it():
     assert "gate degraded: FAILED" in run.render()
 
 
-@pytest.mark.scrub
-@pytest.mark.xfail(strict=True, reason="repair re-drive of a finished "
-                   "distributed task resumes its fossil part-pool record")
-def test_corruption_drill_seed_2_heals_the_rotted_distributed_object(capsys):
-    """Known finding (docs/operations.md), landed as a regression test
-    ahead of the fix.
+#: Known findings (docs/operations.md), landed as regression tests
+#: ahead of their fixes.
+_FOSSIL_POOL = pytest.mark.xfail(
+    strict=True, reason="repair re-drive of a finished distributed task "
+                        "resumes its fossil part-pool record")
+_UNACCOUNTED = pytest.mark.xfail(
+    strict=True, reason="corruption detections fall short of injections "
+                        "(finding 7), so the corruption-accounted gate fails")
 
-    At seed 2 (and 6) the deep scrub re-drives rotted ``t0/obj102``
+
+@pytest.mark.scrub
+@pytest.mark.parametrize("seed", [pytest.param(2, marks=_FOSSIL_POOL),
+                                  pytest.param(5, marks=_UNACCOUNTED),
+                                  pytest.param(6, marks=_FOSSIL_POOL)])
+def test_corruption_drill_passes_at_a_known_failing_seed(seed, capsys):
+    """At seeds 2 and 6 the deep scrub re-drives rotted ``t0/obj102``
     (27 MB, distributed path) as a ``repair`` event whose task id
     ``rule1:t0/obj102:180:created`` equals the finished original's.
     ``distributed.launch`` therefore resumes that task's fossil
@@ -79,8 +87,12 @@ def test_corruption_drill_seed_2_heals_the_rotted_distributed_object(capsys):
     ``reclaim_stranded_locks`` — whose re-dispatch drops the ``repair``
     flag and short-circuits as ``already-replicated``.  The destination
     stays rotted (``silent-divergence``) and the drill FAILs.
+
+    At seed 5 the destination heals, but injections and detections are
+    counted at different sites, so the ``corruption-accounted`` gate
+    sees fewer detections than injections and the drill FAILs.
     """
-    rc = main(["corruption-drill", "--seed", "2", "--json"])
+    rc = main(["corruption-drill", "--seed", str(seed), "--json"])
     report = json.loads(capsys.readouterr().out)
     assert report["rescrub_clean"] and report["audit_clean"]
     assert rc == 0 and report["pass"]
