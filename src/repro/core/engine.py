@@ -73,10 +73,9 @@ class ReplicationEngine:
         if scheduling not in ("pool", "fair"):
             raise ValueError("scheduling must be 'pool' or 'fair'")
         self.cloud = cloud
-        #: The autopilot replaces ``config`` and ``retry_policy`` at run
-        #: time: read both through the engine at use time.
+        #: The autopilot replaces ``config`` at run time: read it (and
+        #: its retry policy) through the engine at use time.
         self.config = config
-        self.retry_policy = config.retry_policy
         self.src_bucket = src_bucket
         self.dst_bucket = dst_bucket
         self.planner = planner
@@ -217,7 +216,7 @@ class ReplicationEngine:
                     return (yield op)
                 return (yield from op)
             except Throttled:
-                policy = self.retry_policy
+                policy = self.config.retry_policy
                 if attempt >= policy.max_attempts:
                     self.stats["kv_retry_exhausted"] += 1
                     raise
