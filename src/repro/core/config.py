@@ -112,21 +112,10 @@ class ReplicaConfig:
     #: retunes engine knobs online from windowed per-tenant SLO error
     #: and budget burn-rate.  Off by default, and the disabled path is
     #: byte-invisible: no controller is constructed, no timer armed, no
-    #: probe sampled — runs with and without the flag are identical.
+    #: platform read — runs with and without the flag are identical.
+    #: Its cadence, window, cooldown and settle bound are constants in
+    #: that module.
     enable_autopilot: bool = False
-    #: Controller cadence: one observe → decide → actuate tick per
-    #: interval while the autopilot is started.
-    autopilot_interval_s: float = 60.0
-    #: Trailing window over per-tenant delay samples feeding the
-    #: windowed p99 the SLO error is computed from.
-    autopilot_window_s: float = 300.0
-    #: Post-actuation cooldown per knob: once a knob moves, it holds
-    #: for at least this long before the controller may move it again.
-    autopilot_cooldown_s: float = 120.0
-    #: Settle bound: a disturbance episode (SLO error leaving the dead-
-    #: band) must recover (windowed p99 back under target) within this
-    #: many seconds for the autopilot drill to pass.
-    autopilot_settle_s: float = 900.0
 
     def __post_init__(self) -> None:
         if self.slo_seconds < 0:
@@ -143,14 +132,6 @@ class ReplicaConfig:
             raise ValueError("hedge_deadline_quantile must be in [0.5, 1.0)")
         if self.max_clones_per_part < 0:
             raise ValueError("max_clones_per_part must be >= 0")
-        if self.autopilot_interval_s <= 0:
-            raise ValueError("autopilot_interval_s must be positive")
-        if self.autopilot_window_s <= 0:
-            raise ValueError("autopilot_window_s must be positive")
-        if self.autopilot_cooldown_s < 0:
-            raise ValueError("autopilot_cooldown_s must be >= 0")
-        if self.autopilot_settle_s <= 0:
-            raise ValueError("autopilot_settle_s must be positive")
 
     @property
     def slo_enabled(self) -> bool:

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Optional
 
+from repro.core.autopilot import SETTLE_S
 from repro.core.config import ReplicaConfig, TenantConfig
 from repro.core.lifecycle import OperationsRunner
 from repro.core.service import AReplicaService, ReplicationRule
@@ -230,7 +231,7 @@ def _schedule_puts(run: Run) -> None:
         # Armed past the horizon so the post-brownout episode can close
         # (the p99 window must age the inflated samples out).
         run.service.autopilot.start(
-            t.horizon_s + 2 * run.service.config.autopilot_settle_s)
+            t.horizon_s + 2 * SETTLE_S)
 
 
 # -- the runner -----------------------------------------------------------
@@ -415,13 +416,12 @@ def _tenant_extras(run: Run) -> dict:
 
 def _autopilot_extras(run: Run) -> dict:
     autopilot = run.service.autopilot
-    bound = run.service.config.autopilot_settle_s
 
     def actuations(start: float) -> int:
-        # A disturbance's accounting window is [start, start + bound].
+        # A disturbance's accounting window is [start, start + SETTLE_S].
         lo = run.base + start
         return sum(1 for a in autopilot.controller.changelog
-                   if lo <= a.time <= lo + bound)
+                   if lo <= a.time <= lo + SETTLE_S)
     return {
         "chaos": run.storm,
         "autopilot": autopilot.snapshot(),
@@ -431,7 +431,7 @@ def _autopilot_extras(run: Run) -> dict:
         "open_episodes": sum(1 for _, end in autopilot.episodes
                              if end is None),
         "settle_times_s": list(autopilot.stats["settle_time_s"]),
-        "settle_bound_s": bound,
+        "settle_bound_s": SETTLE_S,
     }
 
 
@@ -569,9 +569,7 @@ DRILLS: dict[str, Drill] = {d.name: d for d in (
             workload=_surging_puts, tenant_slo_s=60.0, budgeted_tenants=4,
             budget_tasks=400.0, budget_window_s=600.0, budgeted_slo_s=60.0,
             id_format="ap{:03d}", surge=(180.0, 120.0, 2400)),
-        config={"enable_autopilot": True, "autopilot_interval_s": 30.0,
-                "autopilot_window_s": 300.0, "autopilot_cooldown_s": 90.0,
-                "autopilot_settle_s": 600.0},
+        config={"enable_autopilot": True},
         brownout=(900.0, 120.0), rides=("chaos", "hedging"),
         engaged=("autopilot-engaged",),
         holds=("autopilot-settled", "tenants-converged",

@@ -11,7 +11,7 @@ reproducible under a seed.
 
 from repro.simcloud.sim import Simulator, Process, Future, Interrupt
 from repro.simcloud.cloud import Cloud, build_default_cloud
-from repro.simcloud.monitoring import CloudMonitor, TimeSeries
+from repro.simcloud.monitoring import TimeSeries
 from repro.simcloud.regions import Region, REGIONS, get_region
 from repro.simcloud.cost import CostLedger, CostCategory
 
@@ -22,7 +22,6 @@ __all__ = [
     "Interrupt",
     "Cloud",
     "build_default_cloud",
-    "CloudMonitor",
     "TimeSeries",
     "Region",
     "REGIONS",

@@ -60,8 +60,7 @@ REPLICA_CONFIG_FIELDS = {
     "gumbel_threshold", "profile_samples", "retry_policy", "health_enabled",
     "outage_catchup_concurrency", "tracing_enabled", "hedging_enabled",
     "hedge_deadline_quantile", "max_clones_per_part",
-    "enable_autopilot", "autopilot_interval_s", "autopilot_window_s",
-    "autopilot_cooldown_s", "autopilot_settle_s",
+    "enable_autopilot",
 }
 TENANT_CONFIG_FIELDS = {
     "tenant_id", "buckets", "slo_target_s", "budget_usd", "budget_window_s",
