@@ -24,7 +24,7 @@ entries, and location-parameter changes clear everything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.config import (DISTRIBUTED_THRESHOLD, LOCAL_THRESHOLD,
@@ -276,11 +276,6 @@ class StrategyPlanner:
             percentile=p, compliant=predicted <= slo_remaining,
             inline=inline, predicted_median_s=median,
         )
-
-    def _with_median(self, plan: Plan, size: int) -> Plan:
-        median = self.model.predict_percentile(plan.path, size, plan.n, 0.5,
-                                               inline=plan.inline)
-        return replace(plan, predicted_median_s=median)
 
     def fastest(self, size: int, src_key: str, dst_key: str) -> Plan:
         """SLO = 0 mode (§8.1): scan everything, return the fastest."""

@@ -82,10 +82,6 @@ class ShardRouter:
     def shards(self) -> int:
         return self.ring.shards
 
-    @staticmethod
-    def routing_key(tenant_id: str, key: str) -> str:
-        return f"{tenant_id}:{key}"
-
     def route(self, tenant_id: str, key: str) -> int:
         """Shard for one (tenant, object-key) pair, recorded."""
         rkey = f"{tenant_id}:{key}"

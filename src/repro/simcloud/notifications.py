@@ -107,7 +107,3 @@ class NotificationBus:
                  event: ObjectEvent) -> None:
         self.delivered += 1
         handler(event)
-
-    def sample_delay(self, provider: str) -> float:
-        """One delivery-delay draw (used by the profiler)."""
-        return float(self.profile.delay_s[provider].sample(self._rng))

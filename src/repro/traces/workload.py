@@ -34,10 +34,6 @@ class UpdateWorkload:
             yield TraceRequest(t, "PUT", self.key, self.size)
             t += interval
 
-    @property
-    def total_updates(self) -> int:
-        return len(list(self.requests()))
-
 
 def uniform_object_workload(count: int, size: int,
                             spacing_s: float = 0.0,
