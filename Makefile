@@ -109,11 +109,13 @@ e2e-smoke-digests:
 		| grep -o 'sim_digest [0-9a-f]*'; } \
 		| diff tests/golden/e2e_smoke_digests.txt - && echo "smoke digests match"
 
-## what the trace checker reports (~25 s; not in CI): the sha256 of
-## each drill's trace_findings plus trace_checked at seeds 0-2, then the
-## findings and checked counts of the seed-0 storm_churn unit.  A change
-## that claims the checker's findings held prints the same lines as its
-## parent.
+## what the drills and the trace checker report (~25 s; not in CI):
+## per drill at seeds 0-2, the sha256 of its --json trace_findings plus
+## trace_checked ("trace") and of the whole --json report ("report"),
+## then the findings and checked counts of the seed-0 storm_churn unit.
+## A change that claims the checker's findings held prints the same
+## trace hashes as its parent; one that claims no drill outcome moved
+## prints the same lines throughout.
 trace-digests:
 	$(PY) -m tests.trace_digests
 

@@ -1,11 +1,14 @@
-"""What the trace checker reports, in a form two commits can diff.
+"""What the drills and the trace checker report, in a form two commits
+can diff.
 
 One line per (drill, seed 0-2): the sha256 of that drill's ``--json``
-report's ``trace_findings`` plus ``trace_checked``.  Then the findings
-and ``checked`` counts of the seed-0 ``storm_churn`` benchmark unit,
-built read-only through the benchmark harness's ``set_up`` and run the
-way the harness runs it.  A change to ``repro.core.invariants`` that
-claims identical findings prints the same lines as its parent (~25 s):
+report's ``trace_findings`` plus ``trace_checked``, then the sha256 of
+the whole ``--json`` report.  Then the findings and ``checked`` counts
+of the seed-0 ``storm_churn`` benchmark unit, built read-only through
+the benchmark harness's ``set_up`` and run the way the harness runs it.
+A change to ``repro.core.invariants`` that claims identical findings
+prints the same ``trace`` hashes as its parent; a change that claims
+no drill outcome moved prints the same lines throughout (~25 s):
 
     make trace-digests      # PYTHONPATH=src python -m tests.trace_digests
 """
@@ -26,7 +29,12 @@ from repro.drills import DRILLS
 SEEDS = (0, 1, 2)
 
 
-def drill_digest(name: str, seed: int) -> str:
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def drill_digests(name: str, seed: int) -> tuple[str, str]:
+    """(trace findings + checked, whole report) digests of one drill."""
     operation = DRILLS[name].operation
     argv = (["lifecycle-drill", "--scenario", operation] if operation
             else [name])
@@ -36,7 +44,7 @@ def drill_digest(name: str, seed: int) -> str:
     report = json.loads(out.getvalue())
     pinned = json.dumps([report["trace_findings"], report["trace_checked"]],
                         sort_keys=True)
-    return hashlib.sha256(pinned.encode()).hexdigest()
+    return _sha256(pinned), _sha256(out.getvalue())
 
 
 def storm_unit_report():
@@ -52,7 +60,8 @@ def storm_unit_report():
 def main_digests() -> None:
     for name in DRILLS:
         for seed in SEEDS:
-            print(f"{name:<22} seed {seed} {drill_digest(name, seed)}",
+            trace, whole = drill_digests(name, seed)
+            print(f"{name:<22} seed {seed} trace {trace} report {whole}",
                   flush=True)
     report = storm_unit_report()
     print(f"storm_churn seed 0: {len(report.findings)} finding(s)")
