@@ -10,7 +10,7 @@ Public entry points:
 * :mod:`repro.baselines` — Skyplane, S3 Replication Time Control, and
   Azure object replication models.
 * :mod:`repro.traces` — IBM-COS-like trace generation and replay.
-* :mod:`repro.analysis` — statistics and table/report helpers.
+* :mod:`repro.analysis` — statistics and table helpers.
 """
 
 __version__ = "1.0.0"

@@ -1,23 +1,1 @@
-"""Analysis helpers: statistics, table formatting, and reports."""
-
-from repro.analysis.stats import (
-    percentile,
-    size_histogram,
-    summarize,
-    throughput_per_minute,
-    windowed_percentile,
-)
-from repro.analysis.tables import DelayCostCell, format_comparison_table
-from repro.analysis.report import ExperimentResult, render_markdown
-
-__all__ = [
-    "percentile",
-    "summarize",
-    "windowed_percentile",
-    "size_histogram",
-    "throughput_per_minute",
-    "DelayCostCell",
-    "format_comparison_table",
-    "ExperimentResult",
-    "render_markdown",
-]
+"""Analysis helpers: statistics and table formatting."""

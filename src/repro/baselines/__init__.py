@@ -7,14 +7,3 @@
 * :mod:`repro.baselines.azrep` — Azure object replication (proprietary,
   Azure→Azure only, no SLO).
 """
-
-from repro.baselines.skyplane import SkyplaneReplicator, TransferRecord
-from repro.baselines.s3rtc import S3RTCReplicator
-from repro.baselines.azrep import AzureObjectReplicator
-
-__all__ = [
-    "SkyplaneReplicator",
-    "TransferRecord",
-    "S3RTCReplicator",
-    "AzureObjectReplicator",
-]

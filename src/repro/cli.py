@@ -18,6 +18,7 @@ roster.  All commands accept ``--seed`` for reproducibility.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -34,19 +35,31 @@ _UNITS = {"B": 1, "KB": 1024, "MB": 1024**2, "GB": 1024**3, "TB": 1024**4}
 
 
 def parse_size(text: str) -> int:
-    """Parse '128MB', '1GB', '512', '8 MB' into bytes."""
+    """Parse '128MB', '1GB', '512', '8 MB' into a non-negative byte count."""
     s = text.strip().upper().replace(" ", "")
-    for unit in ("TB", "GB", "MB", "KB", "B"):
-        if s.endswith(unit):
-            number = s[: -len(unit)]
-            try:
-                return int(float(number) * _UNITS[unit])
-            except ValueError:
-                break
+    unit = next((u for u in ("TB", "GB", "MB", "KB", "B") if s.endswith(u)),
+                None)
     try:
-        return int(s)
+        size = float(s[: -len(unit)]) * _UNITS[unit] if unit else int(s)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse size {text!r}") from None
+        size = math.nan
+    if not 0 <= size < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"cannot parse size {text!r} as a non-negative, finite byte "
+            "count")
+    return int(size)
+
+
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _build_service(args, slo: float = 0.0, tracing: bool = False):
@@ -384,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
            with_size=False)
     trace = sub.add_parser("trace", help="replay a synthetic IBM COS hour")
     common(trace, with_size=False)
-    trace.add_argument("--requests", type=int, default=5000)
+    trace.add_argument("--requests", type=positive_int, default=5000)
     trace.add_argument("--json", action="store_true",
                        help="emit the machine-readable report instead of text")
     trace.add_argument("--trace-out", default=None, metavar="PATH",
@@ -401,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit = sub.add_parser("audit",
                            help="replay a workload and audit consistency")
     common(audit, with_size=False)
-    audit.add_argument("--requests", type=int, default=2000)
+    audit.add_argument("--requests", type=positive_int, default=2000)
     rides = {"chaos": "layer a mild probabilistic chaos storm over the "
                       "drill's own disturbance",
              "hedging": "enable speculative straggler cloning"}
@@ -419,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scenario", required=True,
                            choices=list(variants),
                            help="which planned operation to execute")
-        p.add_argument("--requests", type=int, default=None,
+        p.add_argument("--requests", type=positive_int, default=None,
                        help=f"workload size (default {spec.requests})")
         for flag in spec.rides:
             p.add_argument(f"--{flag}", action="store_true",

@@ -31,42 +31,3 @@ Modules:
   source/destination divergence.
 * :mod:`repro.core.service` — the end-to-end AReplica service facade.
 """
-
-from repro.core.audit import ReplicationAuditor
-from repro.core.client import ReplicatedBucketClient
-from repro.core.config import ReplicaConfig
-from repro.core.health import (
-    BreakerConfig,
-    BreakerState,
-    HealthTracker,
-    NoRouteAvailable,
-)
-from repro.core.model import NormalParam, PerformanceModel
-from repro.core.planner import Plan, StrategyPlanner
-from repro.core.repair import AntiEntropyScanner, RepairReport
-from repro.core.service import (
-    AReplicaService,
-    ConvergenceReport,
-    ReplicationRecord,
-)
-from repro.core.topology import ReplicationTopology
-
-__all__ = [
-    "ReplicaConfig",
-    "NormalParam",
-    "PerformanceModel",
-    "Plan",
-    "StrategyPlanner",
-    "AReplicaService",
-    "ConvergenceReport",
-    "ReplicationRecord",
-    "ReplicationAuditor",
-    "ReplicatedBucketClient",
-    "ReplicationTopology",
-    "BreakerConfig",
-    "BreakerState",
-    "HealthTracker",
-    "NoRouteAvailable",
-    "AntiEntropyScanner",
-    "RepairReport",
-]

@@ -157,21 +157,3 @@ class ReplicatedBucketClient:
         yield from self.changelog.record_patch(
             key, base.etag, blob.etag, offset, fresh.size)
         return self.bucket.put_object(key, blob, self.cloud.now)
-
-    def truncate_then_append(self, key: str, keep: int, tail: Blob):
-        """Process: log-rotation pattern — keep a prefix, append new data.
-
-        Hinted as a CONCAT of a (self-referencing) byte range plus fresh
-        data; falls back to full replication automatically when the
-        destination's base version diverged.
-        """
-        base = self.bucket.head(key)
-        if keep > base.size:
-            raise ValueError("keep exceeds object size")
-        blob = Blob.concat([base.blob.slice(0, keep), tail])
-        # No cheap hint covers prefix-truncation (the destination cannot
-        # reuse a *range* of an object without a compose-with-range API),
-        # so this intentionally records nothing: full replication.
-        self.stats["puts"] += 1
-        yield self.cloud.sim.sleep(0.0)
-        return self.bucket.put_object(key, blob, self.cloud.now)

@@ -8,24 +8,3 @@ price book.  All components run on a deterministic discrete-event
 simulation kernel (:mod:`repro.simcloud.sim`), so experiments are
 reproducible under a seed.
 """
-
-from repro.simcloud.sim import Simulator, Process, Future, Interrupt
-from repro.simcloud.cloud import Cloud, build_default_cloud
-from repro.simcloud.monitoring import TimeSeries
-from repro.simcloud.regions import Region, REGIONS, get_region
-from repro.simcloud.cost import CostLedger, CostCategory
-
-__all__ = [
-    "Simulator",
-    "Process",
-    "Future",
-    "Interrupt",
-    "Cloud",
-    "build_default_cloud",
-    "TimeSeries",
-    "Region",
-    "REGIONS",
-    "get_region",
-    "CostLedger",
-    "CostCategory",
-]

@@ -20,7 +20,7 @@ from repro.simcloud.network import DEFAULT_PROFILE, NetworkFabric, NetworkProfil
 from repro.simcloud.notifications import NotificationBus, NotificationProfile
 from repro.simcloud.objectstore import Bucket
 from repro.simcloud.pricing import PriceBook
-from repro.simcloud.regions import REGIONS, Region, get_region
+from repro.simcloud.regions import Region, get_region
 from repro.simcloud.rng import RngFactory
 from repro.simcloud.sim import Simulator
 from repro.simcloud.vm import VmFleet, VmProfile
@@ -267,9 +267,6 @@ class Cloud:
     @property
     def now(self) -> float:
         return self.sim.now
-
-    def all_region_keys(self) -> list[str]:
-        return sorted(REGIONS)
 
 
 def build_default_cloud(seed: int = 0, **kwargs) -> Cloud:

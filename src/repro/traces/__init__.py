@@ -9,18 +9,3 @@ fluctuating per-minute write throughput (Fig 3), and a busy one-hour
 segment with ~0.99 M PUT/DELETE requests used for the end-to-end replay
 (Fig 23).
 """
-
-from repro.traces.ibm_cos import IbmCosTraceGenerator, TraceRequest
-from repro.traces.replay import TraceReplayer
-from repro.traces.snia import load_snia_trace, parse_snia_lines
-from repro.traces.workload import UpdateWorkload, uniform_object_workload
-
-__all__ = [
-    "IbmCosTraceGenerator",
-    "TraceRequest",
-    "TraceReplayer",
-    "UpdateWorkload",
-    "uniform_object_workload",
-    "load_snia_trace",
-    "parse_snia_lines",
-]

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.report import ExperimentResult, render_markdown
 from repro.analysis.stats import (
     percentile,
     size_histogram,
@@ -138,20 +137,3 @@ class TestTables:
         text = format_comparison_table(
             "T", ["eastus"], ["1MB"], cells, ["AReplica", "S3RTC"])
         assert "N/A" in text
-
-
-class TestReport:
-    def test_render_markdown_groups_by_experiment(self):
-        results = [
-            ExperimentResult("Fig 16", "AReplica 100GB time (s)", 60.0, 60.0, "s"),
-            ExperimentResult("Fig 16", "Skyplane 100GB time (s)", 250.0, 280.0, "s"),
-            ExperimentResult("Table 1", "1MB delay (s)", 1.4, 1.5, "s"),
-        ]
-        md = render_markdown(results)
-        assert md.index("### Fig 16") < md.index("### Table 1")
-        assert "1.00x" in md
-
-    def test_ratio_none_without_paper_value(self):
-        r = ExperimentResult("X", "m", 1.0)
-        assert r.ratio is None
-        assert "—" in render_markdown([r])

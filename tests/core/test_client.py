@@ -96,17 +96,6 @@ class TestClientOperations:
         cloud.run()
         assert "k" not in dst
 
-    def test_truncate_then_append_falls_back_to_full(self, env):
-        cloud, svc, src, dst, rule, client = env
-        client.run(client.put("log", Blob.fresh(10 * MB)))
-        cloud.run()
-        applied_before = rule.engine.stats["changelog_applied"]
-        client.run(client.truncate_then_append("log", 5 * MB,
-                                               Blob.fresh(1 * MB)))
-        cloud.run()
-        assert dst.head("log").etag == src.head("log").etag
-        assert rule.engine.stats["changelog_applied"] == applied_before
-
     def test_stats_track_operations(self, env):
         cloud, svc, src, dst, rule, client = env
         client.run(client.put("a", Blob.fresh(MB)))

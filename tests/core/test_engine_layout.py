@@ -8,9 +8,12 @@ the split from silently regrowing into one file, keep each protocol
 fragment written once, and hold what ``benchmarks/e2e/tracing.py``
 relies on: it patches ``ReplicationEngine.handle_event`` by name and
 attributes a deployed handler — and everything it ``yield from``s — to
-the module that defines it.
+the module that defines it.  Two package-wide checks ride along: the
+whole package stays under its line budget, and no subpackage
+``__init__`` grows back into a re-export barrel.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from repro.core.service import AReplicaService
 from repro.simcloud.cloud import build_default_cloud
 
 CORE = Path(engine_mod.__file__).parent
+PACKAGE = CORE.parent
 
 
 def _lines(name: str) -> int:
@@ -38,6 +42,20 @@ def test_engine_module_stays_small():
                                   "invariants.py"])
 def test_split_out_modules_stay_small(name):
     assert _lines(name) <= 600
+
+
+def test_package_stays_under_the_deletion_bar():
+    total = sum(len(path.read_text().splitlines())
+                for path in PACKAGE.rglob("*.py"))
+    assert total <= 15_500, total
+
+
+def test_subpackage_inits_import_nothing():
+    """Callers name the submodule; an ``__init__`` is a docstring."""
+    barrels = [path.parent.name for path in PACKAGE.glob("*/__init__.py")
+               if any(isinstance(node, (ast.Import, ast.ImportFrom))
+                      for node in ast.walk(ast.parse(path.read_text())))]
+    assert barrels == []
 
 
 #: Fragments that used to be re-typed at several sites; each now has one

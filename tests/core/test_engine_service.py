@@ -188,3 +188,64 @@ class TestCostAccounting:
         cloud.run()
         total = before.delta(cloud.ledger.snapshot()).total
         assert 1e-5 < total < 1e-3
+
+
+def bare_service(seed):
+    cloud = build_default_cloud(seed=seed)
+    return cloud, AReplicaService(cloud, ReplicaConfig(profile_samples=5,
+                                                       mc_samples=300))
+
+
+def mirrored(svc, rules):
+    """Every rule's destination holds exactly its source's versions."""
+    return svc.pending_count() == 0 and all(
+        {k: r.src_bucket.head(k).etag for k in r.src_bucket.keys()}
+        == {k: r.dst_bucket.head(k).etag for k in r.dst_bucket.keys()}
+        for r in rules)
+
+
+class TestMultiRuleShapes:
+    """Several rules on one service: fan-out, cascade, two-way."""
+
+    def test_one_source_fans_out_to_two_clouds(self):
+        cloud, svc = bare_service(1101)
+        primary = cloud.bucket("aws:us-east-1", "primary")
+        replicas = [cloud.bucket("azure:eastus", "r1"),
+                    cloud.bucket("gcp:us-east1", "r2")]
+        rules = [svc.add_rule(primary, r) for r in replicas]
+        blob = Blob.fresh(8 * MB)
+        primary.put_object("k", blob, cloud.now)
+        cloud.run()
+        assert mirrored(svc, rules)
+        for replica in replicas:
+            assert replica.head("k").etag == blob.etag
+
+    def test_cascade_carries_put_and_delete_to_the_end(self):
+        cloud, svc = bare_service(1106)
+        a, b, c = (cloud.bucket("aws:us-east-1", "a"),
+                   cloud.bucket("aws:us-east-2", "b"),
+                   cloud.bucket("aws:us-west-2", "c"))
+        rules = [svc.add_rule(a, b), svc.add_rule(b, c)]
+        blob = Blob.fresh(MB)
+        a.put_object("k", blob, cloud.now)
+        cloud.run()
+        assert c.head("k").etag == blob.etag
+        a.delete_object("k", cloud.now)
+        cloud.run()
+        assert mirrored(svc, rules)
+        assert "k" not in c
+
+    def test_two_way_pair_quenches_echoes_and_converges(self):
+        cloud, svc = bare_service(1108)
+        a = cloud.bucket("aws:us-east-1", "a")
+        b = cloud.bucket("aws:us-east-2", "b")
+        rules = [svc.add_rule(a, b), svc.add_rule(b, a)]
+        blob_a, blob_b = Blob.fresh(2 * MB), Blob.fresh(2 * MB)
+        a.put_object("from-a", blob_a, cloud.now)
+        b.put_object("from-b", blob_b, cloud.now)
+        assert not mirrored(svc, rules)
+        cloud.run()  # terminates only because echoes are short-circuited
+        assert mirrored(svc, rules)
+        for site in (a, b):
+            assert site.head("from-a").etag == blob_a.etag
+            assert site.head("from-b").etag == blob_b.etag

@@ -182,8 +182,3 @@ class TestCloudFacade:
 
         assert run_once(11) == run_once(11)
         assert run_once(11) != run_once(12)
-
-    def test_all_region_keys_sorted(self, cloud):
-        keys = cloud.all_region_keys()
-        assert keys == sorted(keys)
-        assert "aws:us-east-1" in keys

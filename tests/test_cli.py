@@ -20,7 +20,8 @@ class TestParseSize:
     def test_valid(self, text, expected):
         assert parse_size(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "abc", "12XB", "MB"])
+    @pytest.mark.parametrize(
+        "text", ["", "abc", "12XB", "MB", "-5MB", "-1", "infGB", "nanMB"])
     def test_invalid(self, text):
         import argparse
 
@@ -38,6 +39,11 @@ class TestParser:
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_zero_requests_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--requests", "0"])
+        assert exc.value.code == 2
 
 
 class TestCommands:

@@ -7,7 +7,6 @@ from repro.analysis.stats import fraction_at_or_below, size_histogram
 from repro.simcloud.cloud import build_default_cloud
 from repro.traces.ibm_cos import MB, GB, IbmCosTraceGenerator, SizeModel, TraceRequest
 from repro.traces.replay import TraceReplayer
-from repro.traces.workload import UpdateWorkload, uniform_object_workload
 
 
 class TestSizeModel:
@@ -136,25 +135,3 @@ class TestReplayer:
         cloud = build_default_cloud(seed=0)
         with pytest.raises(ValueError):
             TraceReplayer(cloud, cloud.bucket("aws:us-east-1", "b"), time_scale=0)
-
-
-class TestWorkloads:
-    def test_update_workload_spacing(self):
-        w = UpdateWorkload("hot", MB, updates_per_minute=10, duration_s=60.0)
-        reqs = list(w.requests())
-        assert len(reqs) == 10
-        assert reqs[1].time - reqs[0].time == pytest.approx(6.0)
-
-    def test_update_workload_invalid_frequency(self):
-        w = UpdateWorkload("hot", MB, updates_per_minute=0, duration_s=60.0)
-        with pytest.raises(ValueError):
-            list(w.requests())
-
-    def test_uniform_workload(self):
-        reqs = uniform_object_workload(3, 100, spacing_s=5.0)
-        assert [r.key for r in reqs] == ["obj0", "obj1", "obj2"]
-        assert [r.time for r in reqs] == [0.0, 5.0, 10.0]
-
-    def test_uniform_workload_invalid_count(self):
-        with pytest.raises(ValueError):
-            uniform_object_workload(0, 100)
