@@ -109,7 +109,8 @@ e2e-smoke-digests:
 		| grep -o 'sim_digest [0-9a-f]*'; } \
 		| diff tests/golden/e2e_smoke_digests.txt - && echo "smoke digests match"
 
-## what the drills and the trace checker report (~25 s; not in CI):
+## what the drills and the trace checker report (~25 s; CI diffs it
+## against tests/golden/trace_digests.txt):
 ## per drill at seeds 0-2, the sha256 of its --json trace_findings plus
 ## trace_checked ("trace") and of the whole --json report ("report"),
 ## then the findings and checked counts of the seed-0 storm_churn unit.

@@ -66,6 +66,13 @@ __all__ = ["AUTOPILOT_STAT_KEYS", "Actuation", "KnobSpec",
 AUTOPILOT_STAT_KEYS = ("actuations", "clamps", "cooldown_skips",
                        "cordon_holds", "settle_time_s")
 
+#: Trace attribute names, one tuple per record schema.
+_ACTUATE_KEYS = ("knob", "old", "new", "lo", "hi", "cooldown_s", "error",
+                 "clamped", "reason")
+_HOLD_KEYS = ("reason", "cordons")
+_DISTURBANCE_KEYS = ("error",)
+_SETTLE_KEYS = ("settle_s", "within_bound")
+
 #: Hysteresis dead-band on every controller error signal: no knob moves
 #: while the signal sits within ±DEADBAND of its target, so the
 #: controller cannot oscillate around a satisfied SLO.
@@ -252,10 +259,9 @@ class KnobController:
         self.changelog.append(act)
         if self.tracer is not None:
             self.tracer.span("actuate", "autopilot", None, now, now,
-                             knob=name, old=old, new=new, lo=spec.lo,
-                             hi=spec.hi, cooldown_s=self.cooldown_s,
-                             error=round(error, 6), clamped=clamped,
-                             reason=reason)
+                             _ACTUATE_KEYS, name, old, new, spec.lo, spec.hi,
+                             self.cooldown_s, round(error, 6), clamped,
+                             reason)
         return act
 
 
@@ -498,8 +504,8 @@ class Autopilot:
             self.stats["cordon_holds"] += 1
             if tracer is not None:
                 tracer.event("autopilot-hold", "autopilot", None,
-                             reason="cordon",
-                             cordons=len(health.cordoned_targets()))
+                             _HOLD_KEYS, "cordon",
+                             len(health.cordoned_targets()))
             return
         slo_errors = {tid: self._slo_error(tid, now)
                       for tid in sorted(self.service.tenants)}
@@ -533,7 +539,7 @@ class Autopilot:
             self.episodes.append([now, None])
             if tracer is not None:
                 tracer.event("autopilot-disturbance", "autopilot", None,
-                             error=round(slo_e, 6))
+                             _DISTURBANCE_KEYS, round(slo_e, 6))
         elif open_ep and slo_e <= 0.0:
             start = self.episodes[-1][0]
             self.episodes[-1][1] = now
@@ -541,8 +547,8 @@ class Autopilot:
             self.stats["settle_time_s"].append(round(settle, 3))
             if tracer is not None:
                 tracer.event("autopilot-settle", "autopilot", None,
-                             settle_s=round(settle, 3),
-                             within_bound=settle <= SETTLE_S)
+                             _SETTLE_KEYS, round(settle, 3),
+                             settle <= SETTLE_S)
 
     # -- reporting ---------------------------------------------------------
 

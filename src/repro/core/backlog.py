@@ -25,6 +25,12 @@ __all__ = ["ParkedBacklog"]
 #: table, beside the locks/done markers it describes).
 _CHECKPOINT_KEY = "lifecycle:checkpoint"
 
+#: Trace attribute names, one tuple per record schema.
+_PARK_KEYS = ("rule", "backlog_id", "key")
+_ROUTE_KEYS = ("rule", "backlog_id", "region")
+_CHECKPOINT_KEYS = ("rule", "backlog")
+_RESTORE_KEYS = ("rule", "restored", "remirrored")
+
 
 def _mirror_key(backlog_id: int) -> str:
     return f"backlog:{backlog_id:08d}"
@@ -79,8 +85,8 @@ class ParkedBacklog:
         self._next_id += 1
         if engine.tracer is not None:
             engine.tracer.event("park", "engine", payload.get("task"),
-                                rule=engine.rule_id, backlog_id=backlog_id,
-                                key=payload.get("key"))
+                                _PARK_KEYS, engine.rule_id, backlog_id,
+                                payload.get("key"))
         if not self._entries:
             self._entries = deque()
         self._entries.append((backlog_id, payload))
@@ -136,9 +142,9 @@ class ParkedBacklog:
         backlog_id, payload = self._entries[0]
         if engine.tracer is not None:
             engine.tracer.event("probe", "engine", payload.get("task"),
-                                rule=engine.rule_id, backlog_id=backlog_id,
-                                region=route)
-        engine._faas_at(route).invoke_and_forget(engine._orch_name,
+                                _ROUTE_KEYS, engine.rule_id, backlog_id,
+                                route)
+        engine.cloud.faas(route).invoke_and_forget(engine._orch_name,
                                                  dict(payload))
 
     def _maybe_drain(self) -> None:
@@ -168,7 +174,7 @@ class ParkedBacklog:
                     return
                 batch = [self._entries.popleft()
                          for _ in range(min(cap, len(self._entries)))]
-                faas = engine._faas_at(route)
+                faas = engine.cloud.faas(route)
                 if route != engine.src_bucket.region.key:
                     engine.stats["failover"] += len(batch)
                 invocations = [
@@ -180,9 +186,8 @@ class ParkedBacklog:
                     if engine.tracer is not None:
                         engine.tracer.event("drain", "engine",
                                             payload.get("task"),
-                                            rule=engine.rule_id,
-                                            backlog_id=backlog_id,
-                                            region=route)
+                                            _ROUTE_KEYS, engine.rule_id,
+                                            backlog_id, route)
                     self._mirror(
                         lambda bid=backlog_id: engine._lock_table.delete_item(
                             _mirror_key(bid)))
@@ -229,8 +234,8 @@ class ParkedBacklog:
         engine.stats["checkpoints"] += 1
         if engine.tracer is not None:
             engine.tracer.event("checkpoint", "lifecycle", None,
-                                rule=engine.rule_id,
-                                backlog=len(record["backlog"]))
+                                _CHECKPOINT_KEYS, engine.rule_id,
+                                len(record["backlog"]))
         return record
 
     def restore(self):
@@ -272,7 +277,7 @@ class ParkedBacklog:
         engine = self.engine
         if engine.tracer is not None:
             engine.tracer.event("restore", "lifecycle", None,
-                                rule=engine.rule_id, restored=len(restored),
-                                remirrored=remirrored)
+                                _RESTORE_KEYS, engine.rule_id, len(restored),
+                                remirrored)
         self._maybe_drain()
         return {"restored": len(restored), "remirrored": remirrored}

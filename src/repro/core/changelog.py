@@ -161,7 +161,8 @@ def propagate_changelog(engine, ctx, task):
     if entry is None:
         return False
     invocation = yield from ctx.invoke(
-        engine._faas_at(engine.dst_bucket.region.key), engine._applier_name,
+        engine.cloud.faas(engine.dst_bucket.region.key),
+        engine._applier_name,
         {"task": dict(task), "entry": entry.to_item()})
     result = yield invocation
     if result["applied"]:

@@ -26,6 +26,9 @@ from repro.simcloud.objectstore import NoSuchKey, NoSuchUpload
 __all__ = ["launch", "run_worker", "reap_orphan_pool", "pool_for",
            "part_attempt", "settle_part", "try_finalize"]
 
+#: Trace attribute names of the ``abort`` event.
+_ABORT_KEYS = ("key", "etag")
+
 #: How long a worker that drained the pool waits before treating
 #: still-incomplete parts as orphaned (crashed owner) and recovering
 #: them.  In-flight parts recovered early are merely duplicated work;
@@ -86,7 +89,7 @@ def launch(engine, ctx, task, plan, inline_worker: bool = False):
     # Invoking beyond the remaining quota would only queue the excess
     # behind other tasks; clamp instead (the pool lets fewer workers
     # finish the same parts, just slower).
-    faas = engine._faas_at(plan.loc_key)
+    faas = engine.cloud.faas(plan.loc_key)
     available = max(1, faas.profile.max_concurrency - faas.running)
     if n > available:
         engine.stats["quota_clamped"] = (
@@ -474,7 +477,7 @@ def _abort_task(engine, ctx, task, pool):
     engine.stats["aborted"] += 1
     if engine.tracer is not None:
         engine.tracer.event("abort", "engine", task["task_id"],
-                            key=task["key"], etag=task["etag"])
+                            _ABORT_KEYS, task["key"], task["etag"])
     engine.recorder.record_abort(task["key"], task["etag"])
     # The yield must sit *outside* any exception guard: an Interrupt
     # (chaos crash, watchdog) delivered here must kill this function so

@@ -58,6 +58,16 @@ _STAT_KEYS = (
     "hedge_losses", "hedge_cancelled", "cordons", "drained_parts",
     "migrated_tasks", "checkpoints", "switchovers")
 
+#: Trace attribute names, one tuple per record schema.
+_RECLAIM_KEYS = ("rule", "key", "owner", "seq")
+_DONE_KEYS = ("rule", "key", "seq", "etag", "op")
+_VERSION_KEYS = ("key", "seq", "kind")       # visible, retrigger
+_DISPATCH_KEYS = ("rule", "region")
+_PLAN_KEYS = ("n", "loc_key", "inline", "compliant", "predicted_s")
+_VERIFY_KEYS = ("key", "expected", "actual", "ok")
+_FINALIZE_KEYS = ("key", "seq", "etag", "fence", "op", "loc", "verified")
+_LOST_KEYS = ("key",)
+
 
 class ReplicationEngine:
     """One replication rule: ``src_bucket`` → ``dst_bucket``."""
@@ -132,16 +142,12 @@ class ReplicationEngine:
             faas.deploy(self._rep_name, self._replicator)
         dst_faas.deploy(self._applier_name, self._applier, timeout_s=300.0)
 
-    def _faas_at(self, loc_key: str):
-        return self.cloud.faas(loc_key)
-
     def _state_table(self, loc_key: str):
         return self.cloud.kv_table(loc_key, f"{_STATE_TABLE}-{self.rule_id}")
 
     def set_tracer(self, tracer) -> None:
         """Install (or clear, with None) the causal tracer."""
-        self.tracer = tracer
-        self.locks.tracer = tracer
+        self.tracer = self.locks.tracer = tracer
 
     def _on_health_transition(self, target, state: str) -> None:
         self.backlog.on_health_transition(state)
@@ -159,10 +165,9 @@ class ReplicationEngine:
         """Carry operational state over from a torn-down engine: stats
         by reference (counters stay monotonic across the restart), the
         backlog and hedger rebound so nothing keeps calling ``old``."""
-        self.stats = old.stats
+        self.stats, self.forced_plan = old.stats, old.forced_plan
         self.worker_parts = old.worker_parts
         self.worker_spans = old.worker_spans
-        self.forced_plan = old.forced_plan
         self.backlog, self.hedger = old.backlog, old.hedger
         self.backlog.engine = self
         if self.hedger is not None:
@@ -185,8 +190,7 @@ class ReplicationEngine:
                        "seq": seq, "size": 0, "event_time": sim.now}
             if self.tracer is not None:
                 self.tracer.event("lock-reclaim", "engine", None,
-                                  rule=self.rule_id, key=key, owner=owner,
-                                  seq=seq)
+                                  _RECLAIM_KEYS, self.rule_id, key, owner, seq)
             sim.call_later(lease_left_s + 1.0,
                            lambda p=payload: self._dispatch_event(p))
             n += 1
@@ -257,8 +261,7 @@ class ReplicationEngine:
 
     def _done_marker(self, ctx, key: str):
         """Process: read the key's done marker (None when unset)."""
-        return self._kv(
-            ctx, lambda: self._lock_table.get_item(f"done:{key}"))
+        return self._kv(ctx, lambda: self._lock_table.get_item(f"done:{key}"))
 
     def _mark_done(self, ctx, key: str, etag: str, seq: int, time: float,
                    op: str = "put"):
@@ -280,9 +283,8 @@ class ReplicationEngine:
                 return item
             if self.tracer is not None:
                 # Inside the closure: only a landed advance counts.
-                self.tracer.event("done-marker", "engine", None,
-                                  rule=self.rule_id, key=key, seq=seq,
-                                  etag=etag, op=op)
+                self.tracer.event("done-marker", "engine", None, _DONE_KEYS,
+                                  self.rule_id, key, seq, etag, op)
             return {"etag": etag, "seq": seq, "time": time, "op": op}
 
         yield from self._kv(
@@ -292,8 +294,8 @@ class ReplicationEngine:
     def _record_visible(self, tid: Optional[str], result: TaskResult) -> None:
         """Report a visibility outcome, mirrored into the trace."""
         if self.tracer is not None:
-            self.tracer.event("visible", "engine", tid, key=result.key,
-                              seq=result.seq, kind=result.kind)
+            self.tracer.event("visible", "engine", tid, _VERSION_KEYS,
+                              result.key, result.seq, result.kind)
         self.recorder.record_visible(result)
 
     # -- routing and dispatch -------------------------------------------------
@@ -345,12 +347,11 @@ class ReplicationEngine:
         if route != self.src_bucket.region.key:
             self.stats["failover"] += 1
         if self.tracer is not None:
-            # Admission witness for the oracle's cordon invariant (no
-            # dispatch into a cordoned FaaS region); I-spans cannot
-            # serve, invoke_and_forget emits none.
+            # The oracle's witness that no dispatch enters a cordoned FaaS
+            # region (invoke_and_forget emits no I-span to serve as one).
             self.tracer.event("dispatch", "engine", payload.get("task"),
-                              rule=self.rule_id, region=route)
-        faas = self._faas_at(route)
+                              _DISPATCH_KEYS, self.rule_id, route)
+        faas = self.cloud.faas(route)
         if self.scheduler is None:
             faas.invoke_and_forget(self._orch_name, payload)
             return
@@ -367,8 +368,8 @@ class ReplicationEngine:
         ``payload``, dispatch it as a fresh task (fresh lock and fence)."""
         self.stats["retriggered"] += 1
         if self.tracer is not None:
-            self.tracer.event("retrigger", "engine", tid, key=key, seq=seq,
-                              kind=kind)
+            self.tracer.event("retrigger", "engine", tid, _VERSION_KEYS,
+                              key, seq, kind)
         if payload is not None:
             self._dispatch_event(payload)
 
@@ -469,9 +470,8 @@ class ReplicationEngine:
             return
         if self.tracer is not None:
             self.tracer.span("plan", "engine", tid, plan_from, ctx.now,
-                             n=plan.n, loc_key=plan.loc_key,
-                             inline=plan.inline, compliant=plan.compliant,
-                             predicted_s=plan.predicted_s)
+                             _PLAN_KEYS, plan.n, plan.loc_key, plan.inline,
+                             plan.compliant, plan.predicted_s)
         task.update(plan_n=plan.n, loc_key=plan.loc_key,
                     predicted_s=plan.predicted_s,
                     predicted_median_s=plan.predicted_median_s,
@@ -503,7 +503,7 @@ class ReplicationEngine:
             self.stats["single"] += 1
             task["mode"] = "single"
             # Fire-and-forget: the replicator finishes the task.
-            yield from ctx.invoke(self._faas_at(plan.loc_key),
+            yield from ctx.invoke(self.cloud.faas(plan.loc_key),
                                   self._rep_name, dict(task))
 
     def _replicator(self, ctx, payload):
@@ -565,8 +565,8 @@ class ReplicationEngine:
         verified = version.etag == task["etag"]
         if self.tracer is not None:
             self.tracer.span("verify", "engine", tid, ctx.now, ctx.now,
-                             key=key, expected=task["etag"],
-                             actual=version.etag, ok=verified)
+                             _VERIFY_KEYS, key, task["etag"], version.etag,
+                             verified)
         if not verified:
             yield from withdraw_unverified(self, ctx, task, own_write)
             yield from self._finish(ctx, tid, key, None,
@@ -578,10 +578,9 @@ class ReplicationEngine:
             self.health.record(("store", self.src_bucket.region.key), True)
             self.health.record(("store", self.dst_bucket.region.key), True)
         if self.tracer is not None:
-            self.tracer.event("finalize", "engine", tid, key=key,
-                              seq=task["seq"], etag=task["etag"],
-                              fence=task.get("fence"), op="put",
-                              loc=ctx.region.key, verified=True)
+            self.tracer.event("finalize", "engine", tid, _FINALIZE_KEYS, key,
+                              task["seq"], task["etag"], task.get("fence"),
+                              "put", ctx.region.key, True)
         superseded = yield from self._mark_done(ctx, key, task["etag"],
                                                 task["seq"], ctx.now)
         if superseded is not None:
@@ -616,7 +615,7 @@ class ReplicationEngine:
             # key's convergence.  Surface the loss; never no-op it.
             self.stats["lock_lost"] += 1
             if self.tracer is not None:
-                self.tracer.event("lock-lost", "engine", tid, key=key)
+                self.tracer.event("lock-lost", "engine", tid, _LOST_KEYS, key)
             return
         pending = outcome.pending
         if pending is not None:

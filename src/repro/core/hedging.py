@@ -23,6 +23,11 @@ from repro.simcloud.sim import Interrupt
 __all__ = ["Hedger", "HEDGE_WINDOW_S", "HEDGE_MIN_PART_BYTES",
            "HEDGE_MIN_SAMPLES"]
 
+#: Trace attribute names, one tuple per record schema.
+_START_KEYS = ("key", "part", "seq", "deadline_s", "elapsed_s")
+_RESOLVED_KEYS = ("key", "part", "seq", "outcome")
+_HEDGE_KEYS = ("part", "seq", "outcome")
+
 #: Trailing window over part-completion samples feeding the deadline
 #: percentile.
 HEDGE_WINDOW_S = 300.0
@@ -101,9 +106,9 @@ class Hedger:
         task_id = task["task_id"]
         if engine.tracer is not None:
             engine.tracer.event("hedge-start", "engine", task_id,
-                                key=task["key"], part=idx, seq=seq,
-                                deadline_s=deadline_s, elapsed_s=elapsed)
-        faas = engine._faas_at(ctx.region.key)
+                                _START_KEYS, task["key"], idx, seq,
+                                deadline_s, elapsed)
+        faas = engine.cloud.faas(ctx.region.key)
         faas.ledger.charge(ctx.now, CostCategory.HEDGE_CLONES,
                            faas.prices.faas[faas.provider].per_request,
                            f"{faas.region.key}:{engine._rep_name}:part{idx}",
@@ -237,11 +242,10 @@ class Hedger:
                     engine.stats["hedge_cancelled"] += 1
                 if engine.tracer is not None:
                     engine.tracer.event("hedge-resolved", "engine", task_id,
-                                        key=task["key"], part=idx, seq=s,
-                                        outcome=outcome)
+                                        _RESOLVED_KEYS, task["key"], idx, s,
+                                        outcome)
                     engine.tracer.span("hedge", "engine", task_id, at,
-                                       sim.now, part=idx, seq=s,
-                                       outcome=outcome)
+                                       sim.now, _HEDGE_KEYS, idx, s, outcome)
         if clone_won is not None:
             self.samples.record(ctx.now, ctx.now - t0)
             engine.worker_spans[worker_key] = (start, ctx.now)

@@ -50,6 +50,11 @@ __all__ = ["OperationsRunner", "LifecycleReport", "SCENARIOS"]
 #: The planned-disruption procedures an operator can schedule.
 SCENARIOS = ("evacuate", "rolling", "switchover")
 
+#: Trace attribute names, one tuple per record schema.
+_CORDON_KEYS = ("rule", "substrate", "region")
+_REBUILD_KEYS = ("rule", "backlog")
+_SWITCHOVER_KEYS = ("rule", "src", "dst")
+
 #: Substrates an evacuation cordons at the target region, in order.
 #: FaaS first (new orchestrations fail over while the consistency
 #: substrates still answer), then the location-pinned substrates
@@ -171,19 +176,21 @@ class OperationsRunner:
         # Resolved per access: a rolling restart swaps rule.engine.
         return self.service.rules[self.rule_id].engine
 
-    def _event(self, name: str, **attrs) -> None:
+    def _event(self, name: str, keys: tuple, *values) -> None:
+        """Trace a lifecycle fact; ``keys`` starts with ``"rule"``."""
         tracer = self.service.tracer
         if tracer is not None:
-            tracer.event(name, "lifecycle", None, rule=self.rule_id, **attrs)
+            tracer.event(name, "lifecycle", None, keys, self.rule_id,
+                         *values)
 
     def _cordon(self, substrate: str, region: str) -> None:
         if self.service.health.cordon((substrate, region)):
             self._engine.stats["cordons"] += 1
-            self._event("cordon", substrate=substrate, region=region)
+            self._event("cordon", _CORDON_KEYS, substrate, region)
 
     def _uncordon(self, substrate: str, region: str) -> None:
         if self.service.health.uncordon((substrate, region)):
-            self._event("uncordon", substrate=substrate, region=region)
+            self._event("uncordon", _CORDON_KEYS, substrate, region)
 
     def _kv_retry(self, gen_factory):
         """Process: run ``gen_factory()`` to completion, retrying
@@ -280,7 +287,7 @@ class OperationsRunner:
                                  started_at=self.cloud.sim.now)
         yield from self._kv_retry(engine.backlog.checkpoint)
         new_engine = self.service.rebuild_engine(self.rule_id)
-        self._event("rebuild", backlog=len(new_engine.backlog))
+        self._event("rebuild", _REBUILD_KEYS, len(new_engine.backlog))
         outcome = yield from self._kv_retry(new_engine.backlog.restore)
         report.restored = outcome["restored"]
         report.remirrored = outcome["remirrored"]
@@ -308,7 +315,8 @@ class OperationsRunner:
                                  started_at=self.cloud.sim.now)
         engine.stats["switchovers"] += 1
         failover_before = engine.stats["failover"]
-        self._event("switchover", src=self.src_region, dst=self.dst_region)
+        self._event("switchover", _SWITCHOVER_KEYS, self.src_region,
+                    self.dst_region)
         self._cordon("faas", self.src_region)
         inflight, drained, met = yield from self._drain(self.src_region)
         engine.stats["drained_parts"] += drained

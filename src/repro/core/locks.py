@@ -32,6 +32,11 @@ from repro.simcloud.kvstore import KvTable
 __all__ = ["LockOutcome", "PendingVersion", "UnlockOutcome",
            "ReplicationLockManager"]
 
+#: Trace attribute names, one tuple per record schema.
+_ACQUIRE_KEYS = ("key", "owner", "fence", "mode")
+_REFUSED_KEYS = ("key", "owner", "released")
+_RELEASE_KEYS = ("key", "owner", "released", "fence")
+
 
 @dataclass(frozen=True, slots=True)
 class LockOutcome:
@@ -132,11 +137,10 @@ class ReplicationLockManager:
                 state["reentrant"] = reentrant
                 if self.tracer is not None:
                     self.tracer.event(
-                        "lock-acquire", "lock", owner, key=obj_key,
-                        owner=owner, fence=fence,
-                        mode=("reentrant" if reentrant
-                              else "takeover" if item is not None
-                              else "fresh"))
+                        "lock-acquire", "lock", owner, _ACQUIRE_KEYS,
+                        obj_key, owner, fence,
+                        ("reentrant" if reentrant
+                         else "takeover" if item is not None else "fresh"))
                 return {"owner": owner, "held_etag": etag, "held_seq": seq,
                         "acquired_at": now, "fence": fence,
                         "pending_etag": pending_etag, "pending_seq": pending_seq}
@@ -183,16 +187,15 @@ class ReplicationLockManager:
                 # record must not be deleted.
                 if self.tracer is not None:
                     self.tracer.event("lock-release", "lock", owner,
-                                      key=obj_key, owner=owner,
-                                      released=False)
+                                      _REFUSED_KEYS, obj_key, owner, False)
                 return item
             captured["released"] = True
             captured["etag"] = item.get("pending_etag")
             captured["seq"] = item.get("pending_seq")
             if self.tracer is not None:
-                self.tracer.event("lock-release", "lock", owner, key=obj_key,
-                                  owner=owner, released=True,
-                                  fence=item.get("fence", 0))
+                self.tracer.event("lock-release", "lock", owner,
+                                  _RELEASE_KEYS, obj_key, owner, True,
+                                  item.get("fence", 0))
             return None  # delete the lock record
 
         yield self.table.update_item(self._key(obj_key), attempt)

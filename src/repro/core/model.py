@@ -180,6 +180,31 @@ class PathParams:
         )
 
 
+def _linear_quantiles(rows: np.ndarray, ps: Sequence[float]) -> np.ndarray:
+    """``np.quantile(rows, ps, axis=1).T`` for rows sorted ascending.
+
+    NumPy's default (linear) method written out formula for formula,
+    its ``gamma >= 0.5`` branch included, so the bits are equal.  One
+    row-wise sort serves every quantile; ``np.quantile``'s general path
+    (a copy, a partition on every needed index, masked interpolation)
+    costs several times more on the planner's small blocks.
+    """
+    n = rows.shape[1]
+    out = np.empty((rows.shape[0], len(ps)))
+    for j, p in enumerate(ps):
+        virtual = (n - 1) * p
+        if virtual >= n - 1:
+            out[:, j] = rows[:, -1]
+            continue
+        lo = math.floor(virtual)
+        gamma = virtual - lo
+        below, above = rows[:, lo], rows[:, lo + 1]
+        diff = above - below
+        out[:, j] = (above - diff * (1 - gamma) if gamma >= 0.5
+                     else below + diff * gamma)
+    return out
+
+
 @lru_cache(maxsize=4096)
 def _gumbel_constants(n: int) -> tuple[float, float]:
     """Extreme-value normalizing constants for the max of n std normals."""
@@ -296,13 +321,23 @@ class PerformanceModel:
         cached = self._mc_cache.get(cache_key)
         if cached is None:
             per_inst = self._per_instance(key, size, n)
-            draws = per_inst.sample(self._rng, (self.mc_samples, n))  # type: ignore[arg-type]
-            # Row max column by column: NumPy reduces a short inner axis
-            # an order of magnitude slower, and max is exact, so the
-            # bits equal ``draws.max(axis=1)``.
-            cached = draws[:, 0].copy()
+            # The row max of ``per_inst.sample(rng, (mc, n))``, taken on
+            # the standard normals before ``mean + std·z`` and the zero
+            # floor: rounding is monotone, so the bits are equal, and
+            # ``standard_normal`` consumes the stream as ``normal`` does.
+            # Column by column (NumPy reduces a short inner axis an order
+            # of magnitude slower) and in place, into a row allocated
+            # before the draw: a long-lived row placed after the freed
+            # (mc, n) block pins the heap above it and raises the peak
+            # RSS of a planner-heavy replay.
+            cached = np.empty(self.mc_samples)
+            z = self._rng.standard_normal((self.mc_samples, n))
+            np.copyto(cached, z[:, 0])
             for j in range(1, n):
-                np.maximum(cached, draws[:, j], out=cached)
+                np.maximum(cached, z[:, j], out=cached)
+            cached *= per_inst.std
+            cached += per_inst.mean
+            np.maximum(cached, 0.0, out=cached)
             self._mc_cache[cache_key] = cached
             self.mc_runs += 1
         return cached
@@ -352,8 +387,8 @@ class PerformanceModel:
         ``candidates`` is a sequence of ``(n, inline)`` pairs; the
         result has shape ``(len(candidates), len(ps))`` and is
         bit-identical to calling :meth:`predict_percentile` per entry.
-        Monte-Carlo candidates share a single stacked ``np.quantile``
-        call; closed-form (n == 1) and Gumbel-range candidates never
+        Monte-Carlo candidates share one row-wise sort of their stacked
+        samples; closed-form (n == 1) and Gumbel-range candidates never
         touch the Monte-Carlo machinery.
         """
         ps = list(ps)
@@ -376,12 +411,8 @@ class PerformanceModel:
                 mc_rows.append(i)
                 mc_totals.append(transfer + t_func.sample(func_rng, transfer.size))
         if mc_rows:
-            stacked = np.vstack(mc_totals)
-            # axis=1 quantiles for all candidates at once; float64
-            # quantile of each row equals the per-row scalar quantile.
-            q = np.quantile(stacked, ps, axis=1)
-            for j, i in enumerate(mc_rows):
-                out[i] = q[:, j]
+            out[mc_rows] = _linear_quantiles(
+                np.sort(np.vstack(mc_totals), axis=1), ps)
         return out
 
     def _stable_seed(self, key: PathKey, size: int, n: int,

@@ -22,6 +22,10 @@ from repro.simcloud.kvstore import KvTable
 
 __all__ = ["PartPool", "PartCompletion", "PartState", "FairAssignment"]
 
+#: Trace attribute names, one tuple per record schema.
+_PART_KEYS = ("idx",)
+_COMPLETE_KEYS = ("idx", "first", "finished")
+
 
 class PartCompletion(NamedTuple):
     """Outcome of one :meth:`PartPool.complete_part` call."""
@@ -75,7 +79,7 @@ class PartPool:
             return None
         if self.table.tracer is not None:
             self.table.tracer.event("part-claim", "pool", self.task_id,
-                                    idx=claimed - 1)
+                                    _PART_KEYS, claimed - 1)
         return claimed - 1
 
     def complete(self, part_index: int):
@@ -116,9 +120,8 @@ class PartPool:
         yield self.table.update_item(self._key, mark)
         if self.table.tracer is not None:
             self.table.tracer.event("part-complete", "pool", self.task_id,
-                                    idx=part_index,
-                                    first=state["first"],
-                                    finished=state["finished"])
+                                    _COMPLETE_KEYS, part_index,
+                                    state["first"], state["finished"])
         return PartCompletion(state["first"], state["finished"])
 
     def mark_quarantined(self, part_index: int):
@@ -147,7 +150,7 @@ class PartPool:
         yield self.table.update_item(self._key, mark)
         if state["first"] and self.table.tracer is not None:
             self.table.tracer.event("part-quarantine", "pool", self.task_id,
-                                    idx=part_index)
+                                    _PART_KEYS, part_index)
         return state["first"]
 
     def quarantined_parts(self):

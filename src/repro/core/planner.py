@@ -34,6 +34,10 @@ from repro.core.model import PathKey, PerformanceModel
 
 __all__ = ["Plan", "PlanCache", "StrategyPlanner"]
 
+#: Trace attribute names, one tuple per record schema.
+_NO_ROUTE_KEYS = ("src", "dst", "cordoned")
+_DEGRADED_KEYS = ("src", "dst", "dropped", "cordoned")
+
 
 @dataclass(frozen=True, slots=True)
 class Plan:
@@ -243,8 +247,8 @@ class StrategyPlanner:
             if not filtered:
                 if self.tracer is not None:
                     self.tracer.event("plan-no-route", "engine", None,
-                                      src=src_key, dst=dst_key,
-                                      cordoned=cordoned_drops)
+                                      _NO_ROUTE_KEYS, src_key, dst_key,
+                                      cordoned_drops)
                 raise NoRouteAvailable(
                     f"every execution location for {src_key}->{dst_key} "
                     f"is behind an open circuit or cordon")
@@ -252,10 +256,9 @@ class StrategyPlanner:
                 self.degraded_plans += 1
                 if self.tracer is not None:
                     self.tracer.event(
-                        "plan-degraded", "engine", None, src=src_key,
-                        dst=dst_key,
-                        dropped=len(candidates) - len(filtered),
-                        cordoned=cordoned_drops)
+                        "plan-degraded", "engine", None, _DEGRADED_KEYS,
+                        src_key, dst_key, len(candidates) - len(filtered),
+                        cordoned_drops)
             candidates = filtered
         # Replay Algorithm 3 against this call's SLO budget: walk the
         # ladder, keep the global best, stop at the first level whose

@@ -42,6 +42,12 @@ __all__ = ["AReplicaService", "ConvergenceReport", "ReplicationRecord",
 
 _CHANGELOG_TABLE = "areplica-changelog"
 
+#: Trace attribute names, one tuple per record schema.
+_REJECT_KEYS = ("tenant", "key", "window")
+_DEFER_KEYS = ("tenant", "key", "window", "lane_depth")
+_ROLL_KEYS = ("tenant", "window", "lane_depth")
+_DELIVERY_KEYS = ("key", "seq", "kind")
+
 #: The per-tenant operational counters (the tenant analogue of the
 #: engine stats dict); ``tests/core/test_stats_contract.py`` pins this
 #: exact key set, so additions must extend the contract there too.
@@ -425,16 +431,15 @@ class AReplicaService:
                 state.stats["rejected"] += 1
                 if self.tracer is not None:
                     self.tracer.event("admission-reject", "tenant", task,
-                                      tenant=tid, key=event.key,
-                                      window=ledger.window_index)
+                                      _REJECT_KEYS, tid, event.key,
+                                      ledger.window_index)
                 return
             state.stats["deferred"] += 1
             state.deferred.append(event)
             if self.tracer is not None:
                 self.tracer.event("admission-defer", "tenant", task,
-                                  tenant=tid, key=event.key,
-                                  window=ledger.window_index,
-                                  lane_depth=len(state.deferred))
+                                  _DEFER_KEYS, tid, event.key,
+                                  ledger.window_index, len(state.deferred))
             self._arm_window_roll(state)
             return
         # Admission charges the planner-independent cost floor for the
@@ -472,9 +477,8 @@ class AReplicaService:
         if self.tracer is not None:
             self.tracer.event("budget-window-roll", "tenant",
                               f"{state.config.tenant_id}:window:{target}",
-                              tenant=state.config.tenant_id,
-                              window=ledger.window_index,
-                              lane_depth=len(state.deferred))
+                              _ROLL_KEYS, state.config.tenant_id,
+                              ledger.window_index, len(state.deferred))
         pending = list(state.deferred)
         state.deferred.clear()
         # Re-run admission in arrival order: a fresh window always admits
@@ -554,8 +558,8 @@ class AReplicaService:
             task = task_id(rule.rule_id, event.key, event.sequencer,
                            event.kind)
             self.tracer.span("N", "phase", task, event.event_time,
-                             self.cloud.sim.now, key=event.key,
-                             seq=event.sequencer, kind=event.kind)
+                             self.cloud.sim.now, _DELIVERY_KEYS, event.key,
+                             event.sequencer, event.kind)
         closed = rule.closed.get(event.key)
         if closed is not None and event.sequencer <= closed[0]:
             # A newer (or this very) version is already visible at the
@@ -567,7 +571,7 @@ class AReplicaService:
                     "duplicate-delivery", "engine",
                     task_id(rule.rule_id, event.key, event.sequencer,
                             event.kind),
-                    key=event.key, seq=event.sequencer, kind=event.kind)
+                    _DELIVERY_KEYS, event.key, event.sequencer, event.kind)
             self.records.append(ReplicationRecord(
                 rule_id=rule.rule_id, key=event.key, seq=event.sequencer,
                 kind=event.kind, event_time=event.event_time,

@@ -29,8 +29,15 @@ Each record is one flat tuple — the fixed fields, then the tuple of
 attribute names (shared by every record of that schema), then the
 attribute values — because a traced storm keeps hundreds of thousands
 of them and a dict per record would cost more than the record itself.
-Readers take one attribute with :meth:`Span.get` / :meth:`Event.get`;
-``attrs`` builds the dict on demand.
+Emitters pass that shared tuple themselves, a module-level constant per
+schema, followed by the values in its order::
+
+    _VERSION_KEYS = ("key", "seq", "kind")
+    tracer.event("visible", "engine", tid, _VERSION_KEYS, key, seq, kind)
+
+so recording builds no dict and looks nothing up.  Readers take one
+attribute with :meth:`Span.get` / :meth:`Event.get`; ``attrs`` builds
+the dict on demand.
 
 Beyond the phase letters, the engine emits a ``verify`` span (cat
 ``engine``) for every verify-after-finalize check, and the integrity
@@ -60,6 +67,8 @@ from itertools import chain
 from operator import itemgetter
 from typing import Optional
 
+from repro.simcloud.cost import CostCategory
+
 try:    # the C field descriptor collections.namedtuple uses
     from _collections import _tuplegetter
 except ImportError:     # pragma: no cover - other interpreters
@@ -85,9 +94,9 @@ PHASE_NAMES = {
 class _Record(tuple):
     """One flat trace record: ``(*fields, keys, *values)``.
 
-    ``keys`` names the attributes in emission (kwargs) order and the
-    values follow it in the same order.  Subclasses name the fixed
-    fields in ``_FIELDS``; ``keys`` sits right after them.
+    ``keys`` names the attributes and the values follow it in the same
+    order.  Subclasses name the fixed fields in ``_FIELDS``; ``keys``
+    sits right after them.
     """
 
     __slots__ = ()
@@ -157,34 +166,29 @@ class Tracer:
         self.sim = sim
         self.spans: list[Span] = []
         self.events: list[Event] = []
-        #: One attribute-name tuple per schema, shared by its records.
-        self._schemas: dict[tuple, tuple] = {}
         # The cost mirror keeps totals, not charges.  Each is summed in
         # charge order, so it equals an in-order sum() of the amounts.
         self._cost_total = 0.0
         self._task_cost: dict[Optional[str], float] = {}
-        self._category_cost: dict[str, list] = {}   # category -> [n, $]
+        self._category_cost = {c: [0, 0.0] for c in CostCategory.ALL}
         self._ledger = None
         self._cost_baseline = 0.0
 
     # -- recording ---------------------------------------------------------
 
     def span(self, name: str, cat: str, task: Optional[str],
-             start: float, end: float, **attrs) -> None:
-        keys = tuple(attrs)
-        self.spans.append(Span((name, cat, task, start, end,
-                                self._schemas.setdefault(keys, keys),
-                                *attrs.values())))
+             start: float, end: float, keys: tuple = (), *values) -> None:
+        """Record ``[start, end]``; ``values`` follow ``keys`` in order."""
+        self.spans.append(Span((name, cat, task, start, end, keys) + values))
 
     def event(self, name: str, cat: str, task: Optional[str],
-              **attrs) -> None:
-        keys = tuple(attrs)
-        self.events.append(Event((name, cat, task, self.sim.now,
-                                  self._schemas.setdefault(keys, keys),
-                                  *attrs.values())))
+              keys: tuple = (), *values) -> None:
+        """Record a fact at ``sim.now``; ``values`` follow ``keys``."""
+        self.events.append(Event((name, cat, task, self.sim.now, keys)
+                                 + values))
 
     def scoped(self, tenant: str) -> "TenantTracer":
-        """A view of this tracer stamping ``tenant=`` on every record.
+        """A view of this tracer adding ``tenant`` to records without one.
 
         Installed on a tenant's engines (and, through them, their lock
         managers) so the cross-tenant isolation invariant can key lock
@@ -207,14 +211,12 @@ class Tracer:
         self._cost_baseline = ledger.total()
         ledger.sink = self._on_cost
 
-    def _on_cost(self, time: float, category: str, amount: float,
-                 detail: str, task: Optional[str]) -> None:
+    def _on_cost(self, category: str, amount: float,
+                 task: Optional[str]) -> None:
         self._cost_total += amount
         by_task = self._task_cost
         by_task[task] = by_task.get(task, 0.0) + amount
-        tally = self._category_cost.get(category)
-        if tally is None:
-            tally = self._category_cost[category] = [0, 0.0]
+        tally = self._category_cost[category]   # [charges, total]
         tally[0] += 1
         tally[1] += amount
 
@@ -381,14 +383,32 @@ class TenantTracer:
         return self.base.sim
 
     def span(self, name: str, cat: str, task: Optional[str],
-             start: float, end: float, **attrs) -> None:
-        attrs.setdefault("tenant", self.tenant)
-        self.base.span(name, cat, task, start, end, **attrs)
+             start: float, end: float, keys: tuple = (), *values) -> None:
+        if "tenant" in keys:
+            self.base.span(name, cat, task, start, end, keys, *values)
+        else:
+            self.base.span(name, cat, task, start, end, _tenanted(keys),
+                           *values, self.tenant)
 
     def event(self, name: str, cat: str, task: Optional[str],
-              **attrs) -> None:
-        attrs.setdefault("tenant", self.tenant)
-        self.base.event(name, cat, task, **attrs)
+              keys: tuple = (), *values) -> None:
+        if "tenant" in keys:
+            self.base.event(name, cat, task, keys, *values)
+        else:
+            self.base.event(name, cat, task, _tenanted(keys), *values,
+                            self.tenant)
+
+
+#: ``keys -> keys + ("tenant",)``, so a schema's tenant-scoped records
+#: share one attribute-name tuple too.
+_TENANTED: dict[tuple, tuple] = {}
+
+
+def _tenanted(keys: tuple) -> tuple:
+    tenanted = _TENANTED.get(keys)
+    if tenanted is None:
+        tenanted = _TENANTED[keys] = keys + ("tenant",)
+    return tenanted
 
 
 def _us(t: float) -> int:

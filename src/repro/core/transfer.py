@@ -33,6 +33,11 @@ __all__ = ["PartQuarantined", "run_single", "propagate_delete",
            "quarantine", "withdraw_unverified", "reconverge_superseded",
            "abort_upload"]
 
+#: Trace attribute names, one tuple per record schema.
+_CORRUPT_KEYS = ("key", "stage", "kind", "part")
+_QUARANTINE_KEYS = ("key", "stage", "part")
+_FINALIZE_KEYS = ("key", "seq", "etag", "fence", "op", "loc")
+
 
 class PartQuarantined(RuntimeError):
     """A transfer failed checksum verification past the retransfer budget.
@@ -77,8 +82,7 @@ def record_corruption(engine, task, stage: str, kind: str,
     engine.stats["corrupt_detected"] += 1
     if engine.tracer is not None:
         engine.tracer.event("corrupt-detected", "engine", task["task_id"],
-                            key=task["key"], stage=stage, kind=kind,
-                            part=part)
+                            _CORRUPT_KEYS, task["key"], stage, kind, part)
 
 
 def retransfer(engine, task, stage: str, kind: str, used: int,
@@ -111,7 +115,7 @@ def quarantine(engine, task, stage: str, part: Optional[int] = None,
         engine.stats["quarantined"] += 1
         if engine.tracer is not None:
             engine.tracer.event("quarantine", "engine", task["task_id"],
-                                key=task["key"], stage=stage, part=part)
+                                _QUARANTINE_KEYS, task["key"], stage, part)
     raise PartQuarantined(
         f"{task['task_id']}: {stage} checksum mismatch persisted "
         f"past retransfer budget (part={part})")
@@ -332,10 +336,9 @@ def propagate_delete(engine, ctx, payload, held):
     engine.stats["deletes"] += 1
     yield from ctx.delete_object(engine.dst_bucket, key)
     if engine.tracer is not None:
-        engine.tracer.event("finalize", "engine", tid, key=key,
-                            seq=payload["seq"], etag=payload["etag"],
-                            fence=held["fence"], op="delete",
-                            loc=ctx.region.key)
+        engine.tracer.event("finalize", "engine", tid, _FINALIZE_KEYS, key,
+                            payload["seq"], payload["etag"], held["fence"],
+                            "delete", ctx.region.key)
     superseded = yield from engine._mark_done(ctx, key, payload["etag"],
                                               payload["seq"], ctx.now,
                                               op="delete")

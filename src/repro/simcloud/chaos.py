@@ -74,10 +74,15 @@ class ChaosDraws:
 
     Draw-order contract: a block of ``n`` draws consumes exactly the
     same stream values, in the same order, as ``n`` scalar calls would
-    (NumPy fills arrays from the bit stream sequentially), so the fault
-    schedule for a seed is independent of the block size.  Exponential
-    draws buffer *unit-scale* variates and multiply by the requested
-    mean, which keeps one shared block correct for any mix of means.
+    (NumPy fills arrays from the bit stream sequentially).  But uniform,
+    exponential and normal draws each refill their own block, so a
+    stream that mixes kinds — the FaaS-crash and WAN streams mix
+    ``random()`` and ``exponential()`` — takes the bit stream in runs
+    of ``block`` variates per kind: the block size is part of the fault
+    schedule, and the ``block=256`` default is never changed.
+    Exponential draws buffer *unit-scale* variates and multiply by the
+    requested mean, which keeps one shared block correct for any mix of
+    means.
     """
 
     __slots__ = ("_rng", "_block", "_u", "_ui", "_e", "_ei", "_n", "_ni")

@@ -69,10 +69,11 @@ class CostLedger:
     """Per-category totals of every charge."""
 
     _totals: dict[str, float] = field(default_factory=lambda: defaultdict(float))
-    #: Optional observer called with every charge — the tracing layer
-    #: installs one to mirror charges (with task attribution where the
-    #: charging site knows it) into the causal trace.  None by default:
-    #: the hot path pays a single identity check.
+    #: Optional observer called as ``sink(category, amount, task)`` with
+    #: every charge — the tracing layer installs one to mirror charges
+    #: (with task attribution where the charging site knows it) into
+    #: the causal trace.  None by default: the hot path pays a single
+    #: identity check.
     sink: object = None
 
     def charge(self, time: float, category: str, amount: float,
@@ -83,7 +84,7 @@ class CostLedger:
             raise ValueError(f"unknown cost category {category!r}")
         self._totals[category] += amount
         if self.sink is not None:
-            self.sink(time, category, amount, detail, task)
+            self.sink(category, amount, task)
 
     def total(self, category: str | None = None) -> float:
         if category is None:

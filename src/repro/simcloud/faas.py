@@ -66,6 +66,17 @@ __all__ = [
     "InvocationFailed",
 ]
 
+#: Trace attribute names, one tuple per record schema.
+_INVOKE_KEYS = ("fn", "region")
+_REGION_KEYS = ("region",)
+_READY_KEYS = ("kind", "region", "instance")
+_ATTEMPT_KEYS = ("fn", "region", "instance", "attempt", "outcome",
+                 "compute_cost")
+_DEAD_LETTER_KEYS = ("fn", "region", "error", "disposition")
+_STARTUP_KEYS = ("region", "instance")
+_CHUNK_KEYS = ("op", "bytes", "region", "instance", "mbps")
+_CORRUPT_KEYS = ("kind", "bytes", "region")
+
 
 def _task_ref(payload) -> Optional[str]:
     """The task id a function invocation payload is working for.
@@ -385,7 +396,7 @@ class FaasRegion:
             # request (T_func = I·n + D + P in the model).
             self.tracer.span("I", "phase", _task_ref(invocation.payload),
                              invocation.enqueued_at, self.sim.now,
-                             fn=invocation.name, region=self.region.key)
+                             _INVOKE_KEYS, invocation.name, self.region.key)
         accepted.resolve(invocation)
         self._admit(invocation)
 
@@ -441,7 +452,7 @@ class FaasRegion:
                 # P(loc): the batch-scheduler postponement a cold
                 # invocation waits out before its instance is created.
                 self.tracer.span("P", "phase", task, now, self.sim.now,
-                                 region=self.region.key)
+                                 _REGION_KEYS, self.region.key)
         cold_from = self.sim.now
         yield SleepRequest(
             self._sample(self.profile.cold_start_s[self.provider])
@@ -454,8 +465,8 @@ class FaasRegion:
         )
         if self.tracer is not None:
             self.tracer.span("D", "phase", task, cold_from, self.sim.now,
-                             kind="cold", region=self.region.key,
-                             instance=inst.instance_id)
+                             _READY_KEYS, "cold", self.region.key,
+                             inst.instance_id)
         return inst
 
     def _start_attempt(self, invocation: Invocation) -> None:
@@ -493,7 +504,7 @@ class FaasRegion:
             self.chaos_outage_failures += 1
             if tracer is not None:
                 tracer.event("faas-outage-reject", "faas", task,
-                             fn=invocation.name, region=self.region.key)
+                             _INVOKE_KEYS, invocation.name, self.region.key)
             self._settle_attempt(
                 dep, invocation, None,
                 ServiceUnavailable(f"faas outage in {self.region.key}"))
@@ -515,8 +526,8 @@ class FaasRegion:
                     self._sample(self.profile.warm_start_s[self.provider]))
                 if tracer is not None:
                     tracer.span("D", "phase", task, attempt_from, sim.now,
-                                kind="warm", region=self.region.key,
-                                instance=inst.instance_id)
+                                _READY_KEYS, "warm", self.region.key,
+                                inst.instance_id)
                 dep.stats["warm_starts"] += 1
             else:
                 inst = yield from self._cold_instance(task)
@@ -570,11 +581,9 @@ class FaasRegion:
                 else:
                     outcome = "error"
                 tracer.span("attempt", "faas", task, attempt_from,
-                            sim.now, fn=dep.name,
-                            region=self.region.key,
-                            instance=inst.instance_id,
-                            attempt=invocation.attempts, outcome=outcome,
-                            compute_cost=billed)
+                            sim.now, _ATTEMPT_KEYS, dep.name,
+                            self.region.key, inst.instance_id,
+                            invocation.attempts, outcome, billed)
         finally:
             # No attempt process may outlive its attempt (via a context a
             # hedge's child processes hold): tenant_fanout's RSS grows.
@@ -614,9 +623,9 @@ class FaasRegion:
             if self.tracer is not None:
                 self.tracer.event("dead-letter", "faas",
                                   _task_ref(invocation.payload),
-                                  fn=invocation.name, region=self.region.key,
-                                  error=repr(error),
-                                  disposition=disposition or "failed")
+                                  _DEAD_LETTER_KEYS, invocation.name,
+                                  self.region.key, repr(error),
+                                  disposition or "failed")
             invocation.fail(InvocationFailed(f"{invocation.name}: {error!r}"))
 
     def _admit_retry(self, invocation: Invocation) -> None:
@@ -753,8 +762,7 @@ class FunctionContext:
         if self._faas.tracer is not None:
             self._faas.tracer.span(
                 "S", "phase", self._trace_task, startup_from, self.now,
-                region=self.region.key,
-                instance=self.instance.instance_id)
+                _STARTUP_KEYS, self.region.key, self.instance.instance_id)
 
     def _leg_seconds(self, bucket: Bucket, nbytes: int, upload: bool,
                      concurrency: int) -> float:
@@ -777,10 +785,9 @@ class FunctionContext:
         effective bandwidth as an attribute."""
         seconds = self.now - started
         self._faas.tracer.span(
-            "C", "phase", self._trace_task, started, self.now,
-            op=op, bytes=nbytes, region=bucket.region.key,
-            instance=self.instance.instance_id,
-            mbps=nbytes * 8 / seconds / 1e6 if seconds > 0 else 0.0)
+            "C", "phase", self._trace_task, started, self.now, _CHUNK_KEYS,
+            op, nbytes, bucket.region.key, self.instance.instance_id,
+            nbytes * 8 / seconds / 1e6 if seconds > 0 else 0.0)
 
     # -- object storage data path -----------------------------------------------
 
@@ -804,8 +811,8 @@ class FunctionContext:
             faas.chaos_corrupt_puts += 1
         if faas.tracer is not None:
             faas.tracer.event("chaos-corrupt", "chaos", self._trace_task,
-                              kind=op, bytes=blob.size,
-                              region=bucket.region.key)
+                              _CORRUPT_KEYS, op, blob.size,
+                              bucket.region.key)
         return Blob.fresh(blob.size, tag=f"flip:{op}")
 
     def get_object(self, bucket: Bucket, key: str, offset: int = 0,

@@ -33,6 +33,10 @@ from repro.simcloud.sim import DeferredResult, Future, Simulator
 
 __all__ = ["KvProfile", "KvTable", "Throttled"]
 
+#: Trace attribute names, one tuple per record schema.
+_REJECT_KEYS = ("table", "region", "op")
+_DELAY_KEYS = ("table", "region", "op", "seconds")
+
 
 class Throttled(RuntimeError):
     """A write was rejected by capacity throttling (chaos injection).
@@ -152,8 +156,8 @@ class KvTable:
                         self._health.record(self._health_target, False)
                     if self.tracer is not None:
                         self.tracer.event("kv-outage-reject", "kv", None,
-                                          table=self.name,
-                                          region=self.region.key, op=kind)
+                                          _REJECT_KEYS, self.name,
+                                          self.region.key, kind)
                     return DeferredResult(
                         self._latency(), None,
                         Throttled(f"{self.name}: {self.region.key} "
@@ -164,8 +168,8 @@ class KvTable:
             if self._health is not None:
                 self._health.record(self._health_target, False)
             if self.tracer is not None:
-                self.tracer.event("kv-reject", "kv", None, table=self.name,
-                                  region=self.region.key, op=kind)
+                self.tracer.event("kv-reject", "kv", None, _REJECT_KEYS,
+                                  self.name, self.region.key, kind)
             # Refused requests are not billed (DynamoDB does not charge
             # throttled writes) and never reach the item store.
             return DeferredResult(self._latency(), None,
@@ -174,9 +178,8 @@ class KvTable:
             self.chaos_delayed += 1
             extra = float(rng.exponential(chaos.kv_delay_mean_s))
             if self.tracer is not None:
-                self.tracer.event("kv-delay", "kv", None, table=self.name,
-                                  region=self.region.key, op=kind,
-                                  seconds=extra)
+                self.tracer.event("kv-delay", "kv", None, _DELAY_KEYS,
+                                  self.name, self.region.key, kind, extra)
             fut = Future(self.sim)
 
             def admit(_a: Any, _b: Any) -> None:

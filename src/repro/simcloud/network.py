@@ -35,6 +35,10 @@ from repro.simcloud.rng import BufferedSampler, Dist, RngFactory, normal
 __all__ = ["FunctionConfig", "NetworkProfile", "InstanceChannel", "NetworkFabric",
            "DEFAULT_PROFILE"]
 
+#: Trace attribute names, one tuple per record schema.
+_BLACKOUT_KEYS = ("seconds",)
+_WAIT_KEYS = ("regions", "seconds")
+
 
 @dataclass(frozen=True)
 class FunctionConfig:
@@ -268,7 +272,7 @@ class NetworkFabric:
                 self.chaos_blackouts += 1
                 if self.tracer is not None:
                     self.tracer.event("wan-blackout-wait", "net", None,
-                                      seconds=(start + duration) - now)
+                                      _BLACKOUT_KEYS, (start + duration) - now)
                 extra += (start + duration) - now
                 break
         if self._outage_by_region and region_keys:
@@ -283,16 +287,16 @@ class NetworkFabric:
                 self.chaos_region_outage_hits += 1
                 if self.tracer is not None:
                     self.tracer.event("wan-outage-wait", "net", None,
-                                      regions=list(region_keys),
-                                      seconds=until - now)
+                                      _WAIT_KEYS, list(region_keys),
+                                      until - now)
                 extra += until - now
         if (chaos.wan_stall_prob
                 and self._chaos_rng.random() < chaos.wan_stall_prob):
             self.chaos_stalls += 1
             stall = float(self._chaos_rng.exponential(chaos.wan_stall_mean_s))
             if self.tracer is not None:
-                self.tracer.event("wan-stall", "net", None,
-                                  regions=list(region_keys), seconds=stall)
+                self.tracer.event("wan-stall", "net", None, _WAIT_KEYS,
+                                  list(region_keys), stall)
             extra += stall
         return extra
 

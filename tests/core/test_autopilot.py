@@ -294,21 +294,22 @@ def _bare():
 
 def _actuate(tr, t, knob="k", old=2.0, new=3.0, lo=1.0, hi=4.0,
              cooldown=10.0):
-    tr.span("actuate", "autopilot", None, t, t, knob=knob, old=old,
-            new=new, lo=lo, hi=hi, cooldown_s=cooldown, error=1.0,
-            clamped=False, reason="slo")
+    attrs = dict(knob=knob, old=old, new=new, lo=lo, hi=hi,
+                 cooldown_s=cooldown, error=1.0, clamped=False, reason="slo")
+    tr.span("actuate", "autopilot", None, t, t, tuple(attrs),
+            *attrs.values())
 
 
 def _cordon(tr, t, region="aws:us-east-1", substrate="faas"):
     tr.sim.now = t
-    tr.event("cordon", "lifecycle", None, substrate=substrate,
-             region=region)
+    attrs = dict(substrate=substrate, region=region)
+    tr.event("cordon", "lifecycle", None, tuple(attrs), *attrs.values())
 
 
 def _uncordon(tr, t, region="aws:us-east-1", substrate="faas"):
     tr.sim.now = t
-    tr.event("uncordon", "lifecycle", None, substrate=substrate,
-             region=region)
+    attrs = dict(substrate=substrate, region=region)
+    tr.event("uncordon", "lifecycle", None, tuple(attrs), *attrs.values())
 
 
 def _kinds(report):

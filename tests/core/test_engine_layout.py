@@ -8,9 +8,10 @@ the split from silently regrowing into one file, keep each protocol
 fragment written once, and hold what ``benchmarks/e2e/tracing.py``
 relies on: it patches ``ReplicationEngine.handle_event`` by name and
 attributes a deployed handler — and everything it ``yield from``s — to
-the module that defines it.  Two package-wide checks ride along: the
-whole package stays under its line budget, and no subpackage
-``__init__`` grows back into a re-export barrel.
+the module that defines it.  Package-wide checks ride along: the whole
+package stays under its line budget, no subpackage ``__init__`` grows
+back into a re-export barrel, and every trace record is emitted with a
+shared ``keys`` tuple and one positional value per key.
 """
 
 import ast
@@ -56,6 +57,55 @@ def test_subpackage_inits_import_nothing():
                if any(isinstance(node, (ast.Import, ast.ImportFrom))
                       for node in ast.walk(ast.parse(path.read_text())))]
     assert barrels == []
+
+
+def _tracer_calls():
+    """``(path, call, consts)`` for every ``tracer.span(…)`` /
+    ``….tracer.event(…)`` call in the package; ``consts`` maps the
+    module's top-level tuple constants to their lengths."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        consts = {target.id: len(node.value.elts) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Tuple)
+                  for target in node.targets if isinstance(target, ast.Name)}
+        for call in ast.walk(tree):
+            func = getattr(call, "func", None)
+            if (isinstance(call, ast.Call) and isinstance(func, ast.Attribute)
+                    and func.attr in ("span", "event")
+                    and (isinstance(func.value, ast.Name)
+                         and func.value.id == "tracer"
+                         or isinstance(func.value, ast.Attribute)
+                         and func.value.attr == "tracer")):
+                yield path, call, consts
+
+
+def test_trace_records_are_emitted_without_keywords():
+    """A keyword call would build a dict per record on the hot path."""
+    calls = list(_tracer_calls())
+    assert len(calls) >= 50
+    assert [f"{path.name}:{call.lineno}" for path, call, _ in calls
+            if call.keywords] == []
+
+
+def test_each_trace_record_passes_one_value_per_key():
+    """``keys`` is a module constant and the values follow it one to
+    one, else :meth:`~repro.core.tracing.Span.get` reads a neighbour."""
+    mismatched, checked = [], 0
+    for path, call, consts in _tracer_calls():
+        fixed = 5 if call.func.attr == "span" else 3
+        args = call.args
+        if len(args) <= fixed or any(isinstance(a, ast.Starred)
+                                     for a in args):
+            continue
+        keys = args[fixed]
+        assert isinstance(keys, ast.Name) and keys.id in consts, \
+            f"{path.name}:{call.lineno}"
+        checked += 1
+        if len(args) - fixed - 1 != consts[keys.id]:
+            mismatched.append(f"{path.name}:{call.lineno}")
+    assert mismatched == []
+    assert checked >= 50
 
 
 #: Fragments that used to be re-typed at several sites; each now has one

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.model import LocParams, NormalParam, PathParams, PerformanceModel
+from repro.core.model import (LocParams, NormalParam, PathParams,
+                              PerformanceModel, _linear_quantiles)
 
 MB = 1024 * 1024
 LOC = "aws:us-east-1"
@@ -226,3 +227,48 @@ class TestRowMax:
             assert got.tobytes() == expected.tobytes(), n
             zero_rows += int((got == 0.0).sum())
         assert zero_rows > 0
+
+
+class TestBitIdenticalShortcuts:
+    """The planner-miss shortcuts against the formulas they replace."""
+
+    @given(mean=st.floats(-2.0, 5.0), std=st.floats(0.0, 3.0),
+           n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           mc=st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_tail_samples_equal_the_sampled_row_max(self, mean, std, n,
+                                                    seed, mc):
+        """Row max of the standard normals, then ``mean + std·z`` and the
+        zero floor, equals the row max of ``NormalParam.sample``."""
+        params = PathParams(client_startup=NormalParam(mean, std),
+                            chunk=NormalParam(0.2, 0.04),
+                            chunk_distributed=NormalParam(0.0, 0.0))
+        size = n * 8 * MB
+        model = make_model(seed=seed, mc_samples=mc)
+        oracle = make_model(seed=seed, mc_samples=mc)
+        for m in (model, oracle):
+            m.set_path_params(PATH, params)
+        per_inst = oracle._per_instance(PATH, size, n)
+        expected = per_inst.sample(oracle._rng, (mc, n)).max(axis=1)
+        got = model.transfer_tail_samples(PATH, size, n)
+        assert got.tobytes() == expected.tobytes()
+        # Both consumed the stream identically: the next draws agree.
+        assert model._rng.random() == oracle._rng.random()
+
+    @given(rows=st.integers(1, 6), width=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1), ties=st.booleans(),
+           ps=st.lists(st.one_of(
+               st.sampled_from([0.0, 0.5, 0.9, 0.95, 0.99, 0.9999, 1.0]),
+               st.floats(0.0, 1.0)), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_quantiles_equal_np_quantile(self, rows, width, seed,
+                                                ties, ps):
+        """Linear interpolation off one sort is ``np.quantile`` bit for
+        bit, on both sides of its ``gamma = 0.5`` branch and with ties."""
+        rng = np.random.default_rng(seed)
+        x = rng.lognormal(0.0, 1.0, (rows, width))
+        if ties:
+            x = np.round(x, 1)
+        got = _linear_quantiles(np.sort(x, axis=1), ps)
+        expected = np.quantile(x, ps, axis=1).T
+        assert got.tobytes() == expected.tobytes()

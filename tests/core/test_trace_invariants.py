@@ -259,7 +259,7 @@ def test_breakdown_quantiles_are_nearest_rank():
             assert row[col] == math.ceil(Fraction(q) * n), (n, q)
 
 
-#: Attribute names a caller may pass as keywords to span()/event().
+#: Attribute names a caller may pass to span()/event().
 _ATTR_NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1,
                       max_size=8).filter(
     lambda k: k not in {"name", "cat", "task", "start", "end", "self"})
@@ -276,13 +276,15 @@ _ATTR_VALUES = st.one_of(st.none(), st.booleans(), st.integers(),
 def test_records_round_trip_their_arguments(attrs, tenant, task, start,
                                             dur, now):
     """What a span or event was given is what its fields, ``attrs`` and
-    ``get`` read back — in kwargs order, with or without a tenant
+    ``get`` read back — in ``keys`` order, with or without a tenant
     scope, for no attributes up to eight."""
     tr = Tracer(_FakeSim())
     tr.sim.now = now
     sink = tr if tenant is None else tr.scoped(tenant)
-    sink.span("plan", "engine", task, start, start + dur, **attrs)
-    sink.event("finalize", "engine", task, **attrs)
+    keys = tuple(attrs)
+    sink.span("plan", "engine", task, start, start + dur, keys,
+              *attrs.values())
+    sink.event("finalize", "engine", task, keys, *attrs.values())
     expected = dict(attrs)
     if tenant is not None:
         expected.setdefault("tenant", tenant)
@@ -291,7 +293,7 @@ def test_records_round_trip_their_arguments(attrs, tenant, task, start,
         ("plan", "engine", task, start, start + dur)
     assert (event.name, event.cat, event.task, event.time) == \
         ("finalize", "engine", task, now)
-    assert span.keys is event.keys          # one name tuple per schema
+    assert span.keys is event.keys          # one keys tuple per schema
     for rec in (span, event):
         assert list(rec.attrs.items()) == list(expected.items())
         assert rec.keys == tuple(expected)
@@ -381,7 +383,7 @@ def bare():
 
 def emit(tr, t, name, cat, task, **attrs):
     tr.sim.now = t
-    tr.event(name, cat, task, **attrs)
+    tr.event(name, cat, task, tuple(attrs), *attrs.values())
 
 
 def acquire(tr, t, key, owner, fence, mode):
@@ -584,7 +586,7 @@ class TestSyntheticViolations:
 
     def test_charge_attributed_to_an_unknown_task(self):
         tr, svc = bare()
-        tr._on_cost(0.0, CostCategory.EGRESS, 0.0, "", "ghost-task")
+        tr._on_cost(CostCategory.EGRESS, 0.0, "ghost-task")
         assert kinds(TraceChecker(svc).check()) == {"cost-orphan"}
 
 

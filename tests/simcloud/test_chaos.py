@@ -1,9 +1,10 @@
 """Unit tests for the cross-substrate fault-injection layer."""
 
+import numpy as np
 import pytest
 
 from repro.core.retry import RetryPolicy
-from repro.simcloud.chaos import ChaosConfig
+from repro.simcloud.chaos import ChaosConfig, ChaosDraws
 from repro.simcloud.cloud import build_default_cloud
 from repro.simcloud.kvstore import Throttled
 from repro.simcloud.objectstore import Blob
@@ -38,6 +39,30 @@ class TestChaosConfig:
             ChaosConfig(crash_mean_delay_s=-1.0)
         with pytest.raises(ValueError):
             ChaosConfig(wan_blackout_windows=((3.0, 0.0),))
+
+
+class TestChaosDraws:
+    @pytest.mark.parametrize("block", [1, 7, 128, 256])
+    def test_one_kind_of_draw_is_independent_of_the_block(self, block):
+        draws = ChaosDraws(np.random.default_rng(3), block=block)
+        scalar = np.random.default_rng(3)
+        assert [draws.random() for _ in range(600)] == \
+            [scalar.random() for _ in range(600)]
+
+    def test_mixed_kinds_make_the_block_part_of_the_schedule(self):
+        """The FaaS-crash and WAN streams interleave uniform and
+        exponential draws, which refill separate blocks: 256 and 128
+        give different fault schedules for one seed."""
+        def schedule(block):
+            draws = ChaosDraws(np.random.default_rng(0), block=block)
+            return [(draws.random(), draws.exponential(2.0))
+                    for _ in range(300)]
+        wide, narrow = schedule(256), schedule(128)
+        assert wide == schedule(256)
+        # The first uniform block starts the stream either way; the
+        # first exponential block starts 256 or 128 values in.
+        assert [u for u, _ in wide[:128]] == [u for u, _ in narrow[:128]]
+        assert wide[0][1] != narrow[0][1]
 
 
 class TestRetryPolicy:
