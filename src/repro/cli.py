@@ -28,6 +28,7 @@ from repro.core.config import ReplicaConfig
 from repro.core.service import AReplicaService
 from repro.drills import DRILLS, machine_report, run_drill
 from repro.simcloud.cloud import build_default_cloud
+from repro.simcloud.regions import get_region
 
 __all__ = ["main", "parse_size"]
 
@@ -50,16 +51,26 @@ def parse_size(text: str) -> int:
     return int(size)
 
 
-def positive_int(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
+def int_at_least(minimum: int):
+    """An argparse type: an integer of at least ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {minimum}, got {text!r}")
+        return value
+    return parse
+
+
+def region_key(text: str) -> str:
+    """An argparse type: a catalog region, as its ``provider:name`` key."""
     try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+        return get_region(text).key
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
 def _build_service(args, slo: float = 0.0, tracing: bool = False):
@@ -378,9 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_size=True):
-        p.add_argument("--src", default="aws:us-east-1",
+        p.add_argument("--src", type=region_key, default="aws:us-east-1",
                        help="source region (provider:region)")
-        p.add_argument("--dst", default="azure:eastus",
+        p.add_argument("--dst", type=region_key, default="azure:eastus",
                        help="destination region (provider:region)")
         if with_size:
             p.add_argument("--size", type=parse_size, default=parse_size("1MB"),
@@ -388,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--slo", type=float, default=0.0,
                        help="replication SLO in seconds (0 = fastest plan)")
         p.add_argument("--percentile", type=float, default=0.99)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--profile-samples", type=int, default=8)
+        p.add_argument("--seed", type=int_at_least(0), default=0)
+        p.add_argument("--profile-samples", type=int_at_least(2), default=8)
 
     common(sub.add_parser("replicate", help="replicate one object and report"))
     common(sub.add_parser("plan", help="show the SLO-compliant plan"))
@@ -397,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
            with_size=False)
     trace = sub.add_parser("trace", help="replay a synthetic IBM COS hour")
     common(trace, with_size=False)
-    trace.add_argument("--requests", type=positive_int, default=5000)
+    trace.add_argument("--requests", type=int_at_least(1), default=5000)
     trace.add_argument("--json", action="store_true",
                        help="emit the machine-readable report instead of text")
     trace.add_argument("--trace-out", default=None, metavar="PATH",
@@ -414,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit = sub.add_parser("audit",
                            help="replay a workload and audit consistency")
     common(audit, with_size=False)
-    audit.add_argument("--requests", type=positive_int, default=2000)
+    audit.add_argument("--requests", type=int_at_least(1), default=2000)
     rides = {"chaos": "layer a mild probabilistic chaos storm over the "
                       "drill's own disturbance",
              "hedging": "enable speculative straggler cloning"}
@@ -432,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scenario", required=True,
                            choices=list(variants),
                            help="which planned operation to execute")
-        p.add_argument("--requests", type=positive_int, default=None,
+        p.add_argument("--requests", type=int_at_least(1), default=None,
                        help=f"workload size (default {spec.requests})")
         for flag in spec.rides:
             p.add_argument(f"--{flag}", action="store_true",
@@ -444,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         "drill-all",
         help="run every drill in the roster at one seed; fail on any "
              "non-PASS")
-    drill_all.add_argument("--seed", type=int, default=0)
+    drill_all.add_argument("--seed", type=int_at_least(0), default=0)
     drill_all.add_argument("--json", action="store_true",
                            help="emit the aggregated machine-readable "
                                 "report instead of text")
@@ -452,7 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "percentile" in args:
+        # The service's own validation, reported as a usage error.
+        try:
+            ReplicaConfig(slo_seconds=args.slo, percentile=args.percentile)
+        except ValueError as exc:
+            parser.error(f"invalid configuration: {exc}")
     handlers = {
         "replicate": cmd_replicate,
         "plan": cmd_plan,

@@ -368,13 +368,11 @@ class Autopilot:
             "batching_epsilon", lo=eps, hi=max(30.0, 10.0 * eps),
             baseline=eps, step=max(1.0, eps),
             write=self._config_writer("batching_epsilon")))
-        deadline = cfg.retry_policy.deadline_s
-        if deadline is not None:
-            C.register(KnobSpec(
-                "retry_deadline_s", lo=deadline / 4.0, hi=deadline,
-                baseline=deadline, step=deadline / 8.0,
-                stress_direction=-1,
-                write=self._set_retry_deadline))
+        deadline = cfg.retry_deadline_s
+        C.register(KnobSpec(
+            "retry_deadline_s", lo=deadline / 4.0, hi=deadline,
+            baseline=deadline, step=deadline / 8.0, stress_direction=-1,
+            write=self._config_writer("retry_deadline_s")))
         q = cfg.hedge_deadline_quantile
         C.register(KnobSpec(
             "hedge_deadline_quantile", lo=q, hi=0.995, baseline=q,
@@ -410,10 +408,6 @@ class Autopilot:
         def write(value) -> None:
             self._set_config(**{field_name: int(value) if integer else value})
         return write
-
-    def _set_retry_deadline(self, value: float) -> None:
-        policy = self.service.config.retry_policy
-        self._set_config(retry_policy=replace(policy, deadline_s=value))
 
     def _set_config(self, **changes) -> None:
         """Replace the service's config — the one live config — and
@@ -499,7 +493,7 @@ class Autopilot:
         self._ingest_records(now)
         tracer = self.service.tracer
         health = self.service.health
-        if health is not None and health.cordoned_targets():
+        if health.cordoned_targets():
             # A planned operation owns the system: hold every knob.
             self.stats["cordon_holds"] += 1
             if tracer is not None:

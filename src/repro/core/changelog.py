@@ -25,12 +25,7 @@ from repro.simcloud.kvstore import KvTable
 from repro.simcloud.objectstore import Blob, NoSuchKey
 
 __all__ = ["ChangelogOp", "ChangelogEntry", "ChangelogStore",
-           "ChangelogNotApplicable", "propagate_changelog",
-           "apply_changelog"]
-
-
-class ChangelogNotApplicable(RuntimeError):
-    """Destination state does not match the changelog's preconditions."""
+           "propagate_changelog", "apply_changelog"]
 
 
 class ChangelogOp:

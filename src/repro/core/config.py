@@ -9,10 +9,8 @@ from ``DISTRIBUTED_THRESHOLD``) are module constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-from repro.core.retry import RetryPolicy
 
 __all__ = ["ReplicaConfig", "TenantConfig", "MB", "DEFAULT_PART_SIZE",
            "LOCAL_THRESHOLD", "DISTRIBUTED_THRESHOLD"]
@@ -59,17 +57,13 @@ class ReplicaConfig:
     gumbel_threshold:
         Parallelism above which the Gumbel (EVT) approximation replaces
         Monte-Carlo resampling (§5.3 "for large n").
-    retry_policy:
-        Jittered exponential backoff applied by the engine to throttled
-        control-plane (KV) operations before escalating to the
-        platform's own retry-then-DLQ ladder.  The default deadline of
-        150 s (half the 300 s replication-lock lease) bounds billed
-        retry time during sustained KV outages.
-    health_enabled:
-        Track per-(substrate, region) health with circuit breakers and
-        degrade routing around open circuits (parking tasks in a
-        durable backlog when no route remains).  Disabling restores
-        the pre-health behaviour: every fault is retried in place.
+    retry_deadline_s:
+        Total time one throttled control-plane (KV) operation may spend
+        in the engine's jittered backoff (``core/retry.py``), from its
+        first rejection, before escalating to the platform's own
+        retry-then-DLQ ladder.  The default of 150 s (half the 300 s
+        replication-lock lease) bounds billed retry time during
+        sustained KV outages; the autopilot tightens it.
     outage_catchup_concurrency:
         How many parked tasks the engine re-dispatches per batch while
         draining the backlog after recovery — the cap that keeps the
@@ -86,9 +80,7 @@ class ReplicaConfig:
     mc_samples: int = 2000
     gumbel_threshold: int = 64
     profile_samples: int = 10
-    retry_policy: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(deadline_s=150.0))
-    health_enabled: bool = True
+    retry_deadline_s: float = 150.0
     outage_catchup_concurrency: int = 8
     #: Record a causal span/event trace for every replication task
     #: (repro.core.tracing).  Off by default: the disabled path costs
@@ -126,6 +118,8 @@ class ReplicaConfig:
             raise ValueError("part_size must be positive")
         if self.max_parallelism < 1:
             raise ValueError("max_parallelism must be >= 1")
+        if self.retry_deadline_s <= 0:
+            raise ValueError("retry_deadline_s must be positive")
         if self.outage_catchup_concurrency < 1:
             raise ValueError("outage_catchup_concurrency must be >= 1")
         if not 0.5 <= self.hedge_deadline_quantile < 1.0:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core import distributed
+from repro.core import distributed, retry
 from repro.core.backlog import ParkedBacklog
 from repro.core.changelog import (ChangelogStore, apply_changelog,
                                   propagate_changelog)
@@ -33,7 +33,7 @@ from repro.core.health import HealthTracker, NoRouteAvailable
 from repro.core.hedging import Hedger
 from repro.core.locks import ReplicationLockManager
 from repro.core.planner import Plan, StrategyPlanner
-from repro.core.task import NullRecorder, TaskRecorder, TaskResult, task_id
+from repro.core.task import TaskRecorder, TaskResult, task_id
 from repro.core.transfer import (propagate_delete, reconverge_superseded,
                                  run_single, withdraw_unverified)
 from repro.simcloud.cloud import Cloud
@@ -74,23 +74,21 @@ class ReplicationEngine:
 
     def __init__(self, cloud: Cloud, config: ReplicaConfig,
                  src_bucket: Bucket, dst_bucket: Bucket,
-                 planner: StrategyPlanner,
-                 changelog: Optional[ChangelogStore] = None,
-                 recorder: Optional[TaskRecorder] = None,
-                 rule_id: str = "r0", scheduling: str = "pool",
-                 health: Optional[HealthTracker] = None, scheduler=None,
-                 tenant: Optional[str] = None):
+                 planner: StrategyPlanner, *,
+                 changelog: Optional[ChangelogStore],
+                 recorder: TaskRecorder, rule_id: str, scheduling: str,
+                 health: HealthTracker, scheduler, tenant: Optional[str]):
         if scheduling not in ("pool", "fair"):
             raise ValueError("scheduling must be 'pool' or 'fair'")
         self.cloud = cloud
-        #: The autopilot replaces ``config`` at run time: read it (and
-        #: its retry policy) through the engine at use time.
+        #: The autopilot replaces ``config`` at run time: read it at use.
         self.config = config
         self.src_bucket = src_bucket
         self.dst_bucket = dst_bucket
         self.planner = planner
+        #: None when ``enable_changelog`` is off.
         self.changelog = changelog
-        self.recorder: TaskRecorder = recorder or NullRecorder()
+        self.recorder = recorder
         self.rule_id = rule_id
         self.scheduling = scheduling
         #: Multi-tenant wiring — a fair-share scheduler gating dispatch,
@@ -119,14 +117,13 @@ class ReplicationEngine:
         self._orch_name = f"areplica-orch-{rule_id}"
         self._rep_name = f"areplica-rep-{rule_id}"
         self._applier_name = f"areplica-apply-{rule_id}"
-        #: Substrate-health ledger; None disables degraded routing.
+        #: Substrate-health ledger: degraded routing reads it.
         self.health = health
         #: Tasks no route could serve, parked until recovery.
         self.backlog = ParkedBacklog(self)
         #: Straggler cloning; None unless ``hedging_enabled``.
         self.hedger = Hedger(self) if config.hedging_enabled else None
-        if health is not None:
-            health.subscribe(self._on_health_transition)
+        health.subscribe(self._on_health_transition)
         self._deploy()
 
     # -- deployment and lifecycle ---------------------------------------------
@@ -157,8 +154,7 @@ class ReplicationEngine:
         receiving health transitions — two engines draining one backlog
         would double-dispatch — and surrender the in-memory backlog.
         In-flight functions keep running: the platform owns them."""
-        if self.health is not None:
-            self.health.unsubscribe(self._on_health_transition)
+        self.health.unsubscribe(self._on_health_transition)
         self.backlog.surrender()
 
     def adopt_counters(self, old: "ReplicationEngine") -> None:
@@ -199,7 +195,7 @@ class ReplicationEngine:
     # -- hardened control-plane plumbing --------------------------------------
 
     def _kv(self, ctx, make):
-        """Process: one control-plane KV operation under the retry policy.
+        """Process: one control-plane KV operation under the retry schedule.
 
         ``make`` is a zero-argument factory returning a KV request (what
         the kernel waits on) or a single-operation process such as a
@@ -220,23 +216,21 @@ class ReplicationEngine:
                     return (yield op)
                 return (yield from op)
             except Throttled:
-                policy = self.config.retry_policy
-                if attempt >= policy.max_attempts:
+                if attempt >= retry.MAX_ATTEMPTS:
                     self.stats["kv_retry_exhausted"] += 1
                     raise
                 if self._retry_rng is None:
                     self._retry_rng = self.cloud.rngs.stream(
                         f"retry:{self.rule_id}")
-                backoff = policy.backoff_s(attempt, self._retry_rng)
-                if policy.deadline_s is not None:
-                    # Total-time cap from the first rejection: an outage
-                    # must not pin a billed function for the whole
-                    # backoff sum, nor a retry outlive its lock lease.
-                    if deadline is None:
-                        deadline = ctx.now + policy.deadline_s
-                    elif ctx.now + backoff > deadline:
-                        self.stats["kv_retry_deadline"] += 1
-                        raise
+                backoff = retry.backoff_s(attempt, self._retry_rng)
+                # Total-time cap from the first rejection: an outage must
+                # not pin a billed function for the whole backoff sum,
+                # nor a retry outlive its lock lease.
+                if deadline is None:
+                    deadline = ctx.now + self.config.retry_deadline_s
+                elif ctx.now + backoff > deadline:
+                    self.stats["kv_retry_deadline"] += 1
+                    raise
                 self.stats["kv_retries"] += 1
                 yield ctx.sleep(backoff)
                 attempt += 1
@@ -308,7 +302,7 @@ class ReplicationEngine:
         only the source FaaS is dark."""
         health = self.health
         src_key = self.src_bucket.region.key
-        if health is None or not health.any_open:
+        if not health.any_open:
             return src_key
         dst_key = self.dst_bucket.region.key
         if not (health.available(("kv", src_key))
@@ -379,8 +373,7 @@ class ReplicationEngine:
     def _orchestrator(self, ctx, payload):
         self.stats["tasks"] += 1
         key = payload["key"]
-        if (self.health is not None and self.health.any_open
-                and self._route() is None):
+        if self.health.any_open and self._route() is None:
             # An outage opened since dispatch (or a platform retry is
             # riding one out): park before burning lock-write retries.
             self.backlog.park(dict(payload))
@@ -455,7 +448,7 @@ class ReplicationEngine:
                     plan=None, kind="content-match", started=ctx.now))
                 yield from self._finish(ctx, tid, key, current.sequencer)
                 return
-        if self.changelog is not None and self.config.enable_changelog:
+        if self.changelog is not None:
             applied = yield from propagate_changelog(self, ctx, task)
             if applied:
                 return
@@ -572,11 +565,10 @@ class ReplicationEngine:
             yield from self._finish(ctx, tid, key, None,
                                     retrigger_if_unreplicated=True)
             return
-        if self.health is not None:
-            # Both stores answered: the successes that walk a half-open
-            # ("store", region) breaker closed.
-            self.health.record(("store", self.src_bucket.region.key), True)
-            self.health.record(("store", self.dst_bucket.region.key), True)
+        # Both stores answered: the successes that walk a half-open
+        # ("store", region) breaker closed.
+        self.health.record(("store", self.src_bucket.region.key), True)
+        self.health.record(("store", self.dst_bucket.region.key), True)
         if self.tracer is not None:
             self.tracer.event("finalize", "engine", tid, _FINALIZE_KEYS, key,
                               task["seq"], task["etag"], task.get("fence"),

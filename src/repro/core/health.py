@@ -35,11 +35,10 @@ not execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
-__all__ = ["BreakerConfig", "BreakerState", "CircuitBreaker",
-           "HealthTracker", "NoRouteAvailable"]
+__all__ = ["BreakerState", "CircuitBreaker", "HealthTracker",
+           "NoRouteAvailable"]
 
 #: A health target: ("faas"|"kv"|"store"|"path", key...).  Any hashable
 #: tuple works; the first element names the substrate.
@@ -73,49 +72,26 @@ class BreakerState:
     UNCORDONED = "uncordoned"  # notification only: the cordon lifted
 
 
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Per-target circuit-breaker tuning (one config for all targets).
-
-    A breaker opens on either signal: ``failure_threshold`` consecutive
-    failures (a hard outage fails everything immediately), or an EWMA
-    error rate above ``ewma_threshold`` once ``ewma_min_samples``
-    results have been seen (a brown-out fails *most* things).  The
-    consecutive threshold is deliberately high enough that a background
-    chaos storm (crash_prob ≈ 0.1) essentially never strings together a
-    run by luck: 0.1**8 ≈ 1e-8 per attempt.
-    """
-
-    failure_threshold: int = 8
-    ewma_alpha: float = 0.2
-    ewma_threshold: float = 0.9
-    ewma_min_samples: int = 25
-    #: Seconds an open circuit waits before admitting a half-open probe.
-    cooldown_s: float = 30.0
-    #: Cooldown growth per re-open within one incident (a failed probe
-    #: re-opens with a longer wait), capped at ``cooldown_max_s``.
-    cooldown_backoff: float = 2.0
-    cooldown_max_s: float = 480.0
-    #: Successes required in half-open before the circuit closes.
-    half_open_successes: int = 1
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if not 0.0 < self.ewma_threshold <= 1.0:
-            raise ValueError("ewma_threshold must be in (0, 1]")
-        if self.ewma_min_samples < 1:
-            raise ValueError("ewma_min_samples must be >= 1")
-        if self.cooldown_s <= 0:
-            raise ValueError("cooldown_s must be positive")
-        if self.cooldown_backoff < 1.0:
-            raise ValueError("cooldown_backoff must be >= 1")
-        if self.cooldown_max_s < self.cooldown_s:
-            raise ValueError("cooldown_max_s must be >= cooldown_s")
-        if self.half_open_successes < 1:
-            raise ValueError("half_open_successes must be >= 1")
+#: Breaker tuning, one set for every target.  A breaker opens on either
+#: signal: ``FAILURE_THRESHOLD`` consecutive failures (a hard outage
+#: fails everything immediately), or an EWMA error rate at or above
+#: ``EWMA_THRESHOLD`` once ``EWMA_MIN_SAMPLES`` results have been seen
+#: (a brown-out fails *most* things).  The consecutive threshold is
+#: deliberately high enough that a background chaos storm (crash_prob
+#: ≈ 0.1) essentially never strings together a run by luck: 0.1**8 ≈
+#: 1e-8 per attempt.
+FAILURE_THRESHOLD = 8
+EWMA_ALPHA = 0.2
+EWMA_THRESHOLD = 0.9
+EWMA_MIN_SAMPLES = 25
+#: Seconds an open circuit waits before admitting a half-open probe.
+COOLDOWN_S = 30.0
+#: Cooldown growth per re-open within one incident (a failed probe
+#: re-opens with a longer wait), capped at ``COOLDOWN_MAX_S``.
+COOLDOWN_BACKOFF = 2.0
+COOLDOWN_MAX_S = 480.0
+#: Successes required in half-open before the circuit closes.
+HALF_OPEN_SUCCESSES = 1
 
 
 class CircuitBreaker:
@@ -123,7 +99,7 @@ class CircuitBreaker:
 
     __slots__ = ("state", "consecutive_failures", "ewma", "samples",
                  "opens_total", "streak_opens", "opened_seq", "open_until",
-                 "half_open_successes", "last_failure_at", "last_success_at")
+                 "half_open_successes")
 
     def __init__(self) -> None:
         self.state = BreakerState.CLOSED
@@ -140,8 +116,6 @@ class CircuitBreaker:
         self.opened_seq = 0
         self.open_until = 0.0
         self.half_open_successes = 0
-        self.last_failure_at: Optional[float] = None
-        self.last_success_at: Optional[float] = None
 
 
 class HealthTracker:
@@ -155,11 +129,10 @@ class HealthTracker:
     """
 
     def __init__(self, clock: Callable[[], float],
-                 schedule: Optional[Callable[[float, Callable[[], None]], object]] = None,
-                 config: Optional[BreakerConfig] = None):
+                 schedule: Optional[Callable[[float, Callable[[], None]],
+                                             object]] = None):
         self._clock = clock
         self._schedule = schedule
-        self.config = config or BreakerConfig()
         self._breakers: dict[Target, CircuitBreaker] = {}
         self._open_count = 0
         #: Administrative cordons: target -> sim time the cordon was
@@ -176,36 +149,31 @@ class HealthTracker:
 
     def record(self, target: Target, ok: bool) -> None:
         """Fold one operation outcome into ``target``'s breaker."""
-        cfg = self.config
         b = self._breakers.get(target)
         if b is None:
             b = self._breakers[target] = CircuitBreaker()
-        now = self._clock()
         if b.state == BreakerState.OPEN:
             # No traffic is *supposed* to reach an open target; results
             # that still arrive (in-flight stragglers) are ignored so a
             # straggler's success cannot short-circuit the cooldown.
             return
         if ok:
-            b.last_success_at = now
             b.samples += 1
             b.consecutive_failures = 0
-            b.ewma += cfg.ewma_alpha * (0.0 - b.ewma)
+            b.ewma += EWMA_ALPHA * (0.0 - b.ewma)
             if b.state == BreakerState.HALF_OPEN:
                 b.half_open_successes += 1
-                if b.half_open_successes >= cfg.half_open_successes:
+                if b.half_open_successes >= HALF_OPEN_SUCCESSES:
                     self._close(target, b)
             return
-        b.last_failure_at = now
         b.samples += 1
         b.consecutive_failures += 1
-        b.ewma += cfg.ewma_alpha * (1.0 - b.ewma)
-        if b.state == BreakerState.HALF_OPEN:
-            self._open(target, b, now)
-        elif (b.consecutive_failures >= cfg.failure_threshold
-                or (b.samples >= cfg.ewma_min_samples
-                    and b.ewma >= cfg.ewma_threshold)):
-            self._open(target, b, now)
+        b.ewma += EWMA_ALPHA * (1.0 - b.ewma)
+        if (b.state == BreakerState.HALF_OPEN
+                or b.consecutive_failures >= FAILURE_THRESHOLD
+                or (b.samples >= EWMA_MIN_SAMPLES
+                    and b.ewma >= EWMA_THRESHOLD)):
+            self._open(target, b)
 
     # -- queries -------------------------------------------------------------
 
@@ -271,10 +239,6 @@ class HealthTracker:
             out[":".join(str(part) for part in target)] = entry
         return out
 
-    def open_targets(self) -> list[Target]:
-        return [t for t, b in self._breakers.items()
-                if b.state == BreakerState.OPEN]
-
     # -- administrative cordons ------------------------------------------------
 
     def cordon(self, target: Target) -> bool:
@@ -335,8 +299,7 @@ class HealthTracker:
         for fn in list(self._subscribers):
             fn(target, state)
 
-    def _open(self, target: Target, b: CircuitBreaker, now: float) -> None:
-        cfg = self.config
+    def _open(self, target: Target, b: CircuitBreaker) -> None:
         if b.state != BreakerState.OPEN:
             self._open_count += 1
         b.state = BreakerState.OPEN
@@ -344,10 +307,9 @@ class HealthTracker:
         b.streak_opens += 1
         b.opened_seq += 1
         b.half_open_successes = 0
-        cooldown = min(cfg.cooldown_max_s,
-                       cfg.cooldown_s
-                       * cfg.cooldown_backoff ** (b.streak_opens - 1))
-        b.open_until = now + cooldown
+        cooldown = min(COOLDOWN_MAX_S,
+                       COOLDOWN_S * COOLDOWN_BACKOFF ** (b.streak_opens - 1))
+        b.open_until = self._clock() + cooldown
         self._notify(target, BreakerState.OPEN)
         if self._schedule is not None:
             seq = b.opened_seq

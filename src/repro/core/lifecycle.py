@@ -127,10 +127,6 @@ class OperationsRunner:
 
     def __init__(self, service, rule_id: str):
         rule = service.rules[rule_id]  # KeyError for unknown rules
-        if service.health is None:
-            raise ValueError(
-                "planned operations need health tracking enabled "
-                "(ReplicaConfig.health_enabled) — cordons are health states")
         self.service = service
         self.cloud = service.cloud
         self.rule_id = rule_id

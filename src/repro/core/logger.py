@@ -19,6 +19,14 @@ from repro.core.model import PathKey, PerformanceModel
 
 __all__ = ["RuntimeLogger"]
 
+#: EWMA weight of the newest log(actual/predicted) ratio.
+ALPHA = 0.25
+#: Drift threshold on |log(actual/predicted)| — 0.30 means a persistent
+#: ~35 % deviation.
+DRIFT_THRESHOLD = 0.30
+#: Consecutive drifting observations that trigger a correction.
+PATIENCE = 5
+
 
 @dataclass
 class _PathDrift:
@@ -32,20 +40,8 @@ class RuntimeLogger:
     """Folds task timings into per-path drift state and rescales the
     performance model's path on persistent drift."""
 
-    def __init__(
-        self,
-        model: PerformanceModel,
-        alpha: float = 0.25,
-        drift_threshold: float = 0.30,
-        patience: int = 5,
-    ):
-        """``drift_threshold`` is on |log(actual/predicted)| — 0.30 means
-        a persistent ~35 % deviation; ``patience`` is how many
-        consecutive drifting observations trigger a correction."""
+    def __init__(self, model: PerformanceModel):
         self.model = model
-        self.alpha = alpha
-        self.drift_threshold = drift_threshold
-        self.patience = patience
         self._drift: dict[PathKey, _PathDrift] = {}
 
     def record(self, path: PathKey, predicted_s: float,
@@ -60,13 +56,13 @@ class RuntimeLogger:
         state.observations += 1
         log_ratio = math.log(actual_s / predicted_s)
         state.ewma_log_ratio = (
-            self.alpha * log_ratio + (1 - self.alpha) * state.ewma_log_ratio
+            ALPHA * log_ratio + (1 - ALPHA) * state.ewma_log_ratio
         )
-        if abs(state.ewma_log_ratio) > self.drift_threshold:
+        if abs(state.ewma_log_ratio) > DRIFT_THRESHOLD:
             state.consecutive_drifts += 1
         else:
             state.consecutive_drifts = 0
-        if state.consecutive_drifts >= self.patience:
+        if state.consecutive_drifts >= PATIENCE:
             ratio = math.exp(state.ewma_log_ratio)
             self.model.scale_path(path, ratio)
             state.corrections += 1

@@ -114,12 +114,12 @@ class StrategyPlanner:
     """Algorithm 3 over a fitted :class:`PerformanceModel`."""
 
     def __init__(self, model: PerformanceModel, config: ReplicaConfig,
-                 health: Optional[HealthTracker] = None):
+                 health: HealthTracker):
         self.model = model
         self.config = config
-        #: Optional substrate-health ledger; while any circuit is open,
-        #: ladder candidates whose execution location is dark are
-        #: skipped (degraded-mode routing).
+        #: Substrate-health ledger; while any circuit is open, ladder
+        #: candidates whose execution location is dark are skipped
+        #: (degraded-mode routing).
         self.health = health
         #: Optional :class:`~repro.core.tracing.Tracer`; only the
         #: degraded-routing decisions emit (the per-plan span belongs to
@@ -229,7 +229,7 @@ class StrategyPlanner:
                 f"no profiled path between {src_key} and {dst_key}"
             )
         health = self.health
-        if health is not None and health.any_open:
+        if health.any_open:
             # Degraded mode: drop candidates whose execution location's
             # FaaS platform sits behind an open circuit.  Filtering
             # happens on a copy — the cache stays health-agnostic so
@@ -282,7 +282,7 @@ class StrategyPlanner:
 
     def fastest(self, size: int, src_key: str, dst_key: str) -> Plan:
         """SLO = 0 mode (§8.1): scan everything, return the fastest."""
-        if self.health is not None and self.health.any_open:
+        if self.health.any_open:
             # The memoized Plan may route into a dark region; bypass it
             # (without poisoning it) until every circuit closes.
             return self.generate(size, src_key, dst_key,

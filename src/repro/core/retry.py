@@ -1,92 +1,40 @@
-"""Engine-side retry/backoff policy.
+"""Engine-side retry/backoff schedule.
 
 The platform already retries whole *invocations* (``faas.py``: two
-auto-retries with backoff, then the dead-letter queue).  This policy
-governs the layer below that: individual control-plane operations —
-lock writes, part-pool claims, done-marker updates — that a throttled
-serverless database rejects.  Retrying them in place with jittered
-exponential backoff is far cheaper than failing the whole function and
-paying a platform retry (cold start, repeated data transfer), and the
-jitter de-synchronizes the herd of replicators a throttling episode
-creates.  Because that de-synchronization is the point, a policy with
-``jitter > 0`` *requires* the caller's seeded RNG: silently falling
-back to the raw schedule would re-align the herd exactly when it
-matters, so :meth:`RetryPolicy.backoff_s` refuses instead.
+auto-retries with backoff, then the dead-letter queue).  This schedule
+governs the layer below: individual control-plane operations — lock
+writes, part-pool claims, done-marker updates — that a throttled
+serverless database rejects.  Retrying them in place is far cheaper
+than failing the function and paying a platform retry, and the jitter
+de-synchronizes the herd of replicators a throttling episode creates,
+which is why :func:`backoff_s` requires the caller's seeded RNG.  After
+``MAX_ATTEMPTS`` retries, or once a retry would end past
+``ReplicaConfig.retry_deadline_s`` from the first rejection, the engine
+lets the error escalate to the platform's retry/DLQ ladder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+__all__ = ["BASE_S", "MULTIPLIER", "CAP_S", "MAX_ATTEMPTS", "JITTER",
+           "nominal_s", "backoff_s"]
 
-__all__ = ["RetryPolicy"]
+BASE_S = 0.05
+MULTIPLIER = 2.0
+CAP_S = 5.0
+MAX_ATTEMPTS = 8
+#: Fraction of the raw backoff that jitter may remove (0 = none,
+#: 1 = full jitter down to zero).
+JITTER = 0.5
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Jittered exponential backoff with per-operation attempt/time caps.
+def nominal_s(attempt: int) -> float:
+    """The un-jittered schedule value for ``attempt`` (zero-based)."""
+    return min(CAP_S, BASE_S * MULTIPLIER ** attempt)
 
-    Attempt ``k`` (zero-based) sleeps ``min(cap_s, base_s *
-    multiplier**k)``, scaled down by up to ``jitter`` uniformly at
-    random.  After ``max_attempts`` failed retries the error propagates
-    to the platform layer, whose own retry/DLQ machinery takes over —
-    the cap is what keeps a persistently-throttled operation from
-    pinning a billed function instance forever.
 
-    ``deadline_s`` additionally bounds the total wall time one
-    operation may spend retrying, measured from its *first* failure:
-    a retry whose backoff would overshoot the deadline escalates
-    immediately instead of sleeping.  During a sustained KV outage the
-    attempt cap alone keeps a function alive for the full backoff sum;
-    the deadline is what bounds billed time (and keeps retries well
-    inside the 300 s replication-lock lease, so a fenced-out retry
-    can never resume against a stolen lock).
-    """
-
-    base_s: float = 0.05
-    multiplier: float = 2.0
-    cap_s: float = 5.0
-    max_attempts: int = 8
-    #: Fraction of the raw backoff that jitter may remove (0 = none,
-    #: 1 = full jitter down to zero).
-    jitter: float = 0.5
-    #: Total retry budget in seconds from the first failure; None
-    #: disables the cap (attempt count alone governs).
-    deadline_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.base_s <= 0:
-            raise ValueError("base_s must be positive")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if self.cap_s < self.base_s:
-            raise ValueError("cap_s must be >= base_s")
-        if self.max_attempts < 0:
-            raise ValueError("max_attempts must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive (or None)")
-
-    def nominal_s(self, attempt: int) -> float:
-        """The un-jittered schedule value for ``attempt`` (zero-based)."""
-        return min(self.cap_s, self.base_s * self.multiplier ** attempt)
-
-    def backoff_s(self, attempt: int, rng=None) -> float:
-        """Sleep before retry number ``attempt`` (zero-based).
-
-        With ``jitter > 0`` the caller must supply its seeded ``rng``;
-        omitting it used to silently return the raw schedule, which
-        re-synchronized every replicator's retries and defeated the
-        jitter precisely during the throttling herds it exists for.
-        """
-        raw = self.nominal_s(attempt)
-        if self.jitter <= 0:
-            return raw
-        if rng is None:
-            raise ValueError(
-                "RetryPolicy has jitter > 0 but backoff_s() was called "
-                "without the caller's seeded rng; use nominal_s() for "
-                "the raw schedule")
-        low = raw * (1.0 - self.jitter)
-        return float(low + (raw - low) * rng.random())
+def backoff_s(attempt: int, rng) -> float:
+    """Sleep before retry number ``attempt`` (zero-based), jittered by
+    one draw from the caller's seeded ``rng``."""
+    raw = nominal_s(attempt)
+    low = raw * (1.0 - JITTER)
+    return float(low + (raw - low) * rng.random())

@@ -9,9 +9,10 @@ that concurrency between tenants by **deficit round robin** (DRR) over
 per-tenant FIFO queues:
 
 * every tenant with queued work sits in one round-robin ring;
-* the front tenant's *deficit counter* is credited ``quantum × weight``
-  when it cannot cover a task, and the lane is served (unit cost per
-  task) until the deficit is spent or slots run out — a lane
+* the front tenant's *deficit counter* is credited its ``weight`` (a
+  quantum of one task per unit of weight) when it cannot cover a task,
+  and the lane is served (unit cost per task) until the deficit is
+  spent or slots run out — a lane
   interrupted by slot exhaustion resumes at the front, so one-slot
   steady states still honor the weights;
 * a tenant whose queue empties forfeits its remaining deficit (the
@@ -77,13 +78,10 @@ class FairShareScheduler:
     uncontended path adds no simulator events.
     """
 
-    def __init__(self, max_concurrent: int = 64, quantum: float = 1.0):
+    def __init__(self, max_concurrent: int = 64):
         if max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
-        if quantum <= 0:
-            raise ValueError("quantum must be positive")
         self.max_concurrent = max_concurrent
-        self.quantum = quantum
         self._tenants: dict[str, _TenantQueue] = {}
         #: Round-robin ring of tenant ids with queued work, in the
         #: deterministic order the work arrived.
@@ -168,7 +166,7 @@ class FairShareScheduler:
                 # One round's credit — granted only when the carried
                 # deficit cannot cover a task, so an interrupted service
                 # turn is resumed, never re-credited.
-                lane.deficit += self.quantum * lane.weight
+                lane.deficit += lane.weight
             while (lane.queue and lane.deficit >= 1.0
                    and self.in_flight < self.max_concurrent):
                 entry = lane.queue.popleft()

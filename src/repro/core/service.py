@@ -196,13 +196,9 @@ class AReplicaService:
         )
         self.profiler = PerformanceProfiler(cloud, self.model,
                                             samples=self.config.profile_samples)
-        self.health: Optional[HealthTracker] = None
-        if self.config.health_enabled:
-            self.health = HealthTracker(
-                clock=lambda: cloud.sim.now,
-                schedule=cloud.sim.call_later,
-            )
-            cloud.set_health(self.health)
+        self.health = HealthTracker(clock=lambda: cloud.sim.now,
+                                    schedule=cloud.sim.call_later)
+        cloud.set_health(self.health)
         #: Optional causal tracer (ReplicaConfig.tracing_enabled); wired
         #: into every substrate via the cloud, mirroring set_health.
         self.tracer: Optional[Tracer] = None
@@ -301,8 +297,7 @@ class AReplicaService:
         health, recorder, fair-share lane and scoped tracer for tenant
         rules) — for a new rule or a rolling-restart replacement."""
         engine = ReplicationEngine(
-            self.cloud, cfg, src_bucket, dst_bucket,
-            self.planner,
+            self.cloud, cfg, src_bucket, dst_bucket, self.planner,
             changelog=changelog if cfg.enable_changelog else None,
             recorder=_Recorder(self, rule_id), rule_id=rule_id,
             scheduling=scheduling, health=self.health,
@@ -642,10 +637,6 @@ class AReplicaService:
         """Parked tasks re-dispatched (drained) across every rule."""
         return sum(rule.engine.stats.get("drained", 0)
                    for rule in self.rules.values())
-
-    def health_snapshot(self) -> dict:
-        """Per-target breaker state, empty when health is disabled."""
-        return self.health.snapshot() if self.health is not None else {}
 
     def integrity_snapshot(self) -> dict:
         """End-to-end integrity counters across every rule and platform.

@@ -37,19 +37,20 @@ def _ring_hash(value: str) -> int:
         hashlib.md5(value.encode("utf-8")).digest()[:8], "big")
 
 
+#: Virtual nodes per shard on the ring.
+VNODES = 64
+
+
 class HashRing:
     """Consistent hash ring mapping string keys to shard indices."""
 
-    def __init__(self, shards: int, vnodes: int = 64):
+    def __init__(self, shards: int):
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
         self.shards = shards
-        self.vnodes = vnodes
         points: list[tuple[int, int]] = []
         for shard in range(shards):
-            for replica in range(vnodes):
+            for replica in range(VNODES):
                 points.append((_ring_hash(f"shard-{shard}#{replica}"), shard))
         points.sort()
         self._positions = [p for p, _ in points]
@@ -74,8 +75,8 @@ class ShardRouter:
     are plain dict state; nothing here consumes simulated time.
     """
 
-    def __init__(self, shards: int, vnodes: int = 64):
-        self.ring = HashRing(shards, vnodes)
+    def __init__(self, shards: int):
+        self.ring = HashRing(shards)
         self._assignments: dict[str, int] = {}
 
     @property
@@ -91,9 +92,6 @@ class ShardRouter:
             self._assignments[rkey] = shard
         return shard
 
-    def assignments(self) -> dict[str, int]:
-        return dict(self._assignments)
-
     def rebalance(self, shards: int) -> dict[str, int]:
         """Swap in a ``shards``-wide ring; report moved assignments.
 
@@ -103,7 +101,7 @@ class ShardRouter:
         Assignments are updated in place: subsequent :meth:`route`
         calls see the new placement.
         """
-        new_ring = HashRing(shards, self.ring.vnodes)
+        new_ring = HashRing(shards)
         moved: dict[str, int] = {}
         for rkey, old_shard in sorted(self._assignments.items()):
             new_shard = new_ring.shard_of(rkey)

@@ -15,9 +15,9 @@ from typing import Optional, Protocol
 
 from repro.core.planner import Plan
 
-__all__ = ["task_id", "TaskResult", "TaskRecorder", "NullRecorder",
-           "LIFECYCLE", "WRITING_KINDS", "RECOVERY_FACTS",
-           "CORDONED_ADMISSIONS", "ACQUIRE_MODES"]
+__all__ = ["task_id", "TaskResult", "TaskRecorder", "LIFECYCLE",
+           "WRITING_KINDS", "RECOVERY_FACTS", "CORDONED_ADMISSIONS",
+           "ACQUIRE_MODES"]
 
 #: A task's facts in the order they must happen, each with the name a
 #: trace finding gives it.
@@ -75,11 +75,3 @@ class TaskRecorder(Protocol):
     def record_visible(self, result: TaskResult) -> None: ...
 
     def record_abort(self, key: str, etag: str) -> None: ...
-
-
-class NullRecorder:
-    def record_visible(self, result: TaskResult) -> None:  # pragma: no cover
-        pass
-
-    def record_abort(self, key: str, etag: str) -> None:  # pragma: no cover
-        pass

@@ -329,7 +329,7 @@ def machine_report(service: AReplicaService) -> dict:
     return {
         "summary": service.summary(),
         "chaos_stats": service.cloud.chaos_stats(),
-        "health": service.health_snapshot(),
+        "health": service.health.snapshot(),
         "engine_stats": engine_stats,
         "parked_backlog": service.backlog_count(),
     }
@@ -346,8 +346,7 @@ def _outage_extras(run: Run) -> dict:
                    "duration_s": duration},
         "degradation_engaged": engine.stats["parked"] > 0,
         "backlog_drained_at_s": engine.backlog.drained_at,
-        "health_transitions": (len(health.transitions)
-                               if health is not None else 0),
+        "health_transitions": len(health.transitions),
     }
 
 

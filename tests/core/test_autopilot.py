@@ -414,11 +414,11 @@ class TestAutopilotService:
                             profile=False)
         ap = svc.autopilot
         ap._config_writer("outage_catchup_concurrency", integer=True)(16)
-        ap._set_retry_deadline(40.0)
+        ap._config_writer("retry_deadline_s")(40.0)
         engine = svc.rebuild_engine(rule.rule_id)
         assert engine is rule.engine
         assert engine.config.outage_catchup_concurrency == 16
-        assert engine.config.retry_policy.deadline_s == 40.0
+        assert engine.config.retry_deadline_s == 40.0
         assert svc.config.outage_catchup_concurrency == 16
 
     def test_disabled_config_constructs_nothing(self):
@@ -537,7 +537,7 @@ class TestAutopilotService:
                          reason="test")
         assert act is not None and act.new < act.old
         for rule in svc.rules.values():
-            assert rule.engine.config.retry_policy.deadline_s == act.new
+            assert rule.engine.config.retry_deadline_s == act.new
 
     def test_saturation_error_is_the_queue_behind_a_capped_platform(self):
         """The signal that shrinks hedging under saturation: the
@@ -577,5 +577,4 @@ class TestAutopilotService:
         cloud.run()
         config = svc.rules["t1-s0"].engine.config
         assert config.batching_epsilon == ctrl.value("batching_epsilon")
-        assert config.retry_policy.deadline_s == \
-            ctrl.value("retry_deadline_s")
+        assert config.retry_deadline_s == ctrl.value("retry_deadline_s")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import logger as logger_module
 from repro.core.config import ReplicaConfig
 from repro.core.logger import RuntimeLogger
 from repro.core.model import LocParams, NormalParam, PathParams, PerformanceModel
@@ -125,7 +126,7 @@ class TestRuntimeLogger:
 
     def test_no_correction_for_noise(self):
         model = self._model()
-        logger = RuntimeLogger(model, patience=5)
+        logger = RuntimeLogger(model)
         path = ("loc", "s", "d")
         for i in range(20):
             actual = 1.0 * (1.05 if i % 2 else 0.95)
@@ -134,7 +135,7 @@ class TestRuntimeLogger:
 
     def test_persistent_drift_triggers_correction(self):
         model = self._model()
-        logger = RuntimeLogger(model, patience=5)
+        logger = RuntimeLogger(model)
         path = ("loc", "s", "d")
         chunk_before = model.path_params[path].chunk.mean
         for _ in range(30):
@@ -144,7 +145,7 @@ class TestRuntimeLogger:
 
     def test_correction_direction_down(self):
         model = self._model()
-        logger = RuntimeLogger(model, patience=5)
+        logger = RuntimeLogger(model)
         path = ("loc", "s", "d")
         chunk_before = model.path_params[path].chunk.mean
         for _ in range(30):
@@ -165,9 +166,10 @@ class TestRuntimeLogger:
         logger.record(("loc", "s", "d"), 1.0, 0.0)
         assert logger.observations(("loc", "s", "d")) == 0
 
-    def test_correction_resets_drift_state(self):
+    def test_correction_resets_drift_state(self, monkeypatch):
+        monkeypatch.setattr(logger_module, "PATIENCE", 3)
         model = self._model()
-        logger = RuntimeLogger(model, patience=3)
+        logger = RuntimeLogger(model)
         path = ("loc", "s", "d")
         for _ in range(10):
             logger.record(path, 1.0, 3.0)

@@ -1,12 +1,18 @@
 """Tests for ReplicaConfig."""
 
 import dataclasses
+import inspect
 
 import pytest
 
 from repro.core.config import (DEFAULT_PART_SIZE, DISTRIBUTED_THRESHOLD,
                                LOCAL_THRESHOLD, MB, ReplicaConfig,
                                TenantConfig)
+from repro.core.engine import ReplicationEngine
+from repro.core.health import HealthTracker
+from repro.core.logger import RuntimeLogger
+from repro.core.scheduler import FairShareScheduler
+from repro.core.sharding import HashRing, ShardRouter
 
 
 def test_defaults_match_paper():
@@ -41,6 +47,7 @@ def test_parallelism_ladder_non_power_of_two_cap():
         {"part_size": 0},
         {"max_parallelism": 0},
         {"outage_catchup_concurrency": 0},
+        {"retry_deadline_s": 0},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
@@ -57,7 +64,7 @@ def test_default_part_size_constant():
 REPLICA_CONFIG_FIELDS = {
     "slo_seconds", "percentile", "part_size", "max_parallelism",
     "enable_changelog", "enable_batching", "batching_epsilon", "mc_samples",
-    "gumbel_threshold", "profile_samples", "retry_policy", "health_enabled",
+    "gumbel_threshold", "profile_samples", "retry_deadline_s",
     "outage_catchup_concurrency", "tracing_enabled", "hedging_enabled",
     "hedge_deadline_quantile", "max_clones_per_part",
     "enable_autopilot",
@@ -74,3 +81,25 @@ TENANT_CONFIG_FIELDS = {
 ])
 def test_config_field_census(cls, expected):
     assert {f.name for f in dataclasses.fields(cls)} == expected
+
+
+#: Constructor parameters, by name.  Tuning that no program sets is a
+#: module constant beside its reader, so a new parameter is a reviewed
+#: diff here too.
+CONSTRUCTOR_PARAMETERS = {
+    HealthTracker: ("clock", "schedule"),
+    FairShareScheduler: ("max_concurrent",),
+    HashRing: ("shards",),
+    ShardRouter: ("shards",),
+    RuntimeLogger: ("model",),
+    ReplicationEngine: ("cloud", "config", "src_bucket", "dst_bucket",
+                        "planner", "changelog", "recorder", "rule_id",
+                        "scheduling", "health", "scheduler", "tenant"),
+}
+
+
+@pytest.mark.parametrize("cls", list(CONSTRUCTOR_PARAMETERS),
+                         ids=lambda cls: cls.__name__)
+def test_constructor_parameter_census(cls):
+    assert (tuple(inspect.signature(cls).parameters)
+            == CONSTRUCTOR_PARAMETERS[cls])

@@ -50,9 +50,8 @@ class FakeInvocation:
 class Harness:
     """A scheduler plus hand-settled dispatch machinery."""
 
-    def __init__(self, max_concurrent: int, quantum: float = 1.0):
-        self.sched = FairShareScheduler(max_concurrent=max_concurrent,
-                                        quantum=quantum)
+    def __init__(self, max_concurrent: int):
+        self.sched = FairShareScheduler(max_concurrent=max_concurrent)
         self.order: list[str] = []  # tenant ids in dispatch order
         self.outstanding: list[FakeInvocation] = []  # dispatch order
 
@@ -245,8 +244,6 @@ def test_fairshare_waits_counter_lands_in_tenant_stats():
 def test_scheduler_rejects_bad_parameters():
     with pytest.raises(ValueError):
         FairShareScheduler(max_concurrent=0)
-    with pytest.raises(ValueError):
-        FairShareScheduler(quantum=0.0)
     with pytest.raises(ValueError):
         FairShareScheduler().add_tenant("t", weight=0.0)
 

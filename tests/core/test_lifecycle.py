@@ -168,11 +168,6 @@ class TestRunnerContract:
             runner.schedule("explode", 10.0)
         assert set(SCENARIOS) == {"evacuate", "rolling", "switchover"}
 
-    def test_health_tracking_required(self):
-        cloud, svc, src, dst, rule = build(seed=841, health_enabled=False)
-        with pytest.raises(ValueError, match="health"):
-            OperationsRunner(svc, rule.rule_id)
-
     def test_idle_runner_is_invisible(self):
         """A constructed-but-unscheduled runner draws nothing: no RNG
         stream, no events, no KV traffic (the byte-determinism

@@ -10,10 +10,10 @@ scanner healing divergence that slipped past everything else.
 
 import pytest
 
+from repro.core import health, retry
 from repro.core.config import ReplicaConfig
 from repro.core.health import BreakerState, NoRouteAvailable
 from repro.core.repair import AntiEntropyScanner
-from repro.core.retry import RetryPolicy
 from repro.core.service import AReplicaService
 from repro.simcloud.chaos import ChaosConfig
 from repro.simcloud.cloud import build_default_cloud
@@ -142,7 +142,7 @@ class TestPlannerDegradation:
     def test_open_circuit_filters_candidates(self):
         cloud, svc, src, dst, rule = build(seed=805)
         tracker = svc.health
-        for _ in range(tracker.config.failure_threshold):
+        for _ in range(health.FAILURE_THRESHOLD):
             tracker.record(("faas", SRC), False)
         plan = svc.planner.fastest(4 * MB, SRC, DST)
         assert plan.loc_key == DST
@@ -152,21 +152,21 @@ class TestPlannerDegradation:
         cloud, svc, src, dst, rule = build(seed=806)
         tracker = svc.health
         for target in (("faas", SRC), ("faas", DST)):
-            for _ in range(tracker.config.failure_threshold):
+            for _ in range(health.FAILURE_THRESHOLD):
                 tracker.record(target, False)
         with pytest.raises(NoRouteAvailable):
             svc.planner.fastest(4 * MB, SRC, DST)
 
 
 class TestRetryDeadline:
-    def test_deadline_escalates_before_backoff_sum(self):
+    def test_deadline_escalates_before_backoff_sum(self, monkeypatch):
         # A huge backoff with a tight total deadline: the third
         # rejection would sleep past the budget, so it escalates to the
         # platform ladder and the stat records why.
-        policy = RetryPolicy(base_s=10.0, cap_s=120.0, max_attempts=50,
-                             jitter=0.0, deadline_s=30.0)
-        cloud, svc, src, dst, rule = build(seed=807, health_enabled=False,
-                                           retry_policy=policy)
+        for name, value in (("BASE_S", 10.0), ("CAP_S", 120.0),
+                            ("MAX_ATTEMPTS", 50), ("JITTER", 0.0)):
+            monkeypatch.setattr(retry, name, value)
+        cloud, svc, src, dst, rule = build(seed=807, retry_deadline_s=30.0)
         cloud.apply_chaos(ChaosConfig(kv_outages=((SRC, 0.0, 300.0),)))
         src.put_object("k", Blob.fresh(MB), cloud.now)
         report = svc.run_to_convergence()
@@ -177,11 +177,11 @@ class TestRetryDeadline:
 
     def test_deadline_validation(self):
         with pytest.raises(ValueError):
-            RetryPolicy(deadline_s=0.0)
+            ReplicaConfig(retry_deadline_s=0.0)
         with pytest.raises(ValueError):
-            RetryPolicy(deadline_s=-5.0)
+            ReplicaConfig(retry_deadline_s=-5.0)
         # The default config caps retries at half the 300s lock lease.
-        assert ReplicaConfig().retry_policy.deadline_s == pytest.approx(150.0)
+        assert ReplicaConfig().retry_deadline_s == pytest.approx(150.0)
 
 
 class TestAntiEntropyRepair:

@@ -9,6 +9,7 @@ fault-tolerance story plus the operational step real deployments need.
 
 import pytest
 
+from repro.core import health
 from repro.core.config import ReplicaConfig
 from repro.core.service import AReplicaService
 from repro.simcloud.cloud import build_default_cloud
@@ -71,11 +72,14 @@ class TestReplicationThroughOutages:
         assert dst.head("k").etag == src.head("k").etag
         assert svc.pending_count() == 0
 
-    def test_long_outage_dead_letters_then_redrive_converges(self):
+    def test_long_outage_dead_letters_then_redrive_converges(
+            self, monkeypatch):
         # Health-tracked routing would park these tasks instead (see
-        # test_outage_degradation.py); pin it off to keep the legacy
-        # retry -> DLQ -> redrive ladder covered.
-        cloud, svc, src, dst, rule = build(seed=705, health_enabled=False)
+        # test_outage_degradation.py); breakers that cannot open keep
+        # the legacy retry -> DLQ -> redrive ladder covered.
+        monkeypatch.setattr(health, "FAILURE_THRESHOLD", 10**9)
+        monkeypatch.setattr(health, "EWMA_MIN_SAMPLES", 10**9)
+        cloud, svc, src, dst, rule = build(seed=705)
         blobs = {}
         for i in range(5):
             blobs[f"k{i}"] = Blob.fresh((i + 1) * MB)

@@ -15,6 +15,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from repro.core.config import ReplicaConfig
+from repro.core.health import HealthTracker
 from repro.core.model import (
     LocParams,
     NormalParam,
@@ -45,7 +46,8 @@ def make_model_and_planner(**cfg):
             chunk=NormalParam(0.35 + 0.05 * i, 0.07),
             chunk_distributed=NormalParam(0.45, 0.09),
         ))
-    return model, StrategyPlanner(model, config)
+    return model, StrategyPlanner(model, config,
+                                  HealthTracker(clock=lambda: 0.0))
 
 
 class TestWarmQueries:

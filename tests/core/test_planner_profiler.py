@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core.config import DISTRIBUTED_THRESHOLD, ReplicaConfig
+from repro.core.health import HealthTracker
 from repro.core.model import NormalParam, PerformanceModel
 from repro.core.planner import StrategyPlanner
 from repro.core.profiler import PerformanceProfiler
@@ -80,7 +81,8 @@ class TestPlanner:
     @pytest.fixture()
     def planner(self, profiled):
         _, config, model, _, _, _ = profiled
-        return StrategyPlanner(model, config)
+        return StrategyPlanner(model, config,
+                               HealthTracker(clock=lambda: 0.0))
 
     def test_small_object_single_inline_plan(self, planner):
         plan = planner.fastest(1 * MB, "aws:us-east-1", "azure:eastus")
@@ -147,7 +149,8 @@ class TestPlanner:
         """Fig 20: the planner evaluates both source- and destination-side
         execution and the choice is data-driven, not hard-coded."""
         _, config, model, _, src, dst = profiled
-        planner = StrategyPlanner(model, config)
+        planner = StrategyPlanner(model, config,
+                                  HealthTracker(clock=lambda: 0.0))
         plan = planner.fastest(128 * MB, src.region.key, dst.region.key)
         assert plan.loc_key in (src.region.key, dst.region.key)
         # With AWS's faster, stabler links the model should prefer AWS

@@ -40,20 +40,11 @@ ISOLATION_DELAY_BOUND_S = 60.0
 
 
 def build_pair(seed, policy="defer", budget_a=None, shards=2,
-               tracing=True, health=True):
-    """Two tenants, separate buckets, same region pair, shared plane.
-
-    The storm scenarios pin ``health=False``: per-region circuit
-    breakers are *shared infrastructure* by design (a dark region is
-    dark for everyone), so a storm hot enough to trip them would
-    legitimately park both tenants — the isolation property under test
-    is about the per-tenant layers (admission, fair share, sharding,
-    retries), which the retry/DLQ ladder exercises without the shared
-    breaker in the loop.
-    """
+               tracing=True):
+    """Two tenants, separate buckets, same region pair, shared plane."""
     cloud = build_default_cloud(seed=seed)
     config = ReplicaConfig(profile_samples=4, mc_samples=300,
-                           tracing_enabled=tracing, health_enabled=health)
+                           tracing_enabled=tracing)
     svc = AReplicaService(cloud, config)
     svc.enable_multitenancy(shards=shards, max_concurrent=8)
     # Tenant shard rules skip per-rule profiling; profile the region
@@ -101,8 +92,7 @@ class TestFaultIsolation:
         """A heavy crash storm over tenant A's orchestrators (scoped by
         rule-id prefix, so ``areplica-*-t-a-s*`` deployments only) must
         not push tenant B's replication delay past the healthy bound."""
-        cloud, svc, (a_src, a_dst), (b_src, b_dst) = build_pair(
-            seed=9005, health=False)
+        cloud, svc, (a_src, a_dst), (b_src, b_dst) = build_pair(seed=9005)
         put_workload(cloud, a_src, 8, prefix="a")
         put_workload(cloud, b_src, 8, prefix="b")
         cloud.apply_chaos(ChaosConfig(crash_prob=0.35,
@@ -126,8 +116,7 @@ class TestFaultIsolation:
         """Tenant A's destination bucket goes dark mid-replication (a
         per-bucket outage, not a regional one).  B — same regions, same
         shared scheduler — must converge inside the healthy bound."""
-        cloud, svc, (a_src, a_dst), (b_src, b_dst) = build_pair(
-            seed=9002, health=False)
+        cloud, svc, (a_src, a_dst), (b_src, b_dst) = build_pair(seed=9002)
         put_workload(cloud, a_src, 6, prefix="a")
         put_workload(cloud, b_src, 6, prefix="b")
 
@@ -154,8 +143,7 @@ class TestFaultIsolation:
         """The tenant-isolation trace invariant: every span/event tagged
         with a tenant must reference only that tenant's tasks and lock
         owners.  Run the storm scenario and let the oracle audit it."""
-        cloud, svc, (a_src, a_dst), (b_src, b_dst) = build_pair(
-            seed=9003, health=False)
+        cloud, svc, (a_src, a_dst), (b_src, b_dst) = build_pair(seed=9003)
         put_workload(cloud, a_src, 5, prefix="a")
         put_workload(cloud, b_src, 5, prefix="b")
         cloud.apply_chaos(ChaosConfig(crash_prob=0.3,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.retry import RetryPolicy
+from repro.core import retry
 from repro.simcloud.chaos import ChaosConfig, ChaosDraws
 from repro.simcloud.cloud import build_default_cloud
 from repro.simcloud.kvstore import Throttled
@@ -66,43 +66,26 @@ class TestChaosDraws:
 
 
 class TestRetryPolicy:
-    def test_backoff_grows_then_caps(self):
-        policy = RetryPolicy(base_s=0.1, multiplier=2.0, cap_s=1.0,
-                             jitter=0.0)
-        raw = [policy.backoff_s(a) for a in range(6)]
+    def test_backoff_grows_then_caps(self, monkeypatch):
+        for name, value in (("BASE_S", 0.1), ("MULTIPLIER", 2.0),
+                            ("CAP_S", 1.0), ("JITTER", 0.0)):
+            monkeypatch.setattr(retry, name, value)
+        rng = build_default_cloud(seed=0).rngs.stream("jitter-test")
+        raw = [retry.backoff_s(a, rng) for a in range(6)]
         assert raw == sorted(raw)
         assert raw[0] == pytest.approx(0.1)
         assert raw[-1] == pytest.approx(1.0)
 
-    def test_jitter_stays_within_band(self):
-        policy = RetryPolicy(base_s=0.2, multiplier=2.0, cap_s=5.0,
-                             jitter=0.5)
+    def test_jitter_stays_within_band(self, monkeypatch):
+        for name, value in (("BASE_S", 0.2), ("MULTIPLIER", 2.0),
+                            ("CAP_S", 5.0), ("JITTER", 0.5)):
+            monkeypatch.setattr(retry, name, value)
         rng = build_default_cloud(seed=0).rngs.stream("jitter-test")
         for attempt in range(5):
-            raw = policy.nominal_s(attempt)
+            raw = retry.nominal_s(attempt)
             for _ in range(20):
-                got = policy.backoff_s(attempt, rng)
+                got = retry.backoff_s(attempt, rng)
                 assert raw * 0.5 <= got <= raw
-
-    def test_jittered_policy_refuses_missing_rng(self):
-        # The old behavior fell back to the raw schedule, silently
-        # re-synchronizing the retry herd the jitter exists to spread.
-        policy = RetryPolicy(jitter=0.5)
-        with pytest.raises(ValueError):
-            policy.backoff_s(0)
-        # A jitter-free policy never needed an rng and still doesn't.
-        assert RetryPolicy(jitter=0.0).backoff_s(0) == \
-            RetryPolicy(jitter=0.0).nominal_s(0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(base_s=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=-1)
 
 
 class TestKvChaos:

@@ -45,6 +45,23 @@ class TestParser:
             main(["trace", "--requests", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--seed", "-1"],
+        ["plan", "--dst", "azure:nowhere"],
+        ["plan", "--profile-samples", "1"],
+        ["plan", "--slo", "-5"],
+        ["plan", "--percentile", "1.5"],
+        ["drill-all", "--seed", "-1"],
+    ])
+    def test_bad_input_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_regions_resolve_to_catalog_keys(self):
+        args = build_parser().parse_args(["plan", "--src", "us-east-1"])
+        assert args.src == "aws:us-east-1"
+
 
 class TestCommands:
     def test_replicate(self, capsys):
