@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests footprint lifecycle-drill drill-all examples e2e-digests e2e-rss e2e-smoke-digests trace-digests paper coverage
+.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests footprint lifecycle-drill drill-all examples e2e-digests e2e-rss e2e-smoke-digests trace-digests census paper coverage
 
 ## tier-1: the full default suite
 test:
@@ -119,6 +119,15 @@ e2e-smoke-digests:
 ## prints the same lines throughout.
 trace-digests:
 	$(PY) -m tests.trace_digests
+
+## which drills FAIL at which seeds (~2 min; not in CI): every drill at
+## seeds 0-15, one line per FAIL with its first finding or failed gate,
+## diffed against the committed tests/golden/census.txt.  A new line is
+## a new finding; a removed line is a fix.  Either way the PR that moves
+## it regenerates the file (python -m tests.census > tests/golden/census.txt)
+## and names the line in CHANGES.md.
+census:
+	@$(PY) -m tests.census | diff tests/golden/census.txt - && echo "census matches"
 
 ## the reproduction gate (~1 min): regenerate every paper table/figure
 ## under benchmarks/ (the e2e benchmark has its own entry points) and

@@ -22,11 +22,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.audit import Finding, Findings
 from repro.core.task import (ACQUIRE_MODES, CORDONED_ADMISSIONS, LIFECYCLE,
                              RECOVERY_FACTS, WRITING_KINDS)
 from repro.core.tracing import Tracer
 
-__all__ = ["TraceFinding", "TraceReport", "TraceChecker"]
+__all__ = ["TraceReport", "TraceChecker"]
 
 _EPS = 1e-9
 
@@ -53,33 +54,14 @@ def _lock_domain(owner: str) -> str:
     return owner.split(":", 1)[0] if ":" in owner else ""
 
 
-@dataclass(frozen=True)
-class TraceFinding:
-    """One violated trace invariant; docs/observability.md lists the
-    kinds."""
-
-    kind: str
-    subject: str   # task id, object key, or backlog id
-    detail: str
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"[{self.kind}] {self.subject}: {self.detail}"
-
-
 @dataclass
-class TraceReport:
-    """All findings from one checker pass."""
+class TraceReport(Findings):
+    """All findings from one checker pass; docs/observability.md lists
+    the kinds.  A finding's key is a task id, object key or backlog id."""
 
-    findings: list[TraceFinding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list)
     #: How much work the pass validated (for "did it even look" asserts).
     checked: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def clean(self) -> bool:
-        return not self.findings
-
-    def by_kind(self, kind: str) -> list[TraceFinding]:
-        return [f for f in self.findings if f.kind == kind]
 
     def render(self) -> str:
         head = (f"trace: {len(self.findings)} finding(s), "
@@ -101,7 +83,7 @@ class _Index:
 
     def __init__(self, owner_of):
         self.owner_of = owner_of      # task-id prefix -> owning tenant
-        self.found: dict[str, list[TraceFinding]] = defaultdict(list)
+        self.found: dict[str, list[Finding]] = defaultdict(list)
         self.last_span = self.last_event = -math.inf
         self.lock_acquires = self.visibles = self.verified = 0
         self.detections = self.tenant_records = 0
@@ -130,8 +112,8 @@ class _Index:
         self.resolved: dict[tuple, int] = {}
         self.first_writers: dict[tuple, int] = {}
 
-    def flag(self, check: str, kind: str, subject: str, detail: str) -> None:
-        self.found[check].append(TraceFinding(kind, subject, detail))
+    def flag(self, check: str, kind: str, key: str, detail: str) -> None:
+        self.found[check].append(Finding(kind, key, detail))
 
     def span(self, s) -> None:
         if s.end < s.start - _EPS:

@@ -8,11 +8,11 @@ deleted a DLQ entry, a backlog mirror write raced a KV outage and the
 process died) would leave the destination silently diverged forever.
 
 The :class:`AntiEntropyScanner` closes that hole the way production
-replicators do (DynamoDB global tables, Cassandra repair): it diffs the
-source and destination listings directly and re-drives the differences
-as synthetic events through the normal orchestration path — so repairs
-take locks, respect done markers, and are idempotent just like live
-traffic.  Three divergence kinds are detected:
+replicators do (DynamoDB global tables, Cassandra repair): it reads the
+auditor's listing diff (:func:`repro.core.audit.diff`) and re-drives the
+differences as synthetic events through the normal orchestration path —
+so repairs take locks, respect done markers, and are idempotent just
+like live traffic.  Four divergence kinds are detected:
 
 * **missing** — a source object absent at the destination;
 * **stale** — present but byte-different (ETag mismatch);
@@ -41,36 +41,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.audit import DETAIL, Finding, Findings, diff
 from repro.core.service import AReplicaService, ReplicationRule
 from repro.simcloud.cost import CostCategory
 
-__all__ = ["RepairFinding", "RepairReport", "AntiEntropyScanner"]
+__all__ = ["RepairReport", "AntiEntropyScanner"]
 
 #: Keys returned per metered LIST page (the S3/GCS/Azure page size).
 _LIST_PAGE = 1000
 
 
-@dataclass(frozen=True)
-class RepairFinding:
-    """One detected source/destination divergence."""
-
-    rule_id: str
-    kind: str  # missing | stale | lingering | corrupt
-    key: str
-    detail: str
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"[{self.kind}] {self.key}: {self.detail}"
-
-
 @dataclass
-class RepairReport:
-    """Outcome of one anti-entropy scan."""
+class RepairReport(Findings):
+    """Outcome of one anti-entropy scan; kinds are missing, stale,
+    lingering and corrupt."""
 
     rule_id: str
     #: Source + destination keys examined.
     scanned: int = 0
-    findings: list[RepairFinding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list)
     #: Synthetic events dispatched to heal the findings (0 when the
     #: scan ran in detect-only mode).
     redriven: int = 0
@@ -82,13 +71,6 @@ class RepairReport:
     #: Abandoned destination multipart uploads aborted by the scan
     #: (the lifecycle-rule cleanup; 0 unless ``reap_uploads=True``).
     aborted_uploads: int = 0
-
-    @property
-    def clean(self) -> bool:
-        return not self.findings
-
-    def by_kind(self, kind: str) -> list[RepairFinding]:
-        return [f for f in self.findings if f.kind == kind]
 
     def to_dict(self) -> dict:
         return {
@@ -199,15 +181,16 @@ class AntiEntropyScanner:
             "repair:scrub-bytes")
         return payload, obj
 
-    def _scrub_key(self, rule: ReplicationRule, key: str, current,
-                   report: RepairReport) -> Optional[RepairFinding]:
+    def _scrub_key(self, rule: ReplicationRule, key: str,
+                   report: RepairReport) -> bool:
         """Byte-verify one ETag-matching destination object.
 
         Reads pass through the bucket's chaos layer, so a transient
         medium fault can surface here too; one verifying re-read keeps
         those from being escalated to (harmless but costly) repairs.
-        Returns a ``corrupt`` finding only when the anomaly persists.
+        True only when the anomaly persists: the object is corrupt.
         """
+        current = rule.src_bucket.head(key)
         report.scrubbed += 1
         for attempt in range(2):
             payload, dst_obj = self._scrub_read(rule, key)
@@ -216,10 +199,8 @@ class AntiEntropyScanner:
                     and dst_obj.etag == current.etag):
                 if attempt:
                     report.transient_anomalies += 1
-                return None
-        return RepairFinding(
-            rule.rule_id, "corrupt", key,
-            "destination bytes differ behind a matching reported ETag")
+                return False
+        return True
 
     # -- the diff itself ----------------------------------------------------
 
@@ -228,46 +209,19 @@ class AntiEntropyScanner:
         src, dst = rule.src_bucket, rule.dst_bucket
         now = self.service.cloud.now
         engine = rule.engine
-        src_keys = set(src.keys())
-        dst_keys = dst.keys()
-        self._charge_list(src, len(src_keys))
-        self._charge_list(dst, len(dst_keys))
-        for key in sorted(src_keys):
+        self._charge_list(src, len(src.keys()))
+        self._charge_list(dst, len(dst.keys()))
+        for kind, key in diff(rule):
             report.scanned += 1
-            current = src.head(key)
-            if key not in dst:
-                finding = RepairFinding(rule.rule_id, "missing", key,
-                                        "absent at destination")
-            elif dst.head(key).etag != current.etag:
-                finding = RepairFinding(rule.rule_id, "stale", key,
-                                        "destination content differs")
-            elif scrub:
-                finding = self._scrub_key(rule, key, current, report)
-                if finding is None:
+            if kind == "same":
+                if not (scrub and self._scrub_key(rule, key, report)):
                     continue
-            else:
-                continue
+                kind = "corrupt"
             self._charge_marker_read(rule)
-            report.findings.append(finding)
-            if redrive:
-                # The "repair" flag bypasses the engine's done-marker
-                # short-circuit: the marker is exactly what masks this
-                # divergence (the version *was* replicated once).
-                engine.redrive_event({
-                    "kind": "created", "key": key, "etag": current.etag,
-                    "seq": current.sequencer, "size": current.size,
-                    "event_time": now, "repair": True,
-                })
-                report.redriven += 1
-        for key in dst_keys:
-            if key in src_keys:
+            report.findings.append(Finding(kind, key, DETAIL[kind]))
+            if not redrive:
                 continue
-            report.scanned += 1
-            self._charge_marker_read(rule)
-            report.findings.append(RepairFinding(
-                rule.rule_id, "lingering", key,
-                "survives at destination after source delete"))
-            if redrive:
+            if kind == "lingering":
                 # The source's top sequencer bounds the repaired done
                 # marker (the auditor's done-drift invariant); ordering
                 # is safe because the key verifiably no longer exists.
@@ -277,4 +231,14 @@ class AntiEntropyScanner:
                     "seq": src.last_sequencer, "size": 0,
                     "event_time": now,
                 })
-                report.redriven += 1
+            else:
+                # The "repair" flag bypasses the engine's done-marker
+                # short-circuit: the marker is exactly what masks this
+                # divergence (the version *was* replicated once).
+                current = src.head(key)
+                engine.redrive_event({
+                    "kind": "created", "key": key, "etag": current.etag,
+                    "seq": current.sequencer, "size": current.size,
+                    "event_time": now, "repair": True,
+                })
+            report.redriven += 1

@@ -1,9 +1,12 @@
 """Tests for the replication consistency auditor."""
 
+import random
+
 import pytest
 
 from repro.core.audit import ReplicationAuditor
 from repro.core.config import ReplicaConfig
+from repro.core.repair import AntiEntropyScanner
 from repro.core.service import AReplicaService
 from repro.simcloud.cloud import build_default_cloud
 from repro.simcloud.objectstore import Blob
@@ -115,3 +118,35 @@ class TestFindings:
         dst.initiate_multipart("leaky")
         text = ReplicationAuditor(svc).audit(rule).render()
         assert "finding" in text and "upload-leak" in text
+
+
+@pytest.mark.parametrize("seed", [1310, 1311, 1312])
+def test_auditor_and_scanner_agree_on_one_diff(seed):
+    """Both oracles read one end-state diff, so on a destination
+    sabotaged behind the engine's back they name the same keys: the
+    auditor's divergences are the scanner's missing, stale and lingering
+    keys, and its silent divergences are a deep scrub's corrupt ones."""
+    cloud, svc, src, dst, rule = build(seed)
+    keys = [f"k{i}" for i in range(8)]
+    for i, key in enumerate(keys):
+        src.put_object(key, Blob.fresh((i + 1) * 64 * 1024), cloud.now)
+    cloud.run()
+    gone, overwritten, rotted = random.Random(seed).sample(keys, 3)
+    dst.delete_object(gone, cloud.now, notify=False)
+    dst.put_object(overwritten, Blob.fresh(MB), cloud.now, notify=False)
+    dst.put_object("ghost", Blob.fresh(MB), cloud.now, notify=False)
+    dst.rot_object(rotted)
+
+    audit = ReplicationAuditor(svc).audit(rule, quiescent=True)
+    scanner = AntiEntropyScanner(svc)
+    shallow = scanner.scan(rule, redrive=False)
+    deep = scanner.scan(rule, redrive=False, scrub=True)
+
+    divergent = {f.key for f in audit.by_kind("divergence")}
+    assert divergent == {gone, overwritten, "ghost"}, audit.render()
+    assert divergent == {f.key for f in shallow.findings}
+    assert {(f.kind, f.key) for f in shallow.findings} == {
+        ("missing", gone), ("stale", overwritten), ("lingering", "ghost")}
+    silent = {f.key for f in audit.by_kind("silent-divergence")}
+    assert silent == {rotted}, audit.render()
+    assert silent == {f.key for f in deep.by_kind("corrupt")}
