@@ -5,8 +5,8 @@ failure — a crashed function, a lost notification, a throttled database
 write, a stalled WAN link — leaves replication recoverable: the system
 either retries its way through or converges once the operator redrives
 the dead-letter queue.  One seeded :class:`ChaosConfig` drives fault
-injection in all four substrates so that claim can be tested as a
-whole rather than one mechanism at a time:
+injection in every substrate so that claim can be tested as a whole
+rather than one mechanism at a time:
 
 * **FaaS** (`simcloud/faas.py`) — any attempt may crash after an
   exponentially-distributed execution time and takes the platform's
@@ -20,7 +20,10 @@ whole rather than one mechanism at a time:
   see its admission delayed;
 * **WAN** (`simcloud/network.py`) — transfers may hit transient stalls,
   and configured blackout windows hold up every cross-region transfer
-  that starts inside them.
+  that starts inside them;
+* **object storage** (`simcloud/objectstore.py`) — reads may return
+  rotted, truncated or misreported content (silent corruption; its
+  in-flight cousin rides the FaaS client data path).
 
 Beyond the probabilistic faults, the config carries a **sustained
 outage schedule**: per-region blackout windows during which a FaaS
@@ -30,19 +33,55 @@ are the deterministic "region dark for minutes" scenarios the
 outage-aware degradation machinery (``core/health.py``) is drilled
 against — probabilities model flakiness, windows model incidents.
 
-All draws come from dedicated ``chaos:*`` RNG streams, so a given seed
-produces the same fault schedule regardless of how many samples the
-latency machinery consumed — and a config whose probabilities are all
-zero installs no hooks at all (the hot paths stay a single ``is None``
-check).
+Every substrate installs faults through one ``set_chaos`` and holds
+the config only while its own slice of it is on, so each clean hot
+path stays a single ``is None`` check.  All draws come from dedicated
+chaos streams, so a given seed produces the same fault schedule
+regardless of how many samples the latency machinery consumed.  Every
+injected fault is counted in one dict keyed by :data:`INJECTED_KEYS`,
+shared by the substrates of one ``Cloud``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["ChaosConfig", "ChaosDraws", "validate_outage_windows"]
+__all__ = ["ChaosConfig", "ChaosDraws", "INJECTED_KEYS", "injected_ledger",
+           "outage_end", "validate_outage_windows"]
+
+#: The injected-fault ledger's keys, in ``Cloud.chaos_stats()`` order.
+INJECTED_KEYS = (
+    "faas_crashes", "faas_outage_failures",
+    "notifications_dropped", "notifications_duplicated",
+    "notifications_reordered",
+    "kv_rejected", "kv_delayed", "kv_outage_rejections",
+    "wan_stalls", "wan_blackout_hits", "wan_outage_hits",
+    "corrupt_get", "corrupt_put", "corrupt_at_rest", "corrupt_truncated",
+    "corrupt_wrong_etag",
+)
+
+
+def injected_ledger() -> dict[str, int]:
+    """A zeroed injected-fault ledger."""
+    return dict.fromkeys(INJECTED_KEYS, 0)
+
+
+def outage_end(windows: tuple[tuple[float, float], ...], now: float) -> float:
+    """The latest end among the ``(start, end)`` windows open at
+    ``now``, or 0.0 when none is."""
+    until = 0.0
+    for start, end in windows:
+        if start <= now < end and end > until:
+            until = end
+    return until
+
+
+def _bad_window(start: float, duration: float) -> bool:
+    # NaN fails every comparison; an infinite duration is a window that
+    # never closes (a still-open outage).
+    return not (0.0 <= start < math.inf and duration > 0.0)
 
 
 def validate_outage_windows(name: str,
@@ -54,28 +93,29 @@ def validate_outage_windows(name: str,
     the planned-operations lifecycle layer (maintenance windows use the
     same shape) so the two kinds of scheduled disruption stay mutually
     composable: a lifecycle drill can layer its maintenance window over
-    a chaos storm and both validate identically.
+    a chaos storm and both validate identically.  A NaN start or
+    duration is rejected: it would open a window no clock reading is in.
     """
     for window in windows:
         region_key, start, duration = window
         if (not isinstance(region_key, str) or not region_key
-                or start < 0 or duration <= 0):
+                or _bad_window(start, duration)):
             raise ValueError(f"bad {name} window {window!r}")
 
 
 class ChaosDraws:
     """Blocked scalar draws from one chaos stream.
 
-    Drop-in for the ``random()`` / ``exponential()`` / ``normal()``
-    calls the fault-injection hot paths make against a
+    Drop-in for the ``random()`` / ``exponential()`` calls the
+    fault-injection hot paths make against a
     ``numpy.random.Generator``, but served out of vectorized blocks:
     per-call NumPy dispatch costs ~µs, and a busy-hour replay consults
     the chaos schedule on every attempt and transfer.
 
     Draw-order contract: a block of ``n`` draws consumes exactly the
     same stream values, in the same order, as ``n`` scalar calls would
-    (NumPy fills arrays from the bit stream sequentially).  But uniform,
-    exponential and normal draws each refill their own block, so a
+    (NumPy fills arrays from the bit stream sequentially).  But uniform
+    and exponential draws each refill their own block, so a
     stream that mixes kinds — the FaaS-crash and WAN streams mix
     ``random()`` and ``exponential()`` — takes the bit stream in runs
     of ``block`` variates per kind: the block size is part of the fault
@@ -85,7 +125,7 @@ class ChaosDraws:
     means.
     """
 
-    __slots__ = ("_rng", "_block", "_u", "_ui", "_e", "_ei", "_n", "_ni")
+    __slots__ = ("_rng", "_block", "_u", "_ui", "_e", "_ei")
 
     def __init__(self, rng, block: int = 256):
         self._rng = rng
@@ -94,8 +134,6 @@ class ChaosDraws:
         self._ui = 0
         self._e: list[float] = []
         self._ei = 0
-        self._n: list[float] = []
-        self._ni = 0
 
     def random(self) -> float:
         """Uniform draw on [0, 1)."""
@@ -114,15 +152,6 @@ class ChaosDraws:
             i = 0
         self._ei = i + 1
         return self._e[i] * mean
-
-    def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
-        """Normal draw with the given location and scale."""
-        i = self._ni
-        if i >= len(self._n):
-            self._n = self._rng.standard_normal(self._block).tolist()
-            i = 0
-        self._ni = i + 1
-        return loc + scale * self._n[i]
 
 
 @dataclass(frozen=True)
@@ -214,17 +243,24 @@ class ChaosConfig:
         for name in ("crash_mean_delay_s", "notif_redelivery_s",
                      "notif_dup_lag_s", "notif_reorder_spread_s",
                      "kv_delay_mean_s", "wan_stall_mean_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         for window in self.wan_blackout_windows:
-            start, duration = window
-            if start < 0 or duration <= 0:
+            if _bad_window(*window):
                 raise ValueError(f"bad blackout window {window!r}")
         for name in ("faas_outages", "kv_outages", "wan_outages"):
             validate_outage_windows(name, getattr(self, name))
         if self.crash_scope is not None and not self.crash_scope:
             raise ValueError("crash_scope must be None or a non-empty "
                              "substring of a function name")
+
+    def outage_windows(self, schedule: str, region_key: str,
+                       ) -> tuple[tuple[float, float], ...]:
+        """``region_key``'s ``(start, end)`` windows in the ``"faas"``,
+        ``"kv"`` or ``"wan"`` outage schedule, in schedule order."""
+        return tuple((start, start + duration) for key, start, duration
+                     in getattr(self, f"{schedule}_outages")
+                     if key == region_key)
 
     # -- which hooks does this config need? -----------------------------
 
@@ -260,13 +296,9 @@ class ChaosConfig:
                 or self.corrupt_wrong_etag_prob > 0)
 
     @property
-    def corruption_enabled(self) -> bool:
-        return (self.corruption_transfer_enabled
-                or self.corruption_at_rest_enabled)
-
-    @property
     def enabled(self) -> bool:
         """True when any substrate has a fault to inject."""
         return (self.faas_enabled or self.notifications_enabled
                 or self.kv_enabled or self.wan_enabled
-                or self.corruption_enabled)
+                or self.corruption_transfer_enabled
+                or self.corruption_at_rest_enabled)

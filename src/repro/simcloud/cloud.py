@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.simcloud.chaos import ChaosConfig
+from repro.simcloud.chaos import ChaosConfig, injected_ledger
 from repro.simcloud.cost import CostLedger
 from repro.simcloud.faas import FaasProfile, FaasRegion
 from repro.simcloud.kvstore import KvProfile, KvTable
@@ -57,9 +57,12 @@ class Cloud:
         self.profiles = profiles or CloudProfiles()
         self.prices = PriceBook()
         self.ledger = CostLedger()
+        # The one injected-fault ledger every substrate counts into.
+        self._injected = injected_ledger()
         self.fabric = NetworkFabric(self.rngs, self.profiles.network)
         self.notifications = NotificationBus(self.sim, self.rngs,
                                              self.profiles.notifications)
+        self.fabric.injected = self.notifications.injected = self._injected
         self._buckets: dict[tuple[str, str], Bucket] = {}
         self._faas: dict[str, FaasRegion] = {}
         self._kv: dict[tuple[str, str], KvTable] = {}
@@ -89,10 +92,11 @@ class Cloud:
         cache_key = (region.key, name)
         if cache_key not in self._buckets:
             bucket = Bucket(name, region, versioning=versioning)
+            bucket.injected = self._injected
             bucket.health_sink = self.health
             if self.chaos is not None:
                 bucket.set_chaos(self.chaos,
-                                 self._bucket_chaos_rng(region, name))
+                                 self._chaos_stream("store", cache_key))
             self._buckets[cache_key] = bucket
         bucket = self._buckets[cache_key]
         if versioning and not bucket.versioning:
@@ -106,8 +110,9 @@ class Cloud:
                 self.sim, region, self.fabric, self.prices, self.ledger,
                 self.rngs, self.profiles.faas,
             )
+            faas.injected = self._injected
             if self.chaos is not None:
-                faas.configure_chaos(self.chaos)
+                faas.set_chaos(self.chaos)
             faas.health_sink = self.health
             faas.tracer = self.tracer
             self._faas[region.key] = faas
@@ -121,8 +126,10 @@ class Cloud:
                 self.sim, name, region, self.prices, self.ledger, self.rngs,
                 self.profiles.kv,
             )
+            table.injected = self._injected
             if self.chaos is not None:
-                table.set_chaos(self.chaos, self._kv_chaos_rng(region, name))
+                table.set_chaos(self.chaos,
+                                self._chaos_stream("kv", cache_key))
             if self.health is not None:
                 table.set_health(self.health)
             table.tracer = self.tracer
@@ -146,11 +153,10 @@ class Cloud:
 
     # -- fault injection ---------------------------------------------------------
 
-    def _kv_chaos_rng(self, region: Region, name: str):
-        return self.rngs.stream(f"chaos:kv:{region.key}:{name}")
-
-    def _bucket_chaos_rng(self, region: Region, name: str):
-        return self.rngs.stream(f"chaos:store:{region.key}:{name}")
+    def _chaos_stream(self, kind: str, cache_key: tuple[str, str]):
+        """A table's or bucket's own stream, from its start."""
+        region_key, name = cache_key
+        return self.rngs.stream(f"chaos:{kind}:{region_key}:{name}")
 
     def apply_chaos(self, chaos: Optional[ChaosConfig]) -> None:
         """Install (or clear, with None) one fault schedule everywhere.
@@ -166,14 +172,11 @@ class Cloud:
         self.fabric.set_chaos(chaos, self.rngs.stream("chaos:wan"))
         self.notifications.set_chaos(chaos, self.rngs.stream("chaos:notif"))
         for faas in self._faas.values():
-            faas.configure_chaos(chaos)
-        for (region_key, name), table in self._kv.items():
-            table.set_chaos(chaos, self._kv_chaos_rng(get_region(region_key),
-                                                      name))
-        for (region_key, name), bucket in self._buckets.items():
-            bucket.set_chaos(chaos,
-                             self._bucket_chaos_rng(get_region(region_key),
-                                                    name))
+            faas.set_chaos(chaos)
+        for cache_key, table in self._kv.items():
+            table.set_chaos(chaos, self._chaos_stream("kv", cache_key))
+        for cache_key, bucket in self._buckets.items():
+            bucket.set_chaos(chaos, self._chaos_stream("store", cache_key))
 
     def set_health(self, tracker) -> None:
         """Install (or clear, with None) one health tracker everywhere.
@@ -209,39 +212,14 @@ class Cloud:
             self.ledger.sink = None
 
     def chaos_stats(self) -> dict[str, int]:
-        """Aggregate injected-fault counters across every substrate."""
-        return {
-            "faas_crashes": sum(f.chaos_crashes for f in self._faas.values()),
-            "faas_outage_failures": sum(f.chaos_outage_failures
-                                        for f in self._faas.values()),
-            "notifications_dropped": self.notifications.chaos_dropped,
-            "notifications_duplicated": self.notifications.chaos_duplicated,
-            "notifications_reordered": self.notifications.chaos_reordered,
-            "kv_rejected": sum(t.chaos_rejected for t in self._kv.values()),
-            "kv_delayed": sum(t.chaos_delayed for t in self._kv.values()),
-            "kv_outage_rejections": sum(t.chaos_outage_rejections
-                                        for t in self._kv.values()),
-            "wan_stalls": self.fabric.chaos_stalls,
-            "wan_blackout_hits": self.fabric.chaos_blackouts,
-            "wan_outage_hits": self.fabric.chaos_region_outage_hits,
-            "corrupt_get": sum(f.chaos_corrupt_gets
-                               for f in self._faas.values()),
-            "corrupt_put": sum(f.chaos_corrupt_puts
-                               for f in self._faas.values()),
-            "corrupt_at_rest": sum(b.chaos_counters["at_rest_rot"]
-                                   for b in self._buckets.values()),
-            "corrupt_truncated": sum(b.chaos_counters["truncated_reads"]
-                                     for b in self._buckets.values()),
-            "corrupt_wrong_etag": sum(b.chaos_counters["wrong_etag"]
-                                      for b in self._buckets.values()),
-        }
+        """Injected-fault counts across every substrate, keyed and
+        ordered by ``chaos.INJECTED_KEYS``."""
+        return dict(self._injected)
 
     def corruption_injected(self) -> int:
         """Total silent-corruption faults injected so far (all kinds)."""
-        stats = self.chaos_stats()
-        return (stats["corrupt_get"] + stats["corrupt_put"]
-                + stats["corrupt_at_rest"] + stats["corrupt_truncated"]
-                + stats["corrupt_wrong_etag"])
+        return sum(count for key, count in self._injected.items()
+                   if key.startswith("corrupt_"))
 
     def inject_outage(self, region_key: str, duration_s: float) -> None:
         """Take every bucket in ``region_key`` offline for ``duration_s``

@@ -37,7 +37,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
-from repro.simcloud.chaos import ChaosDraws
+from repro.simcloud.chaos import (ChaosConfig, ChaosDraws, injected_ledger,
+                                   outage_end)
 from repro.simcloud.cost import CostCategory, CostLedger
 from repro.simcloud.network import (
     BEST_CONFIGS,
@@ -272,29 +273,13 @@ class FaasRegion:
         #: How many dead-letter entries carried the ``corrupted``
         #: disposition (poison parts quarantined past their budget).
         self.quarantined_dead_letters = 0
-        #: Fault injection: probability that any attempt crashes after
-        #: an Exp(chaos_mean_delay_s)-distributed execution time.  The
-        #: crash takes the platform's normal failure path (§6: auto-
-        #: retry, then dead-letter queue).  Off by default.
-        self.chaos_crash_prob = 0.0
-        self.chaos_mean_delay_s = 2.0
-        #: When set, crashes only strike deployments whose name contains
-        #: this substring; non-matching attempts still consume their
-        #: draw, keeping the seed's fault schedule scope-independent.
-        self.chaos_crash_scope = None
-        self.chaos_crashes = 0
-        #: Sustained-outage schedule: ``(start, end)`` windows during
-        #: which the regional control plane refuses every new attempt.
-        self.chaos_outage_windows: tuple[tuple[float, float], ...] = ()
-        self.chaos_outage_failures = 0
-        #: In-flight silent corruption on this platform's client data
-        #: path: a WAN ranged GET arrives with flipped bits, or a part
-        #: PUT is miswritten on the wire (the store durably records a
-        #: payload other than the one uploaded).  Off by default.
-        self.chaos_corrupt_get_prob = 0.0
-        self.chaos_corrupt_put_prob = 0.0
-        self.chaos_corrupt_gets = 0
-        self.chaos_corrupt_puts = 0
+        # Fault injection (see :meth:`set_chaos`): None while no FaaS
+        # fault is on, and the region's outage windows.
+        self._chaos: Optional[ChaosConfig] = None
+        self._outages: tuple[tuple[float, float], ...] = ()
+        #: Injected-fault counts (``chaos.INJECTED_KEYS``); the
+        #: substrates of one Cloud share the dict.
+        self.injected = injected_ledger()
         #: Optional :class:`~repro.core.health.HealthTracker` fed one
         #: ``("faas", region)`` result per finished attempt.
         self.health_sink = None
@@ -302,31 +287,22 @@ class FaasRegion:
         #: platform's I/D/P spans and attempt/dead-letter records.
         self.tracer = None
 
-    def configure_chaos(self, chaos) -> None:
-        """Adopt the FaaS knobs of a :class:`~repro.simcloud.chaos.ChaosConfig`
-        (or clear them when ``chaos`` is None)."""
-        self.chaos_crash_prob = chaos.crash_prob if chaos is not None else 0.0
-        self.chaos_crash_scope = (chaos.crash_scope if chaos is not None
-                                  else None)
-        if chaos is not None:
-            self.chaos_mean_delay_s = chaos.crash_mean_delay_s
-            self.chaos_outage_windows = tuple(
-                (start, start + duration)
-                for region_key, start, duration in chaos.faas_outages
-                if region_key == self.region.key)
-            self.chaos_corrupt_get_prob = chaos.corrupt_get_prob
-            self.chaos_corrupt_put_prob = chaos.corrupt_put_prob
-        else:
-            self.chaos_outage_windows = ()
-            self.chaos_corrupt_get_prob = 0.0
-            self.chaos_corrupt_put_prob = 0.0
+    def set_chaos(self, chaos: Optional[ChaosConfig]) -> None:
+        """Install (or clear, with None) this platform's faults.
 
-    def _outage_active(self) -> bool:
-        now = self.sim.now
-        for start, end in self.chaos_outage_windows:
-            if start <= now < end:
-                return True
-        return False
+        Attempts crash after an Exp(``crash_mean_delay_s``) execution
+        time and take the platform's failure path (§6: auto-retry, then
+        the dead-letter queue); ``faas_outages`` windows refuse every
+        attempt; cross-region GETs and PUTs may be corrupted in flight.
+        Draws come from the ``faas-chaos:{region}`` stream, opened once
+        at construction.
+        """
+        if chaos is not None and not (chaos.faas_enabled
+                                      or chaos.corruption_transfer_enabled):
+            chaos = None
+        self._chaos = chaos
+        self._outages = (chaos.outage_windows("faas", self.region.key)
+                         if chaos is not None else ())
 
     @property
     def provider(self) -> str:
@@ -492,7 +468,8 @@ class FaasRegion:
         ``yield from``; the context's timers interrupt this process."""
         tracer = self.tracer
         task = _task_ref(invocation.payload) if tracer is not None else None
-        if self.chaos_outage_windows and self._outage_active():
+        if (self._chaos is not None and self._outages
+                and outage_end(self._outages, self.sim.now)):
             # Regional platform outage: the control plane refuses the
             # attempt before any instance starts — nothing runs, nothing
             # bills — and the caller sees the platform's normal failure
@@ -501,7 +478,7 @@ class FaasRegion:
                 yield SleepRequest(0.05)
             finally:
                 self._release_slot()
-            self.chaos_outage_failures += 1
+            self.injected["faas_outage_failures"] += 1
             if tracer is not None:
                 tracer.event("faas-outage-reject", "faas", task,
                              _INVOKE_KEYS, invocation.name, self.region.key)
@@ -539,16 +516,18 @@ class FaasRegion:
             ctx._trace_task = task
             watchdog_timer = sim.call_later(dep.timeout_s, ctx._on_timeout)
             chaos_timer = None
+            chaos = self._chaos
             # The draw precedes the scope check so a scoped storm (one
             # tenant's functions) consumes the identical stream a
             # global storm would — isolation tests rely on the schedule
             # other substrates see being scope-independent.
-            if (self.chaos_crash_prob
-                    and self._chaos_rng.random() < self.chaos_crash_prob
-                    and (self.chaos_crash_scope is None
-                         or self.chaos_crash_scope in dep.name)):
+            if (chaos is not None and chaos.crash_prob
+                    and self._chaos_rng.random() < chaos.crash_prob
+                    and (chaos.crash_scope is None
+                         or chaos.crash_scope in dep.name)):
                 chaos_timer = sim.call_later(
-                    float(self._chaos_rng.exponential(self.chaos_mean_delay_s)),
+                    float(self._chaos_rng.exponential(
+                        chaos.crash_mean_delay_s)),
                     ctx._on_crash)
             started = sim.now
             # The handler's first segment runs after the timers are armed
@@ -683,7 +662,7 @@ class FunctionContext:
     def _on_crash(self) -> None:
         proc = self._proc
         if proc is not None and proc.alive:
-            self._faas.chaos_crashes += 1
+            self._faas.injected["faas_crashes"] += 1
             proc.interrupt("chaos-crash")
 
     # -- basics ---------------------------------------------------------------
@@ -799,16 +778,13 @@ class FunctionContext:
         RNG stream keeps the flip schedule deterministic per seed.
         """
         faas = self._faas
-        prob = (faas.chaos_corrupt_get_prob if op == "get"
-                else faas.chaos_corrupt_put_prob)
+        prob = (faas._chaos.corrupt_get_prob if op == "get"
+                else faas._chaos.corrupt_put_prob)
         if (prob <= 0 or blob.size == 0
                 or bucket.region.key == self.region.key
                 or faas._chaos_rng.random() >= prob):
             return blob
-        if op == "get":
-            faas.chaos_corrupt_gets += 1
-        else:
-            faas.chaos_corrupt_puts += 1
+        faas.injected[f"corrupt_{op}"] += 1
         if faas.tracer is not None:
             faas.tracer.event("chaos-corrupt", "chaos", self._trace_task,
                               _CORRUPT_KEYS, op, blob.size,
@@ -822,7 +798,7 @@ class FunctionContext:
             yield from self._client_startup()
         yield SleepRequest(self._request_latency(bucket))
         blob, version = bucket.get_object(key, offset, length)
-        if self._faas.chaos_corrupt_get_prob > 0:
+        if self._faas._chaos is not None:
             blob = self._flip_in_flight("get", bucket, blob)
         self._charge_request(bucket, "get")
         leg_from = self.now
@@ -852,7 +828,7 @@ class FunctionContext:
         if self._faas.tracer is not None:
             self._trace_leg("put", bucket, blob.size, leg_from)
         sent = (self._flip_in_flight("put", bucket, blob)
-                if self._faas.chaos_corrupt_put_prob > 0 else blob)
+                if self._faas._chaos is not None else blob)
         version = bucket.put_object(key, sent, self.now, if_match=if_match)
         self._charge_request(bucket, "put")
         self._charge_egress(self.region, bucket.region, blob.size)
@@ -901,7 +877,7 @@ class FunctionContext:
         if self._faas.tracer is not None:
             self._trace_leg("upload-part", bucket, blob.size, leg_from)
         sent = (self._flip_in_flight("put", bucket, blob)
-                if self._faas.chaos_corrupt_put_prob > 0 else blob)
+                if self._faas._chaos is not None else blob)
         etag = bucket.upload_part(upload_id, part_number, sent)
         self._charge_request(bucket, "put")
         self._charge_egress(self.region, bucket.region, blob.size)

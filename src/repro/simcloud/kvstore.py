@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.simcloud.chaos import ChaosConfig
+from repro.simcloud.chaos import ChaosConfig, injected_ledger, outage_end
 from repro.simcloud.cost import CostCategory, CostLedger
 from repro.simcloud.pricing import PriceBook
 from repro.simcloud.regions import Provider, Region
@@ -93,13 +93,13 @@ class KvTable:
         # admission fast path (a single check per call).
         self._chaos: Optional[ChaosConfig] = None
         self._chaos_rng = None
-        self.chaos_rejected = 0
-        self.chaos_delayed = 0
-        #: Sustained-outage schedule: ``(start, end)`` windows during
-        #: which every operation (reads included) is rejected with
-        #: :class:`Throttled` — the regional database is dark.
-        self._outage_windows: tuple[tuple[float, float], ...] = ()
-        self.chaos_outage_rejections = 0
+        # ``(start, end)`` windows during which every operation (reads
+        # included) is rejected with :class:`Throttled` — the regional
+        # database is dark.
+        self._outages: tuple[tuple[float, float], ...] = ()
+        #: Injected-fault counts (``chaos.INJECTED_KEYS``); the
+        #: substrates of one Cloud share the dict.
+        self.injected = injected_ledger()
         # Optional HealthTracker fed one ("kv", region) result per
         # operation; None keeps the hot path at a single check.
         self._health = None
@@ -121,13 +121,8 @@ class KvTable:
         """
         self._chaos = chaos if chaos is not None and chaos.kv_enabled else None
         self._chaos_rng = rng
-        if self._chaos is not None:
-            self._outage_windows = tuple(
-                (start, start + duration)
-                for region_key, start, duration in self._chaos.kv_outages
-                if region_key == self.region.key)
-        else:
-            self._outage_windows = ()
+        self._outages = (self._chaos.outage_windows("kv", self.region.key)
+                         if self._chaos is not None else ())
 
     def set_health(self, tracker) -> None:
         """Report per-operation outcomes to ``tracker`` (None clears)."""
@@ -145,26 +140,22 @@ class KvTable:
         round-trip" a real phenomenon lock clients must survive.
         """
         chaos, rng = self._chaos, self._chaos_rng
-        if self._outage_windows:
-            now = self.sim.now
-            for start, end in self._outage_windows:
-                if start <= now < end:
-                    # Regional database outage: everything — reads
-                    # included — is refused before any mutation applies.
-                    self.chaos_outage_rejections += 1
-                    if self._health is not None:
-                        self._health.record(self._health_target, False)
-                    if self.tracer is not None:
-                        self.tracer.event("kv-outage-reject", "kv", None,
-                                          _REJECT_KEYS, self.name,
-                                          self.region.key, kind)
-                    return DeferredResult(
-                        self._latency(), None,
-                        Throttled(f"{self.name}: {self.region.key} "
-                                  f"KV outage"))
+        if self._outages and outage_end(self._outages, self.sim.now):
+            # Regional database outage: everything — reads included —
+            # is refused before any mutation applies.
+            self.injected["kv_outage_rejections"] += 1
+            if self._health is not None:
+                self._health.record(self._health_target, False)
+            if self.tracer is not None:
+                self.tracer.event("kv-outage-reject", "kv", None,
+                                  _REJECT_KEYS, self.name, self.region.key,
+                                  kind)
+            return DeferredResult(
+                self._latency(), None,
+                Throttled(f"{self.name}: {self.region.key} KV outage"))
         if (kind == "write" and chaos.kv_reject_prob
                 and rng.random() < chaos.kv_reject_prob):
-            self.chaos_rejected += 1
+            self.injected["kv_rejected"] += 1
             if self._health is not None:
                 self._health.record(self._health_target, False)
             if self.tracer is not None:
@@ -175,7 +166,7 @@ class KvTable:
             return DeferredResult(self._latency(), None,
                                   Throttled(f"{self.name}: {kind} throttled"))
         if chaos.kv_delay_prob and rng.random() < chaos.kv_delay_prob:
-            self.chaos_delayed += 1
+            self.injected["kv_delayed"] += 1
             extra = float(rng.exponential(chaos.kv_delay_mean_s))
             if self.tracer is not None:
                 self.tracer.event("kv-delay", "kv", None, _DELAY_KEYS,

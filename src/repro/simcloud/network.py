@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.simcloud.chaos import ChaosConfig, ChaosDraws
+from repro.simcloud.chaos import (ChaosConfig, ChaosDraws, injected_ledger,
+                                   outage_end)
 from repro.simcloud.regions import Provider, Region
 from repro.simcloud.rng import BufferedSampler, Dist, RngFactory, normal
 
@@ -229,12 +230,12 @@ class NetworkFabric:
         # Fault injection: None keeps transfers on the chaos-free path.
         self._chaos: ChaosConfig | None = None
         self._chaos_rng = None
-        self.chaos_stalls = 0
-        self.chaos_blackouts = 0
-        #: Regional outage windows keyed by region: transfers touching
-        #: the region as any endpoint wait out the window.
-        self._outage_by_region: dict[str, tuple[tuple[float, float], ...]] = {}
-        self.chaos_region_outage_hits = 0
+        # Regional outage windows keyed by region: transfers touching
+        # the region as any endpoint wait out the window.
+        self._outages: dict[str, tuple[tuple[float, float], ...]] = {}
+        #: Injected-fault counts (``chaos.INJECTED_KEYS``); the
+        #: substrates of one Cloud share the dict.
+        self.injected = injected_ledger()
         #: Optional :class:`~repro.core.tracing.Tracer` receiving
         #: wan-stall / wan-blackout / wan-outage-wait events (only
         #: consulted on the chaos path; the clean path never checks it).
@@ -248,12 +249,9 @@ class NetworkFabric:
         :meth:`chaos_penalty_s`."""
         self._chaos = chaos if chaos is not None and chaos.wan_enabled else None
         self._chaos_rng = ChaosDraws(rng) if rng is not None else None
-        self._outage_by_region = {}
-        if self._chaos is not None:
-            for region_key, start, duration in self._chaos.wan_outages:
-                windows = self._outage_by_region.setdefault(region_key, ())
-                self._outage_by_region[region_key] = windows + (
-                    (start, start + duration),)
+        self._outages = ({} if self._chaos is None else {
+            key: self._chaos.outage_windows("wan", key)
+            for key, _start, _duration in self._chaos.wan_outages})
 
     def chaos_penalty_s(self, now: float, *region_keys: str) -> float:
         """Extra seconds a cross-region transfer starting ``now`` pays.
@@ -269,22 +267,19 @@ class NetworkFabric:
         extra = 0.0
         for start, duration in chaos.wan_blackout_windows:
             if start <= now < start + duration:
-                self.chaos_blackouts += 1
+                self.injected["wan_blackout_hits"] += 1
                 if self.tracer is not None:
                     self.tracer.event("wan-blackout-wait", "net", None,
                                       _BLACKOUT_KEYS, (start + duration) - now)
                 extra += (start + duration) - now
                 break
-        if self._outage_by_region and region_keys:
+        if self._outages and region_keys:
             # The transfer resumes once every touched region is back:
             # wait until the latest end among currently-active windows.
-            until = 0.0
-            for key in region_keys:
-                for start, end in self._outage_by_region.get(key, ()):
-                    if start <= now < end:
-                        until = max(until, end)
+            until = max(outage_end(self._outages.get(key, ()), now)
+                        for key in region_keys)
             if until > now:
-                self.chaos_region_outage_hits += 1
+                self.injected["wan_outage_hits"] += 1
                 if self.tracer is not None:
                     self.tracer.event("wan-outage-wait", "net", None,
                                       _WAIT_KEYS, list(region_keys),
@@ -292,7 +287,7 @@ class NetworkFabric:
                 extra += until - now
         if (chaos.wan_stall_prob
                 and self._chaos_rng.random() < chaos.wan_stall_prob):
-            self.chaos_stalls += 1
+            self.injected["wan_stalls"] += 1
             stall = float(self._chaos_rng.exponential(chaos.wan_stall_mean_s))
             if self.tracer is not None:
                 self.tracer.event("wan-stall", "net", None, _WAIT_KEYS,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.simcloud.chaos import ChaosConfig
+from repro.simcloud.chaos import ChaosConfig, injected_ledger
 from repro.simcloud.objectstore import Bucket, ObjectEvent
 from repro.simcloud.regions import Provider
 from repro.simcloud.rng import BufferedSampler, Dist, RngFactory, normal
@@ -47,9 +47,9 @@ class NotificationBus:
         # fast path (one check per event).
         self._chaos: Optional[ChaosConfig] = None
         self._chaos_rng = None
-        self.chaos_dropped = 0
-        self.chaos_duplicated = 0
-        self.chaos_reordered = 0
+        #: Injected-fault counts (``chaos.INJECTED_KEYS``); the
+        #: substrates of one Cloud share the dict.
+        self.injected = injected_ledger()
 
     def set_chaos(self, chaos: Optional[ChaosConfig], rng) -> None:
         """Install (or clear) delivery fault injection.
@@ -90,16 +90,16 @@ class NotificationBus:
         chaos, rng = self._chaos, self._chaos_rng
         if chaos.notif_reorder_prob and rng.random() < chaos.notif_reorder_prob:
             # Held back long enough to land behind later events.
-            self.chaos_reordered += 1
+            self.injected["notifications_reordered"] += 1
             delay += float(rng.uniform(0.0, chaos.notif_reorder_spread_s))
         if chaos.notif_dup_prob and rng.random() < chaos.notif_dup_prob:
-            self.chaos_duplicated += 1
+            self.injected["notifications_duplicated"] += 1
             self.sim.schedule_call(
                 delay + float(rng.exponential(chaos.notif_dup_lag_s)),
                 self._deliver, handler, event)
         while chaos.notif_drop_prob and rng.random() < chaos.notif_drop_prob:
             # Lost delivery; the bus redelivers from its queue later.
-            self.chaos_dropped += 1
+            self.injected["notifications_dropped"] += 1
             delay += float(rng.exponential(chaos.notif_redelivery_s))
         return delay
 

@@ -32,6 +32,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
+from repro.simcloud.chaos import injected_ledger
 from repro.simcloud.regions import Region
 
 __all__ = [
@@ -251,11 +252,9 @@ class Bucket:
         #: Silent-corruption fault injection (see :meth:`set_chaos`).
         self._chaos = None
         self._chaos_rng = None
-        #: Per-bucket injected-corruption tally, aggregated into
-        #: ``Cloud.chaos_stats``.
-        self.chaos_counters = {
-            "at_rest_rot": 0, "truncated_reads": 0, "wrong_etag": 0,
-        }
+        #: Injected-fault counts (``chaos.INJECTED_KEYS``); the
+        #: substrates of one Cloud share the dict.
+        self.injected = injected_ledger()
 
     def set_chaos(self, chaos, rng) -> None:
         """Install (or clear) at-rest corruption faults on this bucket.
@@ -266,12 +265,9 @@ class Bucket:
         path — and a config without them installs nothing, keeping the
         clean read path a single ``is None`` check.
         """
-        if chaos is not None and chaos.corruption_at_rest_enabled:
-            self._chaos = chaos
-            self._chaos_rng = rng
-        else:
-            self._chaos = None
-            self._chaos_rng = None
+        active = chaos is not None and chaos.corruption_at_rest_enabled
+        self._chaos = chaos if active else None
+        self._chaos_rng = rng if active else None
 
     def _chaos_read(self, key: str, payload: Blob,
                     obj: ObjectVersion) -> tuple[Blob, ObjectVersion]:
@@ -287,16 +283,16 @@ class Bucket:
         # anomaly (the accounting the corruption drill audits).
         draw = rng.random()
         if draw < chaos.corrupt_at_rest_prob:
-            self.chaos_counters["at_rest_rot"] += 1
+            self.injected["corrupt_at_rest"] += 1
             payload = Blob.fresh(payload.size, tag=f"rot:{key}")
             return payload, obj
         draw -= chaos.corrupt_at_rest_prob
         if draw < chaos.corrupt_truncate_prob and payload.size > 1:
-            self.chaos_counters["truncated_reads"] += 1
+            self.injected["corrupt_truncated"] += 1
             return payload.slice(0, max(1, payload.size // 2)), obj
         draw -= chaos.corrupt_truncate_prob
         if draw < chaos.corrupt_wrong_etag_prob:
-            self.chaos_counters["wrong_etag"] += 1
+            self.injected["corrupt_wrong_etag"] += 1
             obj = replace(
                 obj, reported_etag=f"bogus{int(rng.integers(1 << 32)):08x}")
         return payload, obj
@@ -318,7 +314,7 @@ class Bucket:
         rotten = Blob.fresh(obj.size, tag=f"rot:{key}")
         self._objects[key] = replace(obj, blob=rotten,
                                      reported_etag=obj.etag)
-        self.chaos_counters["at_rest_rot"] += 1
+        self.injected["corrupt_at_rest"] += 1
         return obj.etag, rotten.etag
 
     def _check_available(self) -> None:

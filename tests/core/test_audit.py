@@ -8,6 +8,7 @@ from repro.core.audit import ReplicationAuditor
 from repro.core.config import ReplicaConfig
 from repro.core.repair import AntiEntropyScanner
 from repro.core.service import AReplicaService
+from repro.simcloud.chaos import ChaosConfig
 from repro.simcloud.cloud import build_default_cloud
 from repro.simcloud.objectstore import Blob
 
@@ -52,8 +53,8 @@ class TestCleanAudits:
 
     def test_clean_after_chaos_with_recovery(self):
         cloud, svc, src, dst, rule = build(1303)
-        cloud.faas("aws:us-east-1").chaos_crash_prob = 0.2
-        cloud.faas("aws:us-east-1").chaos_mean_delay_s = 0.5
+        cloud.faas("aws:us-east-1").set_chaos(
+            ChaosConfig(crash_prob=0.2, crash_mean_delay_s=0.5))
         for i in range(10):
             src.put_object(f"k{i}", Blob.fresh(4 * MB), cloud.now)
         cloud.run()

@@ -13,6 +13,7 @@ from repro.core.health import HealthTracker
 from repro.core.logger import RuntimeLogger
 from repro.core.scheduler import FairShareScheduler
 from repro.core.sharding import HashRing, ShardRouter
+from repro.simcloud.chaos import ChaosConfig
 
 
 def test_defaults_match_paper():
@@ -73,11 +74,24 @@ TENANT_CONFIG_FIELDS = {
     "tenant_id", "buckets", "slo_target_s", "budget_usd", "budget_window_s",
     "exhausted_policy", "weight",
 }
+#: The fault schedule: a new fault source (scripted faults, say) is a
+#: reviewed diff here, not a field slipped into the config.
+CHAOS_CONFIG_FIELDS = {
+    "crash_prob", "crash_mean_delay_s", "crash_scope",
+    "notif_drop_prob", "notif_dup_prob", "notif_reorder_prob",
+    "notif_redelivery_s", "notif_dup_lag_s", "notif_reorder_spread_s",
+    "kv_reject_prob", "kv_delay_prob", "kv_delay_mean_s",
+    "wan_stall_prob", "wan_stall_mean_s", "wan_blackout_windows",
+    "corrupt_get_prob", "corrupt_put_prob", "corrupt_at_rest_prob",
+    "corrupt_truncate_prob", "corrupt_wrong_etag_prob",
+    "faas_outages", "kv_outages", "wan_outages",
+}
 
 
 @pytest.mark.parametrize("cls, expected", [
     (ReplicaConfig, REPLICA_CONFIG_FIELDS),
     (TenantConfig, TENANT_CONFIG_FIELDS),
+    (ChaosConfig, CHAOS_CONFIG_FIELDS),
 ])
 def test_config_field_census(cls, expected):
     assert {f.name for f in dataclasses.fields(cls)} == expected

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import ReplicaConfig
 from repro.core.service import AReplicaService
+from repro.simcloud.chaos import ChaosConfig
 from repro.simcloud.cloud import build_default_cloud
 from repro.simcloud.objectstore import Blob
 
@@ -189,8 +190,8 @@ class TestAdversarialPatterns:
     def test_convergence_with_chaos_and_random_ops(self):
         cloud, svc, src, dst, rule = build(seed=209, dst_key="azure:eastus")
         for region in ("aws:us-east-1", "azure:eastus"):
-            cloud.faas(region).chaos_crash_prob = 0.2
-            cloud.faas(region).chaos_mean_delay_s = 0.4
+            cloud.faas(region).set_chaos(
+                ChaosConfig(crash_prob=0.2, crash_mean_delay_s=0.4))
         rng = np.random.default_rng(3)
 
         def driver():

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import ReplicaConfig
 from repro.core.service import AReplicaService
+from repro.simcloud.chaos import ChaosConfig
 from repro.simcloud.cloud import build_default_cloud
 from repro.simcloud.objectstore import Blob
 
@@ -28,11 +29,10 @@ class TestChaosInjection:
     def test_chaos_crashes_are_retried_by_platform(self):
         cloud = build_default_cloud(seed=101)
         faas = cloud.faas("aws:us-east-1")
-        faas.chaos_crash_prob = 1.0  # first attempts always crash
-        faas.chaos_mean_delay_s = 0.05
         attempts = []
 
         def handler(ctx, payload):
+            ctx.sim.call_later(0.05, ctx._on_crash)  # every attempt crashes
             attempts.append(ctx.now)
             yield ctx.sleep(5.0)
             return "done"
@@ -48,17 +48,16 @@ class TestChaosInjection:
                 return repr(exc)
 
         result = cloud.sim.run_process(main())
-        assert faas.chaos_crashes >= 1
+        assert cloud.chaos_stats()["faas_crashes"] >= 1
         assert len(attempts) >= 2            # at least one retry happened
-        # All attempts crash (prob=1) -> eventually dead-lettered.
+        # All attempts crash -> eventually dead-lettered.
         assert "InvocationFailed" in result
         assert len(faas.dead_letters) == 1
 
     def test_partial_chaos_eventually_succeeds(self):
         cloud = build_default_cloud(seed=102)
         faas = cloud.faas("aws:us-east-1")
-        faas.chaos_crash_prob = 0.5
-        faas.chaos_mean_delay_s = 0.01
+        faas.set_chaos(ChaosConfig(crash_prob=0.5, crash_mean_delay_s=0.01))
         successes = 0
 
         def handler(ctx, payload):
@@ -83,7 +82,7 @@ class TestChaosInjection:
     def test_chaos_off_by_default(self):
         cloud = build_default_cloud(seed=103)
         faas = cloud.faas("aws:us-east-1")
-        assert faas.chaos_crash_prob == 0.0
+        assert faas._chaos is None
 
 
 class TestReplicationUnderCrashes:
@@ -92,20 +91,19 @@ class TestReplicationUnderCrashes:
         recovery still deliver a byte-identical object."""
         cloud, svc, src, dst, rule = build(seed=104)
         faas = cloud.faas("aws:us-east-1")
-        faas.chaos_crash_prob = 0.25
-        faas.chaos_mean_delay_s = 1.0
+        faas.set_chaos(ChaosConfig(crash_prob=0.25, crash_mean_delay_s=1.0))
         blob = Blob.fresh(GB)
         src.put_object("big", blob, cloud.now)
         cloud.run()
         assert dst.head("big").etag == blob.etag
         assert svc.pending_count() == 0
-        assert faas.chaos_crashes >= 1
+        assert cloud.chaos_stats()["faas_crashes"] >= 1
 
     def test_single_function_replication_survives_crash(self):
         cloud, svc, src, dst, rule = build(seed=105)
         for region in ("aws:us-east-1", "azure:eastus"):
-            cloud.faas(region).chaos_crash_prob = 0.4
-            cloud.faas(region).chaos_mean_delay_s = 0.5
+            cloud.faas(region).set_chaos(
+                ChaosConfig(crash_prob=0.4, crash_mean_delay_s=0.5))
         blobs = {}
         for i in range(10):
             blobs[f"k{i}"] = Blob.fresh(4 * MB)
@@ -118,8 +116,7 @@ class TestReplicationUnderCrashes:
     def test_orphan_recovery_counts_recovered_parts(self):
         cloud, svc, src, dst, rule = build(seed=106)
         faas = cloud.faas("aws:us-east-1")
-        faas.chaos_crash_prob = 0.5
-        faas.chaos_mean_delay_s = 0.8
+        faas.set_chaos(ChaosConfig(crash_prob=0.5, crash_mean_delay_s=0.8))
         src.put_object("big", Blob.fresh(GB), cloud.now)
         cloud.run()
         assert dst.head("big").etag == src.head("big").etag
@@ -135,8 +132,7 @@ class TestReplicationUnderCrashes:
         dst = cloud.bucket("azure:eastus", "dst")
         svc.add_rule(src, dst, scheduling="fair")
         faas = cloud.faas("aws:us-east-1")
-        faas.chaos_crash_prob = 0.3
-        faas.chaos_mean_delay_s = 1.0
+        faas.set_chaos(ChaosConfig(crash_prob=0.3, crash_mean_delay_s=1.0))
         blob = Blob.fresh(512 * MB)
         src.put_object("big", blob, cloud.now)
         cloud.run()
@@ -204,8 +200,8 @@ class TestEndToEndChaosWorkload:
         platforms must still deliver every object and every delete."""
         cloud, svc, src, dst, rule = build(seed=111)
         for region in ("aws:us-east-1", "azure:eastus"):
-            cloud.faas(region).chaos_crash_prob = 0.15
-            cloud.faas(region).chaos_mean_delay_s = 0.5
+            cloud.faas(region).set_chaos(
+                ChaosConfig(crash_prob=0.15, crash_mean_delay_s=0.5))
         rng = np.random.default_rng(0)
         expected = {}
         for i in range(40):

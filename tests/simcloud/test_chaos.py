@@ -1,13 +1,19 @@
 """Unit tests for the cross-substrate fault-injection layer."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core import retry
-from repro.simcloud.chaos import ChaosConfig, ChaosDraws
+from repro.core.config import ReplicaConfig
+from repro.core.service import AReplicaService
+from repro.simcloud.chaos import INJECTED_KEYS, ChaosConfig, ChaosDraws
 from repro.simcloud.cloud import build_default_cloud
 from repro.simcloud.kvstore import Throttled
 from repro.simcloud.objectstore import Blob
+
+MB = 1024 * 1024
 
 
 class TestChaosConfig:
@@ -39,6 +45,31 @@ class TestChaosConfig:
             ChaosConfig(crash_mean_delay_s=-1.0)
         with pytest.raises(ValueError):
             ChaosConfig(wan_blackout_windows=((3.0, 0.0),))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"crash_mean_delay_s": math.nan},
+        {"crash_mean_delay_s": math.inf},
+        {"notif_redelivery_s": math.nan},
+        {"notif_dup_lag_s": math.inf},
+        {"notif_reorder_spread_s": math.nan},
+        {"kv_delay_mean_s": math.nan},
+        {"wan_stall_mean_s": math.inf},
+        {"wan_blackout_windows": ((math.nan, 5.0),)},
+        {"wan_blackout_windows": ((5.0, math.nan),)},
+        {"wan_blackout_windows": ((math.inf, 5.0),)},
+        {"faas_outages": (("aws:us-east-1", math.nan, 5.0),)},
+        {"kv_outages": (("aws:us-east-1", 0.0, math.nan),)},
+        {"wan_outages": (("aws:us-east-1", math.inf, 5.0),)},
+    ], ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()))
+    def test_non_finite_delays_and_window_bounds_are_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ChaosConfig(**kwargs)
+
+    def test_an_open_ended_outage_is_a_valid_window(self):
+        chaos = ChaosConfig(faas_outages=(("aws:us-east-1", 5.0, math.inf),))
+        assert chaos.outage_windows("faas", "aws:us-east-1") == \
+            ((5.0, math.inf),)
+        assert chaos.outage_windows("faas", "azure:eastus") == ()
 
 
 class TestChaosDraws:
@@ -108,7 +139,7 @@ class TestKvChaos:
         cloud.sim.run_process(writer())
         rejected = [i for kind, i in outcomes if kind == "throttled"]
         accepted = [i for kind, i in outcomes if kind == "ok"]
-        assert rejected and table.chaos_rejected == len(rejected)
+        assert rejected and cloud.chaos_stats()["kv_rejected"] == len(rejected)
         # The stored value reflects only *accepted* writes.
         expected = {"v": accepted[-1]} if accepted else None
         assert table.peek("x") == expected
@@ -124,7 +155,7 @@ class TestKvChaos:
                 yield table.get_item("missing")
 
         cloud.sim.run_process(reader())
-        assert table.chaos_rejected == 0
+        assert cloud.chaos_stats()["kv_rejected"] == 0
 
     def test_admission_delay_applies_late_but_applies(self):
         cloud = build_default_cloud(seed=4)
@@ -139,7 +170,7 @@ class TestKvChaos:
                 times.append(cloud.sim.now)
 
         cloud.sim.run_process(writer())
-        assert table.chaos_delayed > 0
+        assert cloud.chaos_stats()["kv_delayed"] > 0
         assert all(table.peek(f"k{i}") == {"v": i} for i in range(10))
         # Delays are real simulated time, far above the baseline latency.
         assert times[-1] > 1.0
@@ -152,7 +183,8 @@ class TestKvChaos:
             yield table.put_item("x", {"v": 1})
 
         cloud.sim.run_process(writer())
-        assert table.chaos_rejected == table.chaos_delayed == 0
+        stats = cloud.chaos_stats()
+        assert stats["kv_rejected"] == stats["kv_delayed"] == 0
         assert table.peek("x") == {"v": 1}
 
 
@@ -172,19 +204,20 @@ class TestNotificationChaos:
         cloud, seen = self._deliveries(
             ChaosConfig(notif_drop_prob=0.9, notif_redelivery_s=30.0))
         assert len(seen) == 25                       # at-least-once
-        assert cloud.notifications.chaos_dropped > 0
+        assert cloud.chaos_stats()["notifications_dropped"] > 0
         assert cloud.now > 30.0                      # redeliveries took time
 
     def test_duplicates_inflate_delivery_count(self):
         cloud, seen = self._deliveries(ChaosConfig(notif_dup_prob=0.9))
-        assert cloud.notifications.chaos_duplicated > 0
-        assert len(seen) == 25 + cloud.notifications.chaos_duplicated
+        duplicated = cloud.chaos_stats()["notifications_duplicated"]
+        assert duplicated > 0
+        assert len(seen) == 25 + duplicated
         assert set(seen) == set(range(1, 26))
 
     def test_reordering_scrambles_arrival_order(self):
         cloud, seen = self._deliveries(
             ChaosConfig(notif_reorder_prob=0.9, notif_reorder_spread_s=20.0))
-        assert cloud.notifications.chaos_reordered > 0
+        assert cloud.chaos_stats()["notifications_reordered"] > 0
         assert len(seen) == 25
         assert seen != sorted(seen)
 
@@ -197,7 +230,7 @@ class TestWanChaos:
                          cloud.rngs.stream("test-wan"))
         assert fabric.chaos_penalty_s(12.0) == pytest.approx(3.0)
         assert fabric.chaos_penalty_s(20.0) == 0.0
-        assert fabric.chaos_blackouts == 1
+        assert cloud.chaos_stats()["wan_blackout_hits"] == 1
 
     def test_stalls_are_sampled(self):
         cloud = build_default_cloud(seed=6)
@@ -205,7 +238,7 @@ class TestWanChaos:
         fabric.set_chaos(ChaosConfig(wan_stall_prob=0.9, wan_stall_mean_s=4.0),
                          cloud.rngs.stream("test-wan"))
         penalties = [fabric.chaos_penalty_s(0.0) for _ in range(30)]
-        assert fabric.chaos_stalls > 0
+        assert cloud.chaos_stats()["wan_stalls"] > 0
         assert max(penalties) > 0.0
 
 
@@ -217,11 +250,11 @@ class TestCloudFanout:
         late = cloud.kv_table("aws:us-east-2", "late")
         assert early._chaos is not None and late._chaos is not None
         faas = cloud.faas("aws:us-east-1")
-        assert faas.chaos_crash_prob == pytest.approx(0.2)
+        assert faas._chaos.crash_prob == pytest.approx(0.2)
         # Clearing restores every hot path to its single None check.
         cloud.apply_chaos(None)
         assert early._chaos is None and late._chaos is None
-        assert faas.chaos_crash_prob == 0.0
+        assert faas._chaos is None
         assert cloud.chaos is None
 
     def test_all_zero_config_normalizes_to_off(self):
@@ -232,12 +265,83 @@ class TestCloudFanout:
     def test_chaos_stats_keys(self):
         cloud = build_default_cloud(seed=7)
         stats = cloud.chaos_stats()
-        assert set(stats) == {
+        assert tuple(stats) == INJECTED_KEYS == (
             "faas_crashes", "faas_outage_failures", "notifications_dropped",
             "notifications_duplicated", "notifications_reordered",
             "kv_rejected", "kv_delayed", "kv_outage_rejections",
             "wan_stalls", "wan_blackout_hits", "wan_outage_hits",
             "corrupt_get", "corrupt_put", "corrupt_at_rest",
             "corrupt_truncated", "corrupt_wrong_etag",
-        }
+        )
         assert all(v == 0 for v in stats.values())
+
+
+#: The per-substrate ``ChaosConfig.*_enabled`` properties.
+SLICES = ("faas_enabled", "notifications_enabled", "kv_enabled",
+          "wan_enabled", "corruption_transfer_enabled",
+          "corruption_at_rest_enabled")
+_BOTH = ("aws:us-east-1", "azure:eastus")
+#: When the workload starts: after the rule's path profiling.
+T0 = 100.0
+
+#: One fault family installed alone: its config, the ledger keys it may
+#: move, and the one substrate slice it enables.
+FAMILIES = {
+    "crash": (ChaosConfig(crash_prob=0.5, crash_mean_delay_s=0.2),
+              {"faas_crashes"}, "faas_enabled"),
+    "notif-drop": (ChaosConfig(notif_drop_prob=0.5, notif_redelivery_s=1.0),
+                   {"notifications_dropped"}, "notifications_enabled"),
+    "notif-dup": (ChaosConfig(notif_dup_prob=0.5),
+                  {"notifications_duplicated"}, "notifications_enabled"),
+    "notif-reorder": (ChaosConfig(notif_reorder_prob=0.5),
+                      {"notifications_reordered"}, "notifications_enabled"),
+    "kv-reject": (ChaosConfig(kv_reject_prob=0.3), {"kv_rejected"},
+                  "kv_enabled"),
+    "kv-delay": (ChaosConfig(kv_delay_prob=0.3), {"kv_delayed"},
+                 "kv_enabled"),
+    "wan-stall": (ChaosConfig(wan_stall_prob=0.5, wan_stall_mean_s=0.5),
+                  {"wan_stalls"}, "wan_enabled"),
+    "wan-blackout": (ChaosConfig(wan_blackout_windows=((T0, 5.0),)),
+                     {"wan_blackout_hits"}, "wan_enabled"),
+    "in-flight-corruption": (
+        ChaosConfig(corrupt_get_prob=0.3, corrupt_put_prob=0.3),
+        {"corrupt_get", "corrupt_put"}, "corruption_transfer_enabled"),
+    "at-rest-corruption": (
+        ChaosConfig(corrupt_at_rest_prob=0.2, corrupt_truncate_prob=0.2,
+                    corrupt_wrong_etag_prob=0.2),
+        {"corrupt_at_rest", "corrupt_truncated", "corrupt_wrong_etag"},
+        "corruption_at_rest_enabled"),
+    "faas-outage": (
+        ChaosConfig(faas_outages=tuple((r, T0, 5.0) for r in _BOTH)),
+        {"faas_outage_failures"}, "faas_enabled"),
+    "kv-outage": (
+        ChaosConfig(kv_outages=tuple((r, T0, 5.0) for r in _BOTH)),
+        {"kv_outage_rejections"}, "kv_enabled"),
+    "wan-outage": (
+        ChaosConfig(wan_outages=tuple((r, T0, 5.0) for r in _BOTH)),
+        {"wan_outage_hits"}, "wan_enabled"),
+}
+
+
+class TestInjectedLedger:
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_each_family_moves_only_its_own_counters(self, family):
+        chaos, keys, enabled = FAMILIES[family]
+        assert [name for name in SLICES if getattr(chaos, name)] == [enabled]
+        cloud = build_default_cloud(seed=11)
+        service = AReplicaService(cloud, ReplicaConfig(profile_samples=5,
+                                                       mc_samples=300))
+        src = cloud.bucket("aws:us-east-1", "src")
+        service.add_rule(src, cloud.bucket("azure:eastus", "dst"))
+        cloud.run(until=T0)
+        cloud.apply_chaos(chaos)
+        for i in range(8):
+            src.put_object(f"k{i}", Blob.fresh(2 * MB), cloud.now)
+        cloud.run()
+        stats = cloud.chaos_stats()
+        moved = {key for key, count in stats.items() if count}
+        assert moved and moved <= keys, moved
+        assert cloud.corruption_injected() == (
+            stats["corrupt_get"] + stats["corrupt_put"]
+            + stats["corrupt_at_rest"] + stats["corrupt_truncated"]
+            + stats["corrupt_wrong_etag"])

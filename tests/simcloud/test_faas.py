@@ -446,27 +446,25 @@ class TestAttemptLifecycle:
     def test_chaos_crash_fails_the_attempt_with_interrupt(self, cloud):
         faas = cloud.faas("aws:us-east-1")
         faas.profile = type(faas.profile)(max_retries=0)
-        faas.chaos_crash_prob = 1.0
-        faas.chaos_mean_delay_s = 0.5
 
         def slow(ctx, payload):
+            ctx.sim.call_later(0.5, ctx._on_crash)
             yield ctx.sleep(1_000.0)
 
         faas.deploy("slow", slow)
         outcome = self._invoke(cloud, faas, "slow")
         assert isinstance(outcome, InvocationFailed)
         assert faas.dead_letters[0][2].startswith("Interrupt(")
-        assert faas.chaos_crashes == 1
+        assert cloud.chaos_stats()["faas_crashes"] == 1
         stats = faas.deployment_stats("slow")
         assert stats["errors"] == 1 and stats["timeouts"] == 0
         assert len(faas._deployments["slow"].warm_pool) == 1
 
     def test_handler_that_catches_interrupt_and_returns_succeeds(self, cloud):
         faas = cloud.faas("aws:us-east-1")
-        faas.chaos_crash_prob = 1.0
-        faas.chaos_mean_delay_s = 0.5
 
         def stubborn(ctx, payload):
+            ctx.sim.call_later(0.5, ctx._on_crash)
             try:
                 yield ctx.sleep(1_000.0)
             except Interrupt as intr:
@@ -477,16 +475,16 @@ class TestAttemptLifecycle:
         assert self._invoke(cloud, faas, "stubborn") == "survived chaos-crash"
         stats = faas.deployment_stats("stubborn")
         assert stats["errors"] == 0 and stats["retries"] == 0
-        assert faas.chaos_crashes == 1
+        assert cloud.chaos_stats()["faas_crashes"] == 1
 
     def test_instance_returns_to_the_warm_pool_after_a_crash(self, cloud):
         faas = cloud.faas("aws:us-east-1")
         faas.profile = type(faas.profile)(max_retries=0)
-        faas.chaos_crash_prob = 1.0
-        faas.chaos_mean_delay_s = 0.5
         seen = []
 
         def handler(ctx, payload):
+            if not seen:  # only the first attempt crashes
+                ctx.sim.call_later(0.5, ctx._on_crash)
             seen.append(ctx.instance.instance_id)
             # Short enough that the stale wake-up of the crashed attempt
             # does not carry the clock past the keep-alive.
@@ -494,7 +492,6 @@ class TestAttemptLifecycle:
 
         faas.deploy("f", handler)
         self._invoke(cloud, faas, "f")
-        faas.chaos_crash_prob = 0.0
         self._invoke(cloud, faas, "f")
         stats = faas.deployment_stats("f")
         assert stats["cold_starts"] == 1 and stats["warm_starts"] == 1
