@@ -49,6 +49,7 @@ Example
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -374,7 +375,7 @@ class Simulator:
         value: Any,
         exc: Optional[BaseException],
     ) -> None:
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._push(self.now + delay, _CALL, fn, value, exc)
 
@@ -384,7 +385,7 @@ class Simulator:
         The allocation-free fast path for the ubiquitous "respond after
         some latency" pattern — no closure, no :class:`Timer`.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._push(self.now + delay, _RESOLVE, fut, value, None)
 
@@ -397,13 +398,13 @@ class Simulator:
         callbacks whose two arguments are known up front (e.g. delivering
         a notification event to a handler).
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._push(self.now + delay, _CALL, fn, a, b)
 
     def call_at(self, time: float, fn: Callable[[], None]) -> Timer:
         """Run ``fn()`` at absolute simulated ``time``; returns a handle."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(f"cannot schedule at {time} < now {self.now}")
         timer = Timer(fn, self)
         self._push(time, _TIMER, timer, None, None)
@@ -534,7 +535,10 @@ class Simulator:
 
         Ring events (zero-delay, due now) and heap events at the
         current timestamp are merged by sequence number, preserving
-        global scheduling order among same-timestamp events.
+        global scheduling order among same-timestamp events.  The merge
+        and tombstone rules are written twice, here and in
+        :meth:`_drain`; a change to one is mirrored in the other (the
+        ordering tests cover both).
         """
         ring = self._ring
         heap = self._heap
@@ -572,15 +576,14 @@ class Simulator:
             self._dispatch(kind, a, b, c)
             return True
 
-    def _drain(self) -> None:
-        """Run until the event queue is empty.
+    def _drain(self, until: float) -> None:
+        """Run every event due at or before ``until``.
 
-        Semantically ``while self.step(): pass`` with the pop and the
-        dispatch inlined — the two call frames :meth:`step` pays per
-        event are a measurable share of a replay.  Any change to the
-        merge or tombstone rules here must be mirrored in :meth:`step`
-        (``run(until=...)`` takes that loop; the ordering tests cover
-        both).
+        Semantically ``while self.step(): pass`` stopped before the
+        first live event past ``until``, with the pop and the dispatch
+        inlined — the two call frames :meth:`step` pays per event are a
+        measurable share of a replay.  Ring events are due now, never
+        past ``until``; a heap event past it is pushed back unchanged.
         """
         ring = self._ring
         heap = self._heap
@@ -610,10 +613,14 @@ class Simulator:
                         self._tombstones -= 1
                         continue
             elif heap:
-                time, _seq, kind, a, b, c = pop(heap)
+                record = pop(heap)
+                time, _seq, kind, a, b, c = record
                 if kind == _TIMER and a._fn is None:
                     self._tombstones -= 1
                     continue
+                if time > until:
+                    heapq.heappush(heap, record)
+                    return
                 if time < self.now:
                     raise SimulationError(
                         "event heap corrupted: time went backwards")
@@ -641,20 +648,11 @@ class Simulator:
         bounded runs compose predictably.
         """
         if until is None:
-            self._drain()
+            self._drain(math.inf)
             return
-        if until < self.now:
+        if not until >= self.now:
             raise SimulationError(f"cannot run until {until} < now {self.now}")
-        heap = self._heap
-        while True:
-            if not self._ring:
-                # Cancelled timers at the head must not hold the clock.
-                while heap and heap[0][2] == _TIMER and heap[0][3]._fn is None:
-                    heapq.heappop(heap)
-                    self._tombstones -= 1
-                if not heap or heap[0][0] > until:
-                    break
-            self.step()
+        self._drain(until)
         self.now = until
 
     def run_process(self, gen: ProcessBody, name: str = "") -> Any:

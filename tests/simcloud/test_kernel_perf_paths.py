@@ -7,6 +7,8 @@ ordering guarantees against the heap, the :class:`SleepRequest` and
 safety via the resume epoch), and lazy cancelled-timer compaction.
 """
 
+import math
+
 import pytest
 
 from repro.simcloud.sim import (
@@ -47,12 +49,32 @@ class TestSchedulingPrimitives:
         with pytest.raises(SimulationError):
             sim.schedule_call(-0.1, lambda a, b: None)
 
+    @pytest.mark.parametrize("schedule", [
+        lambda sim: sim.call_at(math.nan, lambda: None),
+        lambda sim: sim.call_later(math.nan, lambda: None),
+        lambda sim: sim.schedule_call(math.nan, lambda a, b: None),
+        lambda sim: sim.schedule_resolve(math.nan, Future(sim)),
+        lambda sim: sim.run(until=math.nan),
+    ], ids=["call_at", "call_later", "schedule_call", "schedule_resolve",
+            "run_until"])
+    def test_nan_time_or_delay_is_rejected(self, schedule):
+        # A NaN time fails every comparison: queued, it would fire at
+        # now = NaN and the clock would then step back unnoticed.
+        sim = Simulator()
+        sim.call_later(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            schedule(sim)
+        sim.run()
+        assert sim.now == 1.0
+
 
 class TestSameTimestampOrdering:
     """Events at one timestamp fire in scheduling order, whether they
     land on the zero-delay ring or the heap."""
 
     def _trace(self, until):
+        """``until`` None runs to empty, a float bounds the run, and
+        "step" drives the kernel one :meth:`Simulator.step` at a time."""
         sim = Simulator()
         order = []
 
@@ -66,14 +88,19 @@ class TestSameTimestampOrdering:
             sim.spawn(proc(tag))
         for tag in ("x", "y"):     # heap entries also at t=1
             sim.call_at(1.0, lambda t=tag: order.append(f"timer:{t}"))
-        sim.run(until=until)
+        if until == "step":
+            while sim.step():
+                pass
+        else:
+            sim.run(until=until)
         return order
 
     def test_fifo_order_matches_between_drain_and_bounded_run(self):
-        # run() takes the inlined _drain loop; run(until) the step loop.
+        # run() and run(until) take the inlined _drain loop; step() is
+        # the second copy of its merge and tombstone rules.
         unbounded = self._trace(until=None)
-        bounded = self._trace(until=10.0)
-        assert unbounded == bounded
+        assert self._trace(until=10.0) == unbounded
+        assert self._trace(until="step") == unbounded
         # FIFO by scheduling order at t=1: the timers were pushed at
         # spawn time, the sleep wake-ups only when each process first
         # stepped (at t=0), so the timers carry earlier sequence numbers.
