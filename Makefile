@@ -120,8 +120,8 @@ e2e-smoke-digests:
 trace-digests:
 	$(PY) -m tests.trace_digests
 
-## which drills FAIL at which seeds (~2 min; not in CI): every drill at
-## seeds 0-15, one line per FAIL with its first finding or failed gate,
+## which drills FAIL at which seeds (~4 min; not in CI): every drill at
+## seeds 0-31, one line per FAIL with its first finding or failed gate,
 ## diffed against the committed tests/golden/census.txt.  A new line is
 ## a new finding; a removed line is a fix.  Either way the PR that moves
 ## it regenerates the file (python -m tests.census > tests/golden/census.txt)

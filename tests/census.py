@@ -1,12 +1,12 @@
 """Which drills FAIL at which seeds, in a form two commits can diff.
 
-Runs every drill of the roster at seeds 0-15, each the way ``areplica
+Runs every drill of the roster at seeds 0-31, each the way ``areplica
 drill-all`` runs it, and prints one line per FAIL: the drill, the seed
 and its first failure — the first finding of the audit, the final scan
 or the trace checker, else non-convergence or pending measurements,
 else the first gate that failed.  ``tests/golden/census.txt`` is the
 committed census; a new line there is a new finding, a removed line a
-fix (~2 min, not in CI):
+fix (~4 min, not in CI):
 
     make census             # PYTHONPATH=src python -m tests.census,
                             # diffed against tests/golden/census.txt
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.drills import DRILLS, run_drill
 
-SEEDS = range(16)
+SEEDS = range(32)
 
 
 def first_failure(run) -> str:
