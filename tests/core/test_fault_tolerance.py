@@ -193,6 +193,42 @@ class TestReplicationUnderCrashes:
         cloud.sim.run_process(main())
         assert sum(wins) == 1
 
+    @pytest.mark.xfail(strict=True, reason="known finding 11 "
+                       "(docs/operations.md): reap_orphan_pool reads the "
+                       "pool record in the orchestrator's region, but "
+                       "launch wrote it in the plan's, so a destination "
+                       "pool and its upload leak")
+    def test_retry_that_bypasses_the_pool_reaps_a_destination_pool(
+            self, monkeypatch):
+        """A platform-retried orchestrator whose new plan bypasses the
+        pool must abort the pool record and the multipart upload its
+        crashed predecessor left — also when that first plan ran at the
+        destination, so the record lives in the destination's table."""
+        from repro.simcloud.faas import FunctionContext
+
+        cloud, svc, src, dst, rule = build()
+        engine = rule.engine
+        engine.forced_plan = (4, "azure:eastus")
+        invoke, died = FunctionContext.invoke, []
+
+        def dies_after_the_pool_write(ctx, target, name, payload, **kw):
+            if name == engine._rep_name and not died:
+                died.append(ctx.now)
+                engine.forced_plan = (1, "azure:eastus")
+                raise RuntimeError("orchestrator dies before its workers")
+            return invoke(ctx, target, name, payload, **kw)
+
+        monkeypatch.setattr(FunctionContext, "invoke",
+                            dies_after_the_pool_write)
+        blob = Blob.fresh(40 * MB)
+        src.put_object("k", blob, cloud.now)
+        report = svc.run_to_convergence()
+        assert died and report.converged
+        assert dst.head("k").etag == blob.etag
+        [(_, pool)] = engine._state_table("azure:eastus").peek_prefix("pool:")
+        assert pool["aborted"]
+        assert dst.pending_uploads() == []
+
 
 class TestEndToEndChaosWorkload:
     def test_bursty_workload_with_chaos_converges(self):
