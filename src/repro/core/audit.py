@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from repro.core.locks import expired
 from repro.core.service import AReplicaService, ReplicationRule
 
 __all__ = ["DETAIL", "Finding", "Findings", "AuditReport",
@@ -147,23 +148,22 @@ class ReplicationAuditor:
         lock_table = rule.engine._lock_table
         lease = rule.engine.locks.lease_s
         max_seq = src.last_sequencer
-        for item_key, item in list(lock_table._items.items()):
-            if item_key.startswith("lock:"):
-                age = now - item.get("acquired_at", now)
-                if quiescent:
-                    report.findings.append(Finding(
-                        "leaked-lock", item_key[len("lock:"):],
-                        f"survives quiescence, held {age:.0f}s "
-                        f"by {item.get('owner')!r}"))
-                elif age > lease:
-                    report.findings.append(Finding(
-                        "stale-lock", item_key[len("lock:"):],
-                        f"held {age:.0f}s by {item.get('owner')!r}"))
-            elif item_key.startswith("done:"):
-                if item["seq"] > max_seq:
-                    report.findings.append(Finding(
-                        "done-drift", item_key[len("done:"):],
-                        f"marker seq {item['seq']} exceeds source seq {max_seq}"))
+        for item_key, item in lock_table.peek_prefix("lock:"):
+            age = now - item.get("acquired_at", now)
+            if quiescent:
+                report.findings.append(Finding(
+                    "leaked-lock", item_key[len("lock:"):],
+                    f"survives quiescence, held {age:.0f}s "
+                    f"by {item.get('owner')!r}"))
+            elif expired(item.get("acquired_at", now), lease, now):
+                report.findings.append(Finding(
+                    "stale-lock", item_key[len("lock:"):],
+                    f"held {age:.0f}s by {item.get('owner')!r}"))
+        for item_key, item in lock_table.peek_prefix("done:"):
+            if item["seq"] > max_seq:
+                report.findings.append(Finding(
+                    "done-drift", item_key[len("done:"):],
+                    f"marker seq {item['seq']} exceeds source seq {max_seq}"))
         # 4. multipart upload leaks at the destination
         for upload_id in dst.pending_uploads():
             report.findings.append(Finding(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from repro.core import transfer
+from repro.core import locks, transfer
 from repro.core.partpool import FairAssignment, PartPool
 from repro.simcloud.objectstore import NoSuchKey, NoSuchUpload
 
@@ -308,31 +308,6 @@ def settle_part(engine, ctx, task, pool, worker_key, start, idx, status):
 
 # -- lease-based finalization and recovery (§6) -------------------------------
 
-def _claim_lease(table, item_key: str, lease_s: float, owner: str):
-    """Process: atomically claim a leased, single-holder role.
-
-    Returns True for the claimant.  Re-entrant per ``owner`` — a
-    platform-retried function resumes its own role — and a holder whose
-    lease expired (crashed mid-role) is superseded.  Expiry is judged
-    against the clock *at admission time* inside the closure, because
-    under injected KV admission delay the round-trip itself consumes
-    lease time (the same stale-clock hazard as
-    ``ReplicationLockManager.lock``).
-    """
-    state = {"won": False}
-
-    def attempt(item):
-        at = table.sim.now
-        if (item is None or item.get("owner") == owner
-                or at - item["at"] > lease_s):
-            state["won"] = True
-            return {"at": at, "owner": owner}
-        return item
-
-    yield table.update_item(item_key, attempt)
-    return state["won"]
-
-
 def _worker_identity(task) -> str:
     return f"w{task.get('worker_index', 0)}"
 
@@ -341,9 +316,9 @@ def try_finalize(engine, ctx, task):
     """Process: complete the multipart upload and finish the task,
     guarded by a leased claim so exactly one live function finalizes,
     and a crashed finalizer can be superseded."""
-    won = yield from engine._kv(ctx, lambda: _claim_lease(
+    won = yield from engine._kv(ctx, lambda: locks.claim(
         engine._state_table(ctx.region.key), f"finalize:{task['task_id']}",
-        FINALIZE_LEASE_S, _worker_identity(task)))
+        _worker_identity(task), FINALIZE_LEASE_S, reentrant=True))
     if not won:
         return
     # The zombie-writer check, distributed flavour: all parts may be
@@ -394,10 +369,10 @@ def _recover_orphaned_parts(engine, ctx, task, pool, worker_key, start):
     # task on a slow link must not keep n-1 instances waiting).  The
     # claim is leased: a crashed janitor is superseded by the next
     # worker that comes through (e.g. a platform retry).
-    janitor = yield from engine._kv(ctx, lambda: _claim_lease(
+    janitor = yield from engine._kv(ctx, lambda: locks.claim(
         engine._state_table(ctx.region.key), f"janitor:{task['task_id']}",
-        RECOVERY_GRACE_S * 3 + FINALIZE_LEASE_S,
-        _worker_identity(task)))
+        _worker_identity(task), RECOVERY_GRACE_S * 3 + FINALIZE_LEASE_S,
+        reentrant=True))
     if not janitor:
         return
     # Poll with backoff: in the common case the missing parts are
@@ -456,9 +431,9 @@ def _recover_finalization(engine, ctx, task):
             f"finalize:{task['task_id']}"))
     if (fin is not None
             and fin.get("owner") != _worker_identity(task)
-            and ctx.now - fin["at"] <= FINALIZE_LEASE_S):
+            and not locks.expired(fin["at"], FINALIZE_LEASE_S, ctx.now)):
         # A live finalizer owns it — but only a *different* one.
-        # ``_claim_lease`` is reentrant per owner precisely so a
+        # The finalize claim is re-entrant precisely so a
         # platform-retried finalizer resumes its own crashed finalize;
         # standing down on our own lease would strand the task (the
         # crashed incarnation never comes back, and this retry is the

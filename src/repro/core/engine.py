@@ -31,7 +31,7 @@ from repro.core.changelog import (ChangelogStore, apply_changelog,
 from repro.core.config import LOCAL_THRESHOLD, ReplicaConfig
 from repro.core.health import HealthTracker, NoRouteAvailable
 from repro.core.hedging import Hedger
-from repro.core.locks import ReplicationLockManager
+from repro.core.locks import ReplicationLockManager, expired
 from repro.core.planner import Plan, StrategyPlanner
 from repro.core.task import TaskRecorder, TaskResult, task_id
 from repro.core.transfer import (propagate_delete, reconverge_superseded,
@@ -244,8 +244,8 @@ class ReplicationEngine:
         fence, lock_at = task.get("fence"), task.get("lock_at")
         if fence is None:
             return True
-        if (lock_at is not None
-                and ctx.now - lock_at <= self.locks.lease_s * 0.5):
+        if lock_at is not None and not expired(
+                lock_at, self.locks.lease_s * 0.5, ctx.now):
             return True
         ok = yield from self._kv(ctx, lambda: self.locks.verify(
             task["key"], task["task_id"], fence))
@@ -269,21 +269,17 @@ class ReplicationEngine:
         fence cannot order two live incarnations of one platform-retried
         task (same owner, same fence); the marker race is the witness.
         """
-        superseded: dict[str, object] = {}
-
         def advance(item):
             if item is not None and item.get("seq", -1) >= seq:
-                superseded.update(item)
-                return item
+                return item, item
             if self.tracer is not None:
                 # Inside the closure: only a landed advance counts.
                 self.tracer.event("done-marker", "engine", None, _DONE_KEYS,
                                   self.rule_id, key, seq, etag, op)
-            return {"etag": etag, "seq": seq, "time": time, "op": op}
+            return {"etag": etag, "seq": seq, "time": time, "op": op}, None
 
-        yield from self._kv(
-            ctx, lambda: self._lock_table.update_item(f"done:{key}", advance))
-        return dict(superseded) if superseded else None
+        return (yield from self._kv(
+            ctx, lambda: self._lock_table.update_item(f"done:{key}", advance)))
 
     def _record_visible(self, tid: Optional[str], result: TaskResult) -> None:
         """Report a visibility outcome, mirrored into the trace."""

@@ -30,7 +30,7 @@ from typing import Optional
 from repro.simcloud.kvstore import KvTable
 
 __all__ = ["LockOutcome", "PendingVersion", "UnlockOutcome",
-           "ReplicationLockManager"]
+           "ReplicationLockManager", "claim", "expired"]
 
 #: Trace attribute names, one tuple per record schema.
 _ACQUIRE_KEYS = ("key", "owner", "fence", "mode")
@@ -74,6 +74,42 @@ class UnlockOutcome:
     pending: Optional[PendingVersion] = None
 
 
+def expired(stamp: float, lease_s: float, now: float) -> bool:
+    """The one lease rule: a control record stamped at ``stamp`` may be
+    taken over once more than ``lease_s`` has passed by ``now``."""
+    return now - stamp > lease_s
+
+
+def claim(table: KvTable, key: str, owner: str, lease_s: float, *,
+          reentrant: bool):
+    """Process: atomically claim the single-holder role at ``key``;
+    True for the claimant.  A holder whose lease expired (it crashed
+    mid-role) is superseded.
+
+    Expiry is judged, and ``at`` stamped, on the table's clock at the
+    admission instant, as :meth:`ReplicationLockManager.lock` judges and
+    stamps ``acquired_at``: the KV store runs the closure at admission,
+    which under injected admission delay is later than the call, so a
+    clock read before the round trip would judge an expired lease live
+    and backdate the new holder's lease, shortening it.
+
+    ``reentrant`` names the record kind.  The finalize and janitor roles
+    are re-entrant: a platform-retried function resumes its own role.  A
+    part reclaim is not: a same-owner rewin let a *superseded* former
+    owner win back a part another recoverer had taken over, racing two
+    live writers on it.  A retried recoverer needs no rewin, since its
+    record ages past ``lease_s`` before the platform retries it.
+    """
+    def attempt(item):
+        now = table.sim.now
+        if (item is None or reentrant and item.get("owner") == owner
+                or expired(item["at"], lease_s, now)):
+            return {"owner": owner, "at": now}, True
+        return item, False
+
+    return (yield table.update_item(key, attempt))
+
+
 class ReplicationLockManager:
     """Per-object replication locks over a serverless KV table.
 
@@ -104,21 +140,12 @@ class ReplicationLockManager:
         pair is recorded as pending iff it is newer than any pending
         version already registered.
         """
-        state = {"registered": False, "acquired": False, "fence": 0,
-                 "reentrant": False}
-
         def attempt(item):
-            # The clock must be read *inside* the closure: the KV store
-            # applies it at admission, which under injected admission
-            # delay is later than the call.  A timestamp captured before
-            # the round-trip would judge a lease unexpired with a stale
-            # clock — and symmetrically stamp acquired_at in the past,
-            # shortening the new holder's own lease.
+            # The admission clock, read inside the closure (see claim).
             now = self.table.sim.now
-            expired = (item is not None
-                       and now - item.get("acquired_at", now) > self.lease_s)
             reentrant = item is not None and item.get("owner") == owner
-            if item is None or expired or reentrant:
+            if (item is None or reentrant or expired(
+                    item.get("acquired_at", now), self.lease_s, now)):
                 # Fresh acquisition, lease takeover from a dead holder,
                 # or a platform-retried function re-entering its own
                 # lock (task ids are deterministic per object version,
@@ -132,28 +159,25 @@ class ReplicationLockManager:
                 fence = (item.get("fence", 0) if reentrant
                          else item.get("fence", 0) + 1 if item is not None
                          else 1)
-                state["acquired"] = True
-                state["fence"] = fence
-                state["reentrant"] = reentrant
                 if self.tracer is not None:
                     self.tracer.event(
                         "lock-acquire", "lock", owner, _ACQUIRE_KEYS,
                         obj_key, owner, fence,
                         ("reentrant" if reentrant
                          else "takeover" if item is not None else "fresh"))
-                return {"owner": owner, "held_etag": etag, "held_seq": seq,
-                        "acquired_at": now, "fence": fence,
-                        "pending_etag": pending_etag, "pending_seq": pending_seq}
+                return ({"owner": owner, "held_etag": etag, "held_seq": seq,
+                         "acquired_at": now, "fence": fence,
+                         "pending_etag": pending_etag,
+                         "pending_seq": pending_seq},
+                        LockOutcome(True, False, fence, reentrant))
             pending_seq = item.get("pending_seq")
             if pending_seq is None or pending_seq < seq:
                 item["pending_etag"] = etag
                 item["pending_seq"] = seq
-                state["registered"] = True
-            return item
+                return item, LockOutcome(False, registered_pending=True)
+            return item, LockOutcome(False)
 
-        yield self.table.update_item(self._key(obj_key), attempt)
-        return LockOutcome(state["acquired"], state["registered"],
-                           state["fence"], state["reentrant"])
+        return (yield self.table.update_item(self._key(obj_key), attempt))
 
     def verify(self, obj_key: str, owner: str, fence: int):
         """Process: does ``owner`` still hold the lock with ``fence``?
@@ -178,9 +202,6 @@ class ReplicationLockManager:
         The caller compares the pending ETag with the one it just
         replicated and re-triggers the orchestrator on mismatch.
         """
-        captured: dict[str, Optional[object]] = {
-            "etag": None, "seq": None, "released": False}
-
         def attempt(item):
             if item is None or item.get("owner") != owner:
                 # Lost/expired lock: nothing to release; the new owner's
@@ -188,22 +209,17 @@ class ReplicationLockManager:
                 if self.tracer is not None:
                     self.tracer.event("lock-release", "lock", owner,
                                       _REFUSED_KEYS, obj_key, owner, False)
-                return item
-            captured["released"] = True
-            captured["etag"] = item.get("pending_etag")
-            captured["seq"] = item.get("pending_seq")
+                return item, UnlockOutcome(False)
             if self.tracer is not None:
                 self.tracer.event("lock-release", "lock", owner,
                                   _RELEASE_KEYS, obj_key, owner, True,
                                   item.get("fence", 0))
-            return None  # delete the lock record
+            etag = item.get("pending_etag")
+            pending = (None if etag is None else
+                       PendingVersion(str(etag), int(item["pending_seq"])))
+            return None, UnlockOutcome(True, pending)  # delete the record
 
-        yield self.table.update_item(self._key(obj_key), attempt)
-        pending = None
-        if captured["etag"] is not None:
-            pending = PendingVersion(str(captured["etag"]),
-                                     int(captured["seq"]))  # type: ignore[arg-type]
-        return UnlockOutcome(bool(captured["released"]), pending)
+        return (yield self.table.update_item(self._key(obj_key), attempt))
 
     def stranded(self):
         """Every lock record in the table right now, as ``(obj_key,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from repro.core.locks import claim
 from repro.simcloud.kvstore import KvTable
 
 __all__ = ["PartPool", "PartCompletion", "PartState", "FairAssignment"]
@@ -99,8 +100,6 @@ class PartPool:
         whether *its* bytes entered the done map (first-writer-wins)
         or a rival already completed the part.  Same single KV update.
         """
-        state = {"finished": False, "first": False}
-
         def mark(item):
             # One bytearray per record, flipped in place: KV reads are
             # shallow copies, so an in-flight read sees completions
@@ -110,19 +109,18 @@ class PartPool:
                 done = item["done_map"] = bytearray(self.num_parts)
             if done[part_index]:
                 item["duplicates"] = item.get("duplicates", 0) + 1
-                return item
+                return item, PartCompletion(False, False)
             done[part_index] = 1
             item["completed"] += 1
-            state["first"] = True
-            state["finished"] = item["completed"] == self.num_parts
-            return item
+            return item, PartCompletion(True,
+                                        item["completed"] == self.num_parts)
 
-        yield self.table.update_item(self._key, mark)
+        outcome = yield self.table.update_item(self._key, mark)
         if self.table.tracer is not None:
             self.table.tracer.event("part-complete", "pool", self.task_id,
                                     _COMPLETE_KEYS, part_index,
-                                    state["first"], state["finished"])
-        return PartCompletion(state["first"], state["finished"])
+                                    outcome.first, outcome.finished)
+        return outcome
 
     def mark_quarantined(self, part_index: int):
         """Process: record that ``part_index`` was poison-quarantined;
@@ -137,21 +135,19 @@ class PartPool:
         burn the budget on the same poisoned range, exactly one caller
         counts it (and emits the trace event).
         """
-        state = {"first": False}
-
         def mark(item):
             item = item or {}
             quarantined = item.setdefault("quarantined_parts", [])
-            if part_index not in quarantined:
-                quarantined.append(part_index)
-                state["first"] = True
-            return item
+            if part_index in quarantined:
+                return item, False
+            quarantined.append(part_index)
+            return item, True
 
-        yield self.table.update_item(self._key, mark)
-        if state["first"] and self.table.tracer is not None:
+        first = yield self.table.update_item(self._key, mark)
+        if first and self.table.tracer is not None:
             self.table.tracer.event("part-quarantine", "pool", self.task_id,
                                     _PART_KEYS, part_index)
-        return state["first"]
+        return first
 
     def quarantined_parts(self):
         """Process: part indices recorded as poison-quarantined."""
@@ -177,38 +173,12 @@ class PartPool:
         A crashed replicator's claimed-but-never-completed part is
         recovered by whichever surviving replicator wins this leased
         conditional write; a recoverer that crashed mid-part is itself
-        superseded once its lease expires.
-
-        A same-owner rewin is only granted under the same expiry rule.
-        The earlier unconditional ``owner == incumbent`` re-entrancy
-        clause let a *superseded* former owner — one whose lease had
-        expired and whose part another recoverer already took over —
-        silently "win" the reclaim back, refreshing ``at`` and racing
-        two live writers on one part.  Re-entrancy was only ever needed
-        for a retried recoverer resuming work it still holds, and that
-        caller's own lease record has expired by the time the platform
-        retries it (retry backoff starts at 1 s only for transient
-        faults; a crashed recoverer's record ages past ``lease_s``
-        before the pool drains again), so expiry alone covers it
-        without the rewin hole.
-
-        Expiry is judged, and ``at`` stamped, on the table's clock at
-        the admission instant: a caller-side ``now`` goes stale across a
-        delayed round trip (the rule ``ReplicationLockManager.lock`` and
-        ``distributed._claim_lease`` follow).
+        superseded once its lease expires.  Not re-entrant
+        (:func:`~repro.core.locks.claim` says why).
         """
-        state = {"won": False}
-
-        def attempt(item):
-            now = self.table.sim.now
-            if item is None or now - item["at"] > lease_s:
-                state["won"] = True
-                return {"owner": owner, "at": now}
-            return item
-
-        yield self.table.update_item(f"reclaim:{self.task_id}:{part_index}",
-                                     attempt)
-        return state["won"]
+        return (yield from claim(
+            self.table, f"reclaim:{self.task_id}:{part_index}", owner,
+            lease_s, reentrant=False))
 
     def part_state(self, part_index: int):
         """Process: one-read (exists, aborted, done) snapshot of a part.
@@ -237,10 +207,9 @@ class PartPool:
             item = item or {}
             item["abort_claims"] = item.get("abort_claims", 0) + 1
             item["aborted"] = True
-            return item
+            return item, item["abort_claims"] == 1
 
-        item = yield self.table.update_item(self._key, flip)
-        first = item["abort_claims"] == 1
+        first = yield self.table.update_item(self._key, flip)
         if first and self.table.tracer is not None:
             self.table.tracer.event("pool-abort", "pool", self.task_id)
         return first

@@ -22,7 +22,7 @@ event count).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.simcloud.chaos import ChaosConfig, injected_ledger, outage_end
 from repro.simcloud.cost import CostCategory, CostLedger
@@ -244,15 +244,16 @@ class KvTable:
         return self._respond("write", self._do_put_if_absent(key, item))
 
     def update_item(
-        self, key: str, fn: Callable[[Optional[dict[str, Any]]], Optional[dict[str, Any]]]
+        self, key: str, fn: Callable[[Optional[dict[str, Any]]], tuple[Any, Any]]
     ) -> DeferredResult:
         """Atomic read-modify-write.
 
         ``fn`` receives a copy of the current item (or None) and returns
-        the new item, or None to delete.  Resolves with the new item.
-        ``fn`` runs at the admission instant — under injected admission
-        delay that is *later* than the call, which is why lock-style
-        closures must read clocks inside ``fn``, not before the call.
+        ``(new item or None to delete, outcome)``; the request resolves
+        with ``outcome``, the decision ``fn`` took.  ``fn`` runs at the
+        admission instant — under injected admission delay that is
+        *later* than the call, which is why lock-style closures must
+        read clocks inside ``fn``, not before the call.
         """
         if self._chaos is not None:
             return self._chaos_admit("write", lambda: self._do_update(key, fn))
@@ -281,14 +282,14 @@ class KvTable:
         self._items[key] = dict(item)
         return True
 
-    def _do_update(self, key, fn) -> Optional[dict[str, Any]]:
+    def _do_update(self, key, fn) -> Any:
         current = self._items.get(key)
-        updated = fn(dict(current) if current is not None else None)
+        updated, outcome = fn(dict(current) if current is not None else None)
         if updated is None:
             self._items.pop(key, None)
         else:
             self._items[key] = dict(updated)
-        return dict(updated) if updated is not None else None
+        return outcome
 
     def _do_increment(self, key: str, field_name: str, by: int) -> int:
         item = self._items.setdefault(key, {})
@@ -302,15 +303,18 @@ class KvTable:
         item = self._items.get(key)
         return dict(item) if item is not None else None
 
-    def peek_prefix(self, prefix: str) -> list[tuple[str, dict[str, Any]]]:
-        """Zero-cost snapshot of every item whose key starts with ``prefix``.
+    def peek_prefix(self, prefix: str) -> Iterator[tuple[str, dict[str, Any]]]:
+        """Zero-cost read, in key order, of every item whose key starts
+        with ``prefix``: one copy per item, made as it is yielded, so a
+        scan of a large table never holds them all at once.
 
         Like :meth:`peek`, this models an out-of-band inspection (an
         operator console, a sweeper reading a table scan) rather than a
         simulated request: no latency, no chaos, no billing.
         """
-        return [(key, dict(item)) for key, item in sorted(self._items.items())
-                if key.startswith(prefix)]
+        for key in sorted(self._items):
+            if key.startswith(prefix):
+                yield key, dict(self._items[key])
 
     def __len__(self) -> int:
         return len(self._items)

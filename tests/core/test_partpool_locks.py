@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.locks import ReplicationLockManager
+from repro.core.locks import ReplicationLockManager, claim
 from repro.core.partpool import FairAssignment, PartPool
 from repro.simcloud.cloud import build_default_cloud
 
@@ -110,34 +110,53 @@ class TestPartPool:
         # 1 create + (5+1) claims (last returns None) + 5 completes.
         assert table.op_counts["write"] == 1 + 6 + 5
 
+    @pytest.mark.parametrize("kind", ["part-reclaim", "finalize"])
     def test_reclaim_lease_judged_and_stamped_at_admission_time(self, cloud,
-                                                                table):
+                                                                table, kind):
         """Regression: ``try_reclaim`` took the caller's pre-round-trip
         ``now``, so under injected admission delay the new lease was
         backdated to the call instant and expiry was judged on a stale
         clock.  A delayed KV write answers at the instant it is
-        admitted, so the stored ``at`` must equal the clock on return."""
+        admitted, so the stored ``at`` must equal the clock on return.
+
+        Both record kinds :func:`~repro.core.locks.claim` serves follow
+        that rule: the part reclaim and the re-entrant finalize/janitor
+        claim.  Only the re-entrant kind lets the holder win its own
+        live lease again."""
         from repro.simcloud.chaos import ChaosConfig
 
         table.set_chaos(ChaosConfig(kv_delay_prob=0.999, kv_delay_mean_s=5.0),
                         cloud.rngs.stream("test-reclaim-delay"))
         pool = PartPool(table, "t-delay", 4)
         sim = cloud.sim
+        reentrant = kind == "finalize"
+        key = "finalize:t-delay" if reentrant else "reclaim:t-delay:0"
+
+        def take(owner, lease_s):
+            if reentrant:
+                return claim(table, key, owner, lease_s, reentrant=True)
+            return pool.try_reclaim(0, owner, lease_s=lease_s)
 
         def main():
             called = sim.now
-            assert (yield from pool.try_reclaim(0, "w0", lease_s=1.0))
+            assert (yield from take("w0", 1.0))
             admitted = sim.now
             assert admitted > called + 0.1, "chaos injected no delay"
-            assert table.peek("reclaim:t-delay:0")["at"] == admitted
+            assert table.peek(key)["at"] == admitted
             # Issued inside the lease, admitted past it: the takeover
             # must be granted on the admission clock.
             called = sim.now
-            won = yield from pool.try_reclaim(0, "w1", lease_s=1.0)
+            won = yield from take("w1", 1.0)
             assert sim.now - called > 1.0, "second round trip too short"
             assert won
-            assert table.peek("reclaim:t-delay:0") == {
-                "owner": "w1", "at": sim.now}
+            held = {"owner": "w1", "at": sim.now}
+            assert table.peek(key) == held
+            # A lease no round trip outlives: another owner never wins
+            # it, and its holder wins it again only when re-entrant.
+            assert not (yield from take("w0", 1e9))
+            assert (yield from take("w1", 1e9)) is reentrant
+            assert table.peek(key) == (
+                {"owner": "w1", "at": sim.now} if reentrant else held)
 
         run(cloud, main())
 

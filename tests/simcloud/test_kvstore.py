@@ -73,7 +73,7 @@ class TestPointOps:
 
         def append_one(item):
             item["done_parts"].append(1)
-            return item
+            return item, None
 
         def reader():
             seen["item"] = yield table.get_item("k")
@@ -140,20 +140,23 @@ class TestAtomics:
         assert table.peek("c")["n"] == 50
 
     def test_update_item_read_modify_write(self, cloud, table):
+        """The request resolves with the closure's outcome, and the
+        table holds the closure's new item."""
         def flow():
             yield table.put_item("k", {"n": 1})
-            updated = yield table.update_item("k", lambda cur: {"n": cur["n"] + 10})
-            return updated
+            outcome = yield table.update_item(
+                "k", lambda cur: ({"n": cur["n"] + 10}, ("was", cur["n"])))
+            return outcome, (yield table.get_item("k"))
 
-        assert run(cloud, flow()) == {"n": 11}
+        assert run(cloud, flow()) == (("was", 1), {"n": 11})
 
     def test_update_item_delete_via_none(self, cloud, table):
         def flow():
             yield table.put_item("k", {"n": 1})
-            yield table.update_item("k", lambda cur: None)
-            return (yield table.get_item("k"))
+            outcome = yield table.update_item("k", lambda cur: (None, "gone"))
+            return outcome, (yield table.get_item("k"))
 
-        assert run(cloud, flow()) is None
+        assert run(cloud, flow()) == ("gone", None)
 
 
 class TestMetering:
