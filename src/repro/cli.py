@@ -79,6 +79,8 @@ def _build_service(args, slo: float = 0.0, tracing: bool = False):
                            profile_samples=args.profile_samples,
                            tracing_enabled=tracing)
     service = AReplicaService(cloud, config)
+    if tracing:     # for --trace-out, which exports the records
+        service.tracer.keep_records()
     src = cloud.bucket(args.src, "src")
     dst = cloud.bucket(args.dst, "dst")
     rule = service.add_rule(src, dst)

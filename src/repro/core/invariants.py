@@ -1,15 +1,16 @@
-"""Trace-invariant oracle — ``fsck`` for a finished causal trace.
+"""Trace-invariant oracle — ``fsck`` for a causal trace.
 
 Where the :class:`~repro.core.audit.ReplicationAuditor` inspects the
 *end state* of a rule (buckets, lock tables, measurements), the
-:class:`TraceChecker` validates the *execution itself*, offline, from
-the spans and events a :class:`~repro.core.tracing.Tracer` recorded.
-One pass over the spans and one over the events build an index — the
-lock holder per (lock domain, key), each task's lifecycle facts, the
-cordon windows per (substrate, region) — and every invariant reads that
-index.  What a legal task lifecycle is comes from the vocabulary in
-:mod:`repro.core.task`; docs/observability.md lists every finding kind
-and the invariant behind it.
+:class:`TraceChecker` validates the *execution itself*, from the spans
+and events a :class:`~repro.core.tracing.Tracer` emits.  The tracer
+feeds each record, as it is emitted, into one index — the lock holder
+per (lock domain, key), each task's lifecycle facts, the cordon windows
+per (substrate, region) — and every invariant reads that index, so the
+check needs no kept records.  What a legal task lifecycle is comes
+from the vocabulary in :mod:`repro.core.task`;
+docs/observability.md lists every finding kind and the invariant
+behind it.
 
 A clean report turns every chaos/outage scenario into a *checked
 execution*: the oracle is the property, not a per-scenario assert.
@@ -32,8 +33,12 @@ __all__ = ["TraceReport", "TraceChecker"]
 _EPS = 1e-9
 
 #: The checks, in the order a report lists their findings.
-_CHECKS = ("clock", "locks", "lifecycle", "backlog", "done", "integrity",
-           "costs", "hedges", "switchover", "cordons", "tenants", "autopilot")
+_CHECKS = ("clock", "event-clock", "locks", "lifecycle", "backlog", "done",
+           "integrity", "costs", "hedges", "switchover", "cordons", "tenants",
+           "autopilot")
+#: ``Tracer.integrity_summary()``'s counter per event name.
+_TALLIED = {"chaos-corrupt": "injected", "corrupt-detected": "detected",
+            "quarantine": "quarantined"}
 
 #: ``lock-order`` details per acquire mode: (wrong holder, wrong fence).
 _BAD_ACQUIRE = {
@@ -72,38 +77,53 @@ class TraceReport(Findings):
 
 
 class _Index:
-    """The facts the invariants read, fed one record at a time in
-    recording order.
+    """The facts the invariants read, fed one record at a time by the
+    tracer as it emits it.
 
     A check that needs only what came before a record — clock order,
-    the lock state machine, drains, hedge resolutions, tenant tags —
-    flags as the record is fed; the others read the facts once the
-    whole trace is in.  Findings collect per check, in feeding order.
+    the lock state machine, drains, hedge resolutions — flags as the
+    record is fed; the others, tenant claims included, read the facts
+    when a report is asked for.  Findings collect per check, in feeding
+    order.  A record whose attributes nothing here reads is fed as a
+    bare fact (:meth:`span_fact`, :meth:`event_fact`).
     """
 
-    def __init__(self, owner_of):
-        self.owner_of = owner_of      # task-id prefix -> owning tenant
+    #: Span categories and event names whose records are read or held
+    #: here; so is any record tagged with a tenant, and, once a cordon
+    #: has opened, any admission (``event_names``).
+    SPAN_CATS = frozenset({"engine", "autopilot"})
+    EVENT_NAMES = frozenset({
+        "lock-acquire", "lock-release", "finalize", "visible", "done-marker",
+        "hedge-start", "hedge-resolved", "cordon", "uncordon", "part-complete",
+        "drain", *_TALLIED, *RECOVERY_FACTS})
+
+    def __init__(self):
         self.found: dict[str, list[Finding]] = defaultdict(list)
+        self.event_names = self.EVENT_NAMES
+        self.n_spans = self.n_events = self.detections = 0
         self.last_span = self.last_event = -math.inf
+        self.tasks: dict[Optional[str], None] = {}   # first-appearance order
         self.lock_acquires = self.visibles = self.verified = 0
-        self.detections = self.tenant_records = 0
+        self.integrity = {"injected": 0, "detected": 0, "quarantined": 0,
+                          "verify_ok": 0, "verify_failed": 0}
         # Per (lock domain, key): the holder as (owner, fence), and the
         # fences above 1 issued, as (time, fence) — only those can
         # supersede a valid fence.
         self.holders: dict[tuple, tuple] = {}
         self.high_fences: dict[tuple, list] = {}
         # Per task: acquire times, first plan end, finalize events, last
-        # corruption detected, handed to recovery, claiming tenant.
+        # corruption detected, handed to recovery.
         self.acquires: dict[str, list[float]] = {}
         self.plan_end: dict[str, float] = {}
         self.finalizes: dict[str, list] = {}
         self.last_corrupt: dict[str, float] = {}
         self.surfaced: set[str] = set()
-        self.tenant_of: dict[str, str] = {}
+        # Tenant-tagged records as (name, subjects, tenant), per kind.
+        self.span_claims, self.event_claims = [], []
         # Per (substrate, region): cordon windows as [start, end].
         self.windows: dict[tuple, list[list[float]]] = {}
         self.writes: list = []        # visibles of a destination write
-        self.admissions: list = []    # what a cordon forbids
+        self.admissions: list = []    # what an open cordon may forbid
         self.actuations: list = []    # autopilot spans
         self.parked: dict[tuple, str] = {}
         self.drained: set = set()
@@ -115,29 +135,45 @@ class _Index:
     def flag(self, check: str, kind: str, key: str, detail: str) -> None:
         self.found[check].append(Finding(kind, key, detail))
 
-    def span(self, s) -> None:
-        if s.end < s.start - _EPS:
-            self.flag("clock", "clock", s.task or s.name,
-                      f"span {s.name} closes before it opens "
-                      f"({s.start:.6f} -> {s.end:.6f})")
-        if s.end < self.last_span - _EPS:
-            self.flag("clock", "clock", s.task or s.name,
-                      f"span {s.name} recorded out of clock order")
-        if s.end > self.last_span:
-            self.last_span = s.end
-        if s.cat == "engine" and s.name == "plan" and s.task is not None:
-            self.plan_end.setdefault(s.task, s.end)
-        elif s.cat == "autopilot":
-            self.actuations.append(s)
-        self.tenant(s)
-
-    def event(self, e) -> None:
-        name, cat, task, t = e[:4]
-        if t < self.last_event - _EPS:
+    def span_fact(self, name, task, start, end) -> None:
+        self.n_spans += 1
+        self.tasks[task] = None
+        if end < start - _EPS:
             self.flag("clock", "clock", task or name,
+                      f"span {name} closes before it opens "
+                      f"({start:.6f} -> {end:.6f})")
+        if end < self.last_span - _EPS:
+            self.flag("clock", "clock", task or name,
+                      f"span {name} recorded out of clock order")
+        if end > self.last_span:
+            self.last_span = end
+
+    def event_fact(self, name, task, t) -> None:
+        self.n_events += 1
+        self.tasks[task] = None
+        if t < self.last_event - _EPS:
+            self.flag("event-clock", "clock", task or name,
                       f"event {name} recorded out of clock order")
         if t > self.last_event:
             self.last_event = t
+
+    def span(self, s) -> None:
+        name, cat, task, start, end = s[:5]
+        self.span_fact(name, task, start, end)
+        if cat == "engine":
+            if name == "plan" and task is not None:
+                self.plan_end.setdefault(task, end)
+            elif name == "verify":
+                self.integrity["verify_ok" if s.get("ok") else
+                               "verify_failed"] += 1
+        elif cat == "autopilot":
+            self.actuations.append(s)
+        if "tenant" in s.keys:
+            self.tenant(s, self.span_claims)
+
+    def event(self, e) -> None:
+        name, cat, task, t = e[:4]
+        self.event_fact(name, task, t)
         if cat == "lock":
             self.lock(e)
         elif cat == "engine":
@@ -146,15 +182,19 @@ class _Index:
             ref, windows = (e.get("substrate"), e.get("region")), self.windows
             if name == "cordon":
                 windows.setdefault(ref, []).append([t, math.inf])
+                self.event_names = self.EVENT_NAMES | CORDONED_ADMISSIONS
             elif windows.get(ref) and windows[ref][-1][1] == math.inf:
                 windows[ref][-1][1] = t
         elif (cat == "pool" and name == "part-complete" and e.get("first")
                 and task is not None):
             ref = (task, e.get("idx"))
             self.first_writers[ref] = self.first_writers.get(ref, 0) + 1
+        if name in _TALLIED:
+            self.integrity[_TALLIED[name]] += 1
         if name in RECOVERY_FACTS and task is not None:
             self.surfaced.add(task)
-        self.tenant(e)
+        if "tenant" in e.keys:
+            self.tenant(e, self.event_claims)
 
     def lock(self, e) -> None:
         owner, key = e.get("owner"), e.get("key")
@@ -239,40 +279,32 @@ class _Index:
                 self.flag("hedges", "hedge-unresolved", str(task),
                           f"hedge of part {ref[1]} seq {ref[2]} resolved "
                           f"but never started")
-        if name in CORDONED_ADMISSIONS:
+        # Held only if a window seen so far (opened earlier) contains it.
+        if name in CORDONED_ADMISSIONS and self.windows and any(
+                start + _EPS < t < end - _EPS for start, end in
+                self.windows.get(("faas", e.get("region")), ())):
             self.admissions.append(e)
 
-    def tenant(self, rec) -> None:
-        """Tenant-tagged records agree with the rule registry about who
-        owns the task, and no task is claimed by two tenants."""
+    def tenant(self, rec, claims: list) -> None:
+        """Hold a tenant-tagged record's claim for ``_tenants``."""
         tenant = rec.get("tenant")
         if tenant is None:
             return
-        self.tenant_records += 1
-        subjects = [rec.task] if rec.task is not None else []
+        subjects = (rec.task,) if rec.task is not None else ()
         owner = rec.get("owner")
         if isinstance(owner, str) and ":" in owner:
-            subjects.append(owner)
-        for task in subjects:
-            expected = self.owner_of(task.split(":", 1)[0])
-            if expected is not None and expected != tenant:
-                self.flag("tenants", "tenant-isolation", task,
-                          f"record {rec.name!r} tagged tenant {tenant!r} "
-                          f"but the registry owns the task's rule under "
-                          f"{expected!r}")
-            prev = self.tenant_of.setdefault(task, tenant)
-            if prev != tenant:
-                self.flag("tenants", "tenant-isolation", task,
-                          f"task claimed by two tenants: {prev!r} and "
-                          f"{tenant!r}")
+            subjects += (owner,)
+        claims.append((rec.name, subjects, tenant))
 
 
 class TraceChecker:
-    """Validates lifecycle invariants from a finished trace.
+    """Validates lifecycle invariants over the records a tracer has
+    emitted.
 
     Built on a service so the done-marker check can compare against the
-    live destination buckets; the trace itself defaults to the
-    service's installed tracer.
+    live destination buckets and the tenant check against its rule
+    registry; the trace itself defaults to the service's installed
+    tracer.
     """
 
     def __init__(self, service, tracer: Optional[Tracer] = None):
@@ -283,40 +315,27 @@ class TraceChecker:
                              "(ReplicaConfig.tracing_enabled)")
 
     def check(self) -> TraceReport:
-        tr = self.tracer
-        ix = _Index(self._owner_of())
-        for s in tr.spans:
-            ix.span(s)
-        for e in tr.events:
-            ix.event(e)
-        checked = {"spans": len(tr.spans), "events": len(tr.events),
+        """Report on every record emitted so far.  It changes nothing,
+        so it may run at any point of a run, and twice."""
+        ix = self.tracer.index
+        found = defaultdict(list, {k: list(v) for k, v in ix.found.items()})
+
+        def flag(check: str, kind: str, key: str, detail: str) -> None:
+            found[check].append(Finding(kind, key, detail))
+
+        checked = {"spans": ix.n_spans, "events": ix.n_events,
                    "lock_acquires": ix.lock_acquires}
         for check in (self._lifecycle, self._backlog, self._done_markers,
                       self._integrity, self._costs, self._hedges,
-                      self._switchover, self._cordons, self._autopilot):
-            check(ix, checked)
-        checked["tenant_records"] = ix.tenant_records
-        return TraceReport([f for name in _CHECKS for f in ix.found[name]],
+                      self._switchover, self._cordons, self._autopilot,
+                      self._tenants):
+            check(ix, checked, flag)
+        return TraceReport([f for name in _CHECKS for f in found[name]],
                            checked)
-
-    def _owner_of(self):
-        """Task-id prefix -> the tenant the registry says owns it."""
-        svc = self.service
-        rule_owner = {rid: getattr(rule, "tenant", None)
-                      for rid, rule in svc.rules.items()}
-        tenant_ids = set(getattr(svc, "tenants", ()) or ())
-
-        def owner_of(prefix: str):
-            # A rule id (engine records) or a bare tenant id (the
-            # admission router's records).
-            if prefix in rule_owner:
-                return rule_owner[prefix]
-            return prefix if prefix in tenant_ids else None
-        return owner_of
 
     # -- fenced finalize before visible, in lifecycle order -----------------
 
-    def _lifecycle(self, ix: _Index, checked: dict) -> None:
+    def _lifecycle(self, ix: _Index, checked: dict, flag) -> None:
         checked["visibles"] = ix.visibles
         for e in ix.writes:
             task, kind = e.task, e.get("kind")
@@ -325,14 +344,14 @@ class TraceChecker:
             fin = next((f for f in reversed(ix.finalizes.get(task, ()))
                         if f.time <= e.time + _EPS), None)
             if fin is None:
-                ix.flag("lifecycle", "unfenced-visible", task,
-                        f"{kind} visible at t={e.time:.3f} with no prior "
-                        f"finalize")
+                flag("lifecycle", "unfenced-visible", task,
+                     f"{kind} visible at t={e.time:.3f} with no prior "
+                     f"finalize")
                 continue
             fence = fin.get("fence")
             if not isinstance(fence, int) or fence < 1:
-                ix.flag("lifecycle", "unfenced-visible", task,
-                        f"finalize carries invalid fence {fence!r}")
+                flag("lifecycle", "unfenced-visible", task,
+                     f"finalize carries invalid fence {fence!r}")
                 continue
             # The zombie-writer interleaving: someone acquired this key,
             # in this task's lock domain, with a higher token before our
@@ -345,28 +364,28 @@ class TraceChecker:
             for at, f2 in ix.high_fences.get(
                     (_lock_domain(task), fin.get("key")), ()):
                 if f2 > fence and first - _EPS <= at < fin.time - _EPS:
-                    ix.flag("lifecycle", "superseded-fence", task,
-                            f"finalize with fence {fence} at "
-                            f"t={fin.time:.3f} after fence {f2} was issued "
-                            f"at t={at:.3f}")
+                    flag("lifecycle", "superseded-fence", task,
+                         f"finalize with fence {fence} at "
+                         f"t={fin.time:.3f} after fence {f2} was issued "
+                         f"at t={at:.3f}")
                     break
             # The facts LIFECYCLE orders before the finalize, each at
             # its first time.
             for fact, at in zip(LIFECYCLE, (
                     first, ix.plan_end.get(task, -math.inf))):
                 if at > fin.time + _EPS:
-                    ix.flag("lifecycle", "lifecycle", task,
-                            f"finalize precedes the task's "
-                            f"{LIFECYCLE[fact]}")
+                    flag("lifecycle", "lifecycle", task,
+                         f"finalize precedes the task's "
+                         f"{LIFECYCLE[fact]}")
 
-    def _backlog(self, ix: _Index, checked: dict) -> None:
+    def _backlog(self, ix: _Index, checked: dict, flag) -> None:
         checked["parked"] = len(ix.parked)
         for ref, key in sorted(ix.parked.items(), key=lambda kv: str(kv[0])):
             if ref not in ix.drained:
-                ix.flag("backlog", "park-leak", str(ref[1]),
-                        f"task for key {key!r} parked but never drained")
+                flag("backlog", "park-leak", str(ref[1]),
+                     f"task for key {key!r} parked but never drained")
 
-    def _done_markers(self, ix: _Index, checked: dict) -> None:
+    def _done_markers(self, ix: _Index, checked: dict, flag) -> None:
         """The newest done marker per key agrees with the destination."""
         checked["done_markers"] = len(ix.done)
         for (rule_id, key), e in ix.done.items():
@@ -376,18 +395,18 @@ class TraceChecker:
             dst, seq, etag = rule.dst_bucket, e.get("seq"), e.get("etag")
             if e.get("op") == "delete":
                 if key in dst:
-                    ix.flag("done", "done-mismatch", key,
-                            f"marker records deletion (seq {seq}) but key "
-                            f"survives at destination")
+                    flag("done", "done-mismatch", key,
+                         f"marker records deletion (seq {seq}) but key "
+                         f"survives at destination")
             elif key not in dst:
-                ix.flag("done", "done-mismatch", key,
-                        f"marker seq {seq} but key missing at destination")
+                flag("done", "done-mismatch", key,
+                     f"marker seq {seq} but key missing at destination")
             elif dst.head(key).etag != etag:
-                ix.flag("done", "done-mismatch", key,
-                        f"marker etag {etag} != destination etag "
-                        f"{dst.head(key).etag}")
+                flag("done", "done-mismatch", key,
+                     f"marker etag {etag} != destination etag "
+                     f"{dst.head(key).etag}")
 
-    def _integrity(self, ix: _Index, checked: dict) -> None:
+    def _integrity(self, ix: _Index, checked: dict, flag) -> None:
         """No corruption goes silent: each detection is resolved by a
         later finalize of the task that leaves nothing unverified (a
         verified put, or a delete) or by a recovery fact
@@ -400,47 +419,46 @@ class TraceChecker:
                           if f.get("op") != "put" or f.get("verified")),
                          -math.inf)
             if t_fin < t_corrupt - _EPS and task not in ix.surfaced:
-                ix.flag("integrity", "silent-corruption", task,
-                        f"corruption detected at t={t_corrupt:.3f} was "
-                        f"neither re-verified by a later finalize nor "
-                        f"surfaced")
+                flag("integrity", "silent-corruption", task,
+                     f"corruption detected at t={t_corrupt:.3f} was "
+                     f"neither re-verified by a later finalize nor "
+                     f"surfaced")
 
-    def _costs(self, ix: _Index, checked: dict) -> None:
+    def _costs(self, ix: _Index, checked: dict, flag) -> None:
         tr = self.tracer
         recorded, billed = tr.recorded_cost(), tr.billed_delta()
         checked["cost_records"] = tr.cost_count()
         if not math.isclose(recorded, billed, rel_tol=1e-9, abs_tol=1e-9):
-            ix.flag("costs", "cost-gap", "ledger",
-                    f"trace mirrors ${recorded:.9f} but the ledger grew "
-                    f"${billed:.9f} since install")
-        known = set(tr.tasks())
+            flag("costs", "cost-gap", "ledger",
+                 f"trace mirrors ${recorded:.9f} but the ledger grew "
+                 f"${billed:.9f} since install")
         for task in sorted(task for task in tr.attributed_cost()
-                           if task is not None and task not in known):
-            ix.flag("costs", "cost-orphan", task,
-                    "charge attributed to a task the trace never saw")
+                           if task is not None and task not in ix.tasks):
+            flag("costs", "cost-orphan", task,
+                 "charge attributed to a task the trace never saw")
 
-    def _hedges(self, ix: _Index, checked: dict) -> None:
+    def _hedges(self, ix: _Index, checked: dict, flag) -> None:
         """Every hedge resolves exactly once; no part admits two first
         writers to its done-set (the double-finalize hazard)."""
         checked["hedges"] = len(ix.hedges)
         for ref, t in sorted(ix.hedges.items(), key=lambda kv: str(kv[0])):
             n = ix.resolved.get(ref, 0)
             if n == 0:
-                ix.flag("hedges", "hedge-unresolved", str(ref[0]),
-                        f"hedge of part {ref[1]} seq {ref[2]} fired at "
-                        f"t={t:.3f} but never resolved")
+                flag("hedges", "hedge-unresolved", str(ref[0]),
+                     f"hedge of part {ref[1]} seq {ref[2]} fired at "
+                     f"t={t:.3f} but never resolved")
             elif n > 1:
-                ix.flag("hedges", "hedge-double-resolve", str(ref[0]),
-                        f"hedge of part {ref[1]} seq {ref[2]} resolved "
-                        f"{n} times")
+                flag("hedges", "hedge-double-resolve", str(ref[0]),
+                     f"hedge of part {ref[1]} seq {ref[2]} resolved "
+                     f"{n} times")
         for (task, idx), n in sorted(ix.first_writers.items(),
                                      key=lambda kv: str(kv[0])):
             if n > 1:
-                ix.flag("hedges", "double-finalize", str(task),
-                        f"part {idx} admitted {n} first writers to the "
-                        f"done-set")
+                flag("hedges", "double-finalize", str(task),
+                     f"part {idx} admitted {n} first writers to the "
+                     f"done-set")
 
-    def _switchover(self, ix: _Index, checked: dict) -> None:
+    def _switchover(self, ix: _Index, checked: dict, flag) -> None:
         """One orchestrator location finalizes per task epoch.
 
         An epoch is (the task's last own acquire at or before the
@@ -464,11 +482,11 @@ class TraceChecker:
         checked["finalize_epochs"] = epochs
         for (task, gen, fence), locs in sorted(split,
                                                key=lambda kv: str(kv[0])):
-            ix.flag("switchover", "switchover-discipline", str(task),
-                    f"epoch (acquire t={gen:.3f}, fence {fence}) was "
-                    f"finalized from {len(locs)} locations: {sorted(locs)}")
+            flag("switchover", "switchover-discipline", str(task),
+                 f"epoch (acquire t={gen:.3f}, fence {fence}) was "
+                 f"finalized from {len(locs)} locations: {sorted(locs)}")
 
-    def _cordons(self, ix: _Index, checked: dict) -> None:
+    def _cordons(self, ix: _Index, checked: dict, flag) -> None:
         """No admission into a FaaS region strictly inside one of its
         cordon windows (the uncordon instant itself re-admits)."""
         faas = {region: w for (substrate, region), w in ix.windows.items()
@@ -478,13 +496,13 @@ class TraceChecker:
             region = e.get("region")
             for start, end in faas.get(region, ()):
                 if start + _EPS < e.time < end - _EPS:
-                    ix.flag("cordons", "cordon-violation", e.task or "?",
-                            f"{e.name} admitted into cordoned faas region "
-                            f"{region!r} at t={e.time:.3f} (window "
-                            f"[{start:.3f}, {end:.3f}))")
+                    flag("cordons", "cordon-violation", e.task or "?",
+                         f"{e.name} admitted into cordoned faas region "
+                         f"{region!r} at t={e.time:.3f} (window "
+                         f"[{start:.3f}, {end:.3f}))")
                     break
 
-    def _autopilot(self, ix: _Index, checked: dict) -> None:
+    def _autopilot(self, ix: _Index, checked: dict, flag) -> None:
         """Actuations stay inside their declared ``[lo, hi]``, respect
         the cooldown per knob, and never land strictly inside a cordon
         window of any substrate."""
@@ -498,24 +516,51 @@ class TraceChecker:
                 if value is None or lo is None or hi is None or \
                         lo - _EPS <= value <= hi + _EPS:
                     continue
-                ix.flag("autopilot", "autopilot-bounds", knob,
-                        f"actuation at t={s.start:.3f} has {label} value "
-                        f"{value!r} outside declared [{lo}, {hi}]")
+                flag("autopilot", "autopilot-bounds", knob,
+                     f"actuation at t={s.start:.3f} has {label} value "
+                     f"{value!r} outside declared [{lo}, {hi}]")
             cooldown = s.get("cooldown_s", 0.0)
             prev = last_by_knob.get(knob)
             if prev is not None and s.start - prev < cooldown - _EPS:
-                ix.flag("autopilot", "autopilot-cooldown", knob,
-                        f"actuations at t={prev:.3f} and t={s.start:.3f} "
-                        f"violate the {cooldown:g}s cooldown")
+                flag("autopilot", "autopilot-cooldown", knob,
+                     f"actuations at t={prev:.3f} and t={s.start:.3f} "
+                     f"violate the {cooldown:g}s cooldown")
             last_by_knob[knob] = s.start
         for s in acts:
             for ref, windows in ix.windows.items():
                 hit = next((w for w in windows
                             if w[0] + _EPS < s.start < w[1] - _EPS), None)
                 if hit is not None:
-                    ix.flag("autopilot", "autopilot-cordon",
-                            s.get("knob", "?"),
-                            f"actuation at t={s.start:.3f} inside cordon "
-                            f"window [{hit[0]:.3f}, {hit[1]:.3f}) on "
+                    flag("autopilot", "autopilot-cordon",
+                         s.get("knob", "?"),
+                         f"actuation at t={s.start:.3f} inside cordon "
+                         f"window [{hit[0]:.3f}, {hit[1]:.3f}) on "
                             f"{ref[1]!r}")
                     break
+
+    def _tenants(self, ix: _Index, checked: dict, flag) -> None:
+        """Tenant-tagged records agree with the rule registry (as it
+        stands now) about who owns the task, and no task has two owners."""
+        svc, tenant_of = self.service, {}
+        rule_owner = {rid: getattr(rule, "tenant", None)
+                      for rid, rule in svc.rules.items()}
+        tenant_ids = set(getattr(svc, "tenants", ()) or ())
+        claims = ix.span_claims + ix.event_claims
+        checked["tenant_records"] = len(claims)
+        for name, subjects, tenant in claims:
+            for task in subjects:
+                # A rule id (engine records) or a bare tenant id (the
+                # admission router's records) owns the task id.
+                prefix = task.split(":", 1)[0]
+                expected = rule_owner.get(prefix, prefix if prefix in
+                                          tenant_ids else None)
+                if expected is not None and expected != tenant:
+                    flag("tenants", "tenant-isolation", task,
+                         f"record {name!r} tagged tenant {tenant!r} but "
+                         f"the registry owns the task's rule under "
+                         f"{expected!r}")
+                prev = tenant_of.setdefault(task, tenant)
+                if prev != tenant:
+                    flag("tenants", "tenant-isolation", task,
+                         f"task claimed by two tenants: {prev!r} and "
+                         f"{tenant!r}")

@@ -17,17 +17,18 @@ phase  meaning
 ``C``  per-chunk transfer legs (download or upload of one part)
 =====  ==============================================================
 
-The recorder is deliberately dumb: append-only lists of spans and
-instant events, all timestamped from the simulation clock and in
-execution order (the kernel is deterministic, so two runs with the
-same seed produce byte-identical exports), plus running totals of the
-ledger charges it observes.  Every emission site in the engine and
+The recorder feeds every span and instant event, timestamped from the
+simulation clock, into the trace checker's index as it is emitted, and
+keeps running totals of the ledger charges it observes.  It keeps the
+records themselves, in execution order (the kernel is deterministic,
+so two runs with the same seed produce byte-identical exports), only
+for a reader that asked first.  Every emission site in the engine and
 substrates is guarded by a single ``tracer is not None`` check — the
 disabled path costs one attribute read.
 
 Each record is one flat tuple — the fixed fields, then the tuple of
 attribute names (shared by every record of that schema), then the
-attribute values — because a traced storm keeps hundreds of thousands
+attribute values — because a traced storm emits hundreds of thousands
 of them and a dict per record would cost more than the record itself.
 Emitters pass that shared tuple themselves, a module-level constant per
 schema, followed by the values in its order::
@@ -49,21 +50,21 @@ a ``hedge`` span per fired clone (outcome ``won`` / ``lost`` /
 ``cancelled``), which the TraceChecker's hedge-discipline invariants
 require to pair exactly one-to-one.
 
-Offline consumers:
+Consumers:
 
-* :meth:`Tracer.export_chrome` — Chrome trace-event JSON, loadable in
-  ``chrome://tracing`` / Perfetto (one row per task);
-* :meth:`Tracer.delay_breakdown` — the per-phase *I/D/P/S/C* split
-  comparable to the paper's Fig 18-19 delay decomposition;
-* :class:`repro.core.invariants.TraceChecker` — the lifecycle oracle
-  that validates a finished trace.
+* :class:`repro.core.invariants.TraceChecker` — the lifecycle oracle,
+  which reads the index;
+* of the kept records, :meth:`Tracer.export_chrome` — Chrome
+  trace-event JSON, loadable in ``chrome://tracing`` / Perfetto (one
+  row per task) — and :meth:`Tracer.delay_breakdown` — the per-phase
+  *I/D/P/S/C* split comparable to the paper's Fig 18-19 delay
+  decomposition.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from operator import itemgetter
 from typing import Optional
 
@@ -154,7 +155,8 @@ class Event(_Record):
 
 
 class Tracer:
-    """Append-only sim-clock span/event recorder with a cost mirror.
+    """Sim-clock span/event recorder and trace-checker feed, with a
+    cost mirror.
 
     One tracer observes one :class:`~repro.simcloud.cloud.Cloud`; the
     service installs it with ``cloud.set_tracer(tracer)`` which also
@@ -163,9 +165,15 @@ class Tracer:
     """
 
     def __init__(self, sim):
+        # The index module imports the service, which imports this one.
+        from repro.core.invariants import _Index
         self.sim = sim
+        #: The trace checker's index, fed every record as it is emitted.
+        self.index = _Index()
+        #: The records emitted since :meth:`keep_records`; empty without.
         self.spans: list[Span] = []
         self.events: list[Event] = []
+        self._keep = False
         # The cost mirror keeps totals, not charges.  Each is summed in
         # charge order, so it equals an in-order sum() of the amounts.
         self._cost_total = 0.0
@@ -176,16 +184,36 @@ class Tracer:
 
     # -- recording ---------------------------------------------------------
 
+    def keep_records(self) -> None:
+        """Keep the spans and events emitted from now on in :attr:`spans`
+        and :attr:`events`, for a reader of whole records (the Chrome
+        export, the delay breakdown); ask before ``add_rule``.  Without
+        it, a record nothing in the index reads is not even built."""
+        self._keep = True
+
     def span(self, name: str, cat: str, task: Optional[str],
              start: float, end: float, keys: tuple = (), *values) -> None:
         """Record ``[start, end]``; ``values`` follow ``keys`` in order."""
-        self.spans.append(Span((name, cat, task, start, end, keys) + values))
+        index = self.index
+        if self._keep or cat in index.SPAN_CATS or "tenant" in keys:
+            span = Span((name, cat, task, start, end, keys) + values)
+            index.span(span)
+            if self._keep:
+                self.spans.append(span)
+        else:
+            index.span_fact(name, task, start, end)
 
     def event(self, name: str, cat: str, task: Optional[str],
               keys: tuple = (), *values) -> None:
         """Record a fact at ``sim.now``; ``values`` follow ``keys``."""
-        self.events.append(Event((name, cat, task, self.sim.now, keys)
-                                 + values))
+        index = self.index
+        if self._keep or name in index.event_names or "tenant" in keys:
+            event = Event((name, cat, task, self.sim.now, keys) + values)
+            index.event(event)
+            if self._keep:
+                self.events.append(event)
+        else:
+            index.event_fact(name, task, self.sim.now)
 
     def scoped(self, tenant: str) -> "TenantTracer":
         """A view of this tracer adding ``tenant`` to records without one.
@@ -193,8 +221,8 @@ class Tracer:
         Installed on a tenant's engines (and, through them, their lock
         managers) so the cross-tenant isolation invariant can key lock
         domains, backlog lanes, and task ownership by tenant without
-        the engine ever learning about tracing internals.  Records land
-        in *this* tracer's lists — the scoped view holds no state.
+        the engine ever learning about tracing internals.  Records go
+        through *this* tracer — the scoped view holds no state.
         """
         return TenantTracer(self, tenant)
 
@@ -247,11 +275,8 @@ class Tracer:
     # -- queries -----------------------------------------------------------
 
     def tasks(self) -> list[str]:
-        """All task ids, in order of first appearance."""
-        seen = dict.fromkeys(rec[2] for rec in chain(self.spans,
-                                                      self.events))
-        seen.pop(None, None)
-        return list(seen)
+        """All task ids emitted, in order of first appearance."""
+        return [task for task in self.index.tasks if task is not None]
 
     def task_events(self, task: str) -> list[Event]:
         return [e for e in self.events if e.task == task]
@@ -259,20 +284,7 @@ class Tracer:
     def integrity_summary(self) -> dict[str, int]:
         """Corruption bookkeeping visible in this trace: injected
         faults, engine detections, quarantines, and verify outcomes."""
-        out = {"injected": 0, "detected": 0, "quarantined": 0,
-               "verify_ok": 0, "verify_failed": 0}
-        for e in self.events:
-            if e.name == "chaos-corrupt":
-                out["injected"] += 1
-            elif e.name == "corrupt-detected":
-                out["detected"] += 1
-            elif e.name == "quarantine":
-                out["quarantined"] += 1
-        for s in self.spans:
-            if s.name == "verify" and s.cat == "engine":
-                out["verify_ok" if s.get("ok") else
-                    "verify_failed"] += 1
-        return out
+        return dict(self.index.integrity)
 
     def task_spans(self, task: str) -> list[Span]:
         return [s for s in self.spans if s.task == task]

@@ -173,6 +173,7 @@ class TestControlLaw:
         class _Sim:
             now = 0.0
         tracer = Tracer(_Sim())
+        tracer.keep_records()
         ctrl = KnobController(cooldown_s=7.5, tracer=tracer)
         _, spec = make_knob(lo=1.0, hi=16.0, baseline=4.0, step=2.0)
         ctrl.register(spec)
@@ -189,6 +190,7 @@ class TestControlLaw:
         class _Sim:
             now = 0.0
         tracer = Tracer(_Sim())
+        tracer.keep_records()
         ctrl = KnobController(cooldown_s=0.0, tracer=tracer)
         ctrl.register(make_knob()[1])
         ctrl.drive("k", 0.05, now=0.0)
@@ -378,6 +380,7 @@ def _live_service(autopilot=True, **cfg_kw):
                            enable_autopilot=autopilot,
                            **cfg_kw)
     svc = AReplicaService(cloud, config)
+    svc.tracer.keep_records()
     svc.enable_multitenancy(shards=1, max_concurrent=2)
     src = cloud.bucket("aws:us-east-1", "probe-src")
     dst = cloud.bucket("azure:eastus", "probe-dst")

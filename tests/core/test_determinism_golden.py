@@ -34,6 +34,8 @@ def _fig12_run(seed: int, tracing: bool = False):
     config = ReplicaConfig(slo_seconds=0.0, profile_samples=5, mc_samples=300,
                            tracing_enabled=tracing)
     svc = AReplicaService(cloud, config)
+    if tracing:
+        svc.tracer.keep_records()
     src = cloud.bucket("aws:us-east-1", "src")
     dst = cloud.bucket("azure:eastus", "dst")
     svc.add_rule(src, dst)
@@ -64,6 +66,8 @@ def _fig23_run(seed: int, idle: str = "", tracing: bool = False):
     svc = AReplicaService(cloud, ReplicaConfig(profile_samples=5,
                                                mc_samples=300,
                                                tracing_enabled=tracing))
+    if tracing:
+        svc.tracer.keep_records()
     if idle == "tenancy":
         # Scheduler + shard router built, zero tenants registered:
         # classic rules must not route through either.
@@ -176,6 +180,7 @@ def _traced_export(seed: int, path):
     config = ReplicaConfig(slo_seconds=0.0, profile_samples=5,
                            mc_samples=300, tracing_enabled=True)
     svc = AReplicaService(cloud, config)
+    svc.tracer.keep_records()
     src = cloud.bucket("aws:us-east-1", "src")
     dst = cloud.bucket("azure:eastus", "dst")
     svc.add_rule(src, dst)

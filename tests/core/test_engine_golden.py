@@ -30,6 +30,7 @@ from repro.simcloud.objectstore import Blob
 from tests.core import (test_chaos_convergence, test_determinism_golden,
                         test_engine_edge_cases, test_hedging,
                         test_lifecycle, test_outage_degradation)
+from tests.core.test_trace_invariants import keeping_records
 
 GOLDEN_PATH = (pathlib.Path(__file__).parent.parent / "golden"
                / "engine_seeds0_2.json")
@@ -119,7 +120,8 @@ def digest(name: str, seed: int) -> str:
     # Blob content ids come from one process-global counter; reset it
     # so the digest does not depend on which tests ran before.
     objectstore._fresh_counter = itertools.count()
-    cloud, svc = SCENARIOS[name](seed)
+    with keeping_records():
+        cloud, svc = SCENARIOS[name](seed)
     tracer = svc.tracer
     return hashlib.sha256(repr((
         [dataclasses.astuple(r) for r in svc.records],
