@@ -45,9 +45,9 @@ tenant-tests:
 
 ## what one mostly idle tenant and one replicated PUT retain: KiB traced
 ## per tenant after one and after eight PUTs, KiB per 4 KiB PUT through
-## one rule, the same with the in-program Tracer on (what its spans and
-## events keep per PUT), and the ten largest owners of each
-## (tests/core/test_footprint.py)
+## one rule, the same with the in-program Tracer on, without and with
+## its records kept (keep_records(): what its spans and events cost per
+## PUT), and the ten largest owners of each (tests/core/test_footprint.py)
 footprint:
 	$(PY) -m pytest -q -s tests/core/test_footprint.py
 
