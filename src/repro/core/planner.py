@@ -308,10 +308,9 @@ class StrategyPlanner:
         inline = n == 1 and loc_key == src_key and size <= LOCAL_THRESHOLD
         predicted = median = 0.0
         if self.model.has_path(path):
-            predicted = self.model.predict_percentile(
-                path, size, n, self.config.percentile, inline=inline)
-            median = self.model.predict_percentile(path, size, n, 0.5,
-                                                   inline=inline)
+            predicted, median = self.model.predict_percentiles(
+                path, size, [(n, inline)],
+                (self.config.percentile, 0.5))[0].tolist()
         return Plan(n=n, loc_key=loc_key, path=path, predicted_s=predicted,
                     percentile=self.config.percentile, compliant=True,
                     inline=inline, predicted_median_s=median)

@@ -97,6 +97,26 @@ class Dist:
 #: First block of a sampler that owns its stream; doubles per refill.
 _FIRST_BLOCK = 16
 
+#: What checkpoints are restored into: seeded, as an unseeded ``PCG64()``
+#: reads OS entropy, and overwritten by every :func:`_restore`.
+_SCRATCH = np.random.Generator(np.random.PCG64(0))
+
+
+def _checkpoint(rng: np.random.Generator) -> tuple[int, int, int, int]:
+    """``rng``'s PCG64 state: 190 B where an idle ``Generator`` holds 1.2 KB."""
+    s = rng.bit_generator.state
+    return s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"]
+
+
+def _restore(checkpoint: tuple[int, int, int, int]) -> np.random.Generator:
+    """The stream ``checkpoint`` was taken from, in a generator shared by
+    every restore: draw from it before the next one."""
+    state, inc, has_uint32, uinteger = checkpoint
+    _SCRATCH.bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+        "has_uint32": has_uint32, "uinteger": uinteger}
+    return _SCRATCH
+
 
 class BufferedSampler:
     """Scalar draws from a :class:`Dist` served out of vectorized blocks.
@@ -115,6 +135,7 @@ class BufferedSampler:
     in several), so such a sampler returns ``dist.sample(rng, n)``
     element by element however it cuts its blocks, and it sizes them to
     demand: most of a large tenancy's tables serve a handful of draws.
+    Between refills it holds its stream as a checkpoint, not a generator.
     """
 
     __slots__ = ("_dist", "_rng", "_block", "_max_block", "_buf", "_idx")
@@ -122,7 +143,7 @@ class BufferedSampler:
     def __init__(self, dist: Dist, rng: np.random.Generator, block: int = 512,
                  *, owns_stream: bool = False):
         self._dist = dist
-        self._rng = rng
+        self._rng = _checkpoint(rng) if owns_stream else rng   # tuple: owned
         self._block = min(block, _FIRST_BLOCK) if owns_stream else block
         self._max_block = block
         # Packed doubles: 8 B a value where a list of floats holds 40.
@@ -134,8 +155,12 @@ class BufferedSampler:
         buf = self._buf
         if idx >= len(buf):
             block = self._block
+            rng = self._rng
+            live = _restore(rng) if type(rng) is tuple else rng
             buf = self._buf = array(
-                "d", self._dist.sample(self._rng, block).tobytes())
+                "d", self._dist.sample(live, block).tobytes())
+            if live is not rng:
+                self._rng = _checkpoint(live)
             self._block = min(2 * block, self._max_block)
             idx = 0
         self._idx = idx + 1

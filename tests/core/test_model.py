@@ -255,6 +255,48 @@ class TestBitIdenticalShortcuts:
         # Both consumed the stream identically: the next draws agree.
         assert model._rng.random() == oracle._rng.random()
 
+    @pytest.mark.parametrize("n", [2, 9, 40])
+    def test_a_row_redrawn_from_its_checkpoint_is_the_missed_row(self, n):
+        """A miss keeps a checkpoint and returns a row it does not keep;
+        the first hit redraws that row from the checkpoint and keeps it,
+        and later hits return the kept row.  Only the miss draws from the
+        live stream, and only the miss counts as a Monte-Carlo run."""
+        size = 3 * n * 8 * MB
+        model, oracle = make_model(seed=n), make_model(seed=n)
+        key = (*PATH, n, model.chunks_per_function(size, n))
+        miss = model.transfer_tail_samples(PATH, size, n)
+        assert type(model._mc_cache[key]) is tuple
+        first_hit = model.transfer_tail_samples(PATH, size, n)
+        assert type(model._mc_cache[key]) is np.ndarray
+        later_hit = model.transfer_tail_samples(PATH, size, n)
+        assert miss.tobytes() == first_hit.tobytes() == later_hit.tobytes()
+        assert later_hit is model._mc_cache[key]
+        assert model.mc_runs == 1
+        expected = oracle.transfer_tail_samples(PATH, size, n)
+        assert miss.tobytes() == expected.tobytes()
+        assert model._rng.random() == oracle._rng.random()
+
+    @pytest.mark.parametrize("hits", [0, 1])
+    def test_the_lookup_after_scale_path_draws_from_the_live_stream(
+            self, hits):
+        """Invalidation drops a checkpoint as it drops a kept row: the
+        next lookup is a miss on the rescaled path, drawn where the live
+        stream stands, as on a model that never hit the old entry."""
+        size, n = 64 * 8 * MB, 8
+        model, oracle = make_model(seed=1), make_model(seed=1)
+        before = model.transfer_tail_samples(PATH, size, n)
+        for _ in range(hits):
+            model.transfer_tail_samples(PATH, size, n)
+        oracle.transfer_tail_samples(PATH, size, n)
+        for m in (model, oracle):
+            m.scale_path(PATH, 1.5)
+        got = model.transfer_tail_samples(PATH, size, n)
+        assert got.tobytes() == oracle.transfer_tail_samples(
+            PATH, size, n).tobytes()
+        assert got.tobytes() != before.tobytes()
+        assert model.mc_runs == 2
+        assert model._rng.random() == oracle._rng.random()
+
     @given(rows=st.integers(1, 6), width=st.integers(1, 300),
            seed=st.integers(0, 2**32 - 1), ties=st.booleans(),
            ps=st.lists(st.one_of(
