@@ -47,7 +47,9 @@ tenant-tests:
 ## per tenant after one and after eight PUTs, KiB per 4 KiB PUT through
 ## one rule, the same with the in-program Tracer on, without and with
 ## its records kept (keep_records(): what its spans and events cost per
-## PUT), and the ten largest owners of each (tests/core/test_footprint.py)
+## PUT), KiB the performance model keeps per Monte-Carlo key looked up
+## once (a checkpoint, not a sample row), and the ten largest owners of
+## each (tests/core/test_footprint.py)
 footprint:
 	$(PY) -m pytest -q -s tests/core/test_footprint.py
 
