@@ -49,7 +49,8 @@ tenant-tests:
 ## its records kept (keep_records(): what its spans and events cost per
 ## PUT), KiB the performance model keeps per Monte-Carlo key looked up
 ## once (a checkpoint, not a sample row), and the ten largest owners of
-## each (tests/core/test_footprint.py)
+## each; it also checks that 10 000 tenant-ledger admissions retain
+## under 1 KiB (tests/core/test_footprint.py)
 footprint:
 	$(PY) -m pytest -q -s tests/core/test_footprint.py
 

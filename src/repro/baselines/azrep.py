@@ -49,14 +49,12 @@ class AzureObjectReplicator(_ManagedReplicatorBase):
     def _charge(self, size: int) -> None:
         prices = self.cloud.prices
         ledger = self.cloud.ledger
-        now = self.cloud.now
         # No service fee; bandwidth + requests + versioning storage only.
         egress = prices.egress_cost(self.src_bucket.region,
                                     self.dst_bucket.region, size)
         if egress > 0:
-            ledger.charge(now, CostCategory.EGRESS, egress, "azrep")
+            ledger.charge(CostCategory.EGRESS, egress)
         store = prices.store["azure"]
-        ledger.charge(now, CostCategory.STORAGE_REQUESTS,
-                      store.get + store.put, "azrep")
-        ledger.charge(now, CostCategory.STORAGE_CAPACITY,
-                      self._versioning_surcharge(size), "azrep-versioning")
+        ledger.charge(CostCategory.STORAGE_REQUESTS, store.get + store.put)
+        ledger.charge(CostCategory.STORAGE_CAPACITY,
+                      self._versioning_surcharge(size))

@@ -154,16 +154,14 @@ class S3RTCReplicator(_ManagedReplicatorBase):
     def _charge(self, size: int) -> None:
         prices = self.cloud.prices
         ledger = self.cloud.ledger
-        now = self.cloud.now
         src_store = prices.store[self.src_bucket.region.provider]
-        ledger.charge(now, CostCategory.RTC_FEE,
-                      src_store.rtc_fee_per_gb * size / GB, "s3rtc")
+        ledger.charge(CostCategory.RTC_FEE,
+                      src_store.rtc_fee_per_gb * size / GB)
         egress = prices.egress_cost(self.src_bucket.region,
                                     self.dst_bucket.region, size)
         if egress > 0:
-            ledger.charge(now, CostCategory.EGRESS, egress, "s3rtc")
-        ledger.charge(now, CostCategory.STORAGE_REQUESTS,
-                      src_store.get + prices.store[self.dst_bucket.region.provider].put,
-                      "s3rtc")
-        ledger.charge(now, CostCategory.STORAGE_CAPACITY,
-                      self._versioning_surcharge(size), "s3rtc-versioning")
+            ledger.charge(CostCategory.EGRESS, egress)
+        ledger.charge(CostCategory.STORAGE_REQUESTS,
+                      src_store.get + prices.store[self.dst_bucket.region.provider].put)
+        ledger.charge(CostCategory.STORAGE_CAPACITY,
+                      self._versioning_surcharge(size))

@@ -314,7 +314,6 @@ class SkyplaneReplicator:
     def _charge(self, size: int) -> None:
         prices = self.cloud.prices
         ledger = self.cloud.ledger
-        now = self.cloud.now
         if self.overlay_region is not None:
             relay = self.cloud.region(self.overlay_region)
             egress = (prices.egress_cost(self.src_bucket.region, relay, size)
@@ -323,8 +322,8 @@ class SkyplaneReplicator:
             egress = prices.egress_cost(self.src_bucket.region,
                                         self.dst_bucket.region, size)
         if egress > 0:
-            ledger.charge(now, CostCategory.EGRESS, egress, "skyplane")
+            ledger.charge(CostCategory.EGRESS, egress)
         store_src = prices.store[self.src_bucket.region.provider]
         store_dst = prices.store[self.dst_bucket.region.provider]
-        ledger.charge(now, CostCategory.STORAGE_REQUESTS,
-                      store_src.get + store_dst.put, "skyplane")
+        ledger.charge(CostCategory.STORAGE_REQUESTS,
+                      store_src.get + store_dst.put)

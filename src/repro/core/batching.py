@@ -61,8 +61,7 @@ class BatchingBuffer:
             return
         self.stats["delayed"] += 1
         self._pending.setdefault(event.key, set()).add(event.etag)
-        self.timers.schedule_at(trigger, lambda: self._on_deadline(event),
-                                detail=f"batch:{event.key}")
+        self.timers.schedule_at(trigger, lambda: self._on_deadline(event))
 
     def _on_deadline(self, event: ObjectEvent) -> None:
         pending = self._pending.get(event.key, set())

@@ -109,10 +109,9 @@ class Hedger:
                                 _START_KEYS, task["key"], idx, seq,
                                 deadline_s, elapsed)
         faas = engine.cloud.faas(ctx.region.key)
-        faas.ledger.charge(ctx.now, CostCategory.HEDGE_CLONES,
+        faas.ledger.charge(CostCategory.HEDGE_CLONES,
                            faas.prices.faas[faas.provider].per_request,
-                           f"{faas.region.key}:{engine._rep_name}:part{idx}",
-                           task=task_id)
+                           task_id)
         payload = dict(task, mode="hedge-clone", hedge_part=idx,
                        hedge_seq=seq, worker_index=f"hedge{seq}")
         return (yield from ctx.invoke(faas, engine._rep_name, payload,

@@ -145,8 +145,7 @@ class AntiEntropyScanner:
         price = cloud.prices.store[dst.region.provider]
         for upload_id in dst.pending_uploads():
             dst.abort_multipart(upload_id)
-            cloud.ledger.charge(cloud.now, CostCategory.STORAGE_REQUESTS,
-                                price.put, "repair:abort-upload")
+            cloud.ledger.charge(CostCategory.STORAGE_REQUESTS, price.put)
             report.aborted_uploads += 1
 
     # -- metered-operation charging ----------------------------------------
@@ -156,15 +155,12 @@ class AntiEntropyScanner:
         pages = max(1, -(-num_keys // _LIST_PAGE))
         price = cloud.prices.store[bucket.region.provider]
         # LIST bills at the PUT/mutating request tier on all three clouds.
-        cloud.ledger.charge(cloud.now, CostCategory.STORAGE_REQUESTS,
-                            pages * price.put,
-                            f"repair:list:{bucket.region.key}")
+        cloud.ledger.charge(CostCategory.STORAGE_REQUESTS, pages * price.put)
 
     def _charge_marker_read(self, rule: ReplicationRule) -> None:
         cloud = self.service.cloud
         price = cloud.prices.kv[rule.dst_bucket.region.provider]
-        cloud.ledger.charge(cloud.now, CostCategory.KV_OPS, price.read,
-                            "repair:marker")
+        cloud.ledger.charge(CostCategory.KV_OPS, price.read)
 
     def _scrub_read(self, rule: ReplicationRule, key: str):
         """One metered byte-level read of a destination object."""
@@ -172,13 +168,11 @@ class AntiEntropyScanner:
         dst = rule.dst_bucket
         price = cloud.prices.store[dst.region.provider]
         payload, obj = dst.get_object(key)
-        cloud.ledger.charge(cloud.now, CostCategory.STORAGE_REQUESTS,
-                            price.get, "repair:scrub-get")
+        cloud.ledger.charge(CostCategory.STORAGE_REQUESTS, price.get)
         cloud.ledger.charge(
-            cloud.now, CostCategory.EGRESS,
+            CostCategory.EGRESS,
             cloud.prices.egress_cost(dst.region, rule.src_bucket.region,
-                                     payload.size),
-            "repair:scrub-bytes")
+                                     payload.size))
         return payload, obj
 
     def _scrub_key(self, rule: ReplicationRule, key: str,

@@ -14,7 +14,6 @@ destination bucket — the paper's §8 metric.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -161,7 +160,7 @@ class TenantState:
     #: Operational counters (TENANT_STAT_KEYS).
     stats: dict = field(default_factory=lambda: {k: 0 for k in TENANT_STAT_KEYS})
     #: Budget-deferred notifications parked until the spend window rolls.
-    deferred: deque = field(default_factory=deque)
+    deferred: list = field(default_factory=list)
     #: shard index -> rule_id of the lazily created engine worker.
     shard_rules: dict[int, str] = field(default_factory=dict)
     #: True while a window-roll timer is armed for this tenant.
@@ -443,8 +442,7 @@ class AReplicaService:
         estimate = estimate_task_cost(
             self.cloud.prices, state.src_bucket.region,
             state.dst_bucket.region, event.size)
-        ledger.charge(now, estimate,
-                      detail=f"{event.key}:{event.sequencer}:{event.kind}")
+        ledger.charge(now, estimate)
         state.stats["admitted"] += 1
         shard = self.shard_router.route(tid, event.key)
         self._on_event(self._tenant_rule(state, shard), event)

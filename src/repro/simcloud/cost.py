@@ -8,6 +8,7 @@ cost based on listed prices and metered usage from recorded logs".
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -76,10 +77,11 @@ class CostLedger:
     #: identity check.
     sink: object = None
 
-    def charge(self, time: float, category: str, amount: float,
-               detail: str = "", task: str | None = None) -> None:
-        if amount < 0:
-            raise ValueError(f"negative charge {amount} ({category}: {detail})")
+    def charge(self, category: str, amount: float,
+               task: str | None = None) -> None:
+        if not 0.0 <= amount < math.inf:
+            raise ValueError(f"{category} charge must be finite and >= 0, "
+                             f"not {amount}")
         if category not in CostCategory.ALL:
             raise ValueError(f"unknown cost category {category!r}")
         self._totals[category] += amount
@@ -125,32 +127,22 @@ def estimate_task_cost(prices, src_region, dst_region, size: int) -> float:
     return egress + requests + compute
 
 
-@dataclass(frozen=True)
-class TenantChargeEntry:
-    """One admission reservation against a tenant's window budget."""
-
-    time: float
-    window: int
-    amount: float
-    detail: str = ""
-
-
 class TenantLedger:
     """Per-tenant admission spend over rolling budget windows.
 
-    Records the estimated cost of every *admitted* task (a reservation,
-    charged before dispatch) and the index of the accounting window it
-    landed in.  ``window_spent`` resets when :meth:`roll` advances the
-    window; lifetime totals are monotonic.  The admission rule the
-    service applies — admit while ``window_spent < budget`` — keeps the
-    entry stream self-certifying: within any window, the cumulative
-    spend *before* each entry is strictly below the budget, which is
-    exactly the "no post-exhaustion spend" check drills replay from
-    :attr:`entries`.
+    Totals the estimated cost of every *admitted* task (a reservation,
+    charged before dispatch) per accounting window.  ``window_spent``
+    resets when :meth:`roll` advances the window; lifetime totals are
+    monotonic.  The admission rule the service applies — admit while
+    ``window_spent < budget`` — makes the ledger self-certifying: a
+    charge that lands while its window's spend already reached the
+    budget is an over-admission, and :meth:`over_admissions` (the "no
+    post-exhaustion spend" check drills read) counts them as they land.
     """
 
     __slots__ = ("tenant_id", "budget_usd", "window_s", "window_index",
-                 "window_spent", "lifetime_spent", "entries")
+                 "window_spent", "lifetime_spent", "admissions", "windows",
+                 "_over", "_charged_window")
 
     def __init__(self, tenant_id: str, budget_usd: float | None,
                  window_s: float):
@@ -160,7 +152,11 @@ class TenantLedger:
         self.window_index = 0
         self.window_spent = 0.0
         self.lifetime_spent = 0.0
-        self.entries: list[TenantChargeEntry] = []
+        #: Charges taken, and distinct windows they landed in.
+        self.admissions = 0
+        self.windows = 0
+        self._over = 0
+        self._charged_window = -1
 
     def window_of(self, time: float) -> int:
         """The accounting window a timestamp falls in."""
@@ -185,26 +181,22 @@ class TenantLedger:
         return (self.budget_usd is not None
                 and self.window_spent >= self.budget_usd)
 
-    def charge(self, time: float, amount: float, detail: str = "") -> None:
+    def charge(self, time: float, amount: float) -> None:
         """Reserve ``amount`` in the window containing ``time``."""
-        if amount < 0:
-            raise ValueError(f"negative tenant charge {amount}")
+        if not 0.0 <= amount < math.inf:
+            raise ValueError(f"tenant charge must be finite and >= 0, "
+                             f"not {amount}")
         self.sync(time)
+        if self.exhausted:
+            self._over += 1
+        if self._charged_window != self.window_index:
+            self._charged_window = self.window_index
+            self.windows += 1
+        self.admissions += 1
         self.window_spent += amount
         self.lifetime_spent += amount
-        self.entries.append(
-            TenantChargeEntry(time, self.window_index, amount, detail))
 
     def over_admissions(self) -> int:
-        """Entries whose window had already exhausted the budget when
-        they were charged — must be zero for a correct controller."""
-        if self.budget_usd is None:
-            return 0
-        violations = 0
-        running: dict[int, float] = {}
-        for entry in self.entries:
-            before = running.get(entry.window, 0.0)
-            if before >= self.budget_usd:
-                violations += 1
-            running[entry.window] = before + entry.amount
-        return violations
+        """Charges whose window had already exhausted the budget when
+        they landed — must be zero for a correct controller."""
+        return self._over

@@ -199,18 +199,17 @@ class Invocation(Future):
         self.fresh_instance = fresh_instance
 
 
-_ZERO_STATS = dict.fromkeys(
-    ("invocations", "cold_starts", "warm_starts", "timeouts", "errors",
-     "retries"), 0)
+_STAT_KEYS = ("invocations", "cold_starts", "warm_starts", "timeouts",
+              "errors", "retries")
 
 
 class _Deployment:
     """One deployed function.  A replication rule deploys five and a
-    quiet one invokes two, so the warm pool, counters and ledger detail
-    exist from the first invocation on (``_start_attempt``)."""
+    quiet one invokes two, so the warm pool exists from the first
+    invocation on (``_start_attempt``) and the counters are slots."""
 
     __slots__ = ("name", "handler", "config", "timeout_s", "warm_pool",
-                 "stats", "detail")
+                 *_STAT_KEYS)
 
     def __init__(self, name: str,
                  handler: Callable[["FunctionContext", Any], Generator],
@@ -219,9 +218,10 @@ class _Deployment:
         self.handler = handler
         self.config = config
         self.timeout_s = timeout_s
-        self.warm_pool: Optional[deque] = None
-        self.stats: Optional[dict[str, int]] = None
-        self.detail: Optional[str] = None
+        #: Idle instances, oldest first.
+        self.warm_pool: Optional[list] = None
+        self.invocations = self.cold_starts = self.warm_starts = 0
+        self.timeouts = self.errors = self.retries = 0
 
 
 class FaasRegion:
@@ -253,11 +253,6 @@ class FaasRegion:
         self._req_latency_samplers: dict[str, BufferedSampler] = {}
         # Deterministic WAN round-trip surcharge per remote region key.
         self._wan_surcharges: dict[str, float] = {}
-        # (bucket, kind) -> (amount, detail) so the per-request ledger
-        # charge does not rebuild the same f-string on every data-path op.
-        self._req_charge_cache: dict[tuple, tuple] = {}
-        # (src_key, dst_key) -> detail string for egress charges.
-        self._egress_detail_cache: dict[tuple, str] = {}
         # Scalar platform-latency draws (invoke, warm start, cold start)
         # served from vectorized blocks; keyed by the Dist itself so a
         # post-construction profile swap transparently gets fresh
@@ -330,7 +325,8 @@ class FaasRegion:
         )
 
     def deployment_stats(self, name: str) -> dict[str, int]:
-        return dict(self._deployments[name].stats or _ZERO_STATS)
+        dep = self._deployments[name]
+        return {key: getattr(dep, key) for key in _STAT_KEYS}
 
     def _sample(self, dist: Dist) -> float:
         """One scalar draw from ``dist``, buffered per distribution."""
@@ -449,10 +445,9 @@ class FaasRegion:
         self._running += 1
         self.peak_running = max(self.peak_running, self._running)
         dep = self._deployments[invocation.name]
-        if dep.stats is None:
-            dep.warm_pool, dep.stats = deque(), dict(_ZERO_STATS)
-            dep.detail = f"{self.region.key}:{dep.name}"
-        dep.stats["invocations"] += 1
+        if dep.warm_pool is None:
+            dep.warm_pool = []
+        dep.invocations += 1
         invocation.attempts += 1
         ctx = FunctionContext(self, dep)
         # Eager: the first segment (up to the instance's start-up sleep)
@@ -494,7 +489,7 @@ class FaasRegion:
             inst = None
             warm_pool = dep.warm_pool
             while warm_pool and not invocation.fresh_instance:
-                candidate: _Instance = warm_pool.popleft()
+                candidate: _Instance = warm_pool.pop(0)
                 if attempt_from - candidate.last_used <= self.profile.keepalive_s:
                     inst = candidate
                     break
@@ -505,10 +500,10 @@ class FaasRegion:
                     tracer.span("D", "phase", task, attempt_from, sim.now,
                                 _READY_KEYS, "warm", self.region.key,
                                 inst.instance_id)
-                dep.stats["warm_starts"] += 1
+                dep.warm_starts += 1
             else:
                 inst = yield from self._cold_instance(task)
-                dep.stats["cold_starts"] += 1
+                dep.cold_starts += 1
             if invocation.started_at is None:
                 invocation.started_at = sim.now
             ctx.instance = inst
@@ -582,9 +577,9 @@ class FaasRegion:
             invocation.resolve(result)
             return
         if isinstance(error, FunctionTimeout):
-            dep.stats["timeouts"] += 1
+            dep.timeouts += 1
         else:
-            dep.stats["errors"] += 1
+            dep.errors += 1
         # Errors carrying a ``dlq_disposition`` (e.g. a quarantined
         # poison part) skip the auto-retry ladder: retrying would re-run
         # the whole attempt against the same poisoned transfer, so they
@@ -592,7 +587,7 @@ class FaasRegion:
         # operator redrive.
         disposition = getattr(error, "dlq_disposition", None)
         if disposition is None and invocation.attempts <= self.profile.max_retries:
-            dep.stats["retries"] += 1
+            dep.retries += 1
             delay = self.profile.retry_backoff_s * (2 ** (invocation.attempts - 1))
             self.sim.call_later(delay, lambda: self._admit_retry(invocation))
         else:
@@ -616,10 +611,8 @@ class FaasRegion:
             self.provider, dep.config.memory_mb, dep.config.vcpus, duration_s
         )
         per_request = self.prices.faas[self.provider].per_request
-        self.ledger.charge(self.sim.now, CostCategory.FAAS_COMPUTE, cost,
-                           dep.detail, task=task)
-        self.ledger.charge(self.sim.now, CostCategory.FAAS_REQUESTS,
-                           per_request, dep.detail, task=task)
+        self.ledger.charge(CostCategory.FAAS_COMPUTE, cost, task)
+        self.ledger.charge(CostCategory.FAAS_REQUESTS, per_request, task)
         return cost + per_request
 
 
@@ -712,25 +705,16 @@ class FunctionContext:
 
     def _charge_request(self, bucket: Bucket, kind: str) -> None:
         faas = self._faas
-        cached = faas._req_charge_cache.get((bucket, kind))
-        if cached is None:
-            price = faas.prices.store[bucket.region.provider]
-            cached = faas._req_charge_cache[(bucket, kind)] = (
-                price.put if kind == "put" else price.get,
-                f"{bucket.region.key}:{bucket.name}:{kind}")
-        faas.ledger.charge(self.now, CostCategory.STORAGE_REQUESTS, cached[0],
-                           cached[1], task=self._trace_task)
+        price = faas.prices.store[bucket.region.provider]
+        faas.ledger.charge(CostCategory.STORAGE_REQUESTS,
+                           price.put if kind == "put" else price.get,
+                           self._trace_task)
 
     def _charge_egress(self, src: Region, dst: Region, nbytes: int) -> None:
         faas = self._faas
         cost = faas.prices.egress_cost(src, dst, nbytes)
         if cost > 0:
-            cache = faas._egress_detail_cache
-            detail = cache.get((src.key, dst.key))
-            if detail is None:
-                detail = cache[(src.key, dst.key)] = f"{src.key}->{dst.key}"
-            faas.ledger.charge(self.now, CostCategory.EGRESS, cost, detail,
-                               task=self._trace_task)
+            faas.ledger.charge(CostCategory.EGRESS, cost, self._trace_task)
 
     def _client_startup(self):
         """First data-path call per invocation pays the S overhead

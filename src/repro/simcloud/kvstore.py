@@ -88,7 +88,6 @@ class KvTable:
         # Per-op constants, hoisted out of the (very hot) _respond path.
         price = prices.kv[region.provider]
         self._op_cost = {"read": price.read, "write": price.write}
-        self._op_detail = {"read": f"kv:read:{name}", "write": f"kv:write:{name}"}
         # Fault injection: None keeps every operation on the inline
         # admission fast path (a single check per call).
         self._chaos: Optional[ChaosConfig] = None
@@ -184,8 +183,7 @@ class KvTable:
                     fut.fail(exc)
                     return
                 self.op_counts[kind] += 1
-                self._ledger.charge(self.sim.now, CostCategory.KV_OPS,
-                                    self._op_cost[kind], self._op_detail[kind])
+                self._ledger.charge(CostCategory.KV_OPS, self._op_cost[kind])
                 fut.resolve(value)
 
             self.sim.schedule_call(extra + self._latency(), admit)
@@ -204,8 +202,7 @@ class KvTable:
     def _respond(self, kind: str, value: Any = None,
                  error: Optional[BaseException] = None) -> DeferredResult:
         self.op_counts[kind] += 1
-        self._ledger.charge(self.sim.now, CostCategory.KV_OPS,
-                            self._op_cost[kind], self._op_detail[kind])
+        self._ledger.charge(CostCategory.KV_OPS, self._op_cost[kind])
         if self._health is not None:
             # Any admitted response — a failed mutation included — means
             # the database is up; only rejections (which bypass this

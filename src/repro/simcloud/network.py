@@ -181,6 +181,9 @@ class InstanceChannel:
     instance's persistent one.
     """
 
+    __slots__ = ("provider", "profile", "base_factor", "_drift",
+                 "_half_sigma2", "_rho", "_innovations")
+
     def __init__(self, provider: str, profile: NetworkProfile, rng: np.random.Generator):
         self.provider = provider
         self.profile = profile

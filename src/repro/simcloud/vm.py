@@ -83,8 +83,7 @@ class Vm:
         self.terminated_at = self._fleet.sim.now
         duration = self.terminated_at - self.launched_at
         cost = self._fleet.prices.vm_cost(self.region.provider, duration)
-        self._fleet.ledger.charge(self._fleet.sim.now, CostCategory.VM_COMPUTE,
-                                  cost, f"vm:{self.region.key}:{self.vm_id}")
+        self._fleet.ledger.charge(CostCategory.VM_COMPUTE, cost)
 
 
 class VmFleet:

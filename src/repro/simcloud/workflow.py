@@ -29,12 +29,11 @@ class WorkflowTimers:
         self._ledger = ledger
         self.scheduled = 0
 
-    def schedule_at(self, time: float, fn: Callable[[], None], detail: str = "") -> None:
+    def schedule_at(self, time: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` at absolute simulated ``time`` (>= now)."""
         self.scheduled += 1
-        self._ledger.charge(self.sim.now, CostCategory.WORKFLOW,
-                            _COST_PER_TIMER, detail or "timer")
+        self._ledger.charge(CostCategory.WORKFLOW, _COST_PER_TIMER)
         self.sim.call_at(max(time, self.sim.now), fn)
 
-    def schedule_after(self, delay: float, fn: Callable[[], None], detail: str = "") -> None:
-        self.schedule_at(self.sim.now + max(0.0, delay), fn, detail)
+    def schedule_after(self, delay: float, fn: Callable[[], None]) -> None:
+        self.schedule_at(self.sim.now + max(0.0, delay), fn)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.scheduler import FairShareScheduler
@@ -310,3 +310,80 @@ def test_window_roll_resets_window_spend_but_not_lifetime():
     assert not ledger.exhausted and ledger.window_index == 1
     assert ledger.window_spent == 0.0
     assert ledger.lifetime_spent == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf, -1.0])
+def test_a_non_finite_or_negative_reservation_is_refused(amount):
+    """A NaN reservation would make ``exhausted`` read False for good
+    (every comparison with NaN is False): a 1-USD budget then admits
+    without limit and the self-audit counts nothing."""
+    ledger = TenantLedger("t", budget_usd=1.0, window_s=60.0)
+    ledger.charge(0.0, 0.5)
+    with pytest.raises(ValueError):
+        ledger.charge(1.0, amount)
+    assert ledger.window_spent == 0.5 and ledger.admissions == 1
+    ledger.charge(2.0, 0.5)
+    assert ledger.exhausted
+
+
+def _replayed_over_admissions(budget, window_s, ops):
+    """The per-entry rule the ledger once replayed: each charge is
+    filed under the window the ledger stood in when it landed (after
+    syncing to its time), and over-admits when that window's earlier
+    charges already summed to the budget.  Returns (over-admissions,
+    charges, distinct windows charged)."""
+    now, index = 0.0, 0
+    entries = []
+    for op in ops:
+        if op[0] == "roll":
+            index = max(index, int(now // window_s) + op[1])
+            continue
+        now += op[1]
+        index = max(index, int(now // window_s))
+        if op[0] == "charge":
+            entries.append((index, op[2]))
+    over, running = 0, {}
+    for window, amount in entries:
+        before = running.get(window, 0.0)
+        if budget is not None and before >= budget:
+            over += 1
+        running[window] = before + amount
+    return over, len(entries), len(running)
+
+
+_LEDGER_OPS = st.lists(st.one_of(
+    st.tuples(st.just("sync"), st.floats(0.0, 30.0)),
+    st.tuples(st.just("charge"), st.floats(0.0, 30.0),
+              st.floats(0.0, 3.0)),
+    # roll(target) for target = the current time's window + k; k <= 0
+    # is a no-op, and a charge right after k = 1 lands at a time still
+    # inside window target - 1 (the service's boundary timer does this
+    # when the boundary's float quotient rounds down).
+    st.tuples(st.just("roll"), st.integers(-1, 2)),
+), max_size=80)
+
+
+@settings(max_examples=150, deadline=None)
+@given(budget=st.one_of(st.none(), st.floats(0.0, 8.0)),
+       window_s=st.floats(1.0, 60.0), ops=_LEDGER_OPS)
+@example(budget=1.0, window_s=10.0,
+         ops=[("charge", 5.0, 1.0), ("roll", 1), ("charge", 0.0, 0.2),
+              ("charge", 0.0, 0.9), ("charge", 0.0, 0.1)])
+def test_over_admission_counter_matches_the_per_entry_replay(
+        budget, window_s, ops):
+    """Charges here ignore ``exhausted`` (a buggy controller), so the
+    counter is exercised on streams that do over-admit."""
+    ledger = TenantLedger("t", budget_usd=budget, window_s=window_s)
+    now = 0.0
+    for op in ops:
+        if op[0] == "roll":
+            ledger.roll(ledger.window_of(now) + op[1])
+            continue
+        now += op[1]
+        if op[0] == "sync":
+            ledger.sync(now)
+        else:
+            ledger.charge(now, op[2])
+    assert (ledger.over_admissions(), ledger.admissions,
+            ledger.windows) == _replayed_over_admissions(budget, window_s,
+                                                         ops)

@@ -91,7 +91,7 @@ def run_workload(seed: int, shards: int):
             "done_markers": dict(sorted(markers.items())),
             "admitted": state.stats["admitted"],
             "ledger_spend": round(state.ledger.lifetime_spent, 12),
-            "ledger_entries": len(state.ledger.entries),
+            "ledger_admissions": state.ledger.admissions,
         }
     return fingerprint
 

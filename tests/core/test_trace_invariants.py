@@ -722,9 +722,9 @@ class TestSyntheticViolations:
         tr, svc = bare()
         ledger = CostLedger()
         tr.install_cost_sink(ledger)
-        ledger.charge(0.0, CostCategory.EGRESS, 1.0, "seen")
+        ledger.charge(CostCategory.EGRESS, 1.0)
         ledger.sink = None  # a charge slips past the sink
-        ledger.charge(0.0, CostCategory.EGRESS, 0.5, "hidden")
+        ledger.charge(CostCategory.EGRESS, 0.5)
         assert kinds(TraceChecker(svc).check()) == {"cost-gap"}
 
     def test_charge_attributed_to_an_unknown_task(self):
@@ -742,7 +742,7 @@ class TestSyntheticLegalTraces:
         acquire(tr, 0.0, "k", "tA", 1, "fresh")
         tr.sim.now = 0.5
         tr.span("plan", "engine", "tA", 0.2, 0.5)
-        ledger.charge(0.7, CostCategory.EGRESS, 0.25, "leg", task="tA")
+        ledger.charge(CostCategory.EGRESS, 0.25, task="tA")
         finalize(tr, 1.0, "tA", "k", fence=1)
         emit(tr, 1.1, "done-marker", "engine", "tA",
              rule="r", key="k", seq=1, etag="e1", op="put")

@@ -1,5 +1,7 @@
 """Tests for the price book and cost ledger."""
 
+import math
+
 import pytest
 
 from repro.simcloud.cost import CostCategory, CostLedger
@@ -81,25 +83,36 @@ class TestComputePricing:
 class TestCostLedger:
     def test_charges_accumulate(self):
         ledger = CostLedger()
-        ledger.charge(0.0, CostCategory.EGRESS, 0.5)
-        ledger.charge(1.0, CostCategory.EGRESS, 0.25)
+        ledger.charge(CostCategory.EGRESS, 0.5)
+        ledger.charge(CostCategory.EGRESS, 0.25)
         assert ledger.total(CostCategory.EGRESS) == pytest.approx(0.75)
         assert ledger.total() == pytest.approx(0.75)
 
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):
-            CostLedger().charge(0.0, CostCategory.EGRESS, -1.0)
+            CostLedger().charge(CostCategory.EGRESS, -1.0)
+
+    @pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf])
+    def test_non_finite_charge_rejected(self, amount):
+        # One NaN would turn total() into NaN and drop its category from
+        # breakdown() (NaN > 0 is False).
+        ledger = CostLedger()
+        ledger.charge(CostCategory.EGRESS, 1.0)
+        with pytest.raises(ValueError):
+            ledger.charge(CostCategory.EGRESS, amount)
+        assert ledger.total() == 1.0
+        assert ledger.breakdown() == {CostCategory.EGRESS: 1.0}
 
     def test_unknown_category_rejected(self):
         with pytest.raises(ValueError):
-            CostLedger().charge(0.0, "snacks", 1.0)
+            CostLedger().charge("snacks", 1.0)
 
     def test_snapshot_delta(self):
         ledger = CostLedger()
-        ledger.charge(0.0, CostCategory.EGRESS, 1.0)
+        ledger.charge(CostCategory.EGRESS, 1.0)
         before = ledger.snapshot()
-        ledger.charge(1.0, CostCategory.EGRESS, 0.5)
-        ledger.charge(1.0, CostCategory.KV_OPS, 0.1)
+        ledger.charge(CostCategory.EGRESS, 0.5)
+        ledger.charge(CostCategory.KV_OPS, 0.1)
         delta = before.delta(ledger.snapshot())
         assert delta.totals[CostCategory.EGRESS] == pytest.approx(0.5)
         assert delta.totals[CostCategory.KV_OPS] == pytest.approx(0.1)
@@ -107,7 +120,7 @@ class TestCostLedger:
 
     def test_breakdown_excludes_zero(self):
         ledger = CostLedger()
-        ledger.charge(0.0, CostCategory.EGRESS, 1.0)
+        ledger.charge(CostCategory.EGRESS, 1.0)
         assert ledger.breakdown() == {CostCategory.EGRESS: 1.0}
 
 
