@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests footprint lifecycle-drill drill-all examples e2e-digests e2e-rss e2e-smoke-digests trace-digests census paper coverage
+.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests footprint lifecycle-drill drill-all examples e2e-digests e2e-rss e2e-smoke-digests work-counts trace-digests census paper coverage
 
 ## tier-1: the full default suite
 test:
@@ -111,6 +111,17 @@ e2e-smoke-digests:
 	$(PY) benchmarks/e2e/run.py --workload storm_churn --smoke --trace 1 \
 		| grep -o 'sim_digest [0-9a-f]*'; } \
 		| diff tests/golden/e2e_smoke_digests.txt - && echo "smoke digests match"
+
+## per-request work counts (~10 s; CI diffs them too): for each
+## workload's seed-0 traced smoke unit, every count/req, count/kreq,
+## count and frac metric of its report except the time-based
+## trace.coverage_frac, one line per workload, diffed against the
+## committed tests/golden/work_counts.txt.  They repeat exactly, so a
+## perf change states its claim as a count delta; a count that moves
+## without one is a regression to explain.
+work-counts:
+	@$(PY) -m tests.work_counts | diff tests/golden/work_counts.txt - \
+		&& echo "work counts match"
 
 ## what the drills and the trace checker report (~25 s; CI diffs it
 ## against tests/golden/trace_digests.txt):
