@@ -59,6 +59,23 @@ def _lock_domain(owner: str) -> str:
     return owner.split(":", 1)[0] if ":" in owner else ""
 
 
+def _add(facts: dict, task, row) -> None:
+    """Hold ``row`` under ``task``: alone, or in a list from the second."""
+    rows = facts.get(task)
+    if rows is None:
+        facts[task] = row
+    elif type(rows) is list:
+        rows.append(row)
+    else:
+        facts[task] = [rows, row]
+
+
+def _rows(facts: dict, task) -> list:
+    """The rows :func:`_add` held under ``task``, oldest first."""
+    rows = facts.get(task)
+    return rows if type(rows) is list else [] if rows is None else [rows]
+
+
 @dataclass
 class TraceReport(Findings):
     """All findings from one checker pass; docs/observability.md lists
@@ -102,7 +119,9 @@ class _Index:
         self.event_names = self.EVENT_NAMES
         self.n_spans = self.n_events = self.detections = 0
         self.last_span = self.last_event = -math.inf
-        self.tasks: dict[Optional[str], None] = {}   # first-appearance order
+        # Each task id to the first object seen for it, in order of first
+        # appearance; every per-task fact is keyed by that one object.
+        self.tasks: dict[Optional[str], Optional[str]] = {}
         self.lock_acquires = self.visibles = self.verified = 0
         self.integrity = {"injected": 0, "detected": 0, "quarantined": 0,
                           "verify_ok": 0, "verify_failed": 0}
@@ -111,23 +130,24 @@ class _Index:
         # supersede a valid fence.
         self.holders: dict[tuple, tuple] = {}
         self.high_fences: dict[tuple, list] = {}
-        # Per task: acquire times, first plan end, finalize events, last
-        # corruption detected, handed to recovery.
-        self.acquires: dict[str, list[float]] = {}
+        # Per task: acquire times, first plan end, finalizes as (time,
+        # fence, key, op, verified, loc), last corruption detected,
+        # handed to recovery.  Acquires and finalizes are held by _add.
+        self.acquires: dict[str, object] = {}
         self.plan_end: dict[str, float] = {}
-        self.finalizes: dict[str, list] = {}
+        self.finalizes: dict[str, object] = {}
         self.last_corrupt: dict[str, float] = {}
         self.surfaced: set[str] = set()
         # Tenant-tagged records as (name, subjects, tenant), per kind.
         self.span_claims, self.event_claims = [], []
         # Per (substrate, region): cordon windows as [start, end].
         self.windows: dict[tuple, list[list[float]]] = {}
-        self.writes: list = []        # visibles of a destination write
+        self.writes: list = []        # destination writes: (task, time, kind)
         self.admissions: list = []    # what an open cordon may forbid
         self.actuations: list = []    # autopilot spans
         self.parked: dict[tuple, str] = {}
         self.drained: set = set()
-        self.done: dict[tuple, object] = {}   # newest marker per (rule, key)
+        self.done: dict[tuple, tuple] = {}    # (rule, key): (seq, etag, op)
         self.hedges: dict[tuple, float] = {}
         self.resolved: dict[tuple, int] = {}
         self.first_writers: dict[tuple, int] = {}
@@ -135,9 +155,10 @@ class _Index:
     def flag(self, check: str, kind: str, key: str, detail: str) -> None:
         self.found[check].append(Finding(kind, key, detail))
 
-    def span_fact(self, name, task, start, end) -> None:
+    def span_fact(self, name, task, start, end):
+        """Count a span; returns the task's one id object."""
         self.n_spans += 1
-        self.tasks[task] = None
+        task = self.tasks.setdefault(task, task)
         if end < start - _EPS:
             self.flag("clock", "clock", task or name,
                       f"span {name} closes before it opens "
@@ -147,19 +168,22 @@ class _Index:
                       f"span {name} recorded out of clock order")
         if end > self.last_span:
             self.last_span = end
+        return task
 
-    def event_fact(self, name, task, t) -> None:
+    def event_fact(self, name, task, t):
+        """Count an event; returns the task's one id object."""
         self.n_events += 1
-        self.tasks[task] = None
+        task = self.tasks.setdefault(task, task)
         if t < self.last_event - _EPS:
             self.flag("event-clock", "clock", task or name,
                       f"event {name} recorded out of clock order")
         if t > self.last_event:
             self.last_event = t
+        return task
 
     def span(self, s) -> None:
         name, cat, task, start, end = s[:5]
-        self.span_fact(name, task, start, end)
+        task = self.span_fact(name, task, start, end)
         if cat == "engine":
             if name == "plan" and task is not None:
                 self.plan_end.setdefault(task, end)
@@ -173,9 +197,9 @@ class _Index:
 
     def event(self, e) -> None:
         name, cat, task, t = e[:4]
-        self.event_fact(name, task, t)
+        task = self.event_fact(name, task, t)
         if cat == "lock":
-            self.lock(e)
+            self.lock(e, task)
         elif cat == "engine":
             self.engine(e, name, task, t)
         elif cat == "lifecycle" and name in ("cordon", "uncordon"):
@@ -196,15 +220,16 @@ class _Index:
         if "tenant" in e.keys:
             self.tenant(e, self.event_claims)
 
-    def lock(self, e) -> None:
+    def lock(self, e, task) -> None:
         owner, key = e.get("owner"), e.get("key")
+        owner = task if owner == task else owner     # one id object
         domain = _lock_domain(owner)
         ref, subject = (domain, key), f"{domain}/{key}" if domain else key
         held = self.holders.get(ref)
         if e.name == "lock-acquire":
             self.lock_acquires += 1
             fence, mode = e.get("fence"), e.get("mode")
-            self.acquires.setdefault(owner, []).append(e.time)
+            _add(self.acquires, owner, e.time)
             if isinstance(fence, int) and fence > 1:
                 self.high_fences.setdefault(ref, []).append((e.time, fence))
             if mode in ACQUIRE_MODES:
@@ -232,18 +257,21 @@ class _Index:
 
     def engine(self, e, name: str, task: Optional[str], t: float) -> None:
         if name == "finalize":
-            if e.get("op") == "put" and e.get("verified"):
+            op, verified = e.get("op"), e.get("verified")
+            if op == "put" and verified:
                 self.verified += 1
-            elif e.get("op") == "put":
+            elif op == "put":
                 self.flag("integrity", "unverified-finalize", task or "?",
                           f"put finalize at t={t:.3f} without a "
                           f"destination verification verdict")
             if task is not None:
-                self.finalizes.setdefault(task, []).append(e)
+                _add(self.finalizes, task, (t, e.get("fence"), e.get("key"),
+                                            op, verified, e.get("loc")))
         elif name == "visible":
             self.visibles += 1
-            if task is not None and e.get("kind") in WRITING_KINDS:
-                self.writes.append(e)
+            kind = e.get("kind")
+            if task is not None and kind in WRITING_KINDS:
+                self.writes.append((task, t, kind))
         elif name == "corrupt-detected" and task is not None:
             self.detections += 1
             self.last_corrupt[task] = max(
@@ -261,10 +289,10 @@ class _Index:
                           "drain of a backlog entry never parked")
             self.drained.add(ref)
         elif name == "done-marker":
-            ref = (e.get("rule"), e.get("key"))
+            ref, seq = (e.get("rule"), e.get("key")), e.get("seq")
             cur = self.done.get(ref)
-            if cur is None or e.get("seq") >= cur.get("seq"):
-                self.done[ref] = e
+            if cur is None or seq >= cur[0]:
+                self.done[ref] = (seq, e.get("etag"), e.get("op"))
         elif name == "hedge-start":
             self.hedges[(task, e.get("part"), e.get("seq"))] = t
         elif name == "hedge-resolved":
@@ -337,18 +365,17 @@ class TraceChecker:
 
     def _lifecycle(self, ix: _Index, checked: dict, flag) -> None:
         checked["visibles"] = ix.visibles
-        for e in ix.writes:
-            task, kind = e.task, e.get("kind")
+        for task, t, kind in ix.writes:
             # A finalize recorded after the visible at the same instant
             # still counts.
-            fin = next((f for f in reversed(ix.finalizes.get(task, ()))
-                        if f.time <= e.time + _EPS), None)
+            fin = next((f for f in reversed(_rows(ix.finalizes, task))
+                        if f[0] <= t + _EPS), None)
             if fin is None:
                 flag("lifecycle", "unfenced-visible", task,
-                     f"{kind} visible at t={e.time:.3f} with no prior "
+                     f"{kind} visible at t={t:.3f} with no prior "
                      f"finalize")
                 continue
-            fence = fin.get("fence")
+            t_fin, fence, key = fin[:3]
             if not isinstance(fence, int) or fence < 1:
                 flag("lifecycle", "unfenced-visible", task,
                      f"finalize carries invalid fence {fence!r}")
@@ -359,21 +386,20 @@ class TraceChecker:
             # acquire: fences restart at 1 whenever a release deletes
             # the lock record, so an earlier *generation's* takeover
             # token says nothing about ours.
-            acquired = ix.acquires.get(task)
+            acquired = _rows(ix.acquires, task)
             first = acquired[0] if acquired else -math.inf
-            for at, f2 in ix.high_fences.get(
-                    (_lock_domain(task), fin.get("key")), ()):
-                if f2 > fence and first - _EPS <= at < fin.time - _EPS:
+            for at, f2 in ix.high_fences.get((_lock_domain(task), key), ()):
+                if f2 > fence and first - _EPS <= at < t_fin - _EPS:
                     flag("lifecycle", "superseded-fence", task,
                          f"finalize with fence {fence} at "
-                         f"t={fin.time:.3f} after fence {f2} was issued "
+                         f"t={t_fin:.3f} after fence {f2} was issued "
                          f"at t={at:.3f}")
                     break
             # The facts LIFECYCLE orders before the finalize, each at
             # its first time.
             for fact, at in zip(LIFECYCLE, (
                     first, ix.plan_end.get(task, -math.inf))):
-                if at > fin.time + _EPS:
+                if at > t_fin + _EPS:
                     flag("lifecycle", "lifecycle", task,
                          f"finalize precedes the task's "
                          f"{LIFECYCLE[fact]}")
@@ -388,12 +414,12 @@ class TraceChecker:
     def _done_markers(self, ix: _Index, checked: dict, flag) -> None:
         """The newest done marker per key agrees with the destination."""
         checked["done_markers"] = len(ix.done)
-        for (rule_id, key), e in ix.done.items():
+        for (rule_id, key), (seq, etag, op) in ix.done.items():
             rule = self.service.rules.get(rule_id)
             if rule is None:
                 continue
-            dst, seq, etag = rule.dst_bucket, e.get("seq"), e.get("etag")
-            if e.get("op") == "delete":
+            dst = rule.dst_bucket
+            if op == "delete":
                 if key in dst:
                     flag("done", "done-mismatch", key,
                          f"marker records deletion (seq {seq}) but key "
@@ -415,9 +441,8 @@ class TraceChecker:
         checked["corruption_detections"] = ix.detections
         for task in sorted(ix.last_corrupt):
             t_corrupt = ix.last_corrupt[task]
-            t_fin = next((f.time for f in reversed(ix.finalizes.get(task, ()))
-                          if f.get("op") != "put" or f.get("verified")),
-                         -math.inf)
+            t_fin = next((f[0] for f in reversed(_rows(ix.finalizes, task))
+                          if f[3] != "put" or f[4]), -math.inf)
             if t_fin < t_corrupt - _EPS and task not in ix.surfaced:
                 flag("integrity", "silent-corruption", task,
                      f"corruption detected at t={t_corrupt:.3f} was "
@@ -468,15 +493,14 @@ class TraceChecker:
         finalizer) are benign.
         """
         epochs, split = 0, []
-        for task, fins in ix.finalizes.items():
-            acquired = ix.acquires.get(task, ())
+        for task in ix.finalizes:
+            acquired = _rows(ix.acquires, task)
             locs: dict[tuple, set] = {}
-            for f in fins:
-                if f.get("loc") is not None:
-                    gen = max((at for at in acquired if at <= f.time + _EPS),
+            for t, fence, _, _, _, loc in _rows(ix.finalizes, task):
+                if loc is not None:
+                    gen = max((at for at in acquired if at <= t + _EPS),
                               default=-math.inf)
-                    locs.setdefault((task, gen, f.get("fence")),
-                                    set()).add(f.get("loc"))
+                    locs.setdefault((task, gen, fence), set()).add(loc)
             epochs += len(locs)
             split += [kv for kv in locs.items() if len(kv[1]) > 1]
         checked["finalize_epochs"] = epochs

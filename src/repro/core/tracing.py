@@ -243,6 +243,7 @@ class Tracer:
                  task: Optional[str]) -> None:
         self._cost_total += amount
         by_task = self._task_cost
+        task = self.index.tasks.get(task, task)   # the index's id object
         by_task[task] = by_task.get(task, 0.0) + amount
         tally = self._category_cost[category]   # [charges, total]
         tally[0] += 1
@@ -274,20 +275,10 @@ class Tracer:
 
     # -- queries -----------------------------------------------------------
 
-    def tasks(self) -> list[str]:
-        """All task ids emitted, in order of first appearance."""
-        return [task for task in self.index.tasks if task is not None]
-
-    def task_events(self, task: str) -> list[Event]:
-        return [e for e in self.events if e.task == task]
-
     def integrity_summary(self) -> dict[str, int]:
         """Corruption bookkeeping visible in this trace: injected
         faults, engine detections, quarantines, and verify outcomes."""
         return dict(self.index.integrity)
-
-    def task_spans(self, task: str) -> list[Span]:
-        return [s for s in self.spans if s.task == task]
 
     # -- delay breakdown (Fig 18-19 shape) ---------------------------------
 
@@ -389,10 +380,6 @@ class TenantTracer:
     def __init__(self, base: Tracer, tenant: str):
         self.base = base
         self.tenant = tenant
-
-    @property
-    def sim(self):
-        return self.base.sim
 
     def span(self, name: str, cat: str, task: Optional[str],
              start: float, end: float, keys: tuple = (), *values) -> None:
