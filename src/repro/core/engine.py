@@ -33,7 +33,9 @@ from repro.core.health import HealthTracker, NoRouteAvailable
 from repro.core.hedging import Hedger
 from repro.core.locks import ReplicationLockManager, expired
 from repro.core.planner import Plan, StrategyPlanner
-from repro.core.task import TaskRecorder, TaskResult, task_id
+from repro.core.task import (DONE_KEYS, FINALIZE_KEYS, PLAN_KEYS,
+                             VERIFY_KEYS, VERSION_KEYS, TaskRecorder,
+                             TaskResult, task_id)
 from repro.core.transfer import (propagate_delete, reconverge_superseded,
                                  run_single, withdraw_unverified)
 from repro.simcloud.cloud import Cloud
@@ -60,12 +62,7 @@ _STAT_KEYS = (
 
 #: Trace attribute names, one tuple per record schema.
 _RECLAIM_KEYS = ("rule", "key", "owner", "seq")
-_DONE_KEYS = ("rule", "key", "seq", "etag", "op")
-_VERSION_KEYS = ("key", "seq", "kind")       # visible, retrigger
 _DISPATCH_KEYS = ("rule", "region")
-_PLAN_KEYS = ("n", "loc_key", "inline", "compliant", "predicted_s")
-_VERIFY_KEYS = ("key", "expected", "actual", "ok")
-_FINALIZE_KEYS = ("key", "seq", "etag", "fence", "op", "loc", "verified")
 _LOST_KEYS = ("key",)
 
 
@@ -274,7 +271,7 @@ class ReplicationEngine:
                 return item, item
             if self.tracer is not None:
                 # Inside the closure: only a landed advance counts.
-                self.tracer.event("done-marker", "engine", None, _DONE_KEYS,
+                self.tracer.event("done-marker", "engine", None, DONE_KEYS,
                                   self.rule_id, key, seq, etag, op)
             return {"etag": etag, "seq": seq, "time": time, "op": op}, None
 
@@ -284,7 +281,7 @@ class ReplicationEngine:
     def _record_visible(self, tid: Optional[str], result: TaskResult) -> None:
         """Report a visibility outcome, mirrored into the trace."""
         if self.tracer is not None:
-            self.tracer.event("visible", "engine", tid, _VERSION_KEYS,
+            self.tracer.event("visible", "engine", tid, VERSION_KEYS,
                               result.key, result.seq, result.kind)
         self.recorder.record_visible(result)
 
@@ -358,7 +355,7 @@ class ReplicationEngine:
         ``payload``, dispatch it as a fresh task (fresh lock and fence)."""
         self.stats["retriggered"] += 1
         if self.tracer is not None:
-            self.tracer.event("retrigger", "engine", tid, _VERSION_KEYS,
+            self.tracer.event("retrigger", "engine", tid, VERSION_KEYS,
                               key, seq, kind)
         if payload is not None:
             self._dispatch_event(payload)
@@ -459,7 +456,7 @@ class ReplicationEngine:
             return
         if self.tracer is not None:
             self.tracer.span("plan", "engine", tid, plan_from, ctx.now,
-                             _PLAN_KEYS, plan.n, plan.loc_key, plan.inline,
+                             PLAN_KEYS, plan.n, plan.loc_key, plan.inline,
                              plan.compliant, plan.predicted_s)
         task.update(plan_n=plan.n, loc_key=plan.loc_key,
                     predicted_s=plan.predicted_s,
@@ -554,7 +551,7 @@ class ReplicationEngine:
         verified = version.etag == task["etag"]
         if self.tracer is not None:
             self.tracer.span("verify", "engine", tid, ctx.now, ctx.now,
-                             _VERIFY_KEYS, key, task["etag"], version.etag,
+                             VERIFY_KEYS, key, task["etag"], version.etag,
                              verified)
         if not verified:
             yield from withdraw_unverified(self, ctx, task, own_write)
@@ -566,7 +563,7 @@ class ReplicationEngine:
         self.health.record(("store", self.src_bucket.region.key), True)
         self.health.record(("store", self.dst_bucket.region.key), True)
         if self.tracer is not None:
-            self.tracer.event("finalize", "engine", tid, _FINALIZE_KEYS, key,
+            self.tracer.event("finalize", "engine", tid, FINALIZE_KEYS, key,
                               task["seq"], task["etag"], task.get("fence"),
                               "put", ctx.region.key, True)
         superseded = yield from self._mark_done(ctx, key, task["etag"],

@@ -25,12 +25,10 @@ from typing import Optional
 
 from repro.core.audit import Finding, Findings
 from repro.core.task import (ACQUIRE_MODES, CORDONED_ADMISSIONS, LIFECYCLE,
-                             RECOVERY_FACTS, WRITING_KINDS)
-from repro.core.tracing import Tracer
+                             RECOVERY_FACTS, SCHEMAS, WRITING_KINDS)
+from repro.core.tracing import _EPS, Tracer
 
 __all__ = ["TraceReport", "TraceChecker"]
-
-_EPS = 1e-9
 
 #: The checks, in the order a report lists their findings.
 _CHECKS = ("clock", "event-clock", "locks", "lifecycle", "backlog", "done",
@@ -57,6 +55,15 @@ def _lock_domain(owner: str) -> str:
     ({rule}:{key}:{seq}:{kind}) carry the rule as their prefix; opaque
     owners (synthetic traces, tooling) share one anonymous domain."""
     return owner.split(":", 1)[0] if ":" in owner else ""
+
+
+def _subject(ref: tuple) -> str:     # how a finding names a lock
+    return f"{ref[0]}/{ref[1]}" if ref[0] else ref[1]
+
+
+def _in_order(schema: tuple, keys: tuple, values: tuple) -> tuple:
+    """``values``, named by ``keys``, in ``schema``'s order (or None)."""
+    return tuple(map(dict(zip(keys, values)).get, schema))
 
 
 def _add(facts: dict, task, row) -> None:
@@ -101,18 +108,18 @@ class _Index:
     the lock state machine, drains, hedge resolutions — flags as the
     record is fed; the others, tenant claims included, read the facts
     when a report is asked for.  Findings collect per check, in feeding
-    order.  A record whose attributes nothing here reads is fed as a
-    bare fact (:meth:`span_fact`, :meth:`event_fact`).
+    order.  Each record name in ``task.SCHEMAS`` has one handler,
+    ``handler(task, t, values)``, reading ``values`` in the name's schema
+    order (``t`` is a span's end): the tracer calls it directly for a
+    record carrying a declared schema, and :meth:`span` / :meth:`event`
+    unpack any other record into the same call.
     """
 
-    #: Span categories and event names whose records are read or held
-    #: here; so is any record tagged with a tenant, and, once a cordon
-    #: has opened, any admission (``event_names``).
-    SPAN_CATS = frozenset({"engine", "autopilot"})
+    #: Event names read from whole records; so is any tenant-tagged record,
+    #: any autopilot span and, once a cordon opens, any admission.
     EVENT_NAMES = frozenset({
-        "lock-acquire", "lock-release", "finalize", "visible", "done-marker",
-        "hedge-start", "hedge-resolved", "cordon", "uncordon", "part-complete",
-        "drain", *_TALLIED, *RECOVERY_FACTS})
+        "hedge-start", "hedge-resolved", "cordon", "uncordon",
+        "part-complete", "drain", *_TALLIED, *RECOVERY_FACTS})
 
     def __init__(self):
         self.found: dict[str, list[Finding]] = defaultdict(list)
@@ -151,12 +158,17 @@ class _Index:
         self.hedges: dict[tuple, float] = {}
         self.resolved: dict[tuple, int] = {}
         self.first_writers: dict[tuple, int] = {}
+        # task.SCHEMAS name -> (its method, its schema, its other or it).
+        self.readers = {name: (getattr(self, name.replace("-", "_")),
+                               schemas[0], schemas[-1])
+                        for name, schemas in SCHEMAS.items()}
 
     def flag(self, check: str, kind: str, key: str, detail: str) -> None:
         self.found[check].append(Finding(kind, key, detail))
 
-    def span_fact(self, name, task, start, end):
-        """Count a span; returns the task's one id object."""
+    def span(self, s) -> None:
+        """Feed one whole span, as :meth:`Tracer.span` feeds the rest."""
+        name, cat, task, start, end, keys = s[:6]
         self.n_spans += 1
         task = self.tasks.setdefault(task, task)
         if end < start - _EPS:
@@ -168,110 +180,37 @@ class _Index:
                       f"span {name} recorded out of clock order")
         if end > self.last_span:
             self.last_span = end
-        return task
+        reader = self.readers.get(name)
+        if reader is not None:
+            reader[0](task, end, _in_order(reader[1], keys, s[6:]))
+        elif cat == "autopilot":
+            self.actuations.append(s)
+        if "tenant" in keys:
+            self.tenant(s, self.span_claims)
 
-    def event_fact(self, name, task, t):
-        """Count an event; returns the task's one id object."""
+    def event(self, e) -> None:
+        """Feed one whole event, as :meth:`Tracer.event` feeds the rest."""
+        name, cat, task, t, keys = e[:5]
         self.n_events += 1
         task = self.tasks.setdefault(task, task)
         if t < self.last_event - _EPS:
             self.flag("event-clock", "clock", task or name,
                       f"event {name} recorded out of clock order")
-        if t > self.last_event:
+        elif t > self.last_event:
             self.last_event = t
-        return task
-
-    def span(self, s) -> None:
-        name, cat, task, start, end = s[:5]
-        task = self.span_fact(name, task, start, end)
-        if cat == "engine":
-            if name == "plan" and task is not None:
-                self.plan_end.setdefault(task, end)
-            elif name == "verify":
-                self.integrity["verify_ok" if s.get("ok") else
-                               "verify_failed"] += 1
-        elif cat == "autopilot":
-            self.actuations.append(s)
-        if "tenant" in s.keys:
-            self.tenant(s, self.span_claims)
-
-    def event(self, e) -> None:
-        name, cat, task, t = e[:4]
-        task = self.event_fact(name, task, t)
-        if cat == "lock":
-            self.lock(e, task)
-        elif cat == "engine":
-            self.engine(e, name, task, t)
-        elif cat == "lifecycle" and name in ("cordon", "uncordon"):
+        reader = self.readers.get(name)
+        if reader is not None:
+            reader[0](task, t, _in_order(reader[1], keys, e[5:]))
+        elif name in ("cordon", "uncordon"):
             ref, windows = (e.get("substrate"), e.get("region")), self.windows
             if name == "cordon":
                 windows.setdefault(ref, []).append([t, math.inf])
                 self.event_names = self.EVENT_NAMES | CORDONED_ADMISSIONS
             elif windows.get(ref) and windows[ref][-1][1] == math.inf:
                 windows[ref][-1][1] = t
-        elif (cat == "pool" and name == "part-complete" and e.get("first")
-                and task is not None):
+        elif name == "part-complete" and e.get("first") and task is not None:
             ref = (task, e.get("idx"))
             self.first_writers[ref] = self.first_writers.get(ref, 0) + 1
-        if name in _TALLIED:
-            self.integrity[_TALLIED[name]] += 1
-        if name in RECOVERY_FACTS and task is not None:
-            self.surfaced.add(task)
-        if "tenant" in e.keys:
-            self.tenant(e, self.event_claims)
-
-    def lock(self, e, task) -> None:
-        owner, key = e.get("owner"), e.get("key")
-        owner = task if owner == task else owner     # one id object
-        domain = _lock_domain(owner)
-        ref, subject = (domain, key), f"{domain}/{key}" if domain else key
-        held = self.holders.get(ref)
-        if e.name == "lock-acquire":
-            self.lock_acquires += 1
-            fence, mode = e.get("fence"), e.get("mode")
-            _add(self.acquires, owner, e.time)
-            if isinstance(fence, int) and fence > 1:
-                self.high_fences.setdefault(ref, []).append((e.time, fence))
-            if mode in ACQUIRE_MODES:
-                holder, step = ACQUIRE_MODES[mode]
-                bad = None
-                if (held is None) != (holder is None) or \
-                        holder == "self" and held[0] != owner:
-                    bad = _BAD_ACQUIRE[mode][0]
-                elif fence != (held[1] if held else 0) + step:
-                    bad = _BAD_ACQUIRE[mode][1]
-                if bad:
-                    self.flag("locks", "lock-order", subject, bad.format(
-                        owner=owner, held=held, fence=fence))
-            self.holders[ref] = (owner, fence)
-        elif e.name == "lock-release":
-            if e.get("released"):
-                if held is None or held[0] != owner:
-                    self.flag("locks", "lock-order", subject,
-                              f"{owner!r} released a lock held by "
-                              f"{held and held[0]!r}")
-                self.holders.pop(ref, None)
-            elif held is not None and held[0] == owner:
-                self.flag("locks", "lock-order", subject,
-                          f"holder {owner!r} failed to release its own lock")
-
-    def engine(self, e, name: str, task: Optional[str], t: float) -> None:
-        if name == "finalize":
-            op, verified = e.get("op"), e.get("verified")
-            if op == "put" and verified:
-                self.verified += 1
-            elif op == "put":
-                self.flag("integrity", "unverified-finalize", task or "?",
-                          f"put finalize at t={t:.3f} without a "
-                          f"destination verification verdict")
-            if task is not None:
-                _add(self.finalizes, task, (t, e.get("fence"), e.get("key"),
-                                            op, verified, e.get("loc")))
-        elif name == "visible":
-            self.visibles += 1
-            kind = e.get("kind")
-            if task is not None and kind in WRITING_KINDS:
-                self.writes.append((task, t, kind))
         elif name == "corrupt-detected" and task is not None:
             self.detections += 1
             self.last_corrupt[task] = max(
@@ -288,11 +227,6 @@ class _Index:
                 self.flag("backlog", "park-leak", str(ref[1]),
                           "drain of a backlog entry never parked")
             self.drained.add(ref)
-        elif name == "done-marker":
-            ref, seq = (e.get("rule"), e.get("key")), e.get("seq")
-            cur = self.done.get(ref)
-            if cur is None or seq >= cur[0]:
-                self.done[ref] = (seq, e.get("etag"), e.get("op"))
         elif name == "hedge-start":
             self.hedges[(task, e.get("part"), e.get("seq"))] = t
         elif name == "hedge-resolved":
@@ -307,11 +241,87 @@ class _Index:
                 self.flag("hedges", "hedge-unresolved", str(task),
                           f"hedge of part {ref[1]} seq {ref[2]} resolved "
                           f"but never started")
+        if name in _TALLIED:
+            self.integrity[_TALLIED[name]] += 1
+        if name in RECOVERY_FACTS and task is not None:
+            self.surfaced.add(task)
         # Held only if a window seen so far (opened earlier) contains it.
         if name in CORDONED_ADMISSIONS and self.windows and any(
                 start + _EPS < t < end - _EPS for start, end in
                 self.windows.get(("faas", e.get("region")), ())):
             self.admissions.append(e)
+        if "tenant" in keys:
+            self.tenant(e, self.event_claims)
+
+    # -- the records fed by position ----------------------------------------
+
+    def plan(self, task, end, values) -> None:
+        if task is not None:
+            self.plan_end.setdefault(task, end)
+
+    def verify(self, task, end, values) -> None:
+        self.integrity["verify_ok" if values[3] else "verify_failed"] += 1
+
+    def lock_acquire(self, task, t, values) -> None:
+        key, owner, fence, mode = values
+        owner = task if owner == task else owner     # one id object
+        ref = (_lock_domain(owner), key)
+        held = self.holders.get(ref)
+        self.lock_acquires += 1
+        _add(self.acquires, owner, t)
+        if isinstance(fence, int) and fence > 1:
+            self.high_fences.setdefault(ref, []).append((t, fence))
+        if mode in ACQUIRE_MODES:
+            holder, step = ACQUIRE_MODES[mode]
+            base, bad = held[1] if held else 0, None
+            if (held is None) != (holder is None) or \
+                    holder == "self" and held[0] != owner:
+                bad = _BAD_ACQUIRE[mode][0]
+            elif not isinstance(base, int) or fence != base + step:
+                bad = _BAD_ACQUIRE[mode][1]
+            if bad:
+                self.flag("locks", "lock-order", _subject(ref), bad.format(
+                    owner=owner, held=held, fence=fence))
+        self.holders[ref] = (owner, fence)
+
+    def lock_release(self, task, t, values) -> None:
+        key, owner, released = values[:3]
+        owner = task if owner == task else owner     # one id object
+        ref = (_lock_domain(owner), key)
+        held = self.holders.get(ref)
+        if released:
+            if held is None or held[0] != owner:
+                self.flag("locks", "lock-order", _subject(ref),
+                          f"{owner!r} released a lock held by "
+                          f"{held and held[0]!r}")
+            self.holders.pop(ref, None)
+        elif held is not None and held[0] == owner:
+            self.flag("locks", "lock-order", _subject(ref),
+                      f"holder {owner!r} failed to release its own lock")
+
+    def finalize(self, task, t, values) -> None:
+        key, _, _, fence, op, loc = values[:6]
+        verified = values[6] if len(values) > 6 else None
+        if op == "put" and verified:
+            self.verified += 1
+        elif op == "put":
+            self.flag("integrity", "unverified-finalize", task or "?",
+                      f"put finalize at t={t:.3f} without a "
+                      f"destination verification verdict")
+        if task is not None:
+            _add(self.finalizes, task, (t, fence, key, op, verified, loc))
+
+    def visible(self, task, t, values) -> None:
+        self.visibles += 1
+        kind = values[2]
+        if task is not None and kind in WRITING_KINDS:
+            self.writes.append((task, t, kind))
+
+    def done_marker(self, task, t, values) -> None:
+        rule, key, seq, etag, op = values
+        cur = self.done.get((rule, key))
+        if cur is None or seq >= cur[0]:
+            self.done[(rule, key)] = (seq, etag, op)
 
     def tenant(self, rec, claims: list) -> None:
         """Hold a tenant-tagged record's claim for ``_tenants``."""

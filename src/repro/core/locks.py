@@ -27,15 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.task import ACQUIRE_KEYS, REFUSED_KEYS, RELEASE_KEYS
 from repro.simcloud.kvstore import KvTable
 
 __all__ = ["LockOutcome", "PendingVersion", "UnlockOutcome",
            "ReplicationLockManager", "claim", "expired"]
-
-#: Trace attribute names, one tuple per record schema.
-_ACQUIRE_KEYS = ("key", "owner", "fence", "mode")
-_REFUSED_KEYS = ("key", "owner", "released")
-_RELEASE_KEYS = ("key", "owner", "released", "fence")
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,7 +157,7 @@ class ReplicationLockManager:
                          else 1)
                 if self.tracer is not None:
                     self.tracer.event(
-                        "lock-acquire", "lock", owner, _ACQUIRE_KEYS,
+                        "lock-acquire", "lock", owner, ACQUIRE_KEYS,
                         obj_key, owner, fence,
                         ("reentrant" if reentrant
                          else "takeover" if item is not None else "fresh"))
@@ -208,11 +204,11 @@ class ReplicationLockManager:
                 # record must not be deleted.
                 if self.tracer is not None:
                     self.tracer.event("lock-release", "lock", owner,
-                                      _REFUSED_KEYS, obj_key, owner, False)
+                                      REFUSED_KEYS, obj_key, owner, False)
                 return item, UnlockOutcome(False)
             if self.tracer is not None:
                 self.tracer.event("lock-release", "lock", owner,
-                                  _RELEASE_KEYS, obj_key, owner, True,
+                                  RELEASE_KEYS, obj_key, owner, True,
                                   item.get("fence", 0))
             etag = item.get("pending_etag")
             pending = (None if etag is None else

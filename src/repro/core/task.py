@@ -17,7 +17,7 @@ from repro.core.planner import Plan
 
 __all__ = ["task_id", "TaskResult", "TaskRecorder", "LIFECYCLE",
            "WRITING_KINDS", "RECOVERY_FACTS", "CORDONED_ADMISSIONS",
-           "ACQUIRE_MODES"]
+           "ACQUIRE_MODES", "SCHEMAS"]
 
 #: A task's facts in the order they must happen, each with the name a
 #: trace finding gives it.
@@ -38,6 +38,27 @@ CORDONED_ADMISSIONS = frozenset({"dispatch", "probe", "drain"})
 #: plus the step.
 ACQUIRE_MODES = {"fresh": (None, 1), "reentrant": ("self", 0),
                  "takeover": ("any", 1)}
+
+#: The attribute names of the lifecycle records, one tuple per schema.
+#: Emitters pass these very tuples as ``keys``, and the trace checker
+#: reads the values of a record whose ``keys`` is one of them by
+#: position; it reads any other record by name.
+ACQUIRE_KEYS = ("key", "owner", "fence", "mode")
+RELEASE_KEYS = ("key", "owner", "released", "fence")
+REFUSED_KEYS = ("key", "owner", "released")
+FINALIZE_KEYS = ("key", "seq", "etag", "fence", "op", "loc", "verified")
+DELETE_KEYS = ("key", "seq", "etag", "fence", "op", "loc")
+VERSION_KEYS = ("key", "seq", "kind")       # visible, retrigger
+DONE_KEYS = ("rule", "key", "seq", "etag", "op")
+PLAN_KEYS = ("n", "loc_key", "inline", "compliant", "predicted_s")
+VERIFY_KEYS = ("key", "expected", "actual", "ok")
+#: Each record name the checker reads by position, with its schemas: the
+#: one it reads in first, then any other, which is a prefix of it.
+SCHEMAS = {"lock-acquire": (ACQUIRE_KEYS,),
+           "lock-release": (RELEASE_KEYS, REFUSED_KEYS),
+           "finalize": (FINALIZE_KEYS, DELETE_KEYS),
+           "visible": (VERSION_KEYS,), "done-marker": (DONE_KEYS,),
+           "plan": (PLAN_KEYS,), "verify": (VERIFY_KEYS,)}
 
 
 def task_id(rule_id: str, key: str, seq: int, kind: str) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.core.task import TaskResult
+from repro.core.task import DELETE_KEYS, TaskResult
 from repro.simcloud.objectstore import NoSuchKey
 
 #: How many times a part whose payload fails checksum verification is
@@ -36,7 +36,6 @@ __all__ = ["PartQuarantined", "run_single", "propagate_delete",
 #: Trace attribute names, one tuple per record schema.
 _CORRUPT_KEYS = ("key", "stage", "kind", "part")
 _QUARANTINE_KEYS = ("key", "stage", "part")
-_FINALIZE_KEYS = ("key", "seq", "etag", "fence", "op", "loc")
 
 
 class PartQuarantined(RuntimeError):
@@ -336,7 +335,7 @@ def propagate_delete(engine, ctx, payload, held):
     engine.stats["deletes"] += 1
     yield from ctx.delete_object(engine.dst_bucket, key)
     if engine.tracer is not None:
-        engine.tracer.event("finalize", "engine", tid, _FINALIZE_KEYS, key,
+        engine.tracer.event("finalize", "engine", tid, DELETE_KEYS, key,
                             payload["seq"], payload["etag"], held["fence"],
                             "delete", ctx.region.key)
     superseded = yield from engine._mark_done(ctx, key, payload["etag"],

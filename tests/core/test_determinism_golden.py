@@ -11,12 +11,14 @@ import functools
 import hashlib
 import itertools
 import json
+from typing import Optional
 
 import pytest
 
 from repro.core.config import ReplicaConfig
 from repro.core.service import AReplicaService
 from repro.simcloud import objectstore
+from repro.simcloud.chaos import ChaosConfig
 from repro.simcloud.cloud import build_default_cloud
 from repro.simcloud.objectstore import Blob
 from repro.simcloud.sim import Simulator
@@ -26,7 +28,7 @@ from repro.traces.replay import TraceReplayer
 MB = 1024**2
 
 
-def _fig12_run(seed: int, tracing: bool = False):
+def _fig12_run(seed: int, tracing: bool = False, keep: bool = True):
     """A distributed replication (Fig 12 shape): one large object split
     across parallel replicator functions, plus chaos-free retries of
     small objects — the full lock/pool/finalize protocol."""
@@ -34,7 +36,7 @@ def _fig12_run(seed: int, tracing: bool = False):
     config = ReplicaConfig(slo_seconds=0.0, profile_samples=5, mc_samples=300,
                            tracing_enabled=tracing)
     svc = AReplicaService(cloud, config)
-    if tracing:
+    if tracing and keep:
         svc.tracer.keep_records()
     src = cloud.bucket("aws:us-east-1", "src")
     dst = cloud.bucket("azure:eastus", "dst")
@@ -57,16 +59,18 @@ def _fig12_scenario(seed: int):
     )
 
 
-def _fig23_run(seed: int, idle: str = "", tracing: bool = False):
+def _fig23_run(seed: int, idle: str = "", tracing: bool = False,
+               keep: bool = True, chaos: Optional[ChaosConfig] = None):
     """A one-minute slice of the Fig 23 busy-hour replay, with at most
-    one optional layer (``idle``) built but never started."""
+    one optional layer (``idle``) built but never started, under
+    ``chaos`` from the first request on if given."""
     gen = IbmCosTraceGenerator(seed=seed)
     batches = [b for b in gen.generate_batches(60.0)]
     cloud = build_default_cloud(seed=seed)
     svc = AReplicaService(cloud, ReplicaConfig(profile_samples=5,
                                                mc_samples=300,
                                                tracing_enabled=tracing))
-    if tracing:
+    if tracing and keep:
         svc.tracer.keep_records()
     if idle == "tenancy":
         # Scheduler + shard router built, zero tenants registered:
@@ -81,6 +85,8 @@ def _fig23_run(seed: int, idle: str = "", tracing: bool = False):
     if idle == "autopilot":
         from repro.core.autopilot import Autopilot
         Autopilot(svc)  # constructed, never started
+    if chaos is not None:
+        cloud.apply_chaos(chaos)
     TraceReplayer(cloud, src).replay_all_batches(batches)
     return cloud, svc
 
@@ -154,18 +160,30 @@ def _outcome(cloud, svc):
     )
 
 
-@pytest.mark.parametrize("run", [_fig23_run, _fig12_run],
-                         ids=["fig23", "fig12"])
-def test_tracing_only_observes(run):
+#: KV throttling and delays: lock and done-marker records are emitted
+#: inside KV update closures, where an error in feeding the trace checker
+#: would surface as a failed KV write, not as an exception.
+_KV_CHAOS = ChaosConfig(kv_reject_prob=0.1, kv_delay_prob=0.1)
+
+
+@pytest.mark.parametrize("run, keep", [
+    (_fig23_run, True), (_fig12_run, True), (_fig23_run, False),
+    (_fig12_run, False), (functools.partial(_fig23_run, chaos=_KV_CHAOS),
+                          False)],
+    ids=["fig23", "fig12", "fig23-fed", "fig12-fed", "fig23-kv-chaos-fed"])
+def test_tracing_only_observes(run, keep):
     """Tracing on == tracing off.  The Tracer records what a run did and
     never selects different code, so the traced run is the measured run:
     the inline small-object path (fig23) and the distributed one (fig12)
     produce the same records, ledger, pending count and clock with
-    ``tracing_enabled`` as without it, across seeds."""
+    ``tracing_enabled`` as without it, across seeds — with the records
+    kept, and as the benchmark runs it (``-fed``): each record fed to
+    the trace checker without being kept, most without being built."""
     for seed in (0, 1, 2):
         plain = _outcome(*run(seed))
-        cloud, svc = run(seed, tracing=True)
-        assert svc.tracer.spans, "traced run recorded nothing"
+        cloud, svc = run(seed, tracing=True, keep=keep)
+        assert svc.tracer.index.n_events, "traced run recorded nothing"
+        assert bool(svc.tracer.spans) == keep
         assert _outcome(cloud, svc) == plain, f"seed {seed} perturbed"
 
 

@@ -24,8 +24,12 @@ from hypothesis import strategies as st
 from repro.core.config import ReplicaConfig
 from repro.core.invariants import _EPS, TraceChecker, _Index, _lock_domain
 from repro.core.service import AReplicaService
-from repro.core.task import LIFECYCLE, WRITING_KINDS
-from repro.core.tracing import PHASES, Tracer
+from repro.core.task import (ACQUIRE_KEYS, DELETE_KEYS, DONE_KEYS,
+                             FINALIZE_KEYS, LIFECYCLE, PLAN_KEYS,
+                             REFUSED_KEYS, RELEASE_KEYS, SCHEMAS, VERIFY_KEYS,
+                             VERSION_KEYS, WRITING_KINDS)
+from repro.core.tracing import PHASES, Tracer, _tenanted
+from repro.drills import DRILLS, run_drill
 from repro.simcloud.chaos import ChaosConfig
 from repro.simcloud.cloud import build_default_cloud
 from repro.simcloud.cost import CostCategory, CostLedger
@@ -930,11 +934,12 @@ class _RecordChecker(TraceChecker):
 
 _TASK_IDS = ("r1:k:1:created", "r1:k:2:created", "r2:j:1:deleted", "tA")
 _OPS = ("acquire", "release", "plan", "finalize", "visible", "done-marker",
-        "corrupt-detected")
+        "verify", "corrupt-detected")
 
 
 def step(op, task=_TASK_IDS[0], key="k", dt=1.0, fence=1, mode="fresh",
-         seq=1, etag="e1", write="put", ok=True, loc=SRC, kind="created"):
+         seq=1, etag="e1", write="put", ok=True, loc=SRC, kind="created",
+         form="schema"):
     """One record of a synthetic stream, ``dt`` after the one before."""
     return dict(locals())
 
@@ -947,45 +952,77 @@ _STEPS = st.lists(st.builds(
     seq=st.integers(1, 3), etag=st.sampled_from(("e1", "e2")),
     write=st.sampled_from(("put", "delete")), ok=st.booleans(),
     loc=st.sampled_from((None, SRC, DST)),
-    kind=st.sampled_from(("created", "deleted", "already-replicated"))),
+    kind=st.sampled_from(("created", "deleted", "already-replicated")),
+    form=st.sampled_from(("schema", "schema", "keywords"))),
     max_size=30)
 
 
 def feed(tr, steps) -> None:
     """Emit ``steps``, each record naming its task by a fresh but equal
-    string, as separate emission sites do.  Lock records carry int
-    fences, as the lock manager issues them; a finalize carries any."""
+    string, as separate emission sites do.  A record carries its name's
+    declared schema tuple (``task.SCHEMAS``), as the emitters pass it;
+    one of ``form="keywords"`` is built the way :func:`emit` builds one
+    from keywords, with its names sorted, and a keyword-built put
+    finalize is the one :func:`finalize` emits, with no ``loc``."""
     for s in steps:
         tr.sim.now += s["dt"]
-        t, key, task = tr.sim.now, s["key"], s["task"]
+        t, key, task, op = tr.sim.now, s["key"], s["task"], s["op"]
         tid, owner = task[:1] + task[1:], task[:1] + task[1:]
-        lock_fence = s["fence"] if type(s["fence"]) is int else 1
-        if s["op"] == "acquire":
-            tr.event("lock-acquire", "lock", tid, ("key", "owner", "fence",
-                     "mode"), key, owner, lock_fence, s["mode"])
-        elif s["op"] == "release":
-            tr.event("lock-release", "lock", tid, ("key", "owner",
-                     "released", "fence"), key, owner, s["ok"], lock_fence)
-        elif s["op"] == "plan":
-            tr.span("plan", "engine", tid, t - 0.25, t)
-        elif s["op"] == "finalize" and s["write"] == "delete":
-            tr.event("finalize", "engine", tid, ("key", "seq", "etag",
-                     "fence", "op", "loc"), key, s["seq"], s["etag"],
-                     s["fence"], "delete", s["loc"])
-        elif s["op"] == "finalize":
-            tr.event("finalize", "engine", tid, ("key", "seq", "etag",
-                     "fence", "op", "loc", "verified"), key, s["seq"],
-                     s["etag"], s["fence"], "put", s["loc"], s["ok"])
-        elif s["op"] == "visible":
-            tr.event("visible", "engine", tid, ("key", "seq", "kind"), key,
-                     s["seq"], s["kind"])
-        elif s["op"] == "done-marker":
-            tr.event("done-marker", "engine", None, ("rule", "key", "seq",
-                     "etag", "op"), task.split(":")[0], key, s["seq"],
-                     s["etag"], s["write"])
+        fence, seq, etag = s["fence"], s["seq"], s["etag"]
+        name, cat = {"acquire": ("lock-acquire", "lock"),
+                     "release": ("lock-release", "lock"),
+                     "plan": ("plan", "engine")}.get(op, (op, "engine"))
+        if op == "acquire":
+            keys, values = ACQUIRE_KEYS, (key, owner, fence, s["mode"])
+        elif op == "release" and s["ok"]:
+            keys, values = RELEASE_KEYS, (key, owner, True, fence)
+        elif op == "release":
+            keys, values = REFUSED_KEYS, (key, owner, False)
+        elif op == "plan":
+            keys, values = PLAN_KEYS, (1, s["loc"], True, True, 0.5)
+        elif op == "verify":
+            keys, values = VERIFY_KEYS, (key, etag, "e1", etag == "e1")
+        elif op == "finalize" and s["write"] == "delete":
+            keys, values = DELETE_KEYS, (key, seq, etag, fence, "delete",
+                                         s["loc"])
+        elif op == "finalize" and s["form"] == "keywords":
+            finalize(tr, t, tid, key, fence, etag=etag, seq=seq,
+                     verified=s["ok"])
+            continue
+        elif op == "finalize":
+            keys, values = FINALIZE_KEYS, (key, seq, etag, fence, "put",
+                                           s["loc"], s["ok"])
+        elif op == "visible":
+            keys, values = VERSION_KEYS, (key, seq, s["kind"])
+        elif op == "done-marker":
+            tid, keys, values = None, DONE_KEYS, (task.split(":")[0], key,
+                                                  seq, etag, s["write"])
         else:
-            tr.event("corrupt-detected", "engine", tid, ("key", "stage",
-                     "kind", "part"), key, "part-get", "payload", 0)
+            keys, values = ("key", "stage", "kind", "part"), (
+                key, "part-get", "payload", 0)
+        if s["form"] == "keywords":
+            attrs = dict(sorted(zip(keys, values)))
+            keys, values = tuple(attrs), tuple(attrs.values())
+        if op in ("plan", "verify"):
+            tr.span(name, cat, tid, t - 0.25, t, keys, *values)
+        else:
+            tr.event(name, cat, tid, keys, *values)
+
+
+class _WholeCounted(_Index):
+    """The compact index, counting the records fed to it whole."""
+
+    def __init__(self):
+        super().__init__()
+        self.whole = 0
+
+    def span(self, s) -> None:
+        self.whole += 1
+        super().span(s)
+
+    def event(self, e) -> None:
+        self.whole += 1
+        super().event(e)
 
 
 @given(steps=_STEPS)
@@ -1007,20 +1044,61 @@ def feed(tr, steps) -> None:
 # A detection, then an unverified put.
 @example(steps=[step("acquire"), step("corrupt-detected"),
                 step("finalize", ok=False), step("visible")])
+# An acquire with no int fence, then another acquire of that lock: the
+# second is a lock-order finding, not a TypeError.
+@example(steps=[step("acquire", fence=None),
+                step("acquire", mode="reentrant", fence=None),
+                step("acquire", task=_TASK_IDS[1], mode="takeover",
+                     fence=1.0),
+                step("acquire", task=_TASK_IDS[1], mode="reentrant",
+                     fence=1.0)])
+# A put finalize built from keywords, whose keys are not the schema's.
+@example(steps=[step("acquire"), step("verify"),
+                step("finalize", form="keywords"), step("visible"),
+                step("release", form="keywords")])
 @settings(max_examples=300, deadline=None)
 def test_the_compact_index_reports_what_the_record_index_did(steps):
-    reports = []
-    for index, checker in ((_Index(), TraceChecker),
-                           (_RecordIndex(), _RecordChecker)):
+    """The reference index fed whole records, the compact index fed whole
+    records (records kept) and the compact index fed as the tracer feeds
+    it by default (records with a declared schema by position, the rest
+    whole) give one report and one integrity summary."""
+    reports, fed = [], _WholeCounted()
+    for index, checker, keep in ((_RecordIndex(), _RecordChecker, True),
+                                 (_Index(), TraceChecker, True),
+                                 (fed, TraceChecker, False)):
         tr, _ = bare()
         tr.index = index
+        if keep:
+            tr.keep_records()
         feed(tr, steps)
-        reports.append(checker(_Svc(tr, {
+        report = checker(_Svc(tr, {
             "r1": _Rule(_Bucket({"k": _Obj("e1")})),
-            "r2": _Rule(_Bucket())})).check())
-    compact, reference = reports
-    assert compact.findings == reference.findings
-    assert compact.checked == reference.checked
+            "r2": _Rule(_Bucket())})).check()
+        reports.append((report.findings, report.checked,
+                        tr.integrity_summary()))
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+    assert fed.whole == sum(s["form"] == "keywords" or
+                            s["op"] == "corrupt-detected" for s in steps)
+
+
+def test_every_lifecycle_record_carries_a_declared_schema():
+    """Each record named in ``task.SCHEMAS`` is emitted with one of its
+    name's schema tuples itself, or that tuple's tenant-scoped twin, so
+    the checker reads it by position.  An emitter with a schema of its
+    own would instead make every such record take the whole-record path.
+    The chaos soak drill emits every declared schema."""
+    with keeping_records():
+        tr = run_drill(DRILLS["chaos-soak"], seed=0).service.tracer
+    declared = {name: {id(keys) for schema in schemas
+                       for keys in (schema, _tenanted(schema))}
+                for name, schemas in SCHEMAS.items()}
+    seen = {id(r.keys) for r in tr.spans + tr.events if r.name in SCHEMAS}
+    odd = sorted({(r.name, r.keys) for r in tr.spans + tr.events
+                  if r.name in SCHEMAS and id(r.keys) not in declared[r.name]})
+    assert odd == []
+    assert seen >= {id(schema) for schemas in SCHEMAS.values()
+                    for schema in schemas}
 
 
 def test_every_per_task_fact_is_keyed_by_the_index_s_one_id_object():
