@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests footprint lifecycle-drill drill-all examples e2e-digests e2e-rss e2e-smoke-digests work-counts trace-digests census paper coverage
+.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests footprint lifecycle-drill drill-all examples e2e-digests e2e-rss e2e-smoke-digests work-counts trace-share trace-digests census paper coverage
 
 ## tier-1: the full default suite
 test:
@@ -122,6 +122,16 @@ e2e-smoke-digests:
 work-counts:
 	@$(PY) -m tests.work_counts | diff tests/golden/work_counts.txt - \
 		&& echo "work counts match"
+
+## the in-program tracer's share of the storm_churn unit (~4 min; not in
+## CI): at seeds 11-20, the benchmark's unit once with the Tracer on and
+## once with tracing_enabled=False, each in a process of its own, the
+## order alternating; per seed each side's nominal CPU us/req and peak
+## RSS and whether their simulated outcomes agree, then the median and
+## quartiles of the difference.  Pass other seeds as
+## `python -m tests.trace_share 11 12 ...`.
+trace-share:
+	@$(PY) -m tests.trace_share
 
 ## what the drills and the trace checker report (~25 s; CI diffs it
 ## against tests/golden/trace_digests.txt):
