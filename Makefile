@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests footprint lifecycle-drill drill-all examples e2e-digests e2e-rss e2e-smoke-digests work-counts trace-share trace-digests census paper coverage
+.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests protocol-tests footprint lifecycle-drill drill-all examples e2e-digests e2e-rss e2e-smoke-digests work-counts trace-share trace-digests census paper coverage
 
 ## tier-1: the full default suite
 test:
@@ -57,6 +57,12 @@ footprint:
 ## just the closed-loop SLO controller (autopilot) suites
 autopilot-tests:
 	$(PY) -m pytest -q -m autopilot
+
+## just the protocol model checks (~1 s): the real lock and done-marker
+## closures against a dict-backed table, every interleaving of a few
+## attempts, source writes and faults (tests/protocol/)
+protocol-tests:
+	$(PY) -m pytest -q -m protocol
 
 ## every drill the CLI ships, one seed, one shared report schema;
 ## exits non-zero if any drill reports pass=false
