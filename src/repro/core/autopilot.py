@@ -54,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
+from repro.core.task import ACTUATE_KEYS
 from repro.simcloud.monitoring import TimeSeries
 
 __all__ = ["AUTOPILOT_STAT_KEYS", "Actuation", "KnobSpec",
@@ -67,8 +68,6 @@ AUTOPILOT_STAT_KEYS = ("actuations", "clamps", "cooldown_skips",
                        "cordon_holds", "settle_time_s")
 
 #: Trace attribute names, one tuple per record schema.
-_ACTUATE_KEYS = ("knob", "old", "new", "lo", "hi", "cooldown_s", "error",
-                 "clamped", "reason")
 _HOLD_KEYS = ("reason", "cordons")
 _DISTURBANCE_KEYS = ("error",)
 _SETTLE_KEYS = ("settle_s", "within_bound")
@@ -259,7 +258,7 @@ class KnobController:
         self.changelog.append(act)
         if self.tracer is not None:
             self.tracer.span("actuate", "autopilot", None, now, now,
-                             _ACTUATE_KEYS, name, old, new, spec.lo, spec.hi,
+                             ACTUATE_KEYS, name, old, new, spec.lo, spec.hi,
                              self.cooldown_s, round(error, 6), clamped,
                              reason)
         return act

@@ -17,6 +17,7 @@ from collections import deque
 from typing import Optional
 
 from repro.core.health import BreakerState
+from repro.core.task import PARK_KEYS, ROUTE_KEYS
 from repro.simcloud.kvstore import Throttled
 
 __all__ = ["ParkedBacklog"]
@@ -26,8 +27,6 @@ __all__ = ["ParkedBacklog"]
 _CHECKPOINT_KEY = "lifecycle:checkpoint"
 
 #: Trace attribute names, one tuple per record schema.
-_PARK_KEYS = ("rule", "backlog_id", "key")
-_ROUTE_KEYS = ("rule", "backlog_id", "region")
 _CHECKPOINT_KEYS = ("rule", "backlog")
 _RESTORE_KEYS = ("rule", "restored", "remirrored")
 
@@ -85,7 +84,7 @@ class ParkedBacklog:
         self._next_id += 1
         if engine.tracer is not None:
             engine.tracer.event("park", "engine", payload.get("task"),
-                                _PARK_KEYS, engine.rule_id, backlog_id,
+                                PARK_KEYS, engine.rule_id, backlog_id,
                                 payload.get("key"))
         if not self._entries:
             self._entries = deque()
@@ -142,7 +141,7 @@ class ParkedBacklog:
         backlog_id, payload = self._entries[0]
         if engine.tracer is not None:
             engine.tracer.event("probe", "engine", payload.get("task"),
-                                _ROUTE_KEYS, engine.rule_id, backlog_id,
+                                ROUTE_KEYS, engine.rule_id, backlog_id,
                                 route)
         engine.cloud.faas(route).invoke_and_forget(engine._orch_name,
                                                  dict(payload))
@@ -186,7 +185,7 @@ class ParkedBacklog:
                     if engine.tracer is not None:
                         engine.tracer.event("drain", "engine",
                                             payload.get("task"),
-                                            _ROUTE_KEYS, engine.rule_id,
+                                            ROUTE_KEYS, engine.rule_id,
                                             backlog_id, route)
                     self._mirror(
                         lambda bid=backlog_id: engine._lock_table.delete_item(

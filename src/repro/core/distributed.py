@@ -21,13 +21,11 @@ import math
 
 from repro.core import locks, transfer
 from repro.core.partpool import FairAssignment, PartPool
+from repro.core.task import ABORT_KEYS
 from repro.simcloud.objectstore import NoSuchKey, NoSuchUpload
 
 __all__ = ["launch", "run_worker", "reap_orphan_pool", "pool_for",
            "part_attempt", "settle_part", "try_finalize"]
-
-#: Trace attribute names of the ``abort`` event.
-_ABORT_KEYS = ("key", "etag")
 
 #: How long a worker that drained the pool waits before treating
 #: still-incomplete parts as orphaned (crashed owner) and recovering
@@ -452,7 +450,7 @@ def _abort_task(engine, ctx, task, pool):
     engine.stats["aborted"] += 1
     if engine.tracer is not None:
         engine.tracer.event("abort", "engine", task["task_id"],
-                            _ABORT_KEYS, task["key"], task["etag"])
+                            ABORT_KEYS, task["key"], task["etag"])
     engine.recorder.record_abort(task["key"], task["etag"])
     # The yield must sit *outside* any exception guard: an Interrupt
     # (chaos crash, watchdog) delivered here must kill this function so

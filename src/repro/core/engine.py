@@ -33,9 +33,9 @@ from repro.core.health import HealthTracker, NoRouteAvailable
 from repro.core.hedging import Hedger
 from repro.core.locks import ReplicationLockManager, expired
 from repro.core.planner import Plan, StrategyPlanner
-from repro.core.task import (DONE_KEYS, FINALIZE_KEYS, PLAN_KEYS,
-                             VERIFY_KEYS, VERSION_KEYS, TaskRecorder,
-                             TaskResult, task_id)
+from repro.core.task import (DISPATCH_KEYS, DONE_KEYS, FINALIZE_KEYS,
+                             LOST_KEYS, PLAN_KEYS, VERIFY_KEYS, VERSION_KEYS,
+                             TaskRecorder, TaskResult, task_id)
 from repro.core.transfer import (propagate_delete, reconverge_superseded,
                                  run_single, withdraw_unverified)
 from repro.simcloud.cloud import Cloud
@@ -62,8 +62,6 @@ _STAT_KEYS = (
 
 #: Trace attribute names, one tuple per record schema.
 _RECLAIM_KEYS = ("rule", "key", "owner", "seq")
-_DISPATCH_KEYS = ("rule", "region")
-_LOST_KEYS = ("key",)
 
 
 class ReplicationEngine:
@@ -337,7 +335,7 @@ class ReplicationEngine:
             # The oracle's witness that no dispatch enters a cordoned FaaS
             # region (invoke_and_forget emits no I-span to serve as one).
             self.tracer.event("dispatch", "engine", payload.get("task"),
-                              _DISPATCH_KEYS, self.rule_id, route)
+                              DISPATCH_KEYS, self.rule_id, route)
         faas = self.cloud.faas(route)
         if self.scheduler is None:
             faas.invoke_and_forget(self._orch_name, payload)
@@ -600,7 +598,7 @@ class ReplicationEngine:
             # key's convergence.  Surface the loss; never no-op it.
             self.stats["lock_lost"] += 1
             if self.tracer is not None:
-                self.tracer.event("lock-lost", "engine", tid, _LOST_KEYS, key)
+                self.tracer.event("lock-lost", "engine", tid, LOST_KEYS, key)
             return
         pending = outcome.pending
         if pending is not None:

@@ -16,6 +16,7 @@ import itertools
 from typing import Optional
 
 from repro.core import distributed
+from repro.core.task import HEDGE_RESOLVED_KEYS, HEDGE_START_KEYS
 from repro.simcloud.cost import CostCategory
 from repro.simcloud.monitoring import TimeSeries
 from repro.simcloud.sim import Interrupt
@@ -24,8 +25,6 @@ __all__ = ["Hedger", "HEDGE_WINDOW_S", "HEDGE_MIN_PART_BYTES",
            "HEDGE_MIN_SAMPLES"]
 
 #: Trace attribute names, one tuple per record schema.
-_START_KEYS = ("key", "part", "seq", "deadline_s", "elapsed_s")
-_RESOLVED_KEYS = ("key", "part", "seq", "outcome")
 _HEDGE_KEYS = ("part", "seq", "outcome")
 
 #: Trailing window over part-completion samples feeding the deadline
@@ -106,7 +105,7 @@ class Hedger:
         task_id = task["task_id"]
         if engine.tracer is not None:
             engine.tracer.event("hedge-start", "engine", task_id,
-                                _START_KEYS, task["key"], idx, seq,
+                                HEDGE_START_KEYS, task["key"], idx, seq,
                                 deadline_s, elapsed)
         faas = engine.cloud.faas(ctx.region.key)
         faas.ledger.charge(CostCategory.HEDGE_CLONES,
@@ -241,8 +240,8 @@ class Hedger:
                     engine.stats["hedge_cancelled"] += 1
                 if engine.tracer is not None:
                     engine.tracer.event("hedge-resolved", "engine", task_id,
-                                        _RESOLVED_KEYS, task["key"], idx, s,
-                                        outcome)
+                                        HEDGE_RESOLVED_KEYS, task["key"], idx,
+                                        s, outcome)
                     engine.tracer.span("hedge", "engine", task_id, at,
                                        sim.now, _HEDGE_KEYS, idx, s, outcome)
         if clone_won is not None:

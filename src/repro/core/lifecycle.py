@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.task import CORDON_KEYS
 from repro.simcloud.chaos import validate_outage_windows
 from repro.simcloud.kvstore import Throttled
 from repro.simcloud.sim import SleepRequest
@@ -51,7 +52,6 @@ __all__ = ["OperationsRunner", "LifecycleReport", "SCENARIOS"]
 SCENARIOS = ("evacuate", "rolling", "switchover")
 
 #: Trace attribute names, one tuple per record schema.
-_CORDON_KEYS = ("rule", "substrate", "region")
 _REBUILD_KEYS = ("rule", "backlog")
 _SWITCHOVER_KEYS = ("rule", "src", "dst")
 
@@ -182,11 +182,11 @@ class OperationsRunner:
     def _cordon(self, substrate: str, region: str) -> None:
         if self.service.health.cordon((substrate, region)):
             self._engine.stats["cordons"] += 1
-            self._event("cordon", _CORDON_KEYS, substrate, region)
+            self._event("cordon", CORDON_KEYS, substrate, region)
 
     def _uncordon(self, substrate: str, region: str) -> None:
         if self.service.health.uncordon((substrate, region)):
-            self._event("uncordon", _CORDON_KEYS, substrate, region)
+            self._event("uncordon", CORDON_KEYS, substrate, region)
 
     def _kv_retry(self, gen_factory):
         """Process: run ``gen_factory()`` to completion, retrying

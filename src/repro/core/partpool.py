@@ -19,13 +19,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.core.locks import claim
+from repro.core.task import COMPLETE_KEYS
 from repro.simcloud.kvstore import KvTable
 
 __all__ = ["PartPool", "PartCompletion", "PartState", "FairAssignment"]
 
 #: Trace attribute names, one tuple per record schema.
 _PART_KEYS = ("idx",)
-_COMPLETE_KEYS = ("idx", "first", "finished")
 
 
 class PartCompletion(NamedTuple):
@@ -118,7 +118,7 @@ class PartPool:
         outcome = yield self.table.update_item(self._key, mark)
         if self.table.tracer is not None:
             self.table.tracer.event("part-complete", "pool", self.task_id,
-                                    _COMPLETE_KEYS, part_index,
+                                    COMPLETE_KEYS, part_index,
                                     outcome.first, outcome.finished)
         return outcome
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.core.task import DELETE_KEYS, TaskResult
+from repro.core.task import (CORRUPT_KEYS, DELETE_KEYS, QUARANTINE_KEYS,
+                             TaskResult)
 from repro.simcloud.objectstore import NoSuchKey
 
 #: How many times a part whose payload fails checksum verification is
@@ -32,10 +33,6 @@ __all__ = ["PartQuarantined", "run_single", "propagate_delete",
            "classify_download", "record_corruption", "retransfer",
            "quarantine", "withdraw_unverified", "reconverge_superseded",
            "abort_upload"]
-
-#: Trace attribute names, one tuple per record schema.
-_CORRUPT_KEYS = ("key", "stage", "kind", "part")
-_QUARANTINE_KEYS = ("key", "stage", "part")
 
 
 class PartQuarantined(RuntimeError):
@@ -81,7 +78,7 @@ def record_corruption(engine, task, stage: str, kind: str,
     engine.stats["corrupt_detected"] += 1
     if engine.tracer is not None:
         engine.tracer.event("corrupt-detected", "engine", task["task_id"],
-                            _CORRUPT_KEYS, task["key"], stage, kind, part)
+                            CORRUPT_KEYS, task["key"], stage, kind, part)
 
 
 def retransfer(engine, task, stage: str, kind: str, used: int,
@@ -114,7 +111,7 @@ def quarantine(engine, task, stage: str, part: Optional[int] = None,
         engine.stats["quarantined"] += 1
         if engine.tracer is not None:
             engine.tracer.event("quarantine", "engine", task["task_id"],
-                                _QUARANTINE_KEYS, task["key"], stage, part)
+                                QUARANTINE_KEYS, task["key"], stage, part)
     raise PartQuarantined(
         f"{task['task_id']}: {stage} checksum mismatch persisted "
         f"past retransfer budget (part={part})")

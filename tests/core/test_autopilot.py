@@ -29,6 +29,7 @@ from repro.core.autopilot import (AUTOPILOT_STAT_KEYS, Autopilot,
 from repro.core.config import ReplicaConfig, TenantConfig
 from repro.core.invariants import TraceChecker
 from repro.core.service import AReplicaService
+from repro.core.task import ACTUATE_KEYS, CORDON_KEYS
 from repro.core.tracing import Tracer
 from repro.simcloud.cloud import build_default_cloud
 from repro.simcloud.objectstore import Blob
@@ -296,22 +297,19 @@ def _bare():
 
 def _actuate(tr, t, knob="k", old=2.0, new=3.0, lo=1.0, hi=4.0,
              cooldown=10.0):
-    attrs = dict(knob=knob, old=old, new=new, lo=lo, hi=hi,
-                 cooldown_s=cooldown, error=1.0, clamped=False, reason="slo")
-    tr.span("actuate", "autopilot", None, t, t, tuple(attrs),
-            *attrs.values())
+    tr.span("actuate", "autopilot", None, t, t, ACTUATE_KEYS, knob, old, new,
+            lo, hi, cooldown, 1.0, False, "slo")
 
 
 def _cordon(tr, t, region="aws:us-east-1", substrate="faas"):
     tr.sim.now = t
-    attrs = dict(substrate=substrate, region=region)
-    tr.event("cordon", "lifecycle", None, tuple(attrs), *attrs.values())
+    tr.event("cordon", "lifecycle", None, CORDON_KEYS, "r", substrate, region)
 
 
 def _uncordon(tr, t, region="aws:us-east-1", substrate="faas"):
     tr.sim.now = t
-    attrs = dict(substrate=substrate, region=region)
-    tr.event("uncordon", "lifecycle", None, tuple(attrs), *attrs.values())
+    tr.event("uncordon", "lifecycle", None, CORDON_KEYS, "r", substrate,
+             region)
 
 
 def _kinds(report):
