@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests protocol-tests footprint lifecycle-drill drill-all examples e2e-digests e2e-rss e2e-smoke-digests work-counts trace-share trace-digests census paper coverage
+.PHONY: test trace-tests chaos-tests scrub-tests hedge-tests lifecycle-tests tenant-tests autopilot-tests protocol-tests footprint lifecycle-drill drill-all examples e2e-digests e2e-rss e2e-smoke-digests work-counts trace-share trace-digests census storm-census paper coverage
 
 ## tier-1: the full default suite
 test:
@@ -158,6 +158,18 @@ trace-digests:
 ## and names the line in CHANGES.md.
 census:
 	@$(PY) -m tests.census | diff tests/golden/census.txt - && echo "census matches"
+
+## which storm units FAIL at which sub-seeds (~5-8 min on 2 vCPUs; not
+## in CI): the benchmark's 12 000-request storm_churn unit at sub-seeds
+## 200-279 under the storm without duplicates (orchestrator crashes and
+## WAN stalls back in, hedging off), one line per FAIL with its first
+## finding, diffed against the committed tests/golden/storm_census.txt.
+## A new line is a new finding; a removed line is a fix.  The PR that
+## moves it regenerates the file (python -m tests.storm_census >
+## tests/golden/storm_census.txt) and names the line in CHANGES.md.
+storm-census:
+	@$(PY) -m tests.storm_census | diff tests/golden/storm_census.txt - \
+		&& echo "storm census matches"
 
 ## the reproduction gate (~1 min): regenerate every paper table/figure
 ## under benchmarks/ (the e2e benchmark has its own entry points) and

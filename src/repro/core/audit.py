@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.core.locks import expired
 from repro.core.service import AReplicaService, ReplicationRule
 
 __all__ = ["DETAIL", "Finding", "Findings", "AuditReport",
@@ -133,7 +132,6 @@ class ReplicationAuditor:
     def _audit_rule(self, rule: ReplicationRule, report: AuditReport,
                     quiescent: bool = False) -> None:
         src, dst = rule.src_bucket, rule.dst_bucket
-        now = self.service.cloud.now
         # 1. content divergence
         for kind, key in diff(rule):
             if kind != "same":
@@ -145,25 +143,21 @@ class ReplicationAuditor:
                 report.findings.append(Finding(
                     "silent-divergence", key, DETAIL["corrupt"]))
         # 2. stale locks & 3. done-marker drift
-        lock_table = rule.engine._lock_table
-        lease = rule.engine.locks.lease_s
+        locks = rule.engine.locks
         max_seq = src.last_sequencer
-        for item_key, item in lock_table.peek_prefix("lock:"):
-            age = now - item.get("acquired_at", now)
+        for key, owner, _, _, lease_left_s, held_s in locks.stranded():
             if quiescent:
                 report.findings.append(Finding(
-                    "leaked-lock", item_key[len("lock:"):],
-                    f"survives quiescence, held {age:.0f}s "
-                    f"by {item.get('owner')!r}"))
-            elif expired(item.get("acquired_at", now), lease, now):
+                    "leaked-lock", key,
+                    f"survives quiescence, held {held_s:.0f}s by {owner!r}"))
+            elif not lease_left_s:
                 report.findings.append(Finding(
-                    "stale-lock", item_key[len("lock:"):],
-                    f"held {age:.0f}s by {item.get('owner')!r}"))
-        for item_key, item in lock_table.peek_prefix("done:"):
-            if item["seq"] > max_seq:
+                    "stale-lock", key, f"held {held_s:.0f}s by {owner!r}"))
+        for key, seq in locks.markers():
+            if seq > max_seq:
                 report.findings.append(Finding(
-                    "done-drift", item_key[len("done:"):],
-                    f"marker seq {item['seq']} exceeds source seq {max_seq}"))
+                    "done-drift", key,
+                    f"marker seq {seq} exceeds source seq {max_seq}"))
         # 4. multipart upload leaks at the destination
         for upload_id in dst.pending_uploads():
             report.findings.append(Finding(

@@ -132,7 +132,8 @@ def launch(engine, ctx, task, plan, inline_worker: bool = False):
                 # version through the single-function path instead: its
                 # snapshot GET needs no pool, so the fossil record
                 # cannot collide, and it finishes (and unlocks) normally.
-                done = yield from engine._done_marker(ctx, task["key"])
+                done = yield from engine._kv(
+                    ctx, lambda: engine.locks.done(task["key"]))
                 if done is not None and done["seq"] >= adopted.get("seq", -1):
                     fallback = {k: v for k, v in task.items()
                                 if k not in ("mode", "num_parts", "part_size",
@@ -421,7 +422,7 @@ def _recover_finalization(engine, ctx, task):
     """Process: if all parts are done but nobody recorded the task —
     the finalizer crashed — take over finalization after its lease
     expires."""
-    done = yield from engine._done_marker(ctx, task["key"])
+    done = yield from engine._kv(ctx, lambda: engine.locks.done(task["key"]))
     if done is not None and done["seq"] >= task["seq"]:
         return
     fin = yield from engine._kv(

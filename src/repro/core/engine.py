@@ -12,16 +12,18 @@ locks serialize concurrent tasks (Algorithm 2), and a ``done`` marker
 per key makes re-triggered orchestrations idempotent.
 
 This module is the wiring and the decision path: routing, the hardened
-KV / fence / done-marker plumbing, orchestrate → delete | changelog |
-plan, and the completion exits.  The data paths are stateless functions
-beside it — ``transfer.py`` (single function, deletes, integrity),
-``distributed.py`` (part pool, finalize lease, recovery),
-``changelog.py`` (the hint fast path) — and the two stateful concerns
-are composed in: ``backlog.py`` (parked tasks) and ``hedging.py``.
+KV / fence plumbing, orchestrate → delete | changelog | plan, and the
+completion exits.  ``locks.py`` owns the lock and done records; the
+data paths are stateless functions beside it — ``transfer.py`` (single
+function, deletes, integrity), ``distributed.py`` (part pool, finalize
+lease, recovery), ``changelog.py`` (the hint fast path) — and the two
+stateful concerns are composed in: ``backlog.py`` (parked tasks) and
+``hedging.py``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.core import distributed, retry
@@ -33,8 +35,8 @@ from repro.core.health import HealthTracker, NoRouteAvailable
 from repro.core.hedging import Hedger
 from repro.core.locks import ReplicationLockManager, expired
 from repro.core.planner import Plan, StrategyPlanner
-from repro.core.task import (DISPATCH_KEYS, DONE_KEYS, FINALIZE_KEYS,
-                             LOST_KEYS, PLAN_KEYS, VERIFY_KEYS, VERSION_KEYS,
+from repro.core.task import (DISPATCH_KEYS, FINALIZE_KEYS, LOST_KEYS,
+                             PLAN_KEYS, VERIFY_KEYS, VERSION_KEYS,
                              TaskRecorder, TaskResult, task_id)
 from repro.core.transfer import (propagate_delete, reconverge_superseded,
                                  run_single, withdraw_unverified)
@@ -104,7 +106,7 @@ class ReplicationEngine:
         # per rule — two rules on one source bucket are independent.
         self._lock_table = cloud.kv_table(src_bucket.region.key,
                                           f"{_STATE_TABLE}-{rule_id}")
-        self.locks = ReplicationLockManager(self._lock_table)
+        self.locks = ReplicationLockManager(self._lock_table, rule_id=rule_id)
         #: Causal tracer; off costs one attribute read per site.
         self.tracer = None
         #: Ablation hook: pin every task to (n, loc_key), no planner.
@@ -176,7 +178,7 @@ class ReplicationEngine:
         """
         sim = self.cloud.sim
         n = 0
-        for key, owner, seq, etag, lease_left_s in self.locks.stranded():
+        for key, owner, seq, etag, lease_left_s, _ in self.locks.stranded():
             payload = {"kind": "created", "key": key, "etag": etag,
                        "seq": seq, "size": 0, "event_time": sim.now}
             if self.tracer is not None:
@@ -247,34 +249,6 @@ class ReplicationEngine:
         if not ok:
             self.stats["lock_lost"] += 1
         return ok
-
-    def _done_marker(self, ctx, key: str):
-        """Process: read the key's done marker (None when unset)."""
-        return self._kv(ctx, lambda: self._lock_table.get_item(f"done:{key}"))
-
-    def _mark_done(self, ctx, key: str, etag: str, seq: int, time: float,
-                   op: str = "put"):
-        """Process: advance the key's done marker, monotonically in seq
-        (an unconditional put would let a delayed straggler clobber a
-        newer marker with an older version's).
-
-        Returns the *superseding* marker when the advance did not land,
-        else None: how a straggler that just mutated the destination
-        learns it may have clobbered a newer finalized version.  The
-        fence cannot order two live incarnations of one platform-retried
-        task (same owner, same fence); the marker race is the witness.
-        """
-        def advance(item):
-            if item is not None and item.get("seq", -1) >= seq:
-                return item, item
-            if self.tracer is not None:
-                # Inside the closure: only a landed advance counts.
-                self.tracer.event("done-marker", "engine", None, DONE_KEYS,
-                                  self.rule_id, key, seq, etag, op)
-            return {"etag": etag, "seq": seq, "time": time, "op": op}, None
-
-        return (yield from self._kv(
-            ctx, lambda: self._lock_table.update_item(f"done:{key}", advance)))
 
     def _record_visible(self, tid: Optional[str], result: TaskResult) -> None:
         """Report a visibility outcome, mirrored into the trace."""
@@ -392,14 +366,14 @@ class ReplicationEngine:
             # Deleted concurrently.  If the DELETE's task already ran,
             # its marker covers this event — close the measurement here,
             # nobody else will; else its own report will subsume ours.
-            done = yield from self._done_marker(ctx, key)
+            done = yield from self._kv(ctx, lambda: self.locks.done(key))
             if done is not None and done["seq"] >= payload["seq"]:
                 yield from self._already_replicated(
                     ctx, tid, payload, done, done["seq"], None)
             else:
                 yield from self._finish(ctx, tid, key, None)
             return
-        done = yield from self._done_marker(ctx, key)
+        done = yield from self._kv(ctx, lambda: self.locks.done(key))
         repair = payload.get("repair")
         if (done is not None and not repair
                 and (done["seq"] >= current.sequencer
@@ -431,8 +405,9 @@ class ReplicationEngine:
             if dst_etag == current.etag:
                 self.stats["content_skipped"] = (
                     self.stats.get("content_skipped", 0) + 1)
-                yield from self._mark_done(ctx, key, current.etag,
-                                           current.sequencer, ctx.now)
+                yield from self._kv(ctx, partial(
+                    self.locks.mark_done, key, current.etag,
+                    current.sequencer, ctx.now))
                 self._record_visible(tid, TaskResult(
                     key=key, etag=current.etag, seq=current.sequencer,
                     event_time=payload["event_time"], visible_time=ctx.now,
@@ -527,8 +502,9 @@ class ReplicationEngine:
         self.stats["skipped_done"] += 1
         key = payload["key"]
         if seq > done["seq"]:
-            yield from self._mark_done(ctx, key, done["etag"], seq,
-                                       done.get("time", ctx.now))
+            yield from self._kv(ctx, partial(
+                self.locks.mark_done, key, done["etag"], seq,
+                done.get("time", ctx.now)))
         visible = done.get("time", ctx.now)
         if clamp:
             # Identical content re-written was visible at the
@@ -564,8 +540,8 @@ class ReplicationEngine:
             self.tracer.event("finalize", "engine", tid, FINALIZE_KEYS, key,
                               task["seq"], task["etag"], task.get("fence"),
                               "put", ctx.region.key, True)
-        superseded = yield from self._mark_done(ctx, key, task["etag"],
-                                                task["seq"], ctx.now)
+        superseded = yield from self._kv(ctx, partial(
+            self.locks.mark_done, key, task["etag"], task["seq"], ctx.now))
         if superseded is not None:
             yield from reconverge_superseded(
                 self, ctx, tid, key, task["etag"] if own_write else None)
@@ -588,10 +564,9 @@ class ReplicationEngine:
 
     def _finish(self, ctx, tid: str, key: str, replicated_seq: Optional[int],
                 retrigger_if_unreplicated: bool = False):
-        """Unlock and re-trigger replication of any newer pending version
-        (Algorithm 2's UNLOCK)."""
+        """Algorithm 2's UNLOCK, re-triggering a newer pending version."""
         outcome = yield from self._kv(
-            ctx, lambda: self.locks.release(key, owner=tid))
+            ctx, lambda: self.locks.release(key, tid, replicated_seq))
         if not outcome.released:
             # Lease stolen while we worked: the record and any pending
             # registration on it are the thief's, who now owns this
@@ -601,16 +576,10 @@ class ReplicationEngine:
                 self.tracer.event("lock-lost", "engine", tid, LOST_KEYS, key)
             return
         pending = outcome.pending
-        if pending is not None:
-            needs_retrigger = (replicated_seq is None
-                               or pending.seq > replicated_seq)
-        else:
-            # Aborted with no pending version registered: its own
-            # notification may be in flight, but re-check the source now
-            # to bound the replication delay.
-            needs_retrigger = (retrigger_if_unreplicated
-                               and key in self.src_bucket)
-        if not needs_retrigger:
+        if pending is None and not (retrigger_if_unreplicated
+                                    and key in self.src_bucket):
+            # Nothing newer pends.  An abort re-checks the source anyway
+            # (its own notification may be in flight) to bound the delay.
             return
         try:
             current = yield from ctx.head_object(self.src_bucket, key)

@@ -5,10 +5,11 @@ the same key, so AReplica serializes replication tasks per object with
 a distributed lock in a cloud database (the DynamoDB lock-client
 pattern).  While a task holds the lock, later versions of the object
 register themselves as *pending* on the lock record (keeping only the
-newest, by sequencer).  On release, the unlocker compares the pending
-ETag with the ETag it just replicated; a mismatch re-triggers
-replication so the newest version is never lost — this is what makes
-eventual consistency hold without bucket versioning.
+newest, by sequencer).  Release hands back a pending version newer
+than the one the unlocker replicated, who re-triggers it, so the newest
+version is never lost — this is what makes eventual consistency hold
+without bucket versioning.  This module alone knows what a lock record
+and a key's ``done`` marker (the idempotence high-water mark) hold.
 
 Leases alone are not enough for safety: a holder whose lease expired
 (a *zombie* — stalled, not dead) may still be mid-upload when the next
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.task import ACQUIRE_KEYS, REFUSED_KEYS, RELEASE_KEYS
+from repro.core.task import ACQUIRE_KEYS, DONE_KEYS, REFUSED_KEYS, RELEASE_KEYS
 from repro.simcloud.kvstore import KvTable
 
 __all__ = ["LockOutcome", "PendingVersion", "UnlockOutcome",
@@ -39,9 +40,6 @@ class LockOutcome:
     """Result of a lock attempt."""
 
     acquired: bool
-    #: When not acquired: True if this version was recorded as pending,
-    #: False if a newer version was already pending (we can just quit).
-    registered_pending: bool = False
     #: The fencing token of the acquired lock (0 when not acquired).
     #: Stable across a holder's re-entrant re-acquisitions — a
     #: platform-retried function resumes with its original token.
@@ -115,9 +113,11 @@ class ReplicationLockManager:
     failure can never wedge an object's replication forever.
     """
 
-    def __init__(self, table: KvTable, lease_s: float = 300.0):
+    def __init__(self, table: KvTable, lease_s: float = 300.0,
+                 rule_id: str = ""):
         self.table = table
         self.lease_s = lease_s
+        self.rule_id = rule_id  # what a ``done-marker`` event names
         #: Optional :class:`~repro.core.tracing.Tracer`; acquire/release
         #: events are emitted *inside* the KV admission closures so
         #: their timestamps are the serialization points the fencing
@@ -134,7 +134,7 @@ class ReplicationLockManager:
 
         Returns a :class:`LockOutcome`.  On contention, the (etag, seq)
         pair is recorded as pending iff it is newer than any pending
-        version already registered.
+        version already registered; either way the caller can quit.
         """
         def attempt(item):
             # The admission clock, read inside the closure (see claim).
@@ -165,12 +165,11 @@ class ReplicationLockManager:
                          "acquired_at": now, "fence": fence,
                          "pending_etag": pending_etag,
                          "pending_seq": pending_seq},
-                        LockOutcome(True, False, fence, reentrant))
+                        LockOutcome(True, fence, reentrant))
             pending_seq = item.get("pending_seq")
             if pending_seq is None or pending_seq < seq:
                 item["pending_etag"] = etag
                 item["pending_seq"] = seq
-                return item, LockOutcome(False, registered_pending=True)
             return item, LockOutcome(False)
 
         return (yield self.table.update_item(self._key(obj_key), attempt))
@@ -187,16 +186,18 @@ class ReplicationLockManager:
         return (item is not None and item.get("owner") == owner
                 and item.get("fence", 0) == fence)
 
-    def release(self, obj_key: str, owner: str):
+    def release(self, obj_key: str, owner: str,
+                replicated_seq: Optional[int] = None):
         """Process implementing Algorithm 2's UNLOCK.
 
         Returns an :class:`UnlockOutcome`: ``released`` is False when
         the caller no longer owned the lock (its lease was stolen while
         it worked — the engine surfaces this as ``lock_lost`` instead of
         silently ignoring it); ``pending`` carries the newest
-        :class:`PendingVersion` registered during the critical section.
-        The caller compares the pending ETag with the one it just
-        replicated and re-triggers the orchestrator on mismatch.
+        :class:`PendingVersion` registered during the critical section
+        when the caller must re-trigger it: when it is newer than
+        ``replicated_seq``, the version the caller replicated, or
+        whenever ``replicated_seq`` is None (nothing replicated).
         """
         def attempt(item):
             if item is None or item.get("owner") != owner:
@@ -210,19 +211,50 @@ class ReplicationLockManager:
                 self.tracer.event("lock-release", "lock", owner,
                                   RELEASE_KEYS, obj_key, owner, True,
                                   item.get("fence", 0))
-            etag = item.get("pending_etag")
-            pending = (None if etag is None else
-                       PendingVersion(str(etag), int(item["pending_seq"])))
-            return None, UnlockOutcome(True, pending)  # delete the record
+            etag, seq = item.get("pending_etag"), item.get("pending_seq")
+            if etag is None or (replicated_seq is not None
+                                and seq <= replicated_seq):
+                return None, UnlockOutcome(True)  # delete the record
+            return None, UnlockOutcome(True, PendingVersion(str(etag),
+                                                            int(seq)))
 
         return (yield self.table.update_item(self._key(obj_key), attempt))
 
+    def done(self, obj_key: str):
+        """KV request: read the key's done marker (None when unset)."""
+        return self.table.get_item(f"done:{obj_key}")
+
+    def mark_done(self, obj_key: str, etag: str, seq: int, time: float,
+                  op: str = "put"):
+        """KV request: advance the key's done marker, monotonically in
+        seq (an unconditional put would let a delayed straggler clobber
+        a newer marker with an older version's).
+
+        Answers with the *superseding* marker when the advance did not
+        land, else None: how a straggler that just mutated the
+        destination learns it may have clobbered a newer finalized
+        version.  The fence cannot order two live incarnations of one
+        platform-retried task (same owner, same fence); the marker race
+        is the witness.
+        """
+        def advance(item):
+            if item is not None and item.get("seq", -1) >= seq:
+                return item, item
+            if self.tracer is not None:
+                # Inside the closure: only a landed advance counts.
+                self.tracer.event("done-marker", "engine", None, DONE_KEYS,
+                                  self.rule_id, obj_key, seq, etag, op)
+            return {"etag": etag, "seq": seq, "time": time, "op": op}, None
+
+        return self.table.update_item(f"done:{obj_key}", advance)
+
     def stranded(self):
         """Every lock record in the table right now, as ``(obj_key,
-        owner, seq, etag, lease_left_s)``: the newest version the record
-        knows of (held or pending) and how long until its lease can be
-        taken over.  A zero-cost peek meant for quiescence, when any
-        surviving record's holder is dead."""
+        owner, seq, etag, lease_left_s, held_s)``: the newest version
+        the record knows of (held or pending), how long until its lease
+        can be taken over and how long it has been held.  A zero-cost
+        peek meant for quiescence, when any surviving record's holder is
+        dead."""
         now = self.table.sim.now
         for kv_key, item in self.table.peek_prefix("lock:"):
             seq = int(item.get("held_seq") or 0)
@@ -231,11 +263,13 @@ class ReplicationLockManager:
             if pending_seq is not None and int(pending_seq) > seq:
                 seq = int(pending_seq)
                 etag = item.get("pending_etag") or ""
-            lease_left_s = max(0.0, float(item.get("acquired_at", now))
-                               + self.lease_s - now)
+            acquired_at = item.get("acquired_at", now)
+            lease_left_s = max(0.0, float(acquired_at) + self.lease_s - now)
             yield (kv_key[len("lock:"):], item.get("owner"), seq, etag,
-                   lease_left_s)
+                   lease_left_s, now - acquired_at)
 
-    def is_locked(self, obj_key: str) -> bool:
-        """Zero-cost probe for tests/metrics."""
-        return self.table.peek(self._key(obj_key)) is not None
+    def markers(self):
+        """Every done marker in the table right now, as ``(obj_key,
+        seq)``: a zero-cost peek."""
+        for kv_key, item in self.table.peek_prefix("done:"):
+            yield kv_key[len("done:"):], item["seq"]

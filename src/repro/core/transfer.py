@@ -16,6 +16,7 @@ the FaaS handlers defined in ``engine.py``.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional
 
 from repro.core.task import (CORRUPT_KEYS, DELETE_KEYS, QUARANTINE_KEYS,
@@ -148,7 +149,7 @@ def reconverge_superseded(engine, ctx, tid: str, key: str,
     retry), so when the retried incarnation adopts a newer source
     version, the fence check cannot stop the original incarnation's
     older write from landing *after* the newer finalize.  The marker
-    high-water mark witnesses the inversion (``_mark_done`` returned
+    high-water mark witnesses the inversion (``mark_done`` answered
     the superseding marker); this path compares the destination against
     the marker and, on genuine divergence, redrives the key as a
     *repair* event (fresh task, fresh lock, fresh fence — and the
@@ -157,7 +158,7 @@ def reconverge_superseded(engine, ctx, tid: str, key: str,
     exit after one HEAD.  Terminates: the repair task's own superseded
     mark-done finds destination and marker in agreement and stops.
     """
-    done = yield from engine._done_marker(ctx, key)
+    done = yield from engine._kv(ctx, lambda: engine.locks.done(key))
     if done is None:
         return
     try:
@@ -305,7 +306,7 @@ def propagate_delete(engine, ctx, payload, held):
     lock ``held`` (``task_id`` / ``key`` / ``fence`` / ``lock_at``)."""
     key, tid = payload["key"], held["task_id"]
     # Ordering guards: never let a stale DELETE clobber newer state.
-    done = yield from engine._done_marker(ctx, key)
+    done = yield from engine._kv(ctx, lambda: engine.locks.done(key))
     if done is not None and done["seq"] >= payload["seq"]:
         yield from engine._already_replicated(
             ctx, tid, payload, done, done["seq"], done["seq"], clamp=False)
@@ -335,9 +336,9 @@ def propagate_delete(engine, ctx, payload, held):
         engine.tracer.event("finalize", "engine", tid, DELETE_KEYS, key,
                             payload["seq"], payload["etag"], held["fence"],
                             "delete", ctx.region.key)
-    superseded = yield from engine._mark_done(ctx, key, payload["etag"],
-                                              payload["seq"], ctx.now,
-                                              op="delete")
+    superseded = yield from engine._kv(ctx, partial(
+        engine.locks.mark_done, key, payload["etag"], payload["seq"], ctx.now,
+        "delete"))
     if superseded is not None:
         # Our destination delete landed under a marker a newer finalize
         # had already advanced: the bytes we removed may have been the

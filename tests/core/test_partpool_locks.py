@@ -308,7 +308,7 @@ class TestReplicationLock:
         def main():
             outcome = yield from mgr.lock("k", "e1", 1, owner="a")
             assert outcome.acquired
-            assert mgr.is_locked("k")
+            assert [key for key, *_ in mgr.stranded()] == ["k"]
             pending = (yield from mgr.release("k", owner="a")).pending
             return pending
 
@@ -322,7 +322,9 @@ class TestReplicationLock:
             yield from mgr.lock("k", "e1", 1, owner="a")
             second = yield from mgr.lock("k", "e2", 2, owner="b")
             assert not second.acquired
-            assert second.registered_pending
+            # The held record now names v2, pending, as its newest.
+            assert [(seq, etag) for _, _, seq, etag, *_
+                    in mgr.stranded()] == [(2, "e2")]
             pending = (yield from mgr.release("k", owner="a")).pending
             return pending
 
@@ -337,7 +339,7 @@ class TestReplicationLock:
             yield from mgr.lock("k", "e1", 1, owner="a")
             yield from mgr.lock("k", "e3", 3, owner="c")
             older = yield from mgr.lock("k", "e2", 2, owner="b")
-            assert not older.registered_pending  # e3 is newer, e2 can quit
+            assert not older.acquired  # e3 stays pending; e2 can quit
             pending = (yield from mgr.release("k", owner="a")).pending
             return pending
 

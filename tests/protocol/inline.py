@@ -10,9 +10,10 @@ step::
 
 Each step that touches a control record runs the real closure against
 a :class:`~tests.protocol.table.FakeTable`: ``ReplicationLockManager``'s
-``lock``, ``verify`` and ``release``, and the engine's ``_done_marker``
-and ``_mark_done`` (its marker advance rule).  The object stores are two
-integers, the newest source version and the destination's version.
+``lock``, ``verify``, ``release``, ``done`` and ``mark_done`` (its
+marker advance rule), the one class that owns both records.  The object
+stores are two integers, the newest source version and the
+destination's version.
 Besides attempt steps, the actions are a source write (up to
 ``Scope.writes``, each notified ``Scope.copies`` times), a platform
 retry (the attempt restarts at LOCK with the same owner) and a death
@@ -36,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from repro.core.engine import ReplicationEngine
 from repro.core.locks import ReplicationLockManager
 from repro.core.task import task_id
 from tests.protocol.table import FakeTable, run
@@ -86,34 +86,20 @@ class Scope:
     deaths: int = 0
 
 
-class _Engine:
-    """What the engine's done-marker processes read of ``self``."""
-
-    tracer = None
-    rule_id = "r"
-
-    def __init__(self, table: FakeTable):
-        self._lock_table = table
-
-    def _kv(self, ctx, make):
-        return (yield make())
-
-
 def _step(state: State, a: Attempt) -> list[tuple[str, Optional[Attempt],
                                                   State]]:
     """Each way ``a`` can take its next step: ``(what happened, the
     attempt after it or None if it ended, the state after it)``, where
     the state's ``attempts`` still lacks the attempt itself."""
     table = FakeTable(state.table)
-    locks, engine = ReplicationLockManager(table), _Engine(table)
+    locks = ReplicationLockManager(table)
     owner = task_id("r", KEY, a.seq, "created")
     pc = a.pc
     if pc == LOCK:
         out = run(locks.lock(KEY, etag(a.seq), a.seq, owner=owner))
         if not out.acquired:
-            what = "LOCK held elsewhere" + (
-                ", registered pending" if out.registered_pending else "")
-            return [(what, None, state._replace(table=table.frozen()))]
+            return [("LOCK held elsewhere", None,
+                     state._replace(table=table.frozen()))]
         what = f"LOCK, fence {out.fence}" + (
             " (re-entrant)" if out.reentrant else "")
         return [(what, a._replace(pc=HEAD, fence=out.fence),
@@ -122,7 +108,7 @@ def _step(state: State, a: Attempt) -> list[tuple[str, Optional[Attempt],
         return [(f"HEAD v{state.src}", a._replace(pc=MARKER, head=state.src),
                  state)]
     if pc == MARKER:
-        done = run(ReplicationEngine._done_marker(engine, None, KEY))
+        done = locks.done(KEY)
         if done is not None and not a.repair and done["seq"] >= a.head:
             return [(f"done marker v{done['seq']}: already replicated",
                      a._replace(pc=UNLOCK, rep=done["seq"]), state)]
@@ -141,8 +127,7 @@ def _step(state: State, a: Attempt) -> list[tuple[str, Optional[Attempt],
         return [(f"PUT v{a.got}", a._replace(pc=MARK),
                  state._replace(dst=a.got))]
     if pc == MARK:
-        newer = run(ReplicationEngine._mark_done(
-            engine, None, KEY, etag(a.got), a.got, 0.0))
+        newer = locks.mark_done(KEY, etag(a.got), a.got, 0.0)
         state = state._replace(table=table.frozen())
         if newer is None:
             return [(f"done marker advanced to v{a.got}",
@@ -150,7 +135,7 @@ def _step(state: State, a: Attempt) -> list[tuple[str, Optional[Attempt],
         return [(f"done marker already v{newer['seq']}",
                  a._replace(pc=RECONVERGE, rep=a.got), state)]
     if pc == RECONVERGE:
-        done = run(ReplicationEngine._done_marker(engine, None, KEY))
+        done = locks.done(KEY)
         if done is None or done["seq"] == state.dst:
             return [("destination agrees with the marker",
                      a._replace(pc=UNLOCK), state)]
@@ -160,16 +145,14 @@ def _step(state: State, a: Attempt) -> list[tuple[str, Optional[Attempt],
                  a._replace(pc=UNLOCK),
                  state._replace(attempts=state.attempts + (redrive,)))]
     if pc == UNLOCK:
-        out = run(locks.release(KEY, owner=owner))
+        out = run(locks.release(KEY, owner, None if a.rep < 0 else a.rep))
         state = state._replace(table=table.frozen())
         if not out.released:
             return [("UNLOCK refused: lock lost", None, state)]
-        pending = out.pending
-        what = "UNLOCK" + ("" if pending is None
-                           else f", pending v{pending.seq}")
-        if pending is not None and (a.rep < 0 or pending.seq > a.rep):
-            return [(what, a._replace(pc=RETRIGGER), state)]
-        return [(what, None, state)]
+        if out.pending is not None:
+            return [(f"UNLOCK, pending v{out.pending.seq}",
+                     a._replace(pc=RETRIGGER), state)]
+        return [("UNLOCK", None, state)]
     assert pc == RETRIGGER
     if a.rep >= 0 and state.src <= a.rep:
         return [(f"HEAD v{state.src}: nothing newer", None, state)]

@@ -1,20 +1,21 @@
 """A dict-backed stand-in for the KV table a control record lives in.
 
 Every control-record write is one closure ``item -> (new item or None,
-outcome)`` that reads the clock inside itself (``core/locks.py``,
-``ReplicationEngine._mark_done``), so the real closures run unchanged
-against this table: ``update_item`` and ``get_item`` answer at once,
-and a closure-driven process is run to its return value by :func:`run`
-with no simulator.  Items are copied in and out, as ``KvTable`` copies
-them, and :meth:`FakeTable.frozen` gives the hashable state a search
-keeps.
+outcome)`` that reads the clock inside itself (``core/locks.py``), so
+the real closures run unchanged against this table.  ``update_item``
+and ``get_item`` answer at once: a request such as
+``ReplicationLockManager.done`` is its own answer, and :func:`run`
+drives a closure-driven process to its return value with no simulator.
+Items are copied in and out, as ``KvTable`` copies them, and
+:meth:`FakeTable.frozen` gives the hashable state a search keeps.
 """
 
 from types import SimpleNamespace
 
 
 class FakeTable:
-    """``sim.now``, ``update_item`` and ``get_item`` over a dict."""
+    """``sim.now``, ``update_item``, ``get_item`` and ``peek_prefix``
+    over a dict."""
 
     def __init__(self, frozen: tuple = ()):
         self.sim = SimpleNamespace(now=0.0)
@@ -33,6 +34,11 @@ class FakeTable:
     def get_item(self, key: str):
         item = self.items.get(key)
         return None if item is None else dict(item)
+
+    def peek_prefix(self, prefix: str):
+        for key in sorted(self.items):
+            if key.startswith(prefix):
+                yield key, dict(self.items[key])
 
     def frozen(self) -> tuple:
         return tuple(sorted((key, tuple(sorted(item.items())))

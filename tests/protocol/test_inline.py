@@ -1,7 +1,7 @@
 """The lock and done-marker protocol of the inline path, model-checked.
 
-The real ``ReplicationLockManager`` closures and the engine's marker
-advance rule run against a dict-backed table (``table.py``), and
+The real ``ReplicationLockManager`` closures, its marker advance rule
+among them, run against a dict-backed table (``table.py``), and
 ``inline.py`` searches every interleaving of a few orchestrator
 attempts, source writes and faults.  Scopes without duplicate
 notifications or deaths are safe; the two known protocol findings
@@ -12,9 +12,8 @@ xfails until the lock-record fix lands.
 
 import pytest
 
-from repro.core.engine import ReplicationEngine
 from repro.core.locks import ReplicationLockManager
-from tests.protocol.inline import KEY, Scope, _Engine, explore
+from tests.protocol.inline import KEY, Scope, explore
 from tests.protocol.table import FakeTable, run
 
 pytestmark = pytest.mark.protocol
@@ -27,27 +26,38 @@ def test_the_real_lock_closures_run_against_the_fake_table():
     assert (first.acquired, first.fence, first.reentrant) == (True, 1, False)
     again = run(locks.lock(KEY, "e1", 1, owner="a"))
     assert (again.acquired, again.fence, again.reentrant) == (True, 1, True)
-    assert run(locks.lock(KEY, "e3", 3, owner="c")).registered_pending
-    assert not run(locks.lock(KEY, "e2", 2, owner="b")).registered_pending
+    # Contention registers the newest version as pending, never an
+    # older one.
+    assert not run(locks.lock(KEY, "e3", 3, owner="c")).acquired
+    assert not run(locks.lock(KEY, "e2", 2, owner="b")).acquired
+    assert [seq for _, _, seq, *_ in locks.stranded()] == [3]
     assert run(locks.verify(KEY, "a", 1))
     assert not run(locks.verify(KEY, "b", 1))
     assert not run(locks.release(KEY, owner="b")).released
-    out = run(locks.release(KEY, owner="a"))
+    out = run(locks.release(KEY, "a", replicated_seq=1))
     assert out.released and (out.pending.etag, out.pending.seq) == ("e3", 3)
     assert table.frozen() == ()
 
 
+def test_release_hands_back_only_a_version_newer_than_the_replicated():
+    locks = ReplicationLockManager(FakeTable())
+    run(locks.lock(KEY, "e1", 1, owner="a"))
+    run(locks.lock(KEY, "e2", 2, owner="b"))
+    assert run(locks.release(KEY, "a", replicated_seq=2)).pending is None
+    assert list(locks.stranded()) == []
+
+
 def test_the_done_marker_advances_only_forward():
-    engine = _Engine(FakeTable())
+    locks = ReplicationLockManager(FakeTable())
 
     def mark(seq):
-        return run(ReplicationEngine._mark_done(
-            engine, None, KEY, f"e{seq}", seq, 0.0))
+        return locks.mark_done(KEY, f"e{seq}", seq, 0.0)
 
     assert mark(2) is None
     assert mark(1)["seq"] == 2
     assert mark(3) is None
-    assert run(ReplicationEngine._done_marker(engine, None, KEY))["seq"] == 3
+    assert locks.done(KEY)["seq"] == 3
+    assert list(locks.markers()) == [(KEY, 3)]
 
 
 @pytest.mark.parametrize("scope", [Scope(writes=3),
