@@ -169,25 +169,25 @@ class ReplicationEngine:
     def reclaim_stranded_locks(self) -> int:
         """Schedule takeover of lock records that survived quiescence.
 
-        A holder that crashes between its destination finalize and
-        UNLOCK strands the record and any pending version on it: no
-        further event for the key arrives, so the newest version never
-        replicates.  Re-dispatch one recovery task per record, delayed
-        past lease expiry so the takeover (not a deferral) wins;
+        A holder that dies before UNLOCK, or after an UNLOCK that handed
+        back a pending version it never re-triggered, strands the record
+        and the newest version on it.  Re-dispatch one recovery task per
+        record (a delete when the source no longer holds the key),
+        delayed past lease expiry so the takeover (not a deferral) wins;
         returns how many, and the caller re-runs the simulation.
         """
         sim = self.cloud.sim
-        n = 0
-        for key, owner, seq, etag, lease_left_s, _ in self.locks.stranded():
-            payload = {"kind": "created", "key": key, "etag": etag,
-                       "seq": seq, "size": 0, "event_time": sim.now}
+        stranded = list(self.locks.stranded())
+        for key, owner, seq, etag, lease_left_s, _ in stranded:
+            kind = "created" if key in self.src_bucket else "deleted"
+            payload = {"kind": kind, "key": key, "etag": etag, "seq": seq,
+                       "size": 0, "event_time": sim.now}
             if self.tracer is not None:
                 self.tracer.event("lock-reclaim", "engine", None,
                                   _RECLAIM_KEYS, self.rule_id, key, owner, seq)
             sim.call_later(lease_left_s + 1.0,
                            lambda p=payload: self._dispatch_event(p))
-            n += 1
-        return n
+        return len(stranded)
 
     # -- hardened control-plane plumbing --------------------------------------
 

@@ -139,28 +139,33 @@ class ReplicationLockManager:
         def attempt(item):
             # The admission clock, read inside the closure (see claim).
             now = self.table.sim.now
-            reentrant = item is not None and item.get("owner") == owner
-            if (item is None or reentrant or expired(
+            holder = None if item is None else item.get("owner")
+            reentrant = holder == owner
+            if (holder is None or reentrant or expired(
                     item.get("acquired_at", now), self.lease_s, now)):
                 # Fresh acquisition, lease takeover from a dead holder,
                 # or a platform-retried function re-entering its own
                 # lock (task ids are deterministic per object version,
                 # so a retry resumes rather than deadlocks on itself).
-                pending_etag = item.get("pending_etag") if item else None
-                pending_seq = item.get("pending_seq") if item else None
+                # An ownerless record (see release) is taken as if absent,
+                # passing its pending version on only if newer than ours.
+                kept = item is not None and (holder is not None
+                                             or item["pending_seq"] > seq)
+                pending_etag = item.get("pending_etag") if kept else None
+                pending_seq = item.get("pending_seq") if kept else None
                 # The fence bumps only on ownership *change*.  A retried
                 # holder re-entering its own lock keeps its token —
                 # state it persisted before crashing (e.g. a distributed
                 # task descriptor) stays valid for the retry.
                 fence = (item.get("fence", 0) if reentrant
-                         else item.get("fence", 0) + 1 if item is not None
+                         else item.get("fence", 0) + 1 if holder is not None
                          else 1)
                 if self.tracer is not None:
                     self.tracer.event(
                         "lock-acquire", "lock", owner, ACQUIRE_KEYS,
                         obj_key, owner, fence,
                         ("reentrant" if reentrant
-                         else "takeover" if item is not None else "fresh"))
+                         else "takeover" if holder is not None else "fresh"))
                 return ({"owner": owner, "held_etag": etag, "held_seq": seq,
                          "acquired_at": now, "fence": fence,
                          "pending_etag": pending_etag,
@@ -215,8 +220,10 @@ class ReplicationLockManager:
             if etag is None or (replicated_seq is not None
                                 and seq <= replicated_seq):
                 return None, UnlockOutcome(True)  # delete the record
-            return None, UnlockOutcome(True, PendingVersion(str(etag),
-                                                            int(seq)))
+            # Hand it back, kept pending on an ownerless record until the
+            # next LOCK: a caller dying before its re-trigger loses nothing.
+            return ({"pending_etag": etag, "pending_seq": seq},
+                    UnlockOutcome(True, PendingVersion(str(etag), int(seq))))
 
         return (yield self.table.update_item(self._key(obj_key), attempt))
 
@@ -252,9 +259,9 @@ class ReplicationLockManager:
         """Every lock record in the table right now, as ``(obj_key,
         owner, seq, etag, lease_left_s, held_s)``: the newest version
         the record knows of (held or pending), how long until its lease
-        can be taken over and how long it has been held.  A zero-cost
-        peek meant for quiescence, when any surviving record's holder is
-        dead."""
+        can be taken over (none for an ownerless record) and how long it
+        has been held.  A zero-cost peek meant for quiescence, when any
+        surviving record's holder is dead."""
         now = self.table.sim.now
         for kv_key, item in self.table.peek_prefix("lock:"):
             seq = int(item.get("held_seq") or 0)
@@ -264,7 +271,8 @@ class ReplicationLockManager:
                 seq = int(pending_seq)
                 etag = item.get("pending_etag") or ""
             acquired_at = item.get("acquired_at", now)
-            lease_left_s = max(0.0, float(acquired_at) + self.lease_s - now)
+            lease_left_s = (max(0.0, float(acquired_at) + self.lease_s - now)
+                            if "owner" in item else 0.0)
             yield (kv_key[len("lock:"):], item.get("owner"), seq, etag,
                    lease_left_s, now - acquired_at)
 

@@ -52,7 +52,7 @@ def test_split_out_modules_stay_small(name):
 def test_package_stays_under_the_deletion_bar():
     total = sum(len(path.read_text().splitlines())
                 for path in PACKAGE.rglob("*.py"))
-    assert total <= 15_287, total
+    assert total <= 15_295, total
 
 
 def test_subpackage_inits_import_nothing():

@@ -207,6 +207,35 @@ class TestQuiescentRecovery:
         assert engine._lock_table.peek("lock:k") is None
         assert dst.head("k").etag == current.etag
 
+    def test_a_stranded_pending_delete_is_reclaimed_as_a_delete(self):
+        """An UNLOCK that hands back a pending delete keeps it on an
+        ownerless record; if the unlocker dies before re-triggering it,
+        the convergence loop must re-drive a delete (a create would find
+        no source object and unlock with the key still at the
+        destination)."""
+        cloud, svc, src, dst, rule = build(seed=852)
+        src.put_object("k", Blob.fresh(512 * KB), cloud.now)
+        cloud.run()
+        svc.run_to_convergence()
+        put, locks = src.head("k"), rule.engine.locks
+        # A holder of the put, and the delete's task registering behind
+        # it; the holder's UNLOCK hands the delete back, and it dies.
+        cloud.sim.run_process(locks.lock("k", put.etag, put.sequencer,
+                                         owner="holder"))
+        src.delete_object("k", cloud.now)
+        cloud.run()
+        assert rule.engine.stats["deferred"] == 1
+        out = cloud.sim.run_process(locks.release("k", "holder",
+                                                  put.sequencer))
+        assert out.pending.seq == src.last_sequencer
+        report = svc.run_to_convergence()
+        assert report.converged, report.render()
+        assert report.reclaimed_locks == 1
+        assert "k" not in dst
+        assert list(locks.stranded()) == []
+        audit = ReplicationAuditor(svc).audit(quiescent=True)
+        assert audit.clean, audit.render()
+
     def test_scanner_reaps_abandoned_uploads(self):
         cloud, svc, src, dst, rule = build(seed=851)
         src.put_object("k", Blob.fresh(256 * KB), cloud.now)

@@ -4,10 +4,10 @@ The real ``ReplicationLockManager`` closures, its marker advance rule
 among them, run against a dict-backed table (``table.py``), and
 ``inline.py`` searches every interleaving of a few orchestrator
 attempts, source writes and faults.  Scopes without duplicate
-notifications or deaths are safe; the two known protocol findings
-(docs/operations.md "Known findings" 1 and 2) are each re-found by the
-search alone, from the fault it is allowed, and pinned as strict
-xfails until the lock-record fix lands.
+notifications are safe, deaths past retries included; finding (1)
+(docs/operations.md "Known findings"), twin re-entry, is re-found by the
+search alone, from the duplicate it is allowed, and pinned as a strict
+xfail until the lock-record fix for it lands.
 """
 
 import pytest
@@ -36,7 +36,24 @@ def test_the_real_lock_closures_run_against_the_fake_table():
     assert not run(locks.release(KEY, owner="b")).released
     out = run(locks.release(KEY, "a", replicated_seq=1))
     assert out.released and (out.pending.etag, out.pending.seq) == ("e3", 3)
+    # The handed-back version stays pending on an ownerless record,
+    # which the next LOCK takes like an absent one.
+    assert list(locks.stranded()) == [(KEY, None, 3, "e3", 0.0, 0.0)]
+    newer = run(locks.lock(KEY, "e4", 4, owner="d"))
+    assert (newer.acquired, newer.fence, newer.reentrant) == (True, 1, False)
+    assert [seq for _, _, seq, *_ in locks.stranded()] == [4]
+    assert run(locks.release(KEY, "d", replicated_seq=4)).pending is None
     assert table.frozen() == ()
+
+
+def test_an_ownerless_record_passes_on_only_a_newer_version():
+    locks = ReplicationLockManager(FakeTable())
+    run(locks.lock(KEY, "e1", 1, owner="a"))
+    run(locks.lock(KEY, "e3", 3, owner="c"))
+    run(locks.release(KEY, "a", replicated_seq=1))      # pends v3, ownerless
+    run(locks.lock(KEY, "e2", 2, owner="b"))            # an older acquirer
+    out = run(locks.release(KEY, "b", replicated_seq=2))
+    assert (out.pending.etag, out.pending.seq) == ("e3", 3)
 
 
 def test_release_hands_back_only_a_version_newer_than_the_replicated():
@@ -83,10 +100,14 @@ def test_a_duplicate_notification_never_loses_the_newest_version():
     assert search.counterexample is None, search.render()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "finding (2), die after UNLOCK: the holder's UNLOCK returns a newer "
-    "pending version and deletes the lock record, and the holder dies "
-    "before its retrigger, so nobody replicates that version"))
-def test_a_death_past_retries_never_loses_the_newest_version():
-    search = explore(Scope(writes=3, deaths=1))
+@pytest.mark.parametrize("scope", [Scope(writes=3, deaths=1),
+                                   Scope(writes=3, deaths=2),
+                                   Scope(writes=3, retries=1, deaths=1)],
+                         ids=lambda s: f"retries{s.retries}-deaths{s.deaths}")
+def test_a_death_past_retries_never_loses_the_newest_version(scope):
+    """Finding (2): a holder that dies after its UNLOCK handed back a
+    newer pending version leaves that version pending on an ownerless
+    record, which ``reclaim_stranded_locks`` re-drives."""
+    search = explore(scope)
     assert search.counterexample is None, search.render()
+    assert search.states > 700
