@@ -5,11 +5,11 @@ the same key, so AReplica serializes replication tasks per object with
 a distributed lock in a cloud database (the DynamoDB lock-client
 pattern).  While a task holds the lock, later versions of the object
 register themselves as *pending* on the lock record (keeping only the
-newest, by sequencer).  Release hands back a pending version newer
-than the one the unlocker replicated, who re-triggers it, so the newest
-version is never lost — this is what makes eventual consistency hold
-without bucket versioning.  This module alone knows what a lock record
-and a key's ``done`` marker (the idempotence high-water mark) hold.
+newest, by sequencer).  UNLOCK hands a newer pending version back to
+the unlocker to re-trigger and keeps it on an ownerless record until
+the next LOCK, so the newest version is never lost — this is what makes
+eventual consistency hold without bucket versioning.  This module alone
+knows what a lock record and a key's ``done`` marker hold.
 
 Leases alone are not enough for safety: a holder whose lease expired
 (a *zombie* — stalled, not dead) may still be mid-upload when the next
@@ -200,9 +200,9 @@ class ReplicationLockManager:
         it worked — the engine surfaces this as ``lock_lost`` instead of
         silently ignoring it); ``pending`` carries the newest
         :class:`PendingVersion` registered during the critical section
-        when the caller must re-trigger it: when it is newer than
-        ``replicated_seq``, the version the caller replicated, or
-        whenever ``replicated_seq`` is None (nothing replicated).
+        when the caller must re-trigger it (newer than ``replicated_seq``,
+        or any when that is None); it stays pending on an ownerless
+        record, which the next LOCK takes like an absent one.
         """
         def attempt(item):
             if item is None or item.get("owner") != owner:
