@@ -516,72 +516,15 @@ class Simulator:
 
     # -- running -------------------------------------------------------
 
-    def _dispatch(self, kind: int, a: Any, b: Any, c: Any) -> None:
-        if kind == _WAKE:
-            if b == a._epoch:
-                a._step(None, None)
-        elif kind == _DEFER:
-            if c == a._epoch and not a._done:
-                a._step(b.value, b.exc)
-        elif kind == _CALL:
-            a(b, c)
-        elif kind == _RESOLVE:
-            a.resolve(b)
-        else:
-            a.fire()
-
-    def step(self) -> bool:
-        """Execute the next live event; return False if none remain.
-
-        Ring events (zero-delay, due now) and heap events at the
-        current timestamp are merged by sequence number, preserving
-        global scheduling order among same-timestamp events.  The merge
-        and tombstone rules are written twice, here and in
-        :meth:`_drain`; a change to one is mirrored in the other (the
-        ordering tests cover both).
-        """
-        ring = self._ring
-        heap = self._heap
-        while True:
-            if ring:
-                if heap:
-                    head = heap[0]
-                    if head[2] == _TIMER and head[3]._fn is None:
-                        heapq.heappop(heap)
-                        self._tombstones -= 1
-                        continue
-                    if head[0] <= self.now and head[1] < ring[0][0]:
-                        time, _seq, kind, a, b, c = heapq.heappop(heap)
-                        if time < self.now:
-                            raise SimulationError(
-                                "event heap corrupted: time went backwards")
-                        self.now = time
-                        self._dispatch(kind, a, b, c)
-                        return True
-                _seq, kind, a, b, c = ring.popleft()
-                if kind == _TIMER and a._fn is None:
-                    self._tombstones -= 1
-                    continue
-                self._dispatch(kind, a, b, c)
-                return True
-            if not heap:
-                return False
-            time, _seq, kind, a, b, c = heapq.heappop(heap)
-            if kind == _TIMER and a._fn is None:
-                self._tombstones -= 1
-                continue
-            if time < self.now:
-                raise SimulationError("event heap corrupted: time went backwards")
-            self.now = time
-            self._dispatch(kind, a, b, c)
-            return True
-
     def _drain(self, until: float) -> None:
-        """Run every event due at or before ``until``.
+        """Run every event due at or before ``until``, stopping before
+        the first live event past it.
 
-        Semantically ``while self.step(): pass`` stopped before the
-        first live event past ``until``, with the pop and the dispatch
-        inlined — the two call frames :meth:`step` pays per event are a
+        The one event loop: ring events (zero-delay, due now) and heap
+        events at the current timestamp are merged by sequence number,
+        preserving global scheduling order among same-timestamp events,
+        and tombstones are skipped without advancing the clock.  The pop
+        and the dispatch are inlined: a call frame per event is a
         measurable share of a replay.  Ring events are due now, never
         past ``until``; a heap event past it is pushed back unchanged.
         """

@@ -56,9 +56,6 @@ class TestTimers:
 
         assert sim.run_process(proc()) == 7.5
 
-    def test_step_false_on_empty(self):
-        assert Simulator().step() is False
-
 
 class TestFaasQueueing:
     def test_queued_invocations_fifo(self):

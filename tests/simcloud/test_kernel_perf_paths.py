@@ -73,8 +73,7 @@ class TestSameTimestampOrdering:
     land on the zero-delay ring or the heap."""
 
     def _trace(self, until):
-        """``until`` None runs to empty, a float bounds the run, and
-        "step" drives the kernel one :meth:`Simulator.step` at a time."""
+        """``until`` None runs to empty, a float bounds the run."""
         sim = Simulator()
         order = []
 
@@ -88,19 +87,13 @@ class TestSameTimestampOrdering:
             sim.spawn(proc(tag))
         for tag in ("x", "y"):     # heap entries also at t=1
             sim.call_at(1.0, lambda t=tag: order.append(f"timer:{t}"))
-        if until == "step":
-            while sim.step():
-                pass
-        else:
-            sim.run(until=until)
+        sim.run(until=until)
         return order
 
     def test_fifo_order_matches_between_drain_and_bounded_run(self):
-        # run() and run(until) take the inlined _drain loop; step() is
-        # the second copy of its merge and tombstone rules.
+        # run() and run(until) both take the one _drain loop.
         unbounded = self._trace(until=None)
         assert self._trace(until=10.0) == unbounded
-        assert self._trace(until="step") == unbounded
         # FIFO by scheduling order at t=1: the timers were pushed at
         # spawn time, the sleep wake-ups only when each process first
         # stepped (at t=0), so the timers carry earlier sequence numbers.
