@@ -11,37 +11,21 @@ newest version.
 
 These are stateless process functions over a
 :class:`~repro.core.engine.ReplicationEngine` — durable state lives in
-the KV pool record, in-memory state on the engine — driven with
-``yield from`` by the FaaS handlers defined in ``engine.py``.
+the task's pool-side KV records, which ``partpool.py`` alone reads and
+writes, in-memory state on the engine — driven with ``yield from`` by
+the FaaS handlers defined in ``engine.py``.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.core import locks, transfer
-from repro.core.partpool import FairAssignment, PartPool
+from repro.core import partpool, transfer
 from repro.core.task import ABORT_KEYS
 from repro.simcloud.objectstore import NoSuchKey, NoSuchUpload
 
-__all__ = ["launch", "run_worker", "reap_orphan_pool", "pool_for",
-           "part_attempt", "settle_part", "try_finalize"]
-
-#: How long a worker that drained the pool waits before treating
-#: still-incomplete parts as orphaned (crashed owner) and recovering
-#: them.  In-flight parts recovered early are merely duplicated work;
-#: the done-set makes duplicate completions harmless.
-RECOVERY_GRACE_S = 10.0
-#: A finalizer that crashed mid-finalization loses its claim after this
-#: long; a recovering worker then takes over.
-FINALIZE_LEASE_S = 60.0
-#: How long a recoverer's claim on one orphaned part stays exclusive.
-_RECLAIM_LEASE_S = 60.0
-
-
-def pool_for(engine, ctx, task_id: str, num_parts: int) -> PartPool:
-    """The task's part pool, in the state table beside the workers."""
-    return PartPool(engine._state_table(ctx.region.key), task_id, num_parts)
+__all__ = ["launch", "run_worker", "reap_orphan_pool", "part_attempt",
+           "settle_part", "try_finalize"]
 
 
 def reap_orphan_pool(engine, ctx, task_id: str):
@@ -55,14 +39,12 @@ def reap_orphan_pool(engine, ctx, task_id: str):
     workers from the crashed attempt observe the flag and stand down —
     then abort the upload.
     """
-    state_table = engine._state_table(ctx.region.key)
-    record = yield from engine._kv(
-        ctx, lambda: state_table.get_item(f"pool:{task_id}"))
-    if record is None or record.get("aborted"):
+    found = yield from engine._kv(
+        ctx, lambda: partpool.orphan(engine, ctx, task_id))
+    if found is None:
         return
-    yield from engine._kv(
-        ctx, pool_for(engine, ctx, task_id, record["num_parts"]).abort)
-    upload_id = record.get("task", {}).get("upload_id")
+    pool, upload_id = found
+    yield from engine._kv(ctx, pool.abort)
     if upload_id is not None:
         # The yield sits outside abort_upload's guard: an Interrupt
         # delivered here must kill the function (see abort_task).
@@ -99,26 +81,21 @@ def launch(engine, ctx, task, plan, inline_worker: bool = False):
                                                   task["key"])
     task["upload_id"] = upload_id
     if engine.scheduling == "fair":
-        task["assignments"] = FairAssignment(num_parts, n).all_assignments()
+        task["assignments"] = partpool.FairAssignment(
+            num_parts, n).all_assignments()
     # The task descriptor is persisted with the pool record.  A
     # crash-retried orchestrator loses its accepted state but finds the
     # pool already created: it must then resume the *original* task
     # (same upload id) rather than re-initialize — in-flight workers are
     # still uploading parts against it.
-    state_table = engine._state_table(plan.loc_key)
-    pool_key = f"pool:{task['task_id']}"
     try:
-        created = yield from engine._kv(ctx, lambda: state_table.put_if_absent(
-            pool_key, {"num_parts": num_parts, "claimed": 0, "completed": 0,
-                       "aborted": False, "task": dict(task)}))
-        if not created:
+        adopted = yield from engine._kv(
+            ctx, lambda: partpool.create(engine, plan, task))
+        if adopted is not None:
             # Resuming a predecessor's task: adopt its upload and abort
             # the one we just opened (it would otherwise leak and bill).
-            existing = yield from engine._kv(
-                ctx, lambda: state_table.get_item(pool_key))
             yield ctx.sleep(0.0)
             transfer.abort_upload(engine, upload_id)
-            adopted = dict(existing["task"])
             if adopted.get("seq", task["seq"]) < task["seq"]:
                 # The pool record replicates an *older* source version
                 # than the one we were built from — the source advanced
@@ -165,7 +142,7 @@ def launch(engine, ctx, task, plan, inline_worker: bool = False):
 
 def run_worker(engine, ctx, task):
     """Process: one replicator's claim → replicate → complete loop."""
-    pool = pool_for(engine, ctx, task["task_id"], task["num_parts"])
+    pool = partpool.pool_for(engine, ctx, task["task_id"], task["num_parts"])
     worker_key = (task["task_id"], task.get("worker_index", 0))
     start = ctx.now
     engine.worker_parts.setdefault(worker_key, 0)
@@ -315,9 +292,8 @@ def try_finalize(engine, ctx, task):
     """Process: complete the multipart upload and finish the task,
     guarded by a leased claim so exactly one live function finalizes,
     and a crashed finalizer can be superseded."""
-    won = yield from engine._kv(ctx, lambda: locks.claim(
-        engine._state_table(ctx.region.key), f"finalize:{task['task_id']}",
-        _worker_identity(task), FINALIZE_LEASE_S, reentrant=True))
+    won = yield from engine._kv(ctx, lambda: partpool.claim_finalize(
+        engine, ctx, task["task_id"], _worker_identity(task)))
     if not won:
         return
     # The zombie-writer check, distributed flavour: all parts may be
@@ -327,8 +303,8 @@ def try_finalize(engine, ctx, task):
     # janitor workers stop resurrecting it.
     ok = yield from engine._fence_ok(ctx, task)
     if not ok:
-        yield from engine._kv(ctx, pool_for(engine, ctx, task["task_id"],
-                                            task["num_parts"]).abort)
+        yield from engine._kv(ctx, partpool.pool_for(
+            engine, ctx, task["task_id"], task["num_parts"]).abort)
         transfer.abort_upload(engine, task["upload_id"])
         return
     own_write = True
@@ -368,16 +344,14 @@ def _recover_orphaned_parts(engine, ctx, task, pool, worker_key, start):
     # task on a slow link must not keep n-1 instances waiting).  The
     # claim is leased: a crashed janitor is superseded by the next
     # worker that comes through (e.g. a platform retry).
-    janitor = yield from engine._kv(ctx, lambda: locks.claim(
-        engine._state_table(ctx.region.key), f"janitor:{task['task_id']}",
-        _worker_identity(task), RECOVERY_GRACE_S * 3 + FINALIZE_LEASE_S,
-        reentrant=True))
+    janitor = yield from engine._kv(ctx, lambda: partpool.claim_janitor(
+        engine, ctx, task["task_id"], _worker_identity(task)))
     if not janitor:
         return
     # Poll with backoff: in the common case the missing parts are
     # merely in flight on other instances and drain within a poll or
     # two; only a genuinely stuck task waits out the full grace.
-    deadline = ctx.now + RECOVERY_GRACE_S
+    deadline = ctx.now + partpool.RECOVERY_GRACE_S
     backoff = 0.5
     while ctx.now < deadline:
         yield ctx.sleep(min(backoff, max(0.0, deadline - ctx.now)))
@@ -390,7 +364,7 @@ def _recover_orphaned_parts(engine, ctx, task, pool, worker_key, start):
         stalled = False
         for idx in missing:
             won = yield from engine._kv(ctx, lambda i=idx: pool.try_reclaim(
-                i, _worker_identity(task), lease_s=_RECLAIM_LEASE_S))
+                i, _worker_identity(task)))
             if not won:
                 # Another recoverer holds a live reclaim lease on this
                 # part — possibly this janitor's own crashed
@@ -408,7 +382,7 @@ def _recover_orphaned_parts(engine, ctx, task, pool, worker_key, start):
                 return
         if not stalled:
             return
-        yield ctx.sleep(_RECLAIM_LEASE_S + 1.0)
+        yield ctx.sleep(partpool.RECLAIM_LEASE_S + 1.0)
         aborted = yield from engine._kv(ctx, pool.is_aborted)
         if aborted:
             return
@@ -425,20 +399,11 @@ def _recover_finalization(engine, ctx, task):
     done = yield from engine._kv(ctx, lambda: engine.locks.done(task["key"]))
     if done is not None and done["seq"] >= task["seq"]:
         return
-    fin = yield from engine._kv(
-        ctx, lambda: engine._state_table(ctx.region.key).get_item(
-            f"finalize:{task['task_id']}"))
-    if (fin is not None
-            and fin.get("owner") != _worker_identity(task)
-            and not locks.expired(fin["at"], FINALIZE_LEASE_S, ctx.now)):
-        # A live finalizer owns it — but only a *different* one.
-        # The finalize claim is re-entrant precisely so a
-        # platform-retried finalizer resumes its own crashed finalize;
-        # standing down on our own lease would strand the task (the
-        # crashed incarnation never comes back, and this retry is the
-        # only survivor that will ever look).
-        return
-    if fin is not None:
+    held = yield from engine._kv(ctx, lambda: partpool.finalize_held(
+        engine, ctx, task["task_id"], _worker_identity(task)))
+    if held:
+        return  # a different finalizer's lease is live
+    if held is not None:
         engine.stats["recovered_finalize"] = (
             engine.stats.get("recovered_finalize", 0) + 1)
     yield from try_finalize(engine, ctx, task)

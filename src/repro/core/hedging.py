@@ -16,6 +16,7 @@ import itertools
 from typing import Optional
 
 from repro.core import distributed
+from repro.core.partpool import pool_for
 from repro.core.task import HEDGE_RESOLVED_KEYS, HEDGE_START_KEYS
 from repro.simcloud.cost import CostCategory
 from repro.simcloud.monitoring import TimeSeries
@@ -271,8 +272,7 @@ class Hedger:
         engine = self.engine
         idx = payload["hedge_part"]
         task_id = payload["task_id"]
-        pool = distributed.pool_for(engine, ctx, task_id,
-                                    payload["num_parts"])
+        pool = pool_for(engine, ctx, task_id, payload["num_parts"])
         state = yield from engine._kv(ctx, lambda: pool.part_state(idx))
         if not state.exists or state.aborted or state.done:
             return dict(_NOT_DONE, status="stood-down")

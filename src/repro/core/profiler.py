@@ -39,6 +39,16 @@ _SINGLE_CHUNKS = 4    # chunks timed per probe in single-function mode
 _DIST_CHUNKS = 3      # chunks timed per probe in distributed mode
 
 
+def _bump(name: str):
+    """An ``update_item`` closure counting in field ``name``: a probe's
+    stand-in for one of a part's two KV accesses (claim, completion)."""
+    def bump(item):
+        item = item or {}
+        item[name] = item.get(name, 0) + 1
+        return item, item[name]
+    return bump
+
+
 class PerformanceProfiler:
     """Fits model parameters by probing the (simulated) clouds."""
 
@@ -99,11 +109,11 @@ class PerformanceProfiler:
                     single_marks.append(ctx.now)
                 dist_marks = [ctx.now]
                 for i in range(_DIST_CHUNKS):
-                    yield kv.increment(f"probe:{uid}", "claimed")
+                    yield kv.update_item(f"probe:{uid}", _bump("claims"))
                     blob, _ = yield from ctx.get_object(src, probe_key,
                                                         i * chunk, chunk)
                     yield from ctx.put_object(dst, f"{probe_key}/{uid}/d{i}", blob)
-                    yield kv.increment(f"probe:{uid}", "completed")
+                    yield kv.update_item(f"probe:{uid}", _bump("completions"))
                     dist_marks.append(ctx.now)
                 return {"ready": ready, "single": single_marks, "dist": dist_marks}
 

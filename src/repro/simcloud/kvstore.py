@@ -6,8 +6,9 @@ lock — in a pay-as-you-go cloud database.  The simulation provides the
 exact primitives those components need:
 
 * point reads/writes with single-digit-millisecond latency,
-* atomic conditional writes (the basis of the lock client),
-* atomic read-modify-write updates and counters,
+* one atomic read-modify-write, ``update_item``: every conditional
+  write (a lock, a lease, a counter, a create-if-absent) is a closure
+  over the current item,
 * per-operation pricing metered into the cost ledger.
 
 Mutations are applied atomically at request admission and the response
@@ -233,13 +234,6 @@ class KvTable:
             return self._chaos_admit("write", lambda: self._do_delete(key))
         return self._respond("write", self._do_delete(key))
 
-    def put_if_absent(self, key: str, item: dict[str, Any]) -> DeferredResult:
-        """Create the item only if the key does not exist; bool result."""
-        if self._chaos is not None:
-            return self._chaos_admit(
-                "write", lambda: self._do_put_if_absent(key, item))
-        return self._respond("write", self._do_put_if_absent(key, item))
-
     def update_item(
         self, key: str, fn: Callable[[Optional[dict[str, Any]]], tuple[Any, Any]]
     ) -> DeferredResult:
@@ -256,13 +250,6 @@ class KvTable:
             return self._chaos_admit("write", lambda: self._do_update(key, fn))
         return self._respond("write", self._do_update(key, fn))
 
-    def increment(self, key: str, field_name: str, by: int = 1) -> DeferredResult:
-        """Atomic counter; creates the item/field at 0 when missing."""
-        if self._chaos is not None:
-            return self._chaos_admit(
-                "write", lambda: self._do_increment(key, field_name, by))
-        return self._respond("write", self._do_increment(key, field_name, by))
-
     def _do_get(self, key: str) -> Optional[dict[str, Any]]:
         item = self._items.get(key)
         return dict(item) if item is not None else None
@@ -273,12 +260,6 @@ class KvTable:
     def _do_delete(self, key: str) -> None:
         self._items.pop(key, None)
 
-    def _do_put_if_absent(self, key: str, item: dict[str, Any]) -> bool:
-        if key in self._items:
-            return False
-        self._items[key] = dict(item)
-        return True
-
     def _do_update(self, key, fn) -> Any:
         current = self._items.get(key)
         updated, outcome = fn(dict(current) if current is not None else None)
@@ -287,11 +268,6 @@ class KvTable:
         else:
             self._items[key] = dict(updated)
         return outcome
-
-    def _do_increment(self, key: str, field_name: str, by: int) -> int:
-        item = self._items.setdefault(key, {})
-        item[field_name] = item.get(field_name, 0) + by
-        return item[field_name]
 
     # -- test/debug helpers ---------------------------------------------------
 

@@ -3,7 +3,7 @@ and recovery plumbing."""
 
 import pytest
 
-from repro.core import distributed
+from repro.core import distributed, partpool
 from repro.core.config import ReplicaConfig
 from repro.core.service import AReplicaService
 from repro.simcloud.cloud import build_default_cloud
@@ -158,8 +158,8 @@ class TestRecoveryPlumbing:
             return original(engine, ctx, task)
 
         monkeypatch.setattr(distributed, "try_finalize", flaky_finalize)
-        monkeypatch.setattr(distributed, "RECOVERY_GRACE_S", 2.0)
-        monkeypatch.setattr(distributed, "FINALIZE_LEASE_S", 5.0)
+        monkeypatch.setattr(partpool, "RECOVERY_GRACE_S", 2.0)
+        monkeypatch.setattr(partpool, "FINALIZE_LEASE_S", 5.0)
         blob = Blob.fresh(256 * MB)
         src.put_object("k", blob, cloud.now)
         cloud.run()

@@ -187,6 +187,30 @@ class TestPartPool:
 
         assert run(cloud, main()) == (False, True)
 
+    def test_create_is_conditional_and_answers_the_persisted_descriptor(
+            self, cloud, table):
+        """The first create writes the pool; a retried orchestrator's
+        create leaves it (claims included) as it is and answers with the
+        predecessor's descriptor, read in a second request."""
+        pool = PartPool(table, "t8", 3)
+
+        def main():
+            first = yield from pool.create({"upload_id": "mpu1", "seq": 1})
+            yield from pool.claim()
+            writes, reads = table.op_counts["write"], table.op_counts["read"]
+            again = yield from pool.create({"upload_id": "mpu2", "seq": 1})
+            assert table.op_counts == {"write": writes + 1,
+                                       "read": reads + 1}
+            bare = yield from PartPool(table, "t9", 3).create()
+            return first, again, bare
+
+        assert run(cloud, main()) == (None, {"upload_id": "mpu1", "seq": 1},
+                                      None)
+        progress = pool.peek_progress()
+        assert progress["claimed"] == 1 and not progress["aborted"]
+        assert progress["task"] == {"upload_id": "mpu1", "seq": 1}
+        assert "task" not in table.peek("pool:t9")
+
     def test_zero_parts_rejected(self, table):
         with pytest.raises(ValueError):
             PartPool(table, "t", 0)

@@ -17,6 +17,8 @@ class FakeTable:
     """``sim.now``, ``update_item``, ``get_item`` and ``peek_prefix``
     over a dict."""
 
+    tracer = None  # PartPool traces through its table's tracer; none here
+
     def __init__(self, frozen: tuple = ()):
         self.sim = SimpleNamespace(now=0.0)
         self.items = {key: dict(item) for key, item in frozen}

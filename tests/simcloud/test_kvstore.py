@@ -91,11 +91,31 @@ class TestPointOps:
         assert seen["item"] == {"done_parts": [0]}
 
 
+def put_if_absent(new):
+    """A create-if-absent as an ``update_item`` closure: True for the
+    creator, and an existing item stays as it is."""
+    def put(item):
+        return (item, False) if item is not None else (new, True)
+    return put
+
+
+def bump(name):
+    """An atomic counter as an ``update_item`` closure: answers the
+    count after this bump, creating the item and field at 0."""
+    def add(item):
+        item = item or {}
+        item[name] = item.get(name, 0) + 1
+        return item, item[name]
+    return add
+
+
 class TestAtomics:
+    """Conditional writes and counters are ``update_item`` closures."""
+
     def test_put_if_absent(self, cloud, table):
         def flow():
-            first = yield table.put_if_absent("k", {"v": 1})
-            second = yield table.put_if_absent("k", {"v": 2})
+            first = yield table.update_item("k", put_if_absent({"v": 1}))
+            second = yield table.update_item("k", put_if_absent({"v": 2}))
             item = yield table.get_item("k")
             return first, second, item
 
@@ -108,7 +128,7 @@ class TestAtomics:
         results = []
 
         def claimant(i):
-            won = yield table.put_if_absent("lock", {"owner": i})
+            won = yield table.update_item("lock", put_if_absent({"owner": i}))
             results.append((i, won))
 
         def main():
@@ -118,23 +138,25 @@ class TestAtomics:
         run(cloud, main())
         winners = [i for i, won in results if won]
         assert len(winners) == 1
+        assert table.peek("lock") == {"owner": winners[0]}
 
     def test_increment_counter(self, cloud, table):
         def flow():
             values = []
             for _ in range(3):
-                v = yield table.increment("task", "done")
+                v = yield table.update_item("task", bump("done"))
                 values.append(v)
             return values
 
         assert run(cloud, flow()) == [1, 2, 3]
+        assert table.op_counts == {"read": 0, "write": 3}
 
     def test_increment_concurrent_no_lost_updates(self, cloud, table):
-        def bump():
-            yield table.increment("c", "n")
+        def one():
+            yield table.update_item("c", bump("n"))
 
         def main():
-            yield cloud.sim.all_of([cloud.sim.spawn(bump()) for _ in range(50)])
+            yield cloud.sim.all_of([cloud.sim.spawn(one()) for _ in range(50)])
 
         run(cloud, main())
         assert table.peek("c")["n"] == 50
