@@ -60,7 +60,9 @@ autopilot-tests:
 
 ## just the protocol model checks (~1 s): the real lock and done-marker
 ## closures against a dict-backed table, every interleaving of a few
-## attempts, source writes and faults (tests/protocol/)
+## attempts, source writes and faults, and the part pool's closures
+## (create, claim, completion, quarantine, abort, the finalize, janitor
+## and reclaim leases) against the same table (tests/protocol/)
 protocol-tests:
 	$(PY) -m pytest -q -m protocol
 
