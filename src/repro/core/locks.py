@@ -113,6 +113,8 @@ class ReplicationLockManager:
     failure can never wedge an object's replication forever.
     """
 
+    __slots__ = ("table", "lease_s", "rule_id", "tracer")
+
     def __init__(self, table: KvTable, lease_s: float = 300.0,
                  rule_id: str = ""):
         self.table = table

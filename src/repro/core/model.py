@@ -328,7 +328,7 @@ class PerformanceModel:
             self._mc_cache[cache_key] = _checkpoint(self._rng)
             self.mc_runs += 1
             return self._tail_row(self._rng, key, size, n)
-        if type(cached) is tuple:
+        if type(cached) is int:
             cached = self._mc_cache[cache_key] = self._tail_row(
                 _restore(cached), key, size, n)
         return cached

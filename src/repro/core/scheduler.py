@@ -57,8 +57,9 @@ class _TenantQueue:
         self.tenant_id = tenant_id
         self.weight = weight
         self.deficit = 0.0
-        #: Queued entries: ``[dispatch, dispatched_flag]``.
-        self.queue: deque[list] = deque()
+        #: Queued entries: ``[dispatch, dispatched_flag]`` (a short list:
+        #: an idle tenant's empty deque would hold ~600 B).
+        self.queue: list[list] = []
         #: Optional per-tenant stats dict (the service's tenant
         #: counters); ``fairshare_waits`` is bumped here.
         self.stats = stats
@@ -169,7 +170,7 @@ class FairShareScheduler:
                 lane.deficit += lane.weight
             while (lane.queue and lane.deficit >= 1.0
                    and self.in_flight < self.max_concurrent):
-                entry = lane.queue.popleft()
+                entry = lane.queue.pop(0)
                 lane.deficit -= 1.0
                 entry[1] = True
                 self._dispatch(lane, entry[0])

@@ -170,6 +170,8 @@ class TenantState:
 class _Recorder:
     """Engine → service callback adapter for one rule."""
 
+    __slots__ = ("service", "rule_id")
+
     def __init__(self, service: "AReplicaService", rule_id: str):
         self.service = service
         self.rule_id = rule_id

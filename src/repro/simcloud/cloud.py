@@ -124,9 +124,8 @@ class Cloud:
         if cache_key not in self._kv:
             table = KvTable(
                 self.sim, name, region, self.prices, self.ledger, self.rngs,
-                self.profiles.kv,
+                self._injected, self.profiles.kv,
             )
-            table.injected = self._injected
             if self.chaos is not None:
                 table.set_chaos(self.chaos,
                                 self._chaos_stream("kv", cache_key))

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
-from repro.simcloud.chaos import ChaosConfig, injected_ledger, outage_end
+from repro.simcloud.chaos import ChaosConfig, outage_end
 from repro.simcloud.cost import CostCategory, CostLedger
 from repro.simcloud.pricing import PriceBook
 from repro.simcloud.regions import Provider, Region
@@ -37,6 +37,9 @@ __all__ = ["KvProfile", "KvTable", "Throttled"]
 #: Trace attribute names, one tuple per record schema.
 _REJECT_KEYS = ("table", "region", "op")
 _DELAY_KEYS = ("table", "region", "op", "seconds")
+
+#: One ``("kv", region)`` health target per region, shared by its tables.
+_HEALTH_TARGETS: dict[str, tuple[str, str]] = {}
 
 
 class Throttled(RuntimeError):
@@ -72,6 +75,7 @@ class KvTable:
         prices: PriceBook,
         ledger: CostLedger,
         rngs: RngFactory,
+        injected: dict[str, int],
         profile: KvProfile | None = None,
     ):
         self.sim = sim
@@ -81,14 +85,12 @@ class KvTable:
         self._ledger = ledger
         self._profile = profile or KvProfile()
         self._items: dict[str, dict[str, Any]] = {}
-        self.op_counts = {"read": 0, "write": 0}
+        self._reads = self._writes = 0    # admitted requests, by kind
         # The table's stream has this one reader, so blocks grow with use.
         self._latency_sampler = BufferedSampler(
             self._profile.latency_s[region.provider],
             rngs.stream(f"kv:{region.key}:{name}"), owns_stream=True)
-        # Per-op constants, hoisted out of the (very hot) _respond path.
-        price = prices.kv[region.provider]
-        self._op_cost = {"read": price.read, "write": price.write}
+        self._price = prices.kv[region.provider]   # one per provider
         # Fault injection: None keeps every operation on the inline
         # admission fast path (a single check per call).
         self._chaos: Optional[ChaosConfig] = None
@@ -99,11 +101,12 @@ class KvTable:
         self._outages: tuple[tuple[float, float], ...] = ()
         #: Injected-fault counts (``chaos.INJECTED_KEYS``); the
         #: substrates of one Cloud share the dict.
-        self.injected = injected_ledger()
+        self.injected = injected
         # Optional HealthTracker fed one ("kv", region) result per
         # operation; None keeps the hot path at a single check.
         self._health = None
-        self._health_target = ("kv", region.key)
+        self._health_target = _HEALTH_TARGETS.setdefault(
+            region.key, ("kv", region.key))
         #: Optional :class:`~repro.core.tracing.Tracer`.  Only the chaos
         #: rejection/outage paths emit — the admitted-op hot path stays
         #: untouched (KV round trips dominate control-plane event
@@ -183,8 +186,7 @@ class KvTable:
                 except Exception as exc:
                     fut.fail(exc)
                     return
-                self.op_counts[kind] += 1
-                self._ledger.charge(CostCategory.KV_OPS, self._op_cost[kind])
+                self._bill(kind)
                 fut.resolve(value)
 
             self.sim.schedule_call(extra + self._latency(), admit)
@@ -197,13 +199,25 @@ class KvTable:
 
     # -- internals ---------------------------------------------------------
 
+    @property
+    def op_counts(self) -> dict[str, int]:
+        """Admitted (billed) requests by kind."""
+        return {"read": self._reads, "write": self._writes}
+
     def _latency(self) -> float:
         return self._latency_sampler.sample()
 
+    def _bill(self, kind: str) -> None:
+        if kind == "read":
+            self._reads += 1
+            self._ledger.charge(CostCategory.KV_OPS, self._price.read)
+        else:
+            self._writes += 1
+            self._ledger.charge(CostCategory.KV_OPS, self._price.write)
+
     def _respond(self, kind: str, value: Any = None,
                  error: Optional[BaseException] = None) -> DeferredResult:
-        self.op_counts[kind] += 1
-        self._ledger.charge(CostCategory.KV_OPS, self._op_cost[kind])
+        self._bill(kind)
         if self._health is not None:
             # Any admitted response — a failed mutation included — means
             # the database is up; only rejections (which bypass this

@@ -181,12 +181,11 @@ class InstanceChannel:
     instance's persistent one.
     """
 
-    __slots__ = ("provider", "profile", "base_factor", "_drift",
-                 "_half_sigma2", "_rho", "_innovations")
+    __slots__ = ("base_factor", "_drift", "_half_sigma2", "_rho",
+                 "_innovations")
 
-    def __init__(self, provider: str, profile: NetworkProfile, rng: np.random.Generator):
-        self.provider = provider
-        self.profile = profile
+    def __init__(self, provider: str, profile: NetworkProfile,
+                 rng: np.random.Generator, innovation: Dist):
         sigma = profile.instance_sigma[provider]
         # Mean-one lognormal: E[exp(N(-s^2/2, s^2))] = 1.
         self.base_factor = float(rng.lognormal(-sigma**2 / 2, sigma))
@@ -194,15 +193,11 @@ class InstanceChannel:
         # Per-transfer constants and a block buffer of innovations —
         # next_factor is called once per data leg, so the scalar NumPy
         # dispatch would otherwise dominate it.  Past the draw above the
-        # channel is its generator's only reader (blocks grow with use),
-        # and an innovation is signed: no floor.
-        t_sigma = profile.transfer_sigma[provider]
-        self._half_sigma2 = t_sigma**2 / 2
+        # channel is its generator's only reader (blocks grow with use).
+        self._half_sigma2 = profile.transfer_sigma[provider]**2 / 2
         self._rho = profile.drift_rho
-        self._innovations = BufferedSampler(
-            normal(0.0, t_sigma * math.sqrt(1 - profile.drift_rho**2),
-                   floor=-math.inf),
-            rng, block=64, owns_stream=True)
+        self._innovations = BufferedSampler(innovation, rng, block=64,
+                                            owns_stream=True)
 
     def next_factor(self) -> float:
         """Sample the instantaneous speed multiplier for one transfer."""
@@ -216,13 +211,13 @@ class NetworkFabric:
     def __init__(self, rngs: RngFactory, profile: NetworkProfile = DEFAULT_PROFILE):
         self.profile = profile
         self._rng = rngs.stream("network")
-        self._channel_seq = 0
         # path_mbps/congestion_scale are pure functions of their
         # arguments (given the profile), and every transfer evaluates
         # both — memoize on the small set of distinct inputs.
         self._mbps_memo: dict[tuple, float] = {}
         self._congestion_memo: dict[tuple[str, int], tuple[float, float]] = {}
         self._startup_samplers: dict[str, BufferedSampler] = {}
+        self._innovations: dict[str, Dist] = {}   # per provider
         # Vectorized block buffers: standard normals for the congestion
         # jitter (one per concurrent transfer leg) and child seeds for
         # per-instance channels (one per cold start).
@@ -347,7 +342,6 @@ class NetworkFabric:
 
     def open_channel(self, provider: str) -> InstanceChannel:
         """Create the network view for a newly started instance."""
-        self._channel_seq += 1
         idx = self._channel_seed_idx
         if idx >= len(self._channel_seed_buf):
             self._channel_seed_buf = self._rng.integers(
@@ -355,7 +349,14 @@ class NetworkFabric:
             idx = 0
         self._channel_seed_idx = idx + 1
         child = np.random.default_rng(self._channel_seed_buf[idx])
-        return InstanceChannel(provider, self.profile, child)
+        innovation = self._innovations.get(provider)
+        if innovation is None:
+            # AR(1) innovations for the provider: signed, so no floor.
+            p = self.profile
+            innovation = self._innovations[provider] = normal(
+                0.0, p.transfer_sigma[provider] * math.sqrt(
+                    1 - p.drift_rho**2), floor=-math.inf)
+        return InstanceChannel(provider, self.profile, child, innovation)
 
     def congestion_jitter(self, extra_sigma: float) -> float:
         """Mean-one lognormal jitter factor for a congested leg.

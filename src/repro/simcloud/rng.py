@@ -9,6 +9,7 @@ a whole experiment is reproducible from one integer.
 from __future__ import annotations
 
 import hashlib
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -94,27 +95,31 @@ class Dist:
         raise ValueError(self.kind)
 
 
-#: First block of a sampler that owns its stream; doubles per refill.
+#: First chunk a sampler draws of its block; doubles per refill.
 _FIRST_BLOCK = 16
 
 #: What checkpoints are restored into: seeded, as an unseeded ``PCG64()``
 #: reads OS entropy, and overwritten by every :func:`_restore`.
 _SCRATCH = np.random.Generator(np.random.PCG64(0))
 
+_U128 = (1 << 128) - 1
 
-def _checkpoint(rng: np.random.Generator) -> tuple[int, int, int, int]:
-    """``rng``'s PCG64 state: 190 B where an idle ``Generator`` holds 1.2 KB."""
+
+def _checkpoint(rng: np.random.Generator) -> int:
+    """``rng``'s PCG64 state, increment and buffered 32-bit draw as one
+    int: 60 B where an idle ``Generator`` holds 1.2 KB."""
     s = rng.bit_generator.state
-    return s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"]
+    return (s["state"]["state"] | s["state"]["inc"] << 128
+            | s["has_uint32"] << 256 | s["uinteger"] << 257)
 
 
-def _restore(checkpoint: tuple[int, int, int, int]) -> np.random.Generator:
+def _restore(checkpoint: int) -> np.random.Generator:
     """The stream ``checkpoint`` was taken from, in a generator shared by
     every restore: draw from it before the next one."""
-    state, inc, has_uint32, uinteger = checkpoint
     _SCRATCH.bit_generator.state = {
-        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-        "has_uint32": has_uint32, "uinteger": uinteger}
+        "bit_generator": "PCG64", "state": {
+            "state": checkpoint & _U128, "inc": checkpoint >> 128 & _U128},
+        "has_uint32": checkpoint >> 256 & 1, "uinteger": checkpoint >> 257}
     return _SCRATCH
 
 
@@ -130,21 +135,28 @@ class BufferedSampler:
     Samplers that *share* ``rng`` interleave their draws by whole
     blocks, so there ``block`` decides every value either of them
     returns and must never change.  ``owns_stream=True`` promises that
-    nothing else draws from ``rng`` from now on; NumPy's array fills are
-    split-invariant (``n`` values in one call equal the same ``n`` drawn
-    in several), so such a sampler returns ``dist.sample(rng, n)``
-    element by element however it cuts its blocks, and it sizes them to
-    demand: most of a large tenancy's tables serve a handful of draws.
-    Between refills it holds its stream as a checkpoint, not a generator.
+    nothing else draws from ``rng`` from now on: the stream is then one
+    endless block.  NumPy's array fills are split-invariant (``n``
+    values in one call equal the same ``n`` drawn in several), so a
+    sampler serves a block in chunks sized to demand, 16 values first
+    and doubling, and holds the block's undrawn rest as a checkpoint of
+    where it starts, not as drawn values: most of a large tenancy's
+    tables and notification hookups serve a handful of draws.  A shared
+    sampler still moves ``rng`` past a whole block at each take; once
+    its chunks reach ``block`` it keeps whole blocks.
     """
 
-    __slots__ = ("_dist", "_rng", "_block", "_max_block", "_buf", "_idx")
+    __slots__ = ("_dist", "_rng", "_block", "_max_block", "_buf", "_idx",
+                 "_rest", "_left")
 
     def __init__(self, dist: Dist, rng: np.random.Generator, block: int = 512,
                  *, owns_stream: bool = False):
         self._dist = dist
-        self._rng = _checkpoint(rng) if owns_stream else rng   # tuple: owned
-        self._block = min(block, _FIRST_BLOCK) if owns_stream else block
+        self._rng = None if owns_stream else rng
+        # The current block's undrawn rest: a checkpoint and a count.
+        self._rest = _checkpoint(rng) if owns_stream else None
+        self._left = math.inf if owns_stream else 0
+        self._block = min(block, _FIRST_BLOCK)
         self._max_block = block
         # Packed doubles: 8 B a value where a list of floats holds 40.
         self._buf = array("d")
@@ -154,17 +166,29 @@ class BufferedSampler:
         idx = self._idx
         buf = self._buf
         if idx >= len(buf):
-            block = self._block
-            rng = self._rng
-            live = _restore(rng) if type(rng) is tuple else rng
-            buf = self._buf = array(
-                "d", self._dist.sample(live, block).tobytes())
-            if live is not rng:
-                self._rng = _checkpoint(live)
-            self._block = min(2 * block, self._max_block)
+            buf = self._buf = array("d", self._refill().tobytes())
             idx = 0
         self._idx = idx + 1
         return buf[idx]
+
+    def _refill(self) -> np.ndarray:
+        n, dist, rng = self._block, self._dist, self._rng
+        self._block = min(2 * n, self._max_block)
+        if self._left:                          # redraw the rest's next n
+            if rng is not None:                 # a shared block's: finite
+                n = min(n, self._left)
+                self._left -= n
+            live = _restore(self._rest)
+            values = dist.sample(live, n)
+            self._rest = _checkpoint(live) if self._left else None
+        elif n == self._max_block:              # hot: take, keep a block
+            values = dist.sample(rng, n)
+        else:                                   # cold: take a block, keep n
+            values = dist.sample(rng, n)
+            self._rest = _checkpoint(rng)
+            self._left = self._max_block - n
+            dist.sample(rng, self._left)        # the stream moves past it
+        return values
 
 
 def normal(mean: float, std: float, floor: float = 1e-9) -> Dist:

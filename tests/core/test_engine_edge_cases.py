@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import distributed, partpool
 from repro.core.config import ReplicaConfig
+from repro.core.locks import ReplicationLockManager
 from repro.core.service import AReplicaService
 from repro.simcloud.cloud import build_default_cloud
 from repro.simcloud.objectstore import Blob, ObjectEvent
@@ -210,15 +211,17 @@ class _IteratorProxy:
 
 
 class TestKvDispatch:
-    def test_a_proxied_primitive_is_delegated_to_not_yielded(self):
+    def test_a_proxied_primitive_is_delegated_to_not_yielded(
+            self, monkeypatch):
         """Regression: ``_kv`` told requests from processes by exact
         generator type, so a proxied ``locks.lock`` was yielded to the
         kernel whole, failed every attempt with ``SimulationError`` and
         the PUT never became visible."""
         cloud, svc, src, dst, rule = build(seed=314)
-        lock = rule.engine.locks.lock
-        rule.engine.locks.lock = lambda *a, **kw: _IteratorProxy(
-            lock(*a, **kw))
+        lock = ReplicationLockManager.lock     # slotted: patch the class
+        monkeypatch.setattr(
+            ReplicationLockManager, "lock",
+            lambda self, *a, **kw: _IteratorProxy(lock(self, *a, **kw)))
         blob = Blob.fresh(MB)
         src.put_object("k", blob, cloud.now)
         svc.run_to_convergence()

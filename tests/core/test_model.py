@@ -265,7 +265,7 @@ class TestBitIdenticalShortcuts:
         model, oracle = make_model(seed=n), make_model(seed=n)
         key = (*PATH, n, model.chunks_per_function(size, n))
         miss = model.transfer_tail_samples(PATH, size, n)
-        assert type(model._mc_cache[key]) is tuple
+        assert type(model._mc_cache[key]) is int
         first_hit = model.transfer_tail_samples(PATH, size, n)
         assert type(model._mc_cache[key]) is np.ndarray
         later_hit = model.transfer_tail_samples(PATH, size, n)

@@ -136,7 +136,7 @@ class TestBufferedSampler:
         rng = RngFactory(3).stream("half")
         rng.integers(0, 10, dtype=np.uint32)
         checkpoint = _checkpoint(rng)
-        assert checkpoint[2] == 1
+        assert checkpoint >> 256 & 1 == 1     # has_uint32
         expected = rng.integers(0, 2**32, 5, dtype=np.uint32).tolist()
         got = _restore(checkpoint).integers(0, 2**32, 5, dtype=np.uint32)
         assert got.tolist() == expected
@@ -156,6 +156,40 @@ class TestBufferedSampler:
         for i, d in enumerate(dists):
             expected = d.sample(RngFactory(9).stream(f"own{i}"), len(got[i]))
             assert got[i] == expected.tolist(), i
+
+    @pytest.mark.parametrize("dist", [
+        normal(0.45, 0.12, floor=0.05), lognormal(-1.0, 0.5),
+        uniform(2.0, 4.0)], ids=lambda d: d.kind)
+    def test_a_shared_sampler_returns_what_whole_blocks_return(self, dist):
+        """A shared-stream sampler takes each 256-value block whole from
+        the stream but, while cold, keeps only the chunk it serves and a
+        checkpoint of the rest.  Over three blocks and more (the first
+        cold, the rest hot), with a second reader drawing from the same
+        generator between its refills, it returns what a sampler holding
+        every drawn block returns, and leaves the stream where that one
+        does."""
+        block, n = 256, 3 * 256 + 50
+
+        def whole_blocks(rng):
+            while True:
+                yield from dist.sample(rng, block).tolist()
+
+        ours, theirs = (RngFactory(13).stream("notifications")
+                        for _ in range(2))
+        sampler, reference = BufferedSampler(dist, ours, block), \
+            whole_blocks(theirs)
+        got, expected, other = [], [], []
+        for i in range(n):
+            got.append(sampler.sample())
+            expected.append(next(reference))
+            if i % 37 == 5:                     # the other reader's turn
+                other.append((ours.normal(), theirs.normal()))
+            if i < block:   # cold: one chunk, at most twice what was used
+                assert len(sampler._buf) <= min(max(16, 2 * i), block // 2)
+        assert got == expected
+        assert all(a == b for a, b in other)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert len(sampler._buf) == block       # hot: whole blocks kept
 
     def test_shared_stream_interleaving_is_frozen(self):
         """Two samplers on one stream interleave by whole blocks, so the
