@@ -10,7 +10,10 @@ and 29.98 before samplers that own their stream held it as a PCG64
 checkpoint between refills, 18.30 and 27.96 after; 15.30 and 23.47
 once the cost and tenant ledgers kept totals instead of per-charge
 detail and entries, a deployment's counters became slots and its warm
-pool and a tenant's deferral lane lists) and name the owners when the
+pool and a tenant's deferral lane lists; 11.41 and 19.57 once a
+shared-stream sampler held its block's undrawn rest as a checkpoint,
+a fair-share lane became a list and a KV table kept two int counters
+and its provider's one price pair) and name the owners when the
 budget is exceeded.
 
 A busy hour is a million small PUTs through one rule, so what each
@@ -114,7 +117,7 @@ def test_marginal_bytes_per_tenant_stay_in_budget(request):
             buckets.append(src)
         _put_round(cloud, buckets, 1)
         after_one = _traced_kib(empty, TENANTS, "per tenant, one PUT each",
-                                20.0, show)
+                                14.5, show)
         # Seven more PUTs, on a quarter of the tenants (tracing every
         # allocation is slow): growth per busy tenant on top of the above.
         busy = buckets[:TENANTS // 4]
@@ -123,13 +126,13 @@ def test_marginal_bytes_per_tenant_stay_in_budget(request):
             _put_round(cloud, busy, round_no)
         after_eight = after_one + _traced_kib(
             one_each, len(busy), "per busy tenant, seven more PUTs",
-            30.0 - after_one, show)
+            24.5 - after_one, show)
     finally:
         tracemalloc.stop()
     assert len(svc.records) == 1 + TENANTS + 7 * len(busy)
     assert svc.pending_count() == 0
-    assert after_one <= 20.0
-    assert after_eight <= 30.0
+    assert after_one <= 14.5
+    assert after_eight <= 24.5
 
 
 def _retained_per_put(label: str, budget: float, show: bool,
