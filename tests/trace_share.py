@@ -14,6 +14,18 @@ not in CI):
 
     make trace-share                            # seeds 11-20
     PYTHONPATH=src python -m tests.trace_share 11 12 13
+
+``--split`` attributes that share.  It adds two diagnostic sides per
+seed, both with the Tracer on: ``nosink``, where ``install_cost_sink``
+is a no-op (no ledger charge reaches the tracer's cost mirror), and
+``count``, where besides ``Tracer.span``/``event`` only count their
+records (nothing reaches the checker's index).  The four sides' order
+rotates from seed to seed.  It then prints the median shares of the
+cost mirror (on minus nosink), the feed (nosink minus count) and the
+emission sites with their calls (count minus off).  The diagnostic
+sides' traces feed no checker, so their findings mean nothing:
+
+    PYTHONPATH=src python -m tests.trace_share --split 11 12 13 14 15 16
 """
 
 from __future__ import annotations
@@ -30,10 +42,21 @@ SEEDS = tuple(range(11, 21))
 
 
 def unit(side: str, seed: int) -> dict:
-    """Run one storm_churn unit in this process; ``side`` is "on" or
-    "off" (the same set-up with tracing disabled)."""
+    """Run one storm_churn unit in this process; ``side`` is "on",
+    "off" (the same set-up with tracing disabled), or one of the
+    ``--split`` sides "nosink" and "count" (module docstring)."""
     from benchmarks.e2e import workloads
     from benchmarks.e2e.harness import run_unit
+    from repro.core.tracing import Tracer
+    if side in ("nosink", "count"):
+        Tracer.install_cost_sink = lambda self, ledger: None
+    if side == "count":
+        def span(self, name, cat, task, start, end, keys=(), *values):
+            self.index.n_spans += 1
+
+        def event(self, name, cat, task, keys=(), *values):
+            self.index.n_events += 1
+        Tracer.span, Tracer.event = span, event
     if side == "off":
         config = workloads.ReplicaConfig
         workloads.ReplicaConfig = lambda **fields: config(
@@ -59,9 +82,36 @@ def _spread(values: list[float], digits: int) -> str:
     return f"{median:.{digits}f} [{q1:.{digits}f}, {q3:.{digits}f}]"
 
 
+def split(seeds: list[int]) -> None:
+    sides = ("on", "off", "nosink", "count")
+    cpu: dict[str, list[float]] = {side: [] for side in sides}
+    print("seed  cpu us/req:     on     off  nosink   count  digests")
+    for i, seed in enumerate(seeds):
+        k = i % len(sides)
+        order = sides[k:] + sides[:k]
+        runs = {side: run_side(side, seed) for side in order}
+        for side in sides:
+            cpu[side].append(runs[side]["cpu_us_per_req"])
+        same = len({run["digest"] for run in runs.values()}) == 1
+        print(f"{seed:>4}  {'':>10}" + "".join(
+            f"{runs[side]['cpu_us_per_req']:>8.1f}" for side in sides)
+            + ("  same" if same else "  DIFFER"))
+    med = {side: statistics.median(cpu[side]) for side in sides}
+    print(f"median over {len(seeds)} seeds, cpu us/req: " + ", ".join(
+        f"{side} {med[side]:.1f}" for side in sides))
+    print(f"tracer share {med['on'] - med['off']:.1f} us/req: cost mirror "
+          f"{med['on'] - med['nosink']:.1f}, feed "
+          f"{med['nosink'] - med['count']:.1f}, emission and calls "
+          f"{med['count'] - med['off']:.1f} (medians' differences; the "
+          "nosink and count sides are diagnostic and feed no checker)")
+
+
 def main(argv: list[str]) -> None:
     if argv[:1] == ["--unit"]:
         print(json.dumps(unit(argv[1], int(argv[2]))))
+        return
+    if argv[:1] == ["--split"]:
+        split([int(a) for a in argv[1:]] or list(SEEDS))
         return
     seeds = [int(a) for a in argv] or list(SEEDS)
     cpu, rss = [], []
