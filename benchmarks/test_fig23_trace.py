@@ -27,14 +27,13 @@ Q = 0.9999
 
 
 def _trace(requests):
-    """The busy hour in column form: no per-request objects."""
-    return IbmCosTraceGenerator(seed=23).busy_hour_batches(
+    return IbmCosTraceGenerator(seed=23).busy_hour(
         total_requests=requests)
 
 
 def _run_areplica(requests):
     cloud, service, src, dst, rule = build_service(SRC, DST, seed=23, slo=0.0)
-    stats = TraceReplayer(cloud, src).replay_all_batches(_trace(requests))
+    stats = TraceReplayer(cloud, src).replay_all(_trace(requests))
     recs = service.records
     peak = max(cloud.faas(SRC).peak_running, cloud.faas(DST).peak_running)
     return (np.array([r.event_time for r in recs]),
@@ -47,7 +46,7 @@ def _run_s3rtc(requests):
     dst = cloud.bucket(DST, "dst", versioning=True)
     rtc = S3RTCReplicator(cloud, src, dst)
     rtc.connect_notifications()
-    TraceReplayer(cloud, src).replay_all_batches(_trace(requests))
+    TraceReplayer(cloud, src).replay_all(_trace(requests))
     return (np.array([r.event_time for r in rtc.records]),
             np.array([r.delay for r in rtc.records]))
 

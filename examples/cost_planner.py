@@ -16,7 +16,7 @@ from repro.analysis.costs import ReplicationCostModel
 from repro.core.config import ReplicaConfig
 from repro.core.service import AReplicaService
 from repro.simcloud.cloud import build_default_cloud
-from repro.traces.ibm_cos import IbmCosTraceGenerator
+from repro.traces.ibm_cos import OP_PUT, IbmCosTraceGenerator
 from repro.traces.replay import TraceReplayer
 
 SRC, DST = "aws:us-east-1", "aws:us-east-2"
@@ -27,7 +27,7 @@ def main() -> None:
     # --- 1. a day of representative workload -----------------------------
     gen = IbmCosTraceGenerator(seed=9, mean_rps=PUTS_PER_DAY / 86_400.0)
     day = gen.generate(86_400.0)
-    sizes = [r.size for r in day if r.op == "PUT"]
+    sizes = [s for b in day for s in b.sizes[b.ops == OP_PUT].tolist()]
     print(f"workload: {len(sizes)} PUTs/day, {sum(sizes) / 1e9:.1f} GB/day, "
           f"p50 size {np.median(sizes) / 1024:.0f} KB\n")
 
@@ -55,7 +55,7 @@ def main() -> None:
     dst = cloud.bucket(DST, "dst")
     service.add_rule(src, dst)
     before = cloud.ledger.snapshot()
-    hour = [r for r in day if r.time < 3600.0]
+    hour = [b for b in day if b.times[0] < 3600.0]
     TraceReplayer(cloud, src).replay_all(hour)
     metered = before.delta(cloud.ledger.snapshot()).total
     metered_monthly = metered * 24 * 30

@@ -169,7 +169,7 @@ def cmd_trace(args) -> int:
     trace = IbmCosTraceGenerator(seed=args.seed).busy_hour(
         total_requests=args.requests)
     if not args.json:
-        print(f"replaying {len(trace)} requests over one hour "
+        print(f"replaying {sum(len(b) for b in trace)} requests over one hour "
               f"({args.src} -> {args.dst}, SLO={args.slo or 'fastest'}) ...")
     stats = TraceReplayer(cloud, src).replay_all(trace)
     extra = {}
@@ -304,12 +304,12 @@ def cmd_regions(args) -> int:
 def cmd_cost(args) -> int:
     """Analytic monthly cost projection for a synthetic workload."""
     from repro.analysis.costs import ReplicationCostModel
-    from repro.traces.ibm_cos import IbmCosTraceGenerator
+    from repro.traces.ibm_cos import OP_PUT, IbmCosTraceGenerator
 
     gen = IbmCosTraceGenerator(seed=args.seed,
                                mean_rps=args.requests_per_day / 86_400.0)
     trace = gen.generate(86_400.0)
-    sizes = [r.size for r in trace if r.op == "PUT"]
+    sizes = [s for b in trace for s in b.sizes[b.ops == OP_PUT].tolist()]
     model = ReplicationCostModel()
     src_provider = args.src.split(":")[0] if ":" in args.src else ""
     dst_provider = args.dst.split(":")[0] if ":" in args.dst else ""

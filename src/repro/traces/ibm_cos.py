@@ -17,10 +17,9 @@ Storage traces the paper analyzes (§2):
 Generation is batched per minute: every random quantity a minute needs
 (arrival times, sizes, op/reuse coin flips, Zipf ranks, tenant picks,
 delete positions) is drawn as one NumPy vector, and requests are
-emitted as struct-of-arrays :class:`TraceBatch` columns.  The live-key
-set uses a head pointer (O(1) oldest-key eviction) and swap-with-head
-removal (O(1) random deletes).  ``iter_requests``/``generate`` remain
-as per-request views over the same batches.
+emitted as struct-of-arrays :class:`TraceBatch` columns, the only form
+a trace takes.  The live-key set uses a head pointer (O(1) oldest-key
+eviction) and swap-with-head removal (O(1) random deletes).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["TraceRequest", "TraceBatch", "SizeModel", "IbmCosTraceGenerator"]
+__all__ = ["TraceBatch", "SizeModel", "IbmCosTraceGenerator"]
 
 KB = 1024
 MB = 1024 * KB
@@ -40,26 +39,14 @@ GB = 1024 * MB
 OP_PUT = 0
 OP_DELETE = 1
 
-_OP_NAMES = ("PUT", "DELETE")
-
-
-@dataclass(frozen=True)
-class TraceRequest:
-    """One trace record: an operation against the source bucket."""
-
-    time: float          # seconds from trace start
-    op: str              # "PUT" | "DELETE"
-    key: str
-    size: int            # bytes (0 for DELETE)
-
 
 @dataclass(frozen=True)
 class TraceBatch:
     """One minute of trace requests in column form.
 
     ``ops`` holds :data:`OP_PUT`/:data:`OP_DELETE` codes; ``sizes`` is
-    0 for deletes.  Replayers iterate the columns directly instead of
-    materializing a :class:`TraceRequest` per row.
+    0 for deletes.  Row ``i`` is ``(times[i], ops[i], keys[i],
+    sizes[i])``.
     """
 
     times: np.ndarray    # float64, ascending within the batch
@@ -69,12 +56,6 @@ class TraceBatch:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def requests(self) -> Iterator[TraceRequest]:
-        """Row view (compat with per-request consumers)."""
-        for t, op, key, size in zip(self.times.tolist(), self.ops.tolist(),
-                                    self.keys, self.sizes.tolist()):
-            yield TraceRequest(t, _OP_NAMES[op], key, size)
 
 
 class SizeModel:
@@ -148,6 +129,14 @@ class _LiveKeys:
         return key
 
 
+#: AR(1) coefficient of the per-minute log-rate drift.
+_MINUTE_RHO = 0.7
+#: Relative swing of the diurnal baseline around ``mean_rps``.
+_DIURNAL_AMPLITUDE = 0.45
+#: :meth:`IbmCosTraceGenerator.busy_hour` draws from ``seed`` plus this.
+_BUSY_HOUR_SEED_OFFSET = 7
+
+
 class IbmCosTraceGenerator:
     """Seeded synthetic trace factory."""
 
@@ -162,8 +151,6 @@ class IbmCosTraceGenerator:
         burst_rate_per_hour: float = 6.0,
         burst_multiplier: float = 8.0,
         minute_sigma: float = 0.55,
-        minute_rho: float = 0.7,
-        diurnal_amplitude: float = 0.45,
     ):
         """``update_fraction`` of PUTs overwrite an existing hot key
         (Zipf-selected); the rest create fresh keys."""
@@ -176,26 +163,23 @@ class IbmCosTraceGenerator:
         self.burst_rate_per_hour = burst_rate_per_hour
         self.burst_multiplier = burst_multiplier
         self.minute_sigma = minute_sigma
-        self.minute_rho = minute_rho
-        self.diurnal_amplitude = diurnal_amplitude
         self._rng = np.random.default_rng(seed)
         self.sizes = SizeModel(np.random.default_rng(seed + 1))
 
     # -- arrival-rate machinery ------------------------------------------------
 
-    def minute_rates(self, duration_s: float,
-                     start_s: float = 0.0) -> np.ndarray:
+    def minute_rates(self, duration_s: float) -> np.ndarray:
         """Mean request rate (per second) for each minute of the trace."""
         minutes = int(math.ceil(duration_s / 60.0))
         rates = np.empty(minutes)
         drift = 0.0
-        innov_scale = self.minute_sigma * math.sqrt(1 - self.minute_rho**2)
+        innov_scale = self.minute_sigma * math.sqrt(1 - _MINUTE_RHO**2)
         for i in range(minutes):
-            t = start_s + i * 60.0
-            diurnal = 1.0 + self.diurnal_amplitude * math.sin(
+            t = i * 60.0
+            diurnal = 1.0 + _DIURNAL_AMPLITUDE * math.sin(
                 2 * math.pi * t / 86400.0
             )
-            drift = self.minute_rho * drift + self._rng.normal(0.0, innov_scale)
+            drift = _MINUTE_RHO * drift + self._rng.normal(0.0, innov_scale)
             factor = math.exp(drift - self.minute_sigma**2 / 2)
             rate = self.mean_rps * diurnal * factor
             if self._rng.random() < self.burst_rate_per_hour / 60.0:
@@ -205,11 +189,10 @@ class IbmCosTraceGenerator:
 
     # -- trace generation ----------------------------------------------------------
 
-    def iter_batches(self, duration_s: float,
-                     start_s: float = 0.0) -> Iterator[TraceBatch]:
+    def iter_batches(self, duration_s: float) -> Iterator[TraceBatch]:
         """Yield one :class:`TraceBatch` per non-empty trace minute."""
         rng = self._rng
-        rates = self.minute_rates(duration_s, start_s)
+        rates = self.minute_rates(duration_s)
         live = _LiveKeys()
         n_live = 0
         key_seq = 0
@@ -258,25 +241,17 @@ class IbmCosTraceGenerator:
                 sizes[delete_rows] = 0
             yield TraceBatch(times=times, ops=ops, keys=keys, sizes=sizes)
 
-    def generate_batches(self, duration_s: float,
-                         start_s: float = 0.0) -> list[TraceBatch]:
-        return list(self.iter_batches(duration_s, start_s))
-
-    def iter_requests(self, duration_s: float,
-                      start_s: float = 0.0) -> Iterator[TraceRequest]:
-        for batch in self.iter_batches(duration_s, start_s):
-            yield from batch.requests()
-
-    def generate(self, duration_s: float,
-                 start_s: float = 0.0) -> list[TraceRequest]:
+    def generate(self, duration_s: float) -> list[TraceBatch]:
         """Materialize a trace segment of ``duration_s`` seconds."""
-        return list(self.iter_requests(duration_s, start_s))
+        return list(self.iter_batches(duration_s))
 
-    def _scaled_to(self, total_requests: int, seed_offset: int,
-                   duration_s: float) -> "IbmCosTraceGenerator":
+    def busy_hour(self, total_requests: int = 50_000) -> list[TraceBatch]:
+        """A busy 60-minute segment with approximately the requested
+        number of PUT/DELETE requests (the paper replays ~0.99 M; scale
+        ``total_requests`` to your simulation budget)."""
         return IbmCosTraceGenerator(
-            seed=self.seed + seed_offset,
-            mean_rps=total_requests / duration_s,
+            seed=self.seed + _BUSY_HOUR_SEED_OFFSET,
+            mean_rps=total_requests / 3600.0,
             tenants=self.tenants,
             keys_per_tenant=self.keys_per_tenant,
             delete_fraction=self.delete_fraction,
@@ -284,19 +259,4 @@ class IbmCosTraceGenerator:
             burst_rate_per_hour=self.burst_rate_per_hour,
             burst_multiplier=self.burst_multiplier,
             minute_sigma=self.minute_sigma,
-            minute_rho=self.minute_rho,
-        )
-
-    def busy_hour(self, total_requests: int = 50_000,
-                  seed_offset: int = 7) -> list[TraceRequest]:
-        """A busy 60-minute segment with approximately the requested
-        number of PUT/DELETE requests (the paper replays ~0.99 M; scale
-        ``total_requests`` to your simulation budget)."""
-        gen = self._scaled_to(total_requests, seed_offset, 3600.0)
-        return gen.generate(3600.0)
-
-    def busy_hour_batches(self, total_requests: int = 50_000,
-                          seed_offset: int = 7) -> list[TraceBatch]:
-        """Column-form :meth:`busy_hour` (no per-request objects)."""
-        gen = self._scaled_to(total_requests, seed_offset, 3600.0)
-        return gen.generate_batches(3600.0)
+        ).generate(3600.0)

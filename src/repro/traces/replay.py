@@ -7,10 +7,9 @@ reacts through its normal notification path.  This mirrors the paper's
 §8.3 methodology of replaying the IBM COS trace with parallel client
 drivers against the source bucket.
 
-Traces arrive either as :class:`TraceRequest` rows or, faster, as the
-generator's column-form :class:`TraceBatch` minutes (``replay_batches``
-/ ``replay_all_batches``) — the batch path reads the raw columns and
-never touches per-request attribute access.
+A trace is a sequence of the generator's column-form
+:class:`TraceBatch` minutes; ``replay_batches`` reads their raw
+columns, and ``replay_all`` drives it to the end of the simulation.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Iterable, Optional
 from repro.simcloud.cloud import Cloud
 from repro.simcloud.sim import SleepRequest
 from repro.simcloud.objectstore import Blob, Bucket
-from repro.traces.ibm_cos import OP_PUT, TraceBatch, TraceRequest
+from repro.traces.ibm_cos import OP_DELETE, OP_PUT, TraceBatch
 
 __all__ = ["ReplayStats", "TraceReplayer"]
 
@@ -56,27 +55,22 @@ class TraceReplayer:
         self.time_scale = time_scale
         self.stats = ReplayStats()
 
-    def replay(self, requests: Iterable[TraceRequest]):
-        """Process: apply every request at its (scaled) timestamp."""
-        origin = self.cloud.now
-        for req in requests:
-            if req.op not in ("PUT", "DELETE"):
-                raise ValueError(f"unknown trace op {req.op!r}")
-            target = origin + req.time * self.time_scale
-            if target > self.cloud.now:
-                yield SleepRequest(target - self.cloud.now)
-            self._apply(req.op == "PUT", req.key, req.size)
-        self.stats.last_time = self.cloud.now
-
     def replay_batches(self, batches: Iterable[TraceBatch]):
-        """Process: column-form replay (no per-request objects)."""
+        """Process: apply every request at its (scaled) timestamp."""
         origin = self.cloud.now
         sim = self.cloud.sim
         scale = self.time_scale
         stats = self.stats
         for batch in batches:
+            ops = batch.ops
+            # The trace may come from outside the program: reject a
+            # batch holding an unknown op before applying any of it.
+            unknown = (ops != OP_PUT) & (ops != OP_DELETE)
+            if unknown.any():
+                raise ValueError(
+                    f"unknown trace op {ops[unknown][0].item()!r}")
             times = batch.times.tolist()
-            ops = batch.ops.tolist()
+            ops = ops.tolist()
             sizes = batch.sizes.tolist()
             keys = batch.keys
             for i in range(len(keys)):
@@ -86,14 +80,8 @@ class TraceReplayer:
                 self._apply(ops[i] == OP_PUT, keys[i], sizes[i])
         stats.last_time = self.cloud.now
 
-    def replay_all(self, requests: Iterable[TraceRequest]) -> ReplayStats:
+    def replay_all(self, batches: Iterable[TraceBatch]) -> ReplayStats:
         """Spawn the replay process and drain the simulation."""
-        self.cloud.sim.run_process(self.replay(requests), name="trace-replay")
-        self.cloud.run()
-        return self.stats
-
-    def replay_all_batches(self, batches: Iterable[TraceBatch]) -> ReplayStats:
-        """Spawn the batch replay process and drain the simulation."""
         self.cloud.sim.run_process(self.replay_batches(batches),
                                    name="trace-replay")
         self.cloud.run()

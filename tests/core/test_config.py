@@ -14,6 +14,7 @@ from repro.core.logger import RuntimeLogger
 from repro.core.scheduler import FairShareScheduler
 from repro.core.sharding import HashRing, ShardRouter
 from repro.simcloud.chaos import ChaosConfig
+from repro.traces.ibm_cos import IbmCosTraceGenerator
 
 
 def test_defaults_match_paper():
@@ -109,6 +110,10 @@ CONSTRUCTOR_PARAMETERS = {
     ReplicationEngine: ("cloud", "config", "src_bucket", "dst_bucket",
                         "planner", "changelog", "recorder", "rule_id",
                         "scheduling", "health", "scheduler", "tenant"),
+    IbmCosTraceGenerator: ("seed", "mean_rps", "tenants", "keys_per_tenant",
+                           "delete_fraction", "update_fraction",
+                           "burst_rate_per_hour", "burst_multiplier",
+                           "minute_sigma"),
 }
 
 

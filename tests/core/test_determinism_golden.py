@@ -65,7 +65,7 @@ def _fig23_run(seed: int, idle: str = "", tracing: bool = False,
     one optional layer (``idle``) built but never started, under
     ``chaos`` from the first request on if given."""
     gen = IbmCosTraceGenerator(seed=seed)
-    batches = [b for b in gen.generate_batches(60.0)]
+    batches = gen.generate(60.0)
     cloud = build_default_cloud(seed=seed)
     svc = AReplicaService(cloud, ReplicaConfig(profile_samples=5,
                                                mc_samples=300,
@@ -87,7 +87,7 @@ def _fig23_run(seed: int, idle: str = "", tracing: bool = False,
         Autopilot(svc)  # constructed, never started
     if chaos is not None:
         cloud.apply_chaos(chaos)
-    TraceReplayer(cloud, src).replay_all_batches(batches)
+    TraceReplayer(cloud, src).replay_all(batches)
     return cloud, svc
 
 

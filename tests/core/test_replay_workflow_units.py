@@ -13,32 +13,24 @@ from repro.simcloud.cloud import build_default_cloud
 from repro.simcloud.cost import CostCategory, CostLedger
 from repro.simcloud.sim import Simulator
 from repro.simcloud.workflow import WorkflowTimers
-from repro.traces.ibm_cos import OP_DELETE, OP_PUT, TraceBatch, TraceRequest
+from repro.traces.ibm_cos import OP_DELETE, OP_PUT, TraceBatch
 from repro.traces.replay import TraceReplayer
 
 KB = 1024
 
-REQUESTS = [
-    TraceRequest(0.0, "PUT", "k1", 100 * KB),
-    TraceRequest(60.0, "PUT", "k2", 40 * KB),
-    TraceRequest(120.0, "DELETE", "k1", 0),
-    TraceRequest(120.0, "DELETE", "k3", 0),   # never written: skipped
-]
+
+def _requests(ops=(OP_PUT, OP_PUT, OP_DELETE, OP_DELETE)):
+    return [TraceBatch(
+        times=np.array([0.0, 60.0, 120.0, 120.0]),
+        ops=np.array(ops, dtype=np.uint8),
+        keys=["k1", "k2", "k1", "k3"],   # k3 never written: skipped
+        sizes=np.array([100 * KB, 40 * KB, 0, 0], dtype=np.int64),
+    )]
 
 
 def _cloud_bucket(seed=5):
     cloud = build_default_cloud(seed=seed)
     return cloud, cloud.bucket("aws:us-east-1", "replay-src")
-
-
-def _batch_form():
-    return [TraceBatch(
-        times=np.array([r.time for r in REQUESTS], dtype=np.float64),
-        ops=np.array([OP_PUT if r.op == "PUT" else OP_DELETE
-                      for r in REQUESTS], dtype=np.uint8),
-        keys=[r.key for r in REQUESTS],
-        sizes=np.array([r.size for r in REQUESTS], dtype=np.int64),
-    )]
 
 
 class TestTraceReplayer:
@@ -51,12 +43,15 @@ class TestTraceReplayer:
     def test_unknown_op_raises(self):
         cloud, bucket = _cloud_bucket()
         replayer = TraceReplayer(cloud, bucket)
-        with pytest.raises(ValueError, match="unknown trace op"):
-            list(replayer.replay([TraceRequest(0.0, "COPY", "k", 1)]))
+        with pytest.raises(ValueError, match="unknown trace op 9"):
+            list(replayer.replay_batches(
+                _requests((OP_PUT, OP_PUT, 9, OP_DELETE))))
+        assert replayer.stats.requests == 0
+        assert "k1" not in bucket
 
     def test_request_replay_counters_and_bucket_state(self):
         cloud, bucket = _cloud_bucket()
-        stats = TraceReplayer(cloud, bucket).replay_all(REQUESTS)
+        stats = TraceReplayer(cloud, bucket).replay_all(_requests())
         assert (stats.puts, stats.deletes, stats.skipped_deletes) == (2, 1, 1)
         assert stats.requests == 3  # skipped deletes are not applied
         assert stats.bytes_written == 140 * KB
@@ -67,22 +62,9 @@ class TestTraceReplayer:
     def test_time_scale_compresses_the_schedule(self):
         cloud, bucket = _cloud_bucket()
         stats = TraceReplayer(cloud, bucket, time_scale=0.5).replay_all(
-            REQUESTS)
+            _requests())
         assert stats.last_time == 60.0
         assert stats.requests == 3
-
-    def test_batch_path_matches_request_path(self):
-        cloud_a, bucket_a = _cloud_bucket(seed=5)
-        by_request = TraceReplayer(cloud_a, bucket_a).replay_all(REQUESTS)
-        cloud_b, bucket_b = _cloud_bucket(seed=5)
-        by_batch = TraceReplayer(cloud_b, bucket_b).replay_all_batches(
-            _batch_form())
-        assert by_request == by_batch
-        assert sorted(bucket_a.keys()) == sorted(bucket_b.keys())
-
-    def test_batch_row_view_round_trips(self):
-        rows = list(_batch_form()[0].requests())
-        assert rows == REQUESTS
 
 
 class TestWorkflowTimers:

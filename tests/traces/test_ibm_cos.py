@@ -5,8 +5,23 @@ import pytest
 
 from repro.analysis.stats import fraction_at_or_below, size_histogram
 from repro.simcloud.cloud import build_default_cloud
-from repro.traces.ibm_cos import MB, GB, IbmCosTraceGenerator, SizeModel, TraceRequest
+from repro.traces.ibm_cos import (
+    MB, GB, OP_DELETE, OP_PUT, IbmCosTraceGenerator, SizeModel, TraceBatch)
 from repro.traces.replay import TraceReplayer
+
+
+def _batch(*rows):
+    """One batch from ``(time, op code, key, size)`` rows."""
+    times, ops, keys, sizes = zip(*rows)
+    return TraceBatch(np.array(times, dtype=np.float64),
+                      np.array(ops, dtype=np.uint8), list(keys),
+                      np.array(sizes, dtype=np.int64))
+
+
+def _rows(trace):
+    """``(time, op code, key, size)`` per request, in trace order."""
+    return [row for b in trace for row in zip(
+        b.times.tolist(), b.ops.tolist(), b.keys, b.sizes.tolist())]
 
 
 class TestSizeModel:
@@ -36,22 +51,28 @@ class TestSizeModel:
 
 class TestTraceGenerator:
     def test_deterministic_under_seed(self):
+        # Column by column: ``==`` on two batches compares arrays.
         a = IbmCosTraceGenerator(seed=5).generate(300.0)
         b = IbmCosTraceGenerator(seed=5).generate(300.0)
-        assert a == b
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert np.array_equal(x.times, y.times)
+            assert np.array_equal(x.ops, y.ops)
+            assert x.keys == y.keys
+            assert np.array_equal(x.sizes, y.sizes)
         c = IbmCosTraceGenerator(seed=6).generate(300.0)
-        assert a != c
+        assert _rows(a) != _rows(c)
 
     def test_timestamps_sorted_within_duration(self):
         trace = IbmCosTraceGenerator(seed=0).generate(600.0)
-        times = [r.time for r in trace]
+        times = [t for t, _, _, _ in _rows(trace)]
         assert times == sorted(times)
         assert 0 <= times[0] and times[-1] <= 600.0
 
     def test_mean_rate_roughly_respected(self):
         gen = IbmCosTraceGenerator(seed=1, mean_rps=50.0)
         trace = gen.generate(1800.0)
-        rate = len(trace) / 1800.0
+        rate = sum(len(b) for b in trace) / 1800.0
         assert 25.0 < rate < 100.0
 
     def test_fig3_bursty_minute_rates(self):
@@ -65,35 +86,32 @@ class TestTraceGenerator:
     def test_deletes_only_target_live_keys(self):
         gen = IbmCosTraceGenerator(seed=3, delete_fraction=0.2)
         live = set()
-        for req in gen.generate(900.0):
-            if req.op == "PUT":
-                live.add(req.key)
+        for _, op, key, _ in _rows(gen.generate(900.0)):
+            if op == OP_PUT:
+                live.add(key)
             else:
-                assert req.key in live
-                live.discard(req.key)
+                assert key in live
+                live.discard(key)
 
     def test_hot_keys_receive_updates(self):
         gen = IbmCosTraceGenerator(seed=4, update_fraction=0.5)
         trace = gen.generate(900.0)
-        puts = [r.key for r in trace if r.op == "PUT"]
+        puts = [key for _, op, key, _ in _rows(trace) if op == OP_PUT]
         assert len(set(puts)) < len(puts)  # some keys written repeatedly
 
     def test_busy_hour_request_budget(self):
         gen = IbmCosTraceGenerator(seed=5)
         trace = gen.busy_hour(total_requests=5_000)
-        assert 2_000 < len(trace) < 12_000
-        assert trace[-1].time <= 3600.0
+        assert 2_000 < sum(len(b) for b in trace) < 12_000
+        assert trace[-1].times[-1] <= 3600.0
 
 
 class TestReplayer:
     def test_replay_applies_puts_and_deletes(self):
         cloud = build_default_cloud(seed=0)
         bucket = cloud.bucket("aws:us-east-1", "b")
-        trace = [
-            TraceRequest(0.0, "PUT", "a", 100),
-            TraceRequest(1.0, "PUT", "b", 200),
-            TraceRequest(2.0, "DELETE", "a", 0),
-        ]
+        trace = [_batch((0.0, OP_PUT, "a", 100), (1.0, OP_PUT, "b", 200),
+                        (2.0, OP_DELETE, "a", 0))]
         stats = TraceReplayer(cloud, bucket).replay_all(trace)
         assert stats.puts == 2
         assert stats.deletes == 1
@@ -104,14 +122,14 @@ class TestReplayer:
         bucket = cloud.bucket("aws:us-east-1", "b")
         arrivals = []
         bucket.subscribe(lambda ev: arrivals.append(ev.event_time))
-        trace = [TraceRequest(float(i) * 10, "PUT", f"k{i}", 1) for i in range(3)]
+        trace = [_batch(*((i * 10.0, OP_PUT, f"k{i}", 1) for i in range(3)))]
         TraceReplayer(cloud, bucket).replay_all(trace)
         assert arrivals == [0.0, 10.0, 20.0]
 
     def test_time_scale_compresses(self):
         cloud = build_default_cloud(seed=0)
         bucket = cloud.bucket("aws:us-east-1", "b")
-        trace = [TraceRequest(100.0, "PUT", "k", 1)]
+        trace = [_batch((100.0, OP_PUT, "k", 1))]
         TraceReplayer(cloud, bucket, time_scale=0.1).replay_all(trace)
         assert cloud.now == pytest.approx(10.0)
 
@@ -119,7 +137,7 @@ class TestReplayer:
         cloud = build_default_cloud(seed=0)
         bucket = cloud.bucket("aws:us-east-1", "b")
         stats = TraceReplayer(cloud, bucket).replay_all(
-            [TraceRequest(0.0, "DELETE", "ghost", 0)]
+            [_batch((0.0, OP_DELETE, "ghost", 0))]
         )
         assert stats.skipped_deletes == 1
 
@@ -128,7 +146,7 @@ class TestReplayer:
         bucket = cloud.bucket("aws:us-east-1", "b")
         with pytest.raises(ValueError):
             TraceReplayer(cloud, bucket).replay_all(
-                [TraceRequest(0.0, "HEAD", "k", 0)]
+                [_batch((0.0, 7, "k", 0))]
             )
 
     def test_invalid_time_scale(self):
