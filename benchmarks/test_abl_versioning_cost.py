@@ -12,6 +12,7 @@ and AZ Rep require on both buckets) against AReplica's unversioned one.
 import numpy as np
 
 from benchmarks.conftest import run_once, scaled
+from repro.simcloud.chaos import injected_ledger
 from repro.simcloud.objectstore import Blob, Bucket
 from repro.simcloud.pricing import PriceBook
 from repro.simcloud.regions import get_region
@@ -23,7 +24,8 @@ DAY = 86_400.0
 def _simulate_month(versioning: bool, objects: int, update_prob: float,
                     seed: int):
     rng = np.random.default_rng(seed)
-    bucket = Bucket("b", get_region("aws:us-east-1"), versioning=versioning)
+    bucket = Bucket("b", get_region("aws:us-east-1"), injected_ledger(),
+                    versioning=versioning)
     sizes = rng.integers(1, 64, objects) * MB
     for i in range(objects):
         bucket.put_object(f"o{i}", Blob.fresh(int(sizes[i])), time=0.0)

@@ -59,10 +59,11 @@ class Cloud:
         self.ledger = CostLedger()
         # The one injected-fault ledger every substrate counts into.
         self._injected = injected_ledger()
-        self.fabric = NetworkFabric(self.rngs, self.profiles.network)
+        self.fabric = NetworkFabric(self.rngs, self._injected,
+                                    self.profiles.network)
         self.notifications = NotificationBus(self.sim, self.rngs,
+                                             self._injected,
                                              self.profiles.notifications)
-        self.fabric.injected = self.notifications.injected = self._injected
         self._buckets: dict[tuple[str, str], Bucket] = {}
         self._faas: dict[str, FaasRegion] = {}
         self._kv: dict[tuple[str, str], KvTable] = {}
@@ -91,8 +92,8 @@ class Cloud:
         region = get_region(region_key)
         cache_key = (region.key, name)
         if cache_key not in self._buckets:
-            bucket = Bucket(name, region, versioning=versioning)
-            bucket.injected = self._injected
+            bucket = Bucket(name, region, self._injected,
+                            versioning=versioning)
             bucket.health_sink = self.health
             if self.chaos is not None:
                 bucket.set_chaos(self.chaos,
@@ -108,9 +109,8 @@ class Cloud:
         if region.key not in self._faas:
             faas = FaasRegion(
                 self.sim, region, self.fabric, self.prices, self.ledger,
-                self.rngs, self.profiles.faas,
+                self.rngs, self._injected, self.profiles.faas,
             )
-            faas.injected = self._injected
             if self.chaos is not None:
                 faas.set_chaos(self.chaos)
             faas.health_sink = self.health

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.simcloud.chaos import (ChaosConfig, ChaosDraws, injected_ledger,
-                                   outage_end)
+from repro.simcloud.chaos import ChaosConfig, ChaosDraws, outage_end
 from repro.simcloud.regions import Provider, Region
 from repro.simcloud.rng import BufferedSampler, Dist, RngFactory, normal
 
@@ -208,7 +207,8 @@ class InstanceChannel:
 class NetworkFabric:
     """Samples transfer times for functions/VMs moving object data."""
 
-    def __init__(self, rngs: RngFactory, profile: NetworkProfile = DEFAULT_PROFILE):
+    def __init__(self, rngs: RngFactory, injected: dict[str, int],
+                 profile: NetworkProfile = DEFAULT_PROFILE):
         self.profile = profile
         self._rng = rngs.stream("network")
         # path_mbps/congestion_scale are pure functions of their
@@ -233,7 +233,7 @@ class NetworkFabric:
         self._outages: dict[str, tuple[tuple[float, float], ...]] = {}
         #: Injected-fault counts (``chaos.INJECTED_KEYS``); the
         #: substrates of one Cloud share the dict.
-        self.injected = injected_ledger()
+        self.injected = injected
         #: Optional :class:`~repro.core.tracing.Tracer` receiving
         #: wan-stall / wan-blackout / wan-outage-wait events (only
         #: consulted on the chaos path; the clean path never checks it).

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.simcloud.chaos import ChaosConfig, injected_ledger
+from repro.simcloud.chaos import ChaosConfig
 from repro.simcloud.objectstore import Bucket, ObjectEvent
 from repro.simcloud.regions import Provider
 from repro.simcloud.rng import BufferedSampler, Dist, RngFactory, normal
@@ -38,6 +38,7 @@ class NotificationBus:
     """Connects buckets to handlers with realistic delivery delay."""
 
     def __init__(self, sim: Simulator, rngs: RngFactory,
+                 injected: dict[str, int],
                  profile: NotificationProfile | None = None):
         self.sim = sim
         self.profile = profile or NotificationProfile()
@@ -49,7 +50,7 @@ class NotificationBus:
         self._chaos_rng = None
         #: Injected-fault counts (``chaos.INJECTED_KEYS``); the
         #: substrates of one Cloud share the dict.
-        self.injected = injected_ledger()
+        self.injected = injected
 
     def set_chaos(self, chaos: Optional[ChaosConfig], rng) -> None:
         """Install (or clear) delivery fault injection.

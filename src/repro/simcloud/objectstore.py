@@ -32,7 +32,6 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
-from repro.simcloud.chaos import injected_ledger
 from repro.simcloud.regions import Region
 
 __all__ = [
@@ -228,7 +227,8 @@ class _MultipartUpload:
 class Bucket:
     """A bucket in one region of one provider."""
 
-    def __init__(self, name: str, region: Region, versioning: bool = False):
+    def __init__(self, name: str, region: Region, injected: dict[str, int],
+                 versioning: bool = False):
         self.name = name
         self.region = region
         self.versioning = versioning
@@ -254,7 +254,7 @@ class Bucket:
         self._chaos_rng = None
         #: Injected-fault counts (``chaos.INJECTED_KEYS``); the
         #: substrates of one Cloud share the dict.
-        self.injected = injected_ledger()
+        self.injected = injected
 
     def set_chaos(self, chaos, rng) -> None:
         """Install (or clear) at-rest corruption faults on this bucket.

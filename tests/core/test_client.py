@@ -6,6 +6,7 @@ import pytest
 from repro.core.client import ReplicatedBucketClient
 from repro.core.config import ReplicaConfig
 from repro.core.service import AReplicaService
+from repro.simcloud.chaos import injected_ledger
 from repro.simcloud.cloud import build_default_cloud
 from repro.simcloud.cost import CostCategory
 from repro.simcloud.objectstore import Blob, Bucket
@@ -110,7 +111,8 @@ class TestVersioningLifecycle:
     def make_bucket(self):
         from repro.simcloud.regions import get_region
 
-        return Bucket("b", get_region("aws:us-east-1"), versioning=True)
+        return Bucket("b", get_region("aws:us-east-1"), injected_ledger(),
+                      versioning=True)
 
     def test_expire_noncurrent_respects_age(self):
         b = self.make_bucket()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.simcloud.chaos import injected_ledger
 from repro.simcloud.network import (
     BEST_CONFIGS,
     DEFAULT_PROFILE,
@@ -24,7 +25,7 @@ MB = 10**6
 
 
 def make_fabric(seed=0):
-    return NetworkFabric(RngFactory(seed))
+    return NetworkFabric(RngFactory(seed), injected_ledger())
 
 
 class TestMeanBandwidth:
@@ -72,7 +73,7 @@ class TestMeanBandwidth:
         # function at us-east-1 move bytes ca-central-1 -> us-east-1.
         profile = NetworkProfile(
             pair_overrides={("aws", AWS_CAC1.key, AWS_USE1.key): 50.0})
-        fabric = NetworkFabric(RngFactory(0), profile)
+        fabric = NetworkFabric(RngFactory(0), injected_ledger(), profile)
         cfg = FunctionConfig(memory_mb=2048, vcpus=1.0)  # full AWS scale
         bw = fabric.path_mbps(AWS_USE1, AWS_CAC1, cfg, upload=False)
         assert bw == pytest.approx(50.0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.simcloud.chaos import injected_ledger
 from repro.simcloud.objectstore import (
     Blob,
     Bucket,
@@ -21,7 +22,7 @@ US_EAST = get_region("aws:us-east-1")
 
 
 def make_bucket(versioning=False):
-    return Bucket("b", US_EAST, versioning=versioning)
+    return Bucket("b", US_EAST, injected_ledger(), versioning=versioning)
 
 
 class TestBlob:

@@ -19,6 +19,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.simcloud.chaos import injected_ledger
 from repro.simcloud.objectstore import Blob, Bucket
 from repro.simcloud.regions import get_region
 
@@ -28,7 +29,8 @@ KEYS = [f"k{i}" for i in range(6)]
 class BucketMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.bucket = Bucket("b", get_region("aws:us-east-1"))
+        self.bucket = Bucket("b", get_region("aws:us-east-1"),
+                             injected_ledger())
         self.model: dict[str, Blob] = {}
         self.clock = 0.0
         self.events: list[tuple[str, str]] = []
