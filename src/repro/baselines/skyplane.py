@@ -111,7 +111,6 @@ class SkyplaneReplicator:
         self.cloud = cloud
         self.src_bucket = src_bucket
         self.dst_bucket = dst_bucket
-        self.vm_pairs = vm_pairs
         self.keepalive_s = keepalive_s
         self.overlay_region = (cloud.region(overlay_region).key
                                if overlay_region else None)

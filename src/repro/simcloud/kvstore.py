@@ -81,7 +81,6 @@ class KvTable:
         self.sim = sim
         self.name = name
         self.region = region
-        self._prices = prices
         self._ledger = ledger
         self._profile = profile or KvProfile()
         self._items: dict[str, dict[str, Any]] = {}

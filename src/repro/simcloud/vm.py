@@ -11,7 +11,6 @@ faster than a single cloud function (VMs get multi-stream gateways).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -50,15 +49,13 @@ class VmProfile:
 class Vm:
     """A provisioned VM with a running replication gateway container."""
 
-    def __init__(self, vm_id: int, region: Region, fleet: "VmFleet",
+    def __init__(self, region: Region, fleet: "VmFleet",
                  provision_s: float = 0.0, container_s: float = 0.0):
-        self.vm_id = vm_id
         self.region = region
         self._fleet = fleet
         self.channel = fleet.fabric.open_channel(region.provider)
         self.launched_at = fleet.sim.now
         self.terminated_at: Optional[float] = None
-        self.last_active = fleet.sim.now
         #: How long this VM took to provision / boot its container
         #: (Fig 4's breakdown).
         self.provision_s = provision_s
@@ -99,7 +96,6 @@ class VmFleet:
         self.ledger = ledger
         self.profile = profile or VmProfile()
         self._rng = rngs.stream(f"vm:{region.key}")
-        self._seq = itertools.count(1)
         self.provisioned = 0
 
     def provision(self):
@@ -115,8 +111,8 @@ class VmFleet:
         container = float(self.profile.container_startup_s.sample(self._rng))
         yield self.sim.sleep(container)
         self.provisioned += 1
-        return Vm(next(self._seq), self.region, self,
-                  provision_s=provision, container_s=container)
+        return Vm(self.region, self, provision_s=provision,
+                  container_s=container)
 
     def sample_session_overhead(self) -> float:
         return float(self.profile.session_overhead_s.sample(self._rng))
