@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro.baselines.s3rtc import GB, _ManagedReplicatorBase
 from repro.simcloud.cost import CostCategory
 from repro.simcloud.objectstore import Bucket
-from repro.simcloud.regions import geo_distance_km
 
 __all__ = ["AzureObjectReplicator"]
 
@@ -28,23 +27,14 @@ class AzureObjectReplicator(_ManagedReplicatorBase):
     _PER_GB = 1.5
     _RATE_KNEE = 25.0
     _RATE_SLOPE = 0.3
+    _BURST_TAIL = (0.5, 1.0)
+    _FLOOR_S = 5.0
 
     def _check_buckets(self, src: Bucket, dst: Bucket) -> None:
         if src.region.provider != "azure" or dst.region.provider != "azure":
             raise ValueError("Azure object replication is Azure-to-Azure only")
         if not (src.versioning and dst.versioning):
             raise ValueError("Azure object replication requires versioning")
-
-    def _sample_delay(self, size: int) -> float:
-        mean = (self._BASE_MEAN
-                + self._PER_1000KM * geo_distance_km(self.src_bucket.region,
-                                                     self.dst_bucket.region) / 1000.0
-                + self._PER_GB * size / GB)
-        rate = self._load_rate()
-        if rate > self._RATE_KNEE:
-            mean += self._RATE_SLOPE * (rate - self._RATE_KNEE)
-            mean += float(self._rng.lognormal(0.5, 1.0))
-        return max(5.0, float(self._rng.normal(mean, self._BASE_STD)))
 
     def _charge(self, size: int) -> None:
         prices = self.cloud.prices

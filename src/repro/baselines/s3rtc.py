@@ -107,7 +107,17 @@ class _ManagedReplicatorBase:
         return len(arrivals) / self._LOAD_WINDOW
 
     def _sample_delay(self, size: int) -> float:
-        raise NotImplementedError
+        mean = (self._BASE_MEAN
+                + self._PER_1000KM * geo_distance_km(self.src_bucket.region,
+                                                     self.dst_bucket.region) / 1000.0
+                + self._PER_GB * size / GB)
+        rate = self._load_rate()
+        if rate > self._RATE_KNEE:
+            # Managed replication queues during bursts; the excess has a
+            # lognormal (heavy) tail — Fig 23's >30 s p99.99 spikes.
+            mean += self._RATE_SLOPE * (rate - self._RATE_KNEE)
+            mean += float(self._rng.lognormal(*self._BURST_TAIL))
+        return max(self._FLOOR_S, float(self._rng.normal(mean, self._BASE_STD)))
 
     def _charge(self, size: int) -> None:
         raise NotImplementedError
@@ -131,25 +141,15 @@ class S3RTCReplicator(_ManagedReplicatorBase):
     #: Burst behaviour: above this arrival rate, delay inflates.
     _RATE_KNEE = 40.0
     _RATE_SLOPE = 0.10
+    #: ``(mu, sigma)`` of the lognormal burst excess, and the delay floor.
+    _BURST_TAIL = (0.2, 0.9)
+    _FLOOR_S = 1.0
 
     def _check_buckets(self, src: Bucket, dst: Bucket) -> None:
         if src.region.provider != "aws" or dst.region.provider != "aws":
             raise ValueError("S3 RTC only replicates between AWS buckets")
         if not (src.versioning and dst.versioning):
             raise ValueError("S3 RTC requires versioning on both buckets")
-
-    def _sample_delay(self, size: int) -> float:
-        mean = (self._BASE_MEAN
-                + self._PER_1000KM * geo_distance_km(self.src_bucket.region,
-                                                     self.dst_bucket.region) / 1000.0
-                + self._PER_GB * size / GB)
-        rate = self._load_rate()
-        if rate > self._RATE_KNEE:
-            # Managed replication queues during bursts; the excess has a
-            # lognormal (heavy) tail — Fig 23's >30 s p99.99 spikes.
-            mean += self._RATE_SLOPE * (rate - self._RATE_KNEE)
-            mean += float(self._rng.lognormal(0.2, 0.9))
-        return max(1.0, float(self._rng.normal(mean, self._BASE_STD)))
 
     def _charge(self, size: int) -> None:
         prices = self.cloud.prices

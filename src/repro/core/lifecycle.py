@@ -207,26 +207,37 @@ class OperationsRunner:
         raise Throttled(
             f"lifecycle control-plane write failed {self.kv_attempts} times")
 
-    def _drain(self, region: str):
-        """Process: wait for in-flight functions at ``region`` to finish.
+    def _cordon_drain_hold(self, report: LifecycleReport, hold):
+        """Process: cordon FaaS at ``report.region``, drain it, run the
+        ``hold`` process (which lifts the cordons), then file ``report``
+        with the tasks that failed over meanwhile as migrated.
 
-        Polls the platform's running-instance gauge until it reaches
-        zero or the drain deadline passes.  Returns ``(inflight_before,
-        drained, deadline_met)``; the undrained remainder is *not*
-        killed — the platform still owns those executions, they simply
-        finish after the window (their retries/DLQ path recovers any
-        that the disruption broke).
+        The drain polls the platform's running-instance gauge until it
+        reaches zero or the drain deadline passes.  The undrained
+        remainder is *not* killed — the platform still owns those
+        executions, they simply finish after the window (their
+        retries/DLQ path recovers any that the disruption broke).
         """
-        faas = self.cloud.faas(region)
-        inflight_before = faas.running
+        engine = self._engine
+        failover_before = engine.stats["failover"]
+        self._cordon("faas", report.region)
+        faas = self.cloud.faas(report.region)
+        report.inflight_before = faas.running
         deadline = self.cloud.sim.now + self.drain_deadline_s
         while faas.running > 0 and self.cloud.sim.now < deadline:
             remaining = deadline - self.cloud.sim.now
             step = min(remaining,
                        self.poll_interval_s + self._rng.random())
             yield SleepRequest(max(step, 1e-9))
-        drained = max(0, inflight_before - faas.running)
-        return inflight_before, drained, faas.running == 0
+        report.drained = max(0, report.inflight_before - faas.running)
+        report.deadline_met = faas.running == 0
+        engine.stats["drained_parts"] += report.drained
+        yield from hold
+        report.migrated = engine.stats["failover"] - failover_before
+        engine.stats["migrated_tasks"] += report.migrated
+        report.finished_at = self.cloud.sim.now
+        self.reports.append(report)
+        return report
 
     # -- procedures ------------------------------------------------------------
 
@@ -241,13 +252,12 @@ class OperationsRunner:
         cordon notifies the engine, which re-admits the parked backlog.
         """
         region = region or self.src_region
-        engine = self._engine
         report = LifecycleReport("evacuate", self.rule_id, region,
                                  started_at=self.cloud.sim.now)
-        failover_before = engine.stats["failover"]
-        self._cordon("faas", region)
-        inflight, drained, met = yield from self._drain(region)
-        engine.stats["drained_parts"] += drained
+        return (yield from self._cordon_drain_hold(
+            report, self._evacuation_hold(region)))
+
+    def _evacuation_hold(self, region: str):
         # First half of the window: only FaaS is cordoned, so arriving
         # work *migrates* (fails over to the surviving platform); then
         # the location-pinned substrates close too and the remainder
@@ -258,15 +268,6 @@ class OperationsRunner:
         yield SleepRequest(self.hold_s / 2)
         for substrate in reversed(_EVACUATION_SUBSTRATES):
             self._uncordon(substrate, region)
-        migrated = engine.stats["failover"] - failover_before
-        engine.stats["migrated_tasks"] += migrated
-        report.inflight_before = inflight
-        report.drained = drained
-        report.deadline_met = met
-        report.migrated = migrated
-        report.finished_at = self.cloud.sim.now
-        self.reports.append(report)
-        return report
 
     def _rolling(self):
         """Process: rolling engine restart/upgrade.
@@ -305,25 +306,15 @@ class OperationsRunner:
         """
         if self.dst_region == self.src_region:
             raise ValueError("switchover needs distinct src/dst regions")
-        engine = self._engine
         report = LifecycleReport("switchover", self.rule_id,
                                  self.src_region,
                                  started_at=self.cloud.sim.now)
-        engine.stats["switchovers"] += 1
-        failover_before = engine.stats["failover"]
+        self._engine.stats["switchovers"] += 1
         self._event("switchover", _SWITCHOVER_KEYS, self.src_region,
                     self.dst_region)
-        self._cordon("faas", self.src_region)
-        inflight, drained, met = yield from self._drain(self.src_region)
-        engine.stats["drained_parts"] += drained
+        return (yield from self._cordon_drain_hold(
+            report, self._switchover_hold(self.src_region)))
+
+    def _switchover_hold(self, region: str):
         yield SleepRequest(self.hold_s)
-        self._uncordon("faas", self.src_region)
-        migrated = engine.stats["failover"] - failover_before
-        engine.stats["migrated_tasks"] += migrated
-        report.inflight_before = inflight
-        report.drained = drained
-        report.deadline_met = met
-        report.migrated = migrated
-        report.finished_at = self.cloud.sim.now
-        self.reports.append(report)
-        return report
+        self._uncordon("faas", region)
